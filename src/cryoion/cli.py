@@ -256,12 +256,22 @@ def cmd_trap_solve(args) -> int:
     return 0
 
 
+def _dc_setting(text: str) -> tuple[int, float]:
+    """Parse one ``--set IDX=VOLTS``; a malformed one is a usage error (exit 2)."""
+    key, sep, val = text.partition("=")
+    try:
+        idx, q = int(key), parse_quantity(val)
+    except (ValueError, UnitError):
+        idx = q = None
+    if not sep or q is None or q.dims not in (Quantity(1.0, VOLT).dims,
+                                              Quantity(1.0, DIMENSIONLESS).dims):
+        raise argparse.ArgumentTypeError(f"expected IDX=VOLTS, got {text!r}")
+    return idx, q.value
+
+
 def cmd_trap_spectrum(args) -> int:
     layout, species = trap.load_layout(args.layout)
-    voltages = {}
-    for item in args.set or []:
-        key, _, val = item.partition("=")
-        voltages[int(key)] = float(parse_quantity(val).value)
+    voltages = dict(args.set or [])
     sol = trap.secular_spectrum(layout, species, dc_voltages=voltages or None)
     lines = [f"height = {format_si(sol.height, 'm')}",
              "secular frequencies = "
@@ -592,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True, help="INI layout file")
     p = leaf(trap_g, "spectrum", cmd_trap_spectrum, "secular frequencies and depth")
     p.add_argument("--layout", required=True, help="INI layout file")
-    p.add_argument("--set", action="append", metavar="IDX=VOLTS",
+    p.add_argument("--set", action="append", type=_dc_setting, metavar="IDX=VOLTS",
                    help="DC electrode voltage, repeatable")
     p = leaf(trap_g, "resonator", cmd_trap_resonator, "LC resonator arithmetic")
     add_quantity_flag(p, "--inductance", HENRY, "H", "coil inductance", required=True)

@@ -4,9 +4,13 @@ Every electrode is a rectangle in the z=0 plane; the rest of the plane is
 grounded.  The basis potential of a rectangle held at unit voltage is the
 solid angle it subtends at the field point divided by 2*pi (a sum of four
 arctangents), which is harmonic, bounded in [0, 1] and exact for the gapless
-model.  Fields come from central differences of the basis potentials, the RF
-pseudopotential is q^2 |E|^2 / (4 m Omega^2), and the secular spectrum is the
-eigen-decomposition of a Richardson-refined numeric Hessian at the RF null.
+model.  Fields and Hessians are the closed-form derivatives of those
+arctangents (Wesenberg, PRA 78, 063410 (2008); House, PRA 78, 033402 (2008)),
+summed over all strips for a batch of points in one numpy kernel.  The RF
+null is found by damped Newton steps on E = 0 with the exact field Jacobian
+J.  There the pseudopotential q^2 |E|^2 / (4 m Omega^2) has the exact Hessian
+q^2 J^T J / (2 m Omega^2); with the DC curvature added, its eigen-decomposition
+is the secular spectrum.
 
 Axes: x across the strips, y along the trap axis, z normal to the chip.
 """
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, DomainError, NoTrapError
 from .units import CONSTANTS, HERTZ, parse_quantity
@@ -30,8 +33,8 @@ ROLE_CENTER = "center"  # grounded: a covered slot or ground plane strip
 #: multi-start heights for the null search (absolute, tuned to ~100 um scale traps)
 DEFAULT_START_HEIGHTS = (30e-6, 60e-6, 120e-6, 240e-6)
 
-_FD_SCALE = 1e-4  # central-difference step = height * _FD_SCALE
 _MIN_Z = 1e-9
+_DEPTH_CHUNK = 2048  # ray points per kernel call; bounds the transient memory
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class ElectrodeLayout:
 
 
 # ---------------------------------------------------------------------------
-# basis potentials
+# basis potentials and their closed-form derivatives
 # ---------------------------------------------------------------------------
 
 
@@ -128,19 +131,28 @@ def rect_potential(strip: Strip, point) -> float:
     return float(_rect_phi(strip, x, y, z))
 
 
-def _phi_sum(strips: Sequence[Strip], px, py, pz):
-    total = 0.0
-    for s in strips:
-        total = total + _rect_phi(s, px, py, pz)
-    return total
-
-
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     """Sum of RF strip basis potentials (dimensionless, unit drive)."""
     x, y, z = (float(v) for v in point)
     if z <= 0:
         raise DomainError("potential is defined for z > 0 only")
-    return float(_phi_sum(layout.rf_strips, x, y, z))
+    return float(sum(_rect_phi(s, x, y, z) for s in layout.rf_strips))
+
+
+def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
+    """The DC strips that ``voltages`` sets, in layout order, and their voltages.
+
+    An index that names no DC strip of the layout raises rather than being
+    skipped, so a mistyped index cannot leave the result silently unchanged.
+    """
+    voltages = voltages or {}
+    known = sorted({s.dc_index for s in layout.strips if s.role == ROLE_DC})
+    unknown = [k for k in voltages if k not in known]
+    if unknown:
+        raise DomainError(f"no DC strip has index {unknown}; "
+                          f"the layout's DC indices are {known}")
+    strips = [s for s in layout.strips if s.role == ROLE_DC and s.dc_index in voltages]
+    return strips, [float(voltages[s.dc_index]) for s in strips]
 
 
 def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, point) -> float:
@@ -148,46 +160,82 @@ def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, 
     x, y, z = (float(v) for v in point)
     if z <= 0:
         raise DomainError("potential is defined for z > 0 only")
-    if not voltages:
-        return 0.0
     total = 0.0
-    for s in layout.strips:
-        if s.role == ROLE_DC and s.dc_index in voltages:
-            total += float(voltages[s.dc_index]) * float(_rect_phi(s, x, y, z))
+    for s, volts in zip(*_dc_strips(layout, voltages)):
+        total += volts * float(_rect_phi(s, x, y, z))
     return total
 
 
-def _rf_field_xyz(layout, px, py, pz, step):
-    """Vectorized drive-amplitude field -V * grad(phi_rf); step may be an array."""
-    strips = layout.rf_strips
-    v = layout.rf_voltage
-    ex = (_phi_sum(strips, px + step, py, pz) - _phi_sum(strips, px - step, py, pz)) / (2 * step)
-    ey = (_phi_sum(strips, px, py + step, pz) - _phi_sum(strips, px, py - step, pz)) / (2 * step)
-    ez = (_phi_sum(strips, px, py, pz + step) - _phi_sum(strips, px, py, pz - step)) / (2 * step)
-    return -v * ex, -v * ey, -v * ez
+#: signs of the four corner arctangents of a rectangle, over 2*pi; entry
+#: [i, j] is the corner at x edge i and y edge j (0 = min, 1 = max)
+_CORNER_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]]) / (2.0 * math.pi)
 
 
-def rf_field(layout: ElectrodeLayout, point, step: float | None = None) -> np.ndarray:
-    """Peak RF field vector (V/m) at a point; central differences, step = z/1e4."""
+def _grad_hess(strips: Sequence[Strip], weights, points, hessian: bool = True):
+    """Weighted strip sums of grad(phi), shape (N, 3), and of its Hessian, (N, 3, 3).
+
+    ``weights`` is one number per strip or one for all; ``points`` is (N, 3)
+    with z > 0.  Each corner term F = atan(u v / (z R)), with u, v the corner
+    offsets from the point, R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and
+    b = v^2 + z^2, has closed-form derivatives F_u = v z / (a R),
+    F_v = u z / (b R), F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
+    F_uu = -u v z (2/a + 1/R^2) / (a R) and
+    F_uz = v (1 - 2 z^2/a - z^2/R^2) / (a R) (u, a and v, b swap for the v
+    terms); d/dx = -d/du and d/dy = -d/dv.  The zz entry is -(xx + yy),
+    because a weighted sum of rectangle potentials is harmonic.  With
+    ``hessian=False`` the Hessian is None.
+    """
+    ext = np.array([(s.x_min, s.x_max, s.y_min, s.y_max) for s in strips],
+                   dtype=float).reshape(-1, 4)
+    c = (np.broadcast_to(np.asarray(weights, dtype=float), len(ext))[:, None, None]
+         * _CORNER_SIGN).ravel()
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(p)
+    # axes: strip, x edge, y edge, point (last, so numpy's inner loops are long)
+    u = ext[:, 0:2, None, None] - p[:, 0]
+    v = ext[:, None, 2:4, None] - p[:, 1]
+    z = p[:, 2]
+    z2 = z * z
+    a = u * u + z2
+    b = v * v + z2
+    r2 = a + v * v
+    r = np.sqrt(r2)
+    ar = a * r
+    br = b * r
+    uv = u * v
+
+    def total(f):
+        return c @ f.reshape(c.size, n)
+
+    grad = np.column_stack([-total(v * z / ar), -total(u * z / br),
+                            -total(uv * (1.0 / a + 1.0 / b) / r)])
+    if not hessian:
+        return grad, None
+    ir2 = 1.0 / r2
+    uvz = uv * z
+    hxx = total(-uvz * (2.0 / a + ir2) / ar)
+    hyy = total(-uvz * (2.0 / b + ir2) / br)
+    hxy = total(z * ir2 / r)
+    hxz = -total(v * (1.0 - 2.0 * z2 / a - z2 * ir2) / ar)
+    hyz = -total(u * (1.0 - 2.0 * z2 / b - z2 * ir2) / br)
+    hzz = -(hxx + hyy)
+    hess = np.stack([hxx, hxy, hxz, hxy, hyy, hyz, hxz, hyz, hzz], axis=-1)
+    return grad, hess.reshape(n, 3, 3)
+
+
+def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
+    """Peak RF field vector -V grad(phi_rf) (V/m) at a point, in closed form."""
     x, y, z = (float(v) for v in point)
     if z <= 0:
         raise DomainError("field is defined for z > 0 only")
-    h = z * _FD_SCALE if step is None else float(step)
-    ex, ey, ez = _rf_field_xyz(layout, x, y, z, h)
-    return np.array([float(ex), float(ey), float(ez)])
+    e, _ = _grad_hess(layout.rf_strips, -layout.rf_voltage, (x, y, z), hessian=False)
+    return e[0]
 
 
-def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point,
-                    step: float | None = None) -> float:
+def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> float:
     """Time-averaged RF confinement energy q^2 |E|^2 / (4 m Omega^2), in J."""
-    e = rf_field(layout, point, step=step)
+    e = rf_field(layout, point)
     return species.charge_c**2 * float(e @ e) / (4.0 * species.mass_kg * layout.rf_omega**2)
-
-
-def _psi_batch(layout, species, px, py, pz, step):
-    ex, ey, ez = _rf_field_xyz(layout, px, py, pz, step)
-    e2 = ex * ex + ey * ey + ez * ez
-    return species.charge_c**2 * e2 / (4.0 * species.mass_kg * layout.rf_omega**2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,69 +243,30 @@ def _psi_batch(layout, species, px, py, pz, step):
 # ---------------------------------------------------------------------------
 
 
-def _e_xz(layout, x, z):
-    y = layout.axial_center
-    h = max(z * _FD_SCALE, _MIN_Z)
-    ex, _, ez = _rf_field_xyz(layout, x, y, z, h)
-    return float(ex), float(ez)
-
-
-def _newton_polish(layout, x, z):
-    """Drive (E_x, E_z) to zero in the x-z plane; quadratic convergence."""
-    for _ in range(60):
-        fx, fz = _e_xz(layout, x, z)
-        h = z * _FD_SCALE
-        jxx = (_e_xz(layout, x + h, z)[0] - _e_xz(layout, x - h, z)[0]) / (2 * h)
-        jxz = (_e_xz(layout, x, z + h)[0] - _e_xz(layout, x, z - h)[0]) / (2 * h)
-        jzx = (_e_xz(layout, x + h, z)[1] - _e_xz(layout, x - h, z)[1]) / (2 * h)
-        jzz = (_e_xz(layout, x, z + h)[1] - _e_xz(layout, x, z - h)[1]) / (2 * h)
-        try:
-            dx, dz = np.linalg.solve(np.array([[jxx, jxz], [jzx, jzz]]),
-                                     np.array([-fx, -fz]))
-        except np.linalg.LinAlgError:
-            break
-        limit = 0.5 * z
-        norm = math.hypot(dx, dz)
-        if norm > limit:
-            dx, dz = dx * limit / norm, dz * limit / norm
-        x, z = x + dx, z + dz
-        if z <= _MIN_Z:
-            return x, -1.0  # left the physical domain
-        if norm < 1e-16 * max(z, 1e-6):
-            break
-    return x, z
-
-
-def _newton_step_length(layout, x, z) -> float:
-    """Length of the Newton correction toward E=0 at (x, z); inf if J is singular.
-
-    At a genuine null this is ~machine noise; at a runaway far-field point,
-    where |E| is small only because everything decays, it is of order the
-    distance itself — which is what makes it a sound convergence test.
-    """
-    fx, fz = _e_xz(layout, x, z)
-    h = z * _FD_SCALE
-    jxx = (_e_xz(layout, x + h, z)[0] - _e_xz(layout, x - h, z)[0]) / (2 * h)
-    jxz = (_e_xz(layout, x, z + h)[0] - _e_xz(layout, x, z - h)[0]) / (2 * h)
-    jzx = (_e_xz(layout, x + h, z)[1] - _e_xz(layout, x - h, z)[1]) / (2 * h)
-    jzz = (_e_xz(layout, x, z + h)[1] - _e_xz(layout, x, z - h)[1]) / (2 * h)
-    try:
-        dx, dz = np.linalg.solve(np.array([[jxx, jxz], [jzx, jzz]]),
-                                 np.array([-fx, -fz]))
-    except np.linalg.LinAlgError:
-        return math.inf
-    return math.hypot(float(dx), float(dz))
+def _xz_newton_step(layout, x, z):
+    """Newton steps toward E_x = E_z = 0 from the points (x, axial center, z),
+    and |(E_x, E_z)| there; a singular Jacobian gives a non-finite step."""
+    pts = np.column_stack([x, np.full_like(x, layout.axial_center), z])
+    e, jac = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts)
+    ex, ez = e[:, 0], e[:, 2]
+    jxx, jxz, jzz = jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = jxx * jzz - jxz * jxz
+        return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
 
 
 def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
                  start_heights: Sequence[float] = DEFAULT_START_HEIGHTS) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
-    Runs a Nelder-Mead minimization of |E|^2 from each start height, then a
-    damped Newton solve of E=0.  A start counts as converged when the Newton
-    correction at its end point is below 1e-9 of the height (|E| alone is not
-    a usable test: the far field is small everywhere); all converged starts
-    agree to well below 1e-9 m for a valid layout.
+    Solves E_x = E_z = 0 by damped Newton steps with the closed-form field
+    Jacobian, stepping all start heights as one batch.  A step is capped at
+    half the current height, and a start is dropped once it leaves the domain
+    (z at or below 1 nm, above 4 electrode spans, or more than 2 spans off
+    center).  A start counts as converged when the Newton correction at its
+    end point is below 1e-9 of the height (|E| alone is not a usable test: the
+    far field is small everywhere); all converged starts agree to well below
+    1e-9 m for a valid layout, and the one with the smallest |E| is returned.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
@@ -265,68 +274,44 @@ def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
     x0 = 0.5 * (min(xs) + max(xs))
     # a planar-trap null always sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
-    # underflows), which a minimizer would mistake for convergence
+    # underflows), which a solver would mistake for convergence
     span = (max(s.x_max for s in layout.strips)
             - min(s.x_min for s in layout.strips))
     z_cap = 4.0 * span
 
-    def objective(p):
-        x, z = p
-        if z <= _MIN_Z or z > z_cap or abs(x - x0) > 2.0 * span:
-            return 1e300
-        ex, ez = _e_xz(layout, x, z)
-        return ex * ex + ez * ez
+    z = np.array(start_heights, dtype=float)
+    x = np.full(z.shape, x0)
+    inside = np.ones(z.shape, dtype=bool)
+    stepping = inside.copy()
+    for _ in range(60):
+        i = np.flatnonzero(stepping)
+        if i.size == 0:
+            break
+        dx, dz, _ = _xz_newton_step(layout, x[i], z[i])
+        norm = np.hypot(dx, dz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.minimum(1.0, 0.5 * z[i] / norm)
+        done = norm <= 1e-9 * z[i]
+        x[i] += scale * dx
+        z[i] += scale * dz
+        inside[i] = (z[i] > _MIN_Z) & (z[i] <= z_cap) & (np.abs(x[i] - x0) <= 2.0 * span)
+        stepping[i] = inside[i] & ~done
 
-    candidates = []
-    for z0 in start_heights:
-        # explicit simplex on the start-height scale so the search path is
-        # independent of where the layout sits on the x axis
-        simplex = np.array([[x0, z0], [x0 + 0.3 * z0, z0], [x0, 1.5 * z0]])
-        res = minimize(objective, np.array([x0, z0]), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-300, "maxiter": 600,
-                                "initial_simplex": simplex})
-        x, z = res.x
-        if z <= _MIN_Z or z > z_cap or abs(x - x0) > 2.0 * span:
-            continue
-        x, z = _newton_polish(layout, x, z)
-        if not 0 < z <= z_cap:
-            continue
-        if _newton_step_length(layout, x, z) <= 1e-9 * z:
-            ex, ez = _e_xz(layout, x, z)
-            candidates.append((math.hypot(ex, ez), x, z))
+    i = np.flatnonzero(inside)
+    dx, dz, e = _xz_newton_step(layout, x[i], z[i])
+    converged = np.hypot(dx, dz) <= 1e-9 * z[i]
+    candidates = [(float(ek), float(xk), float(zk))
+                  for ek, xk, zk in zip(e[converged], x[i][converged], z[i][converged])]
     if not candidates:
         raise NoTrapError("no interior RF null found from any start height")
-    _, x, z = min(candidates)
-    pos = np.array([x, layout.axial_center, z])
-    return TrapSolution(null_position=pos, height=z)
+    _, x_null, z_null = min(candidates)
+    pos = np.array([x_null, layout.axial_center, z_null])
+    return TrapSolution(null_position=pos, height=z_null)
 
 
 # ---------------------------------------------------------------------------
 # secular spectrum
 # ---------------------------------------------------------------------------
-
-
-def hessian_3pt(func, point, step: float, richardson: bool = True) -> np.ndarray:
-    """Symmetric 3x3 second-difference Hessian, optionally Richardson refined."""
-
-    def raw(h):
-        p = np.asarray(point, dtype=float)
-        H = np.empty((3, 3))
-        f0 = func(p)
-        for i in range(3):
-            ei = np.zeros(3)
-            ei[i] = h
-            H[i, i] = (func(p + ei) - 2.0 * f0 + func(p - ei)) / h**2
-            for j in range(i + 1, 3):
-                ej = np.zeros(3)
-                ej[j] = h
-                H[i, j] = H[j, i] = (func(p + ei + ej) - func(p + ei - ej)
-                                     - func(p - ei + ej) + func(p - ei - ej)) / (4.0 * h * h)
-        return H
-
-    if not richardson:
-        return raw(step)
-    return (4.0 * raw(0.5 * step) - raw(step)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -352,62 +337,63 @@ def _trap_depth_ev(layout, species, null, height, n_rays: int = 64,
 
     Marches each ray in the x-z plane outward to ``reach`` heights; a ray whose
     maximum sits at the end of its range (still climbing, e.g. toward the chip
-    plane) offers no escape path and is skipped.
+    plane) offers no escape path and is skipped.  The points of all rays go
+    through the field kernel in chunks of ``_DEPTH_CHUNK``.
     """
-    psi0 = pseudopotential(layout, species, null, step=height * _FD_SCALE)
+    psi0 = pseudopotential(layout, species, null)
     s = np.geomspace(1e-2 * height, reach * height, n_samples)
-    best = math.inf
-    for theta in np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False):
-        dx, dz = math.cos(theta), math.sin(theta)
-        px = null[0] + s * dx
-        pz = null[2] + s * dz
-        ok = pz > 10.0 * _MIN_Z
-        if ok.sum() < 4:
-            continue
-        psi = _psi_batch(layout, species, px[ok], np.full(ok.sum(), null[1]), pz[ok],
-                         height * _FD_SCALE)
-        imax = int(np.argmax(psi))
-        if imax >= psi.size - 1:
-            continue
-        best = min(best, float(psi[imax]) - psi0)
-    return best / CONSTANTS.elementary_charge if math.isfinite(best) else math.inf
+    theta = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
+    px = null[0] + np.cos(theta)[:, None] * s
+    pz = null[2] + np.sin(theta)[:, None] * s
+    ok = pz > 10.0 * _MIN_Z  # per ray a prefix: pz is monotonic along a ray
+    pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
+    e2 = np.empty(len(pts))
+    for k in range(0, len(pts), _DEPTH_CHUNK):
+        e, _ = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts[k:k + _DEPTH_CHUNK],
+                          hessian=False)
+        e2[k:k + _DEPTH_CHUNK] = np.einsum("ij,ij->i", e, e)
+    psi = np.full(px.shape, -np.inf)
+    psi[ok] = species.charge_c**2 * e2 / (4.0 * species.mass_kg * layout.rf_omega**2)
+    n_ok = ok.sum(axis=1)
+    imax = np.argmax(psi, axis=1)
+    escape = (n_ok >= 4) & (imax < n_ok - 1)
+    if not escape.any():
+        return math.inf
+    best = float(np.min(psi[escape, imax[escape]])) - psi0
+    return best / CONSTANTS.elementary_charge
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
                      dc_voltages: Mapping[int, float] | None = None) -> TrapSolution:
     """Secular frequencies, axes, Mathieu q and depth at the RF null.
 
-    The total effective potential (pseudopotential plus charge times the DC
-    solution) is differentiated numerically with step height/1e4 and one
-    Richardson refinement.  A negative Hessian eigenvalue marks the axis
-    unstable (frequency reported as 0) rather than raising.
+    At the null E = 0, so the Hessian of the pseudopotential is exactly
+    H_rf = q^2 J^T J / (2 m Omega^2), with J the closed-form Jacobian of the
+    RF field; the DC strips add q * sum_k V_k Hess(phi_k).  A negative
+    eigenvalue of the total Hessian marks the axis unstable (frequency
+    reported as 0) rather than raising.  The Mathieu q of each axis comes
+    from the eigenvalues of H_rf.  A DC index that names no DC strip of the
+    layout raises DomainError.
     """
+    dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
     sol = find_rf_null(layout, species)
-    h = sol.height
-    step = h * _FD_SCALE
-    q_ion = species.charge_c
-
-    def total_energy(p):
-        return (pseudopotential(layout, species, p, step=step)
-                + q_ion * dc_potential(layout, dc_voltages, p))
-
-    H = hessian_3pt(total_energy, sol.null_position, step)
+    null = sol.null_position
+    q_ion, mass = species.charge_c, species.mass_kg
+    _, jac = _grad_hess(layout.rf_strips, -layout.rf_voltage, null)
+    H_rf = q_ion**2 / (2.0 * mass * layout.rf_omega**2) * (jac[0].T @ jac[0])
+    _, dc_hess = _grad_hess(dc_strips, dc_volts, null)
+    H = H_rf + q_ion * dc_hess[0]
     evals, axes = np.linalg.eigh(H)
     scale = float(np.linalg.norm(H))
     unstable = tuple(int(i) for i, ev in enumerate(evals) if ev < -1e-9 * scale)
-    freqs = tuple(math.sqrt(max(float(ev), 0.0) / species.mass_kg) / (2.0 * math.pi)
-                  for ev in evals)
+    freqs = tuple(math.sqrt(max(float(ev), 0.0) / mass) / (2.0 * math.pi) for ev in evals)
 
-    def rf_energy(p):
-        return pseudopotential(layout, species, p, step=step)
-
-    H_rf = hessian_3pt(rf_energy, sol.null_position, step)
     rf_evals = np.linalg.eigvalsh(H_rf)
-    q_params = tuple(2.0 * math.sqrt(2.0) * math.sqrt(max(float(ev), 0.0) / species.mass_kg)
+    q_params = tuple(2.0 * math.sqrt(2.0) * math.sqrt(max(float(ev), 0.0) / mass)
                      / layout.rf_omega for ev in rf_evals)
 
-    depth = _trap_depth_ev(layout, species, sol.null_position, h)
-    return TrapSolution(null_position=sol.null_position, height=h,
+    depth = _trap_depth_ev(layout, species, null, sol.height)
+    return TrapSolution(null_position=null, height=sol.height,
                         secular_freqs_hz=freqs, axes=axes, q_params=q_params,
                         trap_depth_ev=depth, unstable_axes=unstable)
 

@@ -174,7 +174,7 @@ def test_trap_spectrum_demo_layout(capsys):
     assert code == 0
     assert "3.15 MHz, 3.15 MHz" in out
     assert "0.1786" in out
-    assert "trap depth = 0.0403578902178 eV" in out
+    assert "trap depth = 0.0403578903912 eV" in out
 
 
 def test_trap_spectrum_dc_splits_radials(capsys):
@@ -183,6 +183,22 @@ def test_trap_spectrum_dc_splits_radials(capsys):
     assert code == 0
     assert "2.83 MHz, 3.44 MHz" in out
 
+
+def test_trap_spectrum_rejects_unknown_dc_index(capsys):
+    code, out, err = run(capsys, "trap", "spectrum", "--layout",
+                         str(DEMO / "trap_layout.cfg"), "--set", "99=5V")
+    assert code == 1
+    assert out == ""
+    assert "DC indices are [0, 1]" in err
+
+
+@pytest.mark.parametrize("setting", ["x=5V", "5V", "0=5Hz", "0=volts"])
+def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
+    code, out, err = run(capsys, "trap", "spectrum", "--layout",
+                         str(DEMO / "trap_layout.cfg"), "--set", setting)
+    assert code == 2
+    assert out == ""
+    assert "--set" in err
 
 def test_shield_fit_demo_curve(capsys):
     code, out, _ = run(capsys, "shield", "fit", "--in", str(DEMO / "attenuation_along.csv"))

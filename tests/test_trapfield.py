@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from cryoion.errors import ConfigError, DomainError, NoTrapError
 from cryoion.trap import (
@@ -16,8 +17,8 @@ from cryoion.trap import (
     Strip,
     dc_potential,
     find_rf_null,
+    _grad_hess,
     five_wire_layout,
-    hessian_3pt,
     load_layout,
     pseudopotential,
     rect_potential,
@@ -28,6 +29,7 @@ from cryoion.trap import (
     secular_spectrum,
     two_ion_spacing,
 )
+from cryoion.units import CONSTANTS
 
 RF_OMEGA = 2.0 * math.pi * 49.9e6
 
@@ -42,6 +44,82 @@ def five_wire():
 def solved(five_wire):
     layout, geom = five_wire
     return secular_spectrum(layout, CA40)
+
+
+# ---------------------------------------------------------------------------
+# independent references: mpmath derivatives and a finite-difference Hessian
+# ---------------------------------------------------------------------------
+
+_UM = 10**6  # the mpmath oracles work in micrometres, where features are O(1)
+_FIRST = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def mp_phi(strips, x, y, z):
+    """Summed arctangent potential of ``strips`` at (x, y, z) in micrometres."""
+    total = mp.mpf(0)
+    for s in strips:
+        x0, x1, y0, y1 = (mp.mpf(e) * _UM for e in (s.x_min, s.x_max, s.y_min, s.y_max))
+
+        def corner(u, v):
+            return mp.atan(u * v / (z * mp.sqrt(u * u + v * v + z * z)))
+
+        total += (corner(x1 - x, y1 - y) - corner(x0 - x, y1 - y)
+                  - corner(x1 - x, y0 - y) + corner(x0 - x, y0 - y)) / (2 * mp.pi)
+    return total
+
+
+def mp_grad(strips, point):
+    """grad(phi) in 1/m by mpmath.diff of the arctangent sum at 30 digits."""
+    with mp.workdps(30):
+        p = [mp.mpf(float(c)) * _UM for c in point]
+        return np.array([float(mp.diff(lambda *c: mp_phi(strips, *c), p, o) * _UM)
+                         for o in _FIRST])
+
+
+def mp_hess(strips, point):
+    """Hessian of phi in 1/m^2 by mpmath.diff of the arctangent sum at 30 digits."""
+    with mp.workdps(30):
+        p = [mp.mpf(float(c)) * _UM for c in point]
+        H = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                order = [0, 0, 0]
+                order[i] += 1
+                order[j] += 1
+                H[i, j] = float(mp.diff(lambda *c: mp_phi(strips, *c), p, tuple(order))
+                                * _UM**2)
+        return H
+
+
+def mp_psi(layout, species, x, y, z):
+    """Pseudopotential in J at (x, y, z) in micrometres, from the mpmath field."""
+    e2 = sum(mp.diff(lambda *c: mp_phi(layout.rf_strips, *c), (x, y, z), o) ** 2
+             for o in _FIRST) * (layout.rf_voltage * _UM) ** 2
+    return (mp.mpf(species.charge_c) ** 2 * e2
+            / (4 * mp.mpf(species.mass_kg) * mp.mpf(layout.rf_omega) ** 2))
+
+
+def hessian_3pt(func, point, step: float, richardson: bool = True) -> np.ndarray:
+    """Symmetric 3x3 second-difference Hessian, optionally Richardson refined."""
+
+    def raw(h):
+        p = np.asarray(point, dtype=float)
+        H = np.empty((3, 3))
+        f0 = func(p)
+        for i in range(3):
+            ei = np.zeros(3)
+            ei[i] = h
+            H[i, i] = (func(p + ei) - 2.0 * f0 + func(p - ei)) / h**2
+            for j in range(i + 1, 3):
+                ej = np.zeros(3)
+                ej[j] = h
+                H[i, j] = H[j, i] = (func(p + ei + ej) - func(p + ei - ej)
+                                     - func(p - ei + ej) + func(p - ei - ej)) / (4.0 * h * h)
+        return H
+
+    if not richardson:
+        return raw(step)
+    return (4.0 * raw(0.5 * step) - raw(step)) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +200,32 @@ def test_rect_potential_is_harmonic():
         assert abs(d2.sum()) < 1e-6 * np.abs(d2).max()
 
 
+def test_kernel_derivatives_match_mpmath():
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        x0, y0 = rng.uniform(-200e-6, 200e-6, 2)
+        strip = Strip(x0, x0 + rng.uniform(5e-6, 150e-6), y0, y0 + rng.uniform(5e-6, 3e-3),
+                      ROLE_RF)
+        pts = np.column_stack([rng.uniform(-300e-6, 300e-6, 3), rng.uniform(-300e-6, 300e-6, 3),
+                               rng.uniform(5e-6, 300e-6, 3)])
+        grad, hess = _grad_hess([strip], 1.0, pts)
+        for p, g, h in zip(pts, grad, hess):
+            assert np.allclose(g, mp_grad([strip], p), rtol=1e-10, atol=0.0)
+            assert np.allclose(h, mp_hess([strip], p), rtol=1e-10, atol=0.0)
+
+
+def test_analytic_hessians_are_traceless(five_wire):
+    layout, _ = five_wire
+    rng = np.random.default_rng(23)
+    pts = np.column_stack([rng.uniform(-150e-6, 150e-6, 8), rng.uniform(-1e-3, 1e-3, 8),
+                           rng.uniform(20e-6, 200e-6, 8)])
+    dc = [s for s in layout.strips if s.role == ROLE_DC]
+    for strips, weights in ((layout.rf_strips, 1.0), (dc, [1.0, -0.7])):
+        _, hess = _grad_hess(strips, weights, pts)
+        for h in hess:
+            assert abs(np.trace(h)) <= 1e-12 * np.linalg.norm(h)
+
+
 def test_superposition_of_disjoint_strips(five_wire):
     layout, _ = five_wire
     p = (15e-6, 40e-6, 90e-6)
@@ -171,12 +275,13 @@ def test_rf_field_linear_in_drive_voltage(five_wire):
     assert np.allclose(rf_field(stronger, p), 2.0 * rf_field(layout, p), rtol=1e-12)
 
 
-def test_rf_field_step_refinement_converged(five_wire):
+def test_rf_field_matches_mpmath_oracle(five_wire):
     layout, _ = five_wire
-    p = (8e-6, 0.0, 60e-6)
-    e1 = rf_field(layout, p, step=60e-6 * 1e-4)
-    e2 = rf_field(layout, p, step=60e-6 * 0.5e-4)
-    assert np.linalg.norm(e1 - e2) <= 1e-6 * np.linalg.norm(e2)
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        p = (rng.uniform(-100e-6, 100e-6), rng.uniform(-1e-3, 1e-3), rng.uniform(20e-6, 200e-6))
+        oracle = -layout.rf_voltage * mp_grad(layout.rf_strips, p)
+        assert np.allclose(rf_field(layout, p), oracle, rtol=1e-10, atol=0.0)
 
 
 def test_pseudopotential_scalings(five_wire):
@@ -322,12 +427,51 @@ def test_spectrum_invariant_under_translation(five_wire, solved):
 
 def test_dc_only_hessian_is_traceless(five_wire, solved):
     layout, _ = five_wire
+    volts = {0: 1.0, 1: -0.7}
 
     def phi(p):
-        return dc_potential(layout, {0: 1.0, 1: -0.7}, p)
+        return dc_potential(layout, volts, p)
 
     H = hessian_3pt(phi, solved.null_position, step=solved.height * 1e-2)
     assert abs(np.trace(H)) < 1e-6 * np.linalg.norm(H)
+    dc = [s for s in layout.strips if s.role == ROLE_DC]
+    _, exact = _grad_hess(dc, [volts[s.dc_index] for s in dc], solved.null_position)
+    assert np.allclose(H, exact[0], rtol=0.0, atol=1e-6 * np.linalg.norm(exact[0]))
+
+
+def test_unknown_dc_index_raises(five_wire):
+    layout, _ = five_wire
+    with pytest.raises(DomainError, match=r"indices are \[0, 1\]"):
+        secular_spectrum(layout, CA40, dc_voltages={99: 5.0})
+    with pytest.raises(DomainError, match=r"indices are \[0, 1\]"):
+        dc_potential(layout, {0: 1.0, 99: 5.0}, (0.0, 0.0, 80e-6))
+
+
+def test_trap_depth_matches_mpmath_barrier(five_wire, solved):
+    # the symmetric trap's lowest escape is straight up; its barrier sample
+    # on that ray, with psi from the mpmath field, gives the depth
+    layout, _ = five_wire
+    null, h = solved.null_position, solved.height
+    s = np.geomspace(1e-2 * h, 30.0 * h, 400)
+    psi = [pseudopotential(layout, CA40, (null[0], null[1], null[2] + si)) for si in s]
+    top = null + [0.0, 0.0, s[int(np.argmax(psi))]]
+    with mp.workdps(30):
+        barrier = [mp_psi(layout, CA40, *(mp.mpf(float(c)) * _UM for c in p)) for p in (top, null)]
+        oracle = float((barrier[0] - barrier[1]) / mp.mpf(CONSTANTS.elementary_charge))
+    assert solved.trap_depth_ev == pytest.approx(oracle, rel=1e-11)
+
+
+def test_axial_q_matches_mpmath_curvature(five_wire, solved):
+    # the pseudopotential's axial curvature at the null, by mpmath.diff of the
+    # mpmath pseudopotential along y, sets the axial Mathieu q
+    layout, _ = five_wire
+    x, y, z = solved.null_position
+    with mp.workdps(30):
+        curv = mp.diff(lambda yy: mp_psi(layout, CA40, mp.mpf(x) * _UM, yy, mp.mpf(z) * _UM),
+                       mp.mpf(y) * _UM, 2) * _UM**2
+        oracle = float(2 * mp.sqrt(2) * mp.sqrt(curv / mp.mpf(CA40.mass_kg))
+                       / mp.mpf(layout.rf_omega))
+    assert min(solved.q_params) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_axial_confinement_from_dc_rails(five_wire):
