@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FitRankError, SingularModelError
+from .errors import DomainError, FitRankError, SingularModelError
 
 DEFAULT_MAX_ITER = 200
 COST_TOL = 1e-10
@@ -112,7 +112,8 @@ def lm_fit(
 ) -> FitResult:
     """Fit model(x, theta) -> predictions to y by damped least squares.
 
-    Raises FitRankError if there are fewer observations than parameters and
+    Raises FitRankError if there are fewer observations than parameters,
+    DomainError if ``names`` does not name every parameter, and
     SingularModelError if the model is non-finite at the start point or at an
     accepted iterate.  Non-finite trial steps are rejected like any other bad
     step (damping increases) rather than aborting the fit.
@@ -122,6 +123,8 @@ def lm_fit(
     n, p = y.size, theta.size
     if n < p:
         raise FitRankError(f"{n} observations cannot constrain {p} parameters")
+    if names is not None and len(names) != p:
+        raise DomainError(f"{len(names)} names given for {p} parameters")
     sw = None
     if weights is not None:
         w = np.asarray(weights, dtype=float).ravel()

@@ -237,6 +237,8 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
     m = int(round(window_s / displacement.dt))
     if window_s <= 0 or m < 1 or m > x.size:
         raise DomainError("window must be positive and no longer than the record")
+    if x.size < 2:
+        raise DomainError("excursion statistics need at least 2 samples")
     m = max(m, 2)
     windows = np.lib.stride_tricks.sliding_window_view(x, m)
     half_p2p = 0.5 * (windows.max(axis=1) - windows.min(axis=1))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .errors import DomainError, InsufficientDataError
 from .fitting import FitResult, line_model, lm_fit
@@ -109,6 +108,22 @@ class RabiSignal:
     lamb_dicke_valid: bool = True
 
 
+def _laguerre_upto(n_max: int, x: float) -> np.ndarray:
+    """L_0(x) .. L_n_max(x) by the three-term recurrence (Abramowitz & Stegun 22.7.12).
+
+    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} is carried in the differences
+    D_k = L_{k+1} - L_k, which obey (k+1) D_k = k D_{k-1} - x L_k with
+    D_0 = -x; near x = 0, where every L_k is close to 1, this keeps the
+    rounding error at the level of one ulp instead of growing with k.
+    """
+    vals = [1.0]
+    step = -x
+    for k in range(1, n_max + 1):
+        vals.append(vals[-1] + step)
+        step = (k * step - x * vals[-1]) / (k + 1)
+    return np.array(vals)
+
+
 def carrier_rabi_signal(state: PhononState, drive: DriveParams, times,
                         model: str = RABI_LINEAR) -> RabiSignal:
     """Thermally averaged resonant carrier flopping.
@@ -123,12 +138,12 @@ def carrier_rabi_signal(state: PhononState, drive: DriveParams, times,
         raise DomainError("carrier signal is defined on resonance (detuning=0)")
     t = np.asarray(times, dtype=float)
     p = thermal_distribution(state)
-    n = np.arange(p.size, dtype=float)
     eta2 = drive.lamb_dicke**2
     if model == RABI_LINEAR:
-        omega_n = drive.rabi_frequency * (1.0 - eta2 * n)
+        omega_n = drive.rabi_frequency * (1.0 - eta2 * np.arange(p.size))
     elif model == RABI_LAGUERRE:
-        omega_n = drive.rabi_frequency * math.exp(-0.5 * eta2) * eval_laguerre(n, eta2)
+        omega_n = (drive.rabi_frequency * math.exp(-0.5 * eta2)
+                   * _laguerre_upto(p.size - 1, eta2))
     else:
         raise DomainError(f"unknown Rabi model {model!r}")
     signal = np.sin(0.5 * np.outer(t, omega_n)) ** 2 @ p

@@ -539,8 +539,11 @@ def load_layout(path) -> tuple[ElectrodeLayout, IonSpecies]:
             raise ConfigError(f"[{name}] is missing {exc}") from exc
         idx = sec.get("dc_index")
         try:
-            strips.append(Strip(role=role, dc_index=int(idx) if idx is not None else None,
-                                **kwargs))
+            dc_index = int(idx) if idx is not None else None
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: dc_index must be an integer, got {idx!r}") from exc
+        try:
+            strips.append(Strip(role=role, dc_index=dc_index, **kwargs))
         except DomainError as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
     try:

@@ -200,6 +200,18 @@ def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
     assert out == ""
     assert "--set" in err
 
+
+def test_trap_layout_non_integer_dc_index_names_section(capsys, tmp_path):
+    text = (DEMO / "trap_layout.cfg").read_text()
+    layout = tmp_path / "layout.cfg"
+    layout.write_text(text.replace("dc_index = 0", "dc_index = zero", 1))
+    code, out, err = run(capsys, "trap", "solve", "--layout", str(layout))
+    assert code == 1
+    assert out == ""
+    assert "[strip dc_left]" in err
+    assert "dc_index" in err
+
+
 def test_shield_fit_demo_curve(capsys):
     code, out, _ = run(capsys, "shield", "fit", "--in", str(DEMO / "attenuation_along.csv"))
     assert code == 0
@@ -285,6 +297,19 @@ def test_met_allan_out_file_has_provenance(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+
+def test_cli_call_does_not_import_scipy():
+    # -X importtime lists every module the call imports, one per stderr line
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cryoion",
+         "shield", "skin-depth", "--freq", "50Hz"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "skin depth = 9.2 mm (0.0092195983095 m)\n"
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "cryoion.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cryoion.errors import FitRankError, SingularModelError
+from cryoion.errors import DomainError, FitRankError, SingularModelError
 from cryoion.fitting import (
     exp_decay_model,
     gaussian_model,
@@ -74,6 +74,13 @@ def test_nan_at_start_raises():
 def test_more_parameters_than_points_raises():
     with pytest.raises(FitRankError):
         lm_fit(line_model, [1.0], [2.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+def test_names_must_match_parameter_count(names):
+    x = np.arange(5.0)
+    with pytest.raises(DomainError, match="parameters"):
+        lm_fit(line_model, x, x, [1.0, 0.0], names=names)
 
 
 def test_bad_weights_rejected():

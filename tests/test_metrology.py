@@ -270,6 +270,8 @@ def test_excursions_window_guards():
     # exactly the record length is allowed
     ex = excursion_stats(ts, 0.099)
     assert ex.window_s == 0.099
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        excursion_stats(TimeSeries(0.0, 1.0, [1.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Thermal phonon states, Rabi flopping, thermometry and beam optics."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 from cryoion.errors import DomainError, InsufficientDataError
 from cryoion.qubit import (
@@ -21,6 +23,7 @@ from cryoion.qubit import (
     sideband_ratio_to_nbar,
     thermal_distribution,
     waist_from_rabi_scan,
+    _laguerre_upto,
 )
 from cryoion.series import seeded_rng
 
@@ -93,6 +96,51 @@ def test_rabi_ideal_two_level_limit():
     assert np.allclose(sig.excitation, np.sin(0.5 * omega * times) ** 2, atol=1e-12)
     assert sig.excitation[0] == 0.0
     assert sig.lamb_dicke_valid
+
+
+def _laguerre_mpmath(n, x, dps=150):
+    """L_n(x) as the explicit sum of C(n,k) (-x)^k / k!, at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        term = total = mpmath.mpf(1)
+        for k in range(n):
+            term *= -(n - k) * x / (k + 1) ** 2
+            total += term
+        return float(total)
+
+
+@pytest.mark.parametrize("x", [1e-6, 0.01, 0.2025, 1.0, 4.0])
+def test_laguerre_recurrence_matches_mpmath_sum(x):
+    table = _laguerre_upto(2000, x)
+    assert table.shape == (2001,)
+    for n in (0, 1, 2, 7, 50, 333, 921, 1500, 2000):
+        assert table[n] == pytest.approx(_laguerre_mpmath(n, x), abs=1e-13)
+
+
+@pytest.mark.parametrize("x", [1e-6, 0.2025, 1.0, 4.0])
+def test_laguerre_recurrence_matches_scipy_integer_degree(x):
+    # scipy's integer-degree path is a recurrence too; its float-degree path
+    # is not accurate for large n, so the degrees here are integers
+    n = np.arange(2001)
+    assert np.allclose(_laguerre_upto(2000, x), eval_laguerre(n, x), rtol=0, atol=1e-12)
+
+
+def test_laguerre_recurrence_short_tables():
+    assert _laguerre_upto(0, 0.3).tolist() == [1.0]
+    assert _laguerre_upto(2, 0.3) == pytest.approx([1.0, 0.7, 1.0 - 0.6 + 0.045], abs=1e-15)
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+def test_laguerre_rabi_signal_matches_mpmath_rates(eta):
+    # far outside the Lamb-Dicke regime, so every L_n(eta^2) matters
+    state, drive = PhononState(10.0), DriveParams(2.0 * math.pi * 1e5, eta)
+    times = np.array([3e-6, 11e-6, 37e-6])
+    p = thermal_distribution(state)
+    rates = drive.rabi_frequency * math.exp(-0.5 * eta**2) * np.array(
+        [_laguerre_mpmath(n, eta**2, dps=50) for n in range(p.size)])
+    expected = np.sin(0.5 * np.outer(times, rates)) ** 2 @ p
+    sig = carrier_rabi_signal(state, drive, times, model=RABI_LAGUERRE)
+    assert np.allclose(sig.excitation, expected, rtol=0, atol=1e-12)
 
 
 def test_rabi_models_agree_for_small_lamb_dicke():
