@@ -698,7 +698,7 @@ def main(argv=None) -> int:
     except UnitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CryoionError, FileNotFoundError, OSError, ValueError) as exc:
+    except (CryoionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

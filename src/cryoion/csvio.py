@@ -51,36 +51,48 @@ def read_table(path, columns: Sequence[str]) -> dict[str, np.ndarray]:
     except OSError as exc:
         raise FileNotFoundError(f"cannot open {path}: {exc}") from exc
     with handle:
-        header = None
-        data: list[list[float]] = []
-        for lineno, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = next(csv.reader([raw]))
-            fields = [f.strip() for f in fields]
-            if header is None:
-                header = fields
-                if header != list(columns):
-                    raise CsvFormatError(
-                        f"{path}: header {header} does not match expected {list(columns)}")
-                continue
-            if len(fields) != len(header):
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-            data.append(row)
-    if header is None:
+        try:
+            lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1)
+                     if (stripped := raw.strip()) and not stripped.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines:
         raise CsvFormatError(f"{path}: missing header row")
+    header = _fields(lines[0][1])
+    if header != list(columns):
+        raise CsvFormatError(f"{path}: header {header} does not match expected {list(columns)}")
+    data = lines[1:]
     if not data:
         raise InsufficientDataError(f"{path}: no data rows")
-    arr = np.asarray(data, dtype=float)
+    # One reader and one conversion for the whole table.  The fields need no
+    # strip: float() skips the whitespace str.strip() removes, except \x1c-\x1f,
+    # which fail here.  A quote left open merges lines and changes the shape.
+    # On any such failure the row-by-row parse decides and names the bad line.
+    try:
+        arr = np.array(list(csv.reader(raw for _, raw in data)), dtype=float)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != (len(data), len(header)) or not np.isfinite(arr).all():
+        arr = np.array([_row(path, lineno, raw, len(header)) for lineno, raw in data])
     return {name: arr[:, i].copy() for i, name in enumerate(columns)}
+
+
+def _fields(raw: str) -> list[str]:
+    return [f.strip() for f in next(csv.reader([raw]))]
+
+
+def _row(path, lineno: int, raw: str, width: int) -> list[float]:
+    """One data line parsed on its own; raises CsvFormatError naming the line."""
+    fields = _fields(raw)
+    if len(fields) != width:
+        raise CsvFormatError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+    try:
+        row = [float(f) for f in fields]
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: line {lineno}: {exc}") from exc
+    if not all(math.isfinite(v) for v in row):
+        raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+    return row
 
 
 def read_timeseries(path, time_column: str, value_column: str) -> TimeSeries:

@@ -9,6 +9,13 @@ this package shares one auditable engine:
   norm falls below 1e-12, or no damped step can reduce the cost at all (the
   point is a minimum at working precision), within at most 200 iterations
 
+Models must broadcast over a parameter batch.  Each Jacobian costs one model
+call, ``model(x[:, None], batch)``, where ``batch`` has shape (p, 2p) and
+holds the 2p perturbed parameter vectors as columns; the call must return
+shape (n, 2p).  Writing the model with ``theta[k]`` and numpy ufuncs, as the
+built-in shapes below are, is enough: ``theta[k]`` is then a row of 2p values
+that broadcasts against the (n, 1) column of x.
+
 Weights are interpreted as absolute inverse variances (w_i = 1/sigma_i^2) when
 supplied, in which case the covariance is (J^T W J)^-1 and scaling all weights
 by c scales the covariance by 1/c.  Without weights the noise level is
@@ -27,16 +34,29 @@ DEFAULT_MAX_ITER = 200
 COST_TOL = 1e-10
 GRAD_TOL = 1e-12
 
+#: termination reasons reported in ``FitResult.reason``
+REASON_GRAD_TOL = "grad_tol"
+REASON_COST_TOL = "cost_tol"
+REASON_DAMPING_EXHAUSTED = "damping_exhausted"
+REASON_MAX_ITER = "max_iter"
+
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of an lm_fit call. ``params`` maps name -> value in theta order."""
+    """Outcome of an lm_fit call. ``params`` maps name -> value in theta order.
+
+    ``reason`` names the rule that stopped the fit (one of the ``REASON_*``
+    constants); ``converged`` is false only for ``max_iter``.  ``model_calls``
+    counts every model evaluation, one per Jacobian included.
+    """
 
     params: dict
     covariance: np.ndarray = field(repr=False)
     residual_rms: float
     converged: bool
     iterations: int
+    reason: str
+    model_calls: int
 
     @property
     def theta(self) -> np.ndarray:
@@ -52,30 +72,33 @@ class FitResult:
         return float(self.sigmas[i])
 
 
-def _step_sizes(theta: np.ndarray, rel_step: float, min_step: float) -> np.ndarray:
-    return np.maximum(min_step, rel_step * np.abs(theta))
-
-
 def numeric_jacobian(
     func: Callable[[np.ndarray], np.ndarray],
     theta,
     rel_step: float = 1e-6,
     min_step: float = 1e-8,
 ) -> np.ndarray:
-    """Central-difference Jacobian of func(theta) -> values, shape (n_values, n_params)."""
-    theta = np.asarray(theta, dtype=float)
-    h = _step_sizes(theta, rel_step, min_step)
-    cols = []
-    for i in range(theta.size):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += h[i]
-        tm[i] -= h[i]
-        fp = np.asarray(func(tp), dtype=float)
-        fm = np.asarray(func(tm), dtype=float)
-        cols.append((fp - fm) / (2.0 * h[i]))
-    J = np.column_stack(cols)
-    if not np.all(np.isfinite(J)):
+    """Central-difference Jacobian of func at theta, shape (n_values, n_params).
+
+    ``func`` is called once, on a (p, 2p) batch whose column i is
+    theta + h_i e_i and whose column p + i is theta - h_i e_i, and must
+    return the (n_values, 2p) array of the values at those columns.
+    """
+    theta = np.asarray(theta, dtype=float).ravel()
+    p = theta.size
+    h = np.maximum(min_step, rel_step * np.abs(theta))
+    batch = np.empty((p, 2 * p))
+    batch[:] = theta[:, None]
+    flat = batch.reshape(-1)  # a view: stride 2p + 1 walks the diagonal of each half
+    flat[::2 * p + 1] += h
+    flat[p::2 * p + 1] -= h
+    f = np.asarray(func(batch), dtype=float)
+    if f.ndim != 2 or f.shape[1] != 2 * p:
+        raise DomainError(
+            f"func must broadcast over a ({p}, {2 * p}) parameter batch and return "
+            f"(n_values, {2 * p}) values, got shape {f.shape}")
+    J = (f[:, :p] - f[:, p:]) / (2.0 * h)
+    if not np.isfinite(J).all():
         raise SingularModelError("non-finite model output while differentiating")
     return J
 
@@ -112,11 +135,17 @@ def lm_fit(
 ) -> FitResult:
     """Fit model(x, theta) -> predictions to y by damped least squares.
 
+    ``model`` must also accept a parameter batch: ``model(x[:, None], batch)``
+    with ``batch`` of shape (p, 2p) returns shape (n, 2p), one column per
+    parameter vector (see the module docstring).  Each Jacobian is one such
+    call.
+
     Raises FitRankError if there are fewer observations than parameters,
-    DomainError if ``names`` does not name every parameter, and
-    SingularModelError if the model is non-finite at the start point or at an
-    accepted iterate.  Non-finite trial steps are rejected like any other bad
-    step (damping increases) rather than aborting the fit.
+    DomainError if ``names`` does not name every parameter or the model does
+    not broadcast over a batch, and SingularModelError if the model is
+    non-finite at the start point or at an accepted iterate.  Non-finite trial
+    steps are rejected like any other bad step (damping increases) rather than
+    aborting the fit.
     """
     y = np.asarray(y, dtype=float).ravel()
     theta = np.asarray(theta0, dtype=float).ravel().copy()
@@ -131,43 +160,60 @@ def lm_fit(
         if w.size != n or np.any(w < 0) or not np.all(np.isfinite(w)):
             raise SingularModelError("weights must be finite and non-negative")
         sw = np.sqrt(w)
+    x_col = np.reshape(x, (-1, 1))
+    model_calls = 0
 
     def residual(th: np.ndarray) -> np.ndarray:
+        nonlocal model_calls
+        model_calls += 1
         pred = np.asarray(model(x, th), dtype=float).ravel()
         r = pred - y
         return r * sw if sw is not None else r
 
+    def batch_residual(batch: np.ndarray) -> np.ndarray:
+        nonlocal model_calls
+        model_calls += 1
+        pred = np.asarray(model(x_col, batch), dtype=float)
+        if pred.shape != (n, batch.shape[1]):
+            raise DomainError(
+                f"model(x[:, None], theta) with theta of shape {batch.shape} must "
+                f"broadcast to shape {(n, batch.shape[1])}, got {pred.shape}")
+        r = pred - y[:, None]
+        return r * sw[:, None] if sw is not None else r
+
     r = residual(theta)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise SingularModelError("non-finite model output at the starting point")
     cost = 0.5 * float(r @ r)
     lam = 1e-3
-    converged = False
+    reason = REASON_MAX_ITER
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        J = numeric_jacobian(residual, theta)
+        J = numeric_jacobian(batch_residual, theta)
         g = J.T @ r
         if float(np.linalg.norm(g)) < GRAD_TOL:
-            converged = True
+            reason = REASON_GRAD_TOL
             break
         A = J.T @ J
-        diag = np.diag(A).copy()
+        diag = A.diagonal().copy()
         floor = 1e-12 * max(float(diag.max()), 1e-300)
         diag[diag < floor] = floor
+        D = np.diag(diag)
+        descent = -g
 
         accepted = False
         new_theta = new_r = None
         new_cost = cost
         for _ in range(60):
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -g)
+                step = np.linalg.solve(A + lam * D, descent)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None:
                 cand = theta + step
                 rc = residual(cand)
-                if np.all(np.isfinite(rc)):
+                if np.isfinite(rc).all():
                     cc = 0.5 * float(rc @ rc)
                     if cc < cost:
                         accepted = True
@@ -180,16 +226,16 @@ def lm_fit(
             # damping exhausted: even a near-zero step cannot reduce the cost,
             # so the point is a minimum at working precision (common on
             # noise-free data, where the cost bottoms out at rounding error)
-            converged = True
+            reason = REASON_DAMPING_EXHAUSTED
             break
         rel_decrease = (cost - new_cost) / max(cost, 1e-300)
         theta, r, cost = new_theta, new_r, new_cost
         lam = max(lam / 10.0, 1e-14)
         if rel_decrease < COST_TOL:
-            converged = True
+            reason = REASON_COST_TOL
             break
 
-    J = numeric_jacobian(residual, theta)
+    J = numeric_jacobian(batch_residual, theta)
     ssr = 2.0 * cost
     cov = _covariance(J, ssr, n, p, absolute_weights=sw is not None)
     rms = float(np.sqrt(ssr / n))
@@ -197,7 +243,8 @@ def lm_fit(
         names = [f"theta{i}" for i in range(p)]
     params = {str(k): float(v) for k, v in zip(names, theta)}
     return FitResult(params=params, covariance=cov, residual_rms=rms,
-                     converged=converged, iterations=iterations)
+                     converged=reason != REASON_MAX_ITER, iterations=iterations,
+                     reason=reason, model_calls=model_calls)
 
 
 # ---------------------------------------------------------------------------

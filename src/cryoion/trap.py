@@ -504,7 +504,11 @@ def load_layout(path) -> tuple[ElectrodeLayout, IonSpecies]:
     keys are rejected.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser messages span lines
+        raise ConfigError(f"cannot parse layout file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read layout file {path!r}")
     if "trap" not in cp:

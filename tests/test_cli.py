@@ -114,6 +114,33 @@ def test_domain_error_is_data_error(capsys):
     assert "sideband ratio" in err
 
 
+def test_internal_value_error_is_not_reported_as_data_error(monkeypatch, capsys):
+    # a bug inside a handler must surface as a traceback, not as exit 1
+    import cryoion.cli as cli
+
+    def broken(args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "cmd_shield_skin_depth", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["shield", "skin-depth", "--freq", "50Hz"])
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"[trap]\nrf_voltage = 100\xff\n",
+                                  b"[trap]\nrf_voltage = 100\n[trap]\n",
+                                  b"rf_voltage = 100\n"],
+                         ids=["not_utf8", "duplicate_section", "no_section"])
+def test_unreadable_layout_is_data_error(capsys, tmp_path, text):
+    layout = tmp_path / "layout.cfg"
+    layout.write_bytes(text)
+    code, out, err = run(capsys, "trap", "solve", "--layout", str(layout))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot parse layout file {str(layout)!r}")
+    assert len(err.splitlines()) == 1
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -131,6 +158,14 @@ def test_malformed_csv_reports_line_number(tmp_path, capsys):
     code, _, err = run(capsys, "qubit", "heating-fit", "--in", str(bad))
     assert code == 1
     assert "line 3" in err
+
+
+def test_non_utf8_csv_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "heating.csv"
+    bad.write_bytes(b"wait_s,nbar\n0,0.1\n0.2,0.5\xff\n")
+    code, _, err = run(capsys, "qubit", "heating-fit", "--in", str(bad))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: not UTF-8 text:")
 
 
 def test_wrong_header_is_rejected(tmp_path, capsys):

@@ -1,9 +1,16 @@
 """Least-squares engine: recovery, covariance semantics, Jacobians, error paths."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cryoion import qubit, shielding
 from cryoion.errors import DomainError, FitRankError, SingularModelError
 from cryoion.fitting import (
+    REASON_COST_TOL,
+    REASON_DAMPING_EXHAUSTED,
+    REASON_GRAD_TOL,
+    REASON_MAX_ITER,
     exp_decay_model,
     gaussian_model,
     line_model,
@@ -127,7 +134,7 @@ def test_covariance_symmetric_psd_when_converged():
 def test_degenerate_direction_gives_infinite_covariance():
     # amplitude*1 + offset is flat in the difference direction: unconstrained
     def flat(x, theta):
-        return np.full(np.asarray(x).shape, theta[0] + theta[1])
+        return theta[0] + theta[1] + 0.0 * np.asarray(x)
 
     res = lm_fit(flat, np.arange(6.0), np.full(6, 2.0), [1.0, 1.0])
     assert np.all(np.isinf(res.covariance))
@@ -191,6 +198,169 @@ def test_jacobian_halving_step_is_second_order():
     err_h2 = abs(numeric_jacobian(f, theta, rel_step=5e-4, min_step=0.0)[0, 0] - exact)
     # O(h^2) truncation: quartering within 20 %
     assert err_h2 == pytest.approx(err_h / 4.0, rel=0.2)
+
+
+def _reference_jacobian(func, theta, rel_step=1e-6, min_step=1e-8):
+    """Column-by-column central differences: two calls of func per parameter."""
+    theta = np.asarray(theta, dtype=float)
+    h = np.maximum(min_step, rel_step * np.abs(theta))
+    cols = []
+    for i in range(theta.size):
+        tp = theta.copy()
+        tm = theta.copy()
+        tp[i] += h[i]
+        tm[i] -= h[i]
+        fp = np.asarray(func(tp), dtype=float)
+        fm = np.asarray(func(tm), dtype=float)
+        cols.append((fp - fm) / (2.0 * h[i]))
+    return np.column_stack(cols)
+
+
+def _model_of(monkeypatch, module, fit, *args, **kwargs):
+    """The model function a public fit hands to lm_fit."""
+    seen = []
+
+    def spy(model, *a, **k):
+        seen.append(model)
+        return lm_fit(model, *a, **k)
+
+    monkeypatch.setattr(module, "lm_fit", spy)
+    fit(*args, **kwargs)
+    return seen[0]
+
+
+def _builtin_case(name, monkeypatch):
+    """(model, x, theta) for every model shape the package fits."""
+    t = np.linspace(0.0, 0.03, 12)
+    if name == "line":
+        return line_model, np.linspace(0.0, 4.0, 9), np.array([2.14, 0.31])
+    if name == "exp":
+        return exp_decay_model, np.linspace(0.0, 4.0, 9), np.array([0.97, 1.3])
+    if name == "gaussian":
+        return gaussian_model, np.arange(33.0), np.array([950.0, 16.2, 2.4, 50.0])
+    if name == "lorentzian":
+        return lorentzian_model, np.linspace(170.0, 190.0, 41), np.array([1.0, 180.1, 2.2, 0.01])
+    if name in ("ramsey_gaussian", "ramsey_exponential"):
+        shape = qubit.RAMSEY_GAUSSIAN if name == "ramsey_gaussian" else qubit.RAMSEY_EXPONENTIAL
+        model = _model_of(monkeypatch, qubit, qubit.ramsey_contrast_fit,
+                          t, 0.97 * np.exp(-((t / 0.0182) ** 2)), shape=shape)
+        return model, t, np.array([0.96, 0.0181])
+    if name == "waist":
+        x = np.linspace(-8e-6, 8e-6, 17)
+        model = _model_of(monkeypatch, qubit, qubit.waist_from_rabi_scan,
+                          x, 6.3e5 * np.exp(-((x / 3e-6) ** 2)))
+        return model, x, np.array([6.3e5, 1.2e-7, 3.1e-6])
+    f = np.geomspace(1.0, 400.0, 10)
+    if name == "skin":
+        return shielding._skin_model, f, np.array([14.2])
+    return shielding._contact_model, f, np.array([-12.0, 1.3])
+
+
+@pytest.mark.parametrize("name", ["line", "exp", "gaussian", "lorentzian", "ramsey_gaussian",
+                                  "ramsey_exponential", "waist", "skin", "contact"])
+def test_batched_jacobian_matches_column_reference(name, monkeypatch):
+    model, x, theta = _builtin_case(name, monkeypatch)
+    J = numeric_jacobian(lambda batch: model(x[:, None], batch), theta)
+    ref = _reference_jacobian(lambda th: model(x, th), theta)
+    assert J.shape == (x.size, theta.size)
+    assert J.flags.c_contiguous
+    if name == "lorentzian":
+        # the scalar path squares the half width with pow, the batch with a multiply
+        np.testing.assert_allclose(J, ref, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(J, ref)
+
+
+def test_jacobian_rejects_output_that_ignores_the_batch():
+    with pytest.raises(DomainError, match="broadcast"):
+        numeric_jacobian(lambda th: np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+
+
+def test_lm_fit_rejects_model_that_does_not_broadcast():
+    def scalar_only(x, theta):
+        return np.full(np.shape(x)[:1], float(np.sum(theta)))
+
+    x = np.arange(6.0)
+    with pytest.raises(DomainError, match="broadcast"):
+        lm_fit(scalar_only, x, x, [1.0, 1.0])
+
+
+def test_one_model_call_per_jacobian():
+    calls = {"batch": 0, "single": 0}
+
+    def counting(x, theta):
+        calls["batch" if np.ndim(theta) == 2 else "single"] += 1
+        return gaussian_model(x, theta)
+
+    x = np.linspace(-3.0, 3.0, 40)
+    y = gaussian_model(x, [2.0, 0.3, 0.7, 0.1]) + 0.01 * seeded_rng(5).standard_normal(x.size)
+    res = lm_fit(counting, x, y, [1.5, 0.0, 1.0, 0.0])
+    assert res.converged
+    # one Jacobian opens every iteration and one more gives the covariance
+    assert calls["batch"] == res.iterations + 1
+    assert res.model_calls == calls["batch"] + calls["single"]
+
+
+def test_max_iter_is_reported():
+    x = np.linspace(-3.0, 3.0, 40)
+    y = gaussian_model(x, [2.0, 0.3, 0.7, 0.1])
+    res = lm_fit(gaussian_model, x, y, [1.5, 0.0, 1.0, 0.0], max_iter=1)
+    assert res.reason == REASON_MAX_ITER
+    assert not res.converged
+    assert res.iterations == 1
+
+
+def test_stopping_reasons():
+    x = np.linspace(0.0, 4.0, 30)
+    noisy = line_model(x, [1.3, -0.7]) + 0.05 * seeded_rng(1).standard_normal(x.size)
+    res = lm_fit(line_model, x, noisy, [1.0, 0.0])
+    assert res.converged and res.reason == REASON_COST_TOL
+    # noise-free with large amplitude: the cost bottoms out at rounding error
+    # while the gradient is still above GRAD_TOL, so no damped step helps
+    g = np.linspace(-3.0, 3.0, 60)
+    exact = lm_fit(gaussian_model, g, gaussian_model(g, [950.0, 0.2, 0.8, 50.0]),
+                   [800.0, 0.0, 1.0, 40.0])
+    assert exact.converged and exact.reason == REASON_DAMPING_EXHAUSTED
+    # starting exactly at the minimum of an exactly representable problem
+    at_min = lm_fit(line_model, [0.0, 1.0, 2.0], [1.0, 3.0, 5.0], [2.0, 1.0])
+    assert at_min.converged and at_min.reason == REASON_GRAD_TOL and at_min.iterations == 1
+
+
+_moderate = st.floats(min_value=-50.0, max_value=50.0)
+_factor = st.floats(min_value=0.01, max_value=100.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slope=_moderate, intercept=_moderate, shift=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2**16))
+def test_shifting_y_moves_line_intercept(slope, intercept, shift, seed):
+    x = np.linspace(0.0, 2.0, 15)
+    y = line_model(x, [slope, intercept]) + 0.1 * seeded_rng(seed).standard_normal(x.size)
+    base = lm_fit(line_model, x, y, [0.0, 0.0])
+    moved = lm_fit(line_model, x, y + shift, [0.0, 0.0])
+    scale = 1.0 + abs(slope) + abs(intercept) + abs(shift)
+    assert moved.params["theta0"] == pytest.approx(base.params["theta0"], abs=1e-7 * scale)
+    assert moved.params["theta1"] == pytest.approx(base.params["theta1"] + shift,
+                                                   abs=1e-7 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(amplitude=_factor, offset=_moderate, s=_factor, negate=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_scaling_y_scales_gaussian_amplitude_and_offset(amplitude, offset, s, negate, seed):
+    s = -s if negate else s
+    x = np.linspace(-3.0, 3.0, 41)
+    y = gaussian_model(x, [amplitude, 0.2, 0.8, offset])
+    y = y + 0.01 * amplitude * seeded_rng(seed).standard_normal(x.size)
+    theta0 = np.array([0.8 * amplitude, 0.0, 1.0, offset + 0.1 * amplitude])
+    base = lm_fit(gaussian_model, x, y, theta0)
+    scaled = lm_fit(gaussian_model, x, s * y, theta0 * [s, 1.0, 1.0, s])
+    a, c, w, b = base.theta
+    tol = 1e-6 * (abs(a) + abs(b))
+    assert scaled.theta[0] == pytest.approx(s * a, abs=abs(s) * tol)
+    assert scaled.theta[3] == pytest.approx(s * b, abs=abs(s) * tol)
+    assert scaled.theta[1] == pytest.approx(c, abs=1e-6 * abs(w))
+    assert scaled.theta[2] == pytest.approx(w, rel=1e-6)
 
 
 def test_time_series_basics():
