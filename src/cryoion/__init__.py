@@ -14,7 +14,7 @@ from .errors import (ClippingError, ConfigError, CryoionError, CsvFormatError,
                      DomainError, FitRankError, InsufficientDataError, NoTrapError,
                      NonUniformTimeError, SingularFieldError, SingularModelError,
                      UnitError)
-from .units import CONSTANTS, Constants, Quantity, as_si, format_si, parse_quantity
+from .units import CONSTANTS, Constants, Quantity, format_si, parse_quantity, parse_si
 from .series import TimeSeries, seeded_rng
 from .fitting import FitResult, lm_fit
 from .shielding import (AttenuationCurve, ConductorSpec, COPPER, NoiseBudget, RegimeFit,

@@ -2,8 +2,10 @@
 
 Every numeric flag accepts a unit suffix ("--freq 50Hz", "--radius 19.5cm");
 the same unit can be given separately ("--freq 50 --freq-unit Hz"), and bare
-numbers are read as SI base units.  Exit codes: 0 success, 1 computation or
-input-data error, 2 usage error (unknown flags, malformed or mismatched units).
+numbers are read as SI base units.  ``main`` turns every such flag into an SI
+float before the handler runs.  Exit codes: 0 success, 1 computation or
+input-data error, 2 usage error (unknown flags, malformed units, or a unit of
+the wrong dimension, "%" and "dB" included).
 
 Reports are deterministic: no timestamps, numbers rendered with %.12g, and
 file outputs carry ``#`` provenance comments (tool version, input hashes).
@@ -25,8 +27,8 @@ from .metrology import FrequencyRecord, ImageProfile, InterferometerCal
 from .qubit import DriveParams, PhononState
 from .series import TimeSeries
 from .units import (CONSTANTS, DIMENSIONLESS, HENRY, HERTZ, HZ_PER_TESLA, KELVIN,
-                    LITER_PER_HOUR, METER, Quantity, SECOND, SIEMENS_PER_METER, TESLA,
-                    VOLT, format_si, parse_quantity, resolve_unit)
+                    LITER_PER_HOUR, METER, SECOND, SIEMENS_PER_METER, TESLA, VOLT,
+                    format_si, parse_si)
 
 #: documented mount geometry for the default conduction-load report: the thin
 #: stainless cylinder between the inner (20 K) and outer (80 K) shields must
@@ -48,7 +50,8 @@ def add_quantity_flag(parser, flag: str, dims, unit_label: str, help_text: str,
 
     The expected dimension and the SI default travel through the parser
     defaults, so the same flag name may carry different meanings on
-    different subcommands.
+    different subcommands; ``main`` turns the flag into its SI float before
+    the handler runs.
     """
     parser.add_argument(flag, default=None, required=required, metavar="VALUE",
                         help=f"{help_text} [{unit_label}]"
@@ -58,30 +61,20 @@ def add_quantity_flag(parser, flag: str, dims, unit_label: str, help_text: str,
     parser.set_defaults(**{dest + "_spec": (dims, unit_label, default)})
 
 
-def get_quantity(args, dest: str) -> float | None:
-    """Resolve a registered flag to an SI float, enforcing its dimension."""
-    dims, unit_label, default = getattr(args, dest + "_spec")
-    raw = getattr(args, dest)
-    if raw is None:
-        return default
-    unit = getattr(args, dest + "_unit", None)
-    want = Quantity(1.0, dims).dims
-    flag = "--" + dest.replace("_", "-")
-    if unit is not None:
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise UnitError(f"{flag}: with {flag}-unit the value must be a bare number") from exc
-        udims, scale = resolve_unit(unit)
-        q = Quantity(value * scale, udims)
-    else:
-        q = parse_quantity(raw)
-        if all(x == 0 for x in q.dims) and any(x != 0 for x in want):
-            # bare number: interpret in SI base units of the expected dimension
-            q = Quantity(q.value, dims)
-    if q.dims != want:
-        raise UnitError(f"{flag}: expected a quantity in {unit_label}, got {raw!r}")
-    return q.value
+def _resolve_quantity_flags(args) -> None:
+    """Replace each registered flag's string, or its default, by an SI float."""
+    for spec in [key for key in vars(args) if key.endswith("_spec")]:
+        dest = spec[:-len("_spec")]
+        dims, unit_label, default = getattr(args, spec)
+        raw, unit = getattr(args, dest), getattr(args, dest + "_unit")
+        flag = "--" + dest.replace("_", "-")
+        if raw is not None and unit is not None:
+            try:
+                float(raw)
+            except ValueError as exc:
+                raise UnitError(f"{flag}: with {flag}-unit the value must be a bare number") from exc
+            raw = f"{raw} {unit}"
+        setattr(args, dest, default if raw is None else parse_si(raw, dims, flag, unit_label))
 
 
 def _emit(args, lines, payload) -> None:
@@ -106,23 +99,20 @@ def _maybe_write(args, columns, comments) -> list[str]:
 
 
 def _conductor_from(args) -> shielding.ConductorSpec:
-    return shielding.ConductorSpec(sigma_293k=get_quantity(args, "sigma"),
-                                   rrr=args.rrr, mu_r=args.mu_r)
+    return shielding.ConductorSpec(sigma_293k=args.sigma, rrr=args.rrr, mu_r=args.mu_r)
 
 
 def cmd_shield_skin_depth(args) -> int:
-    delta = shielding.skin_depth(get_quantity(args, "freq"), _conductor_from(args),
-                                 get_quantity(args, "temp"))
+    delta = shielding.skin_depth(args.freq, _conductor_from(args), args.temp)
     _emit(args, [f"skin depth = {format_si(delta, 'm', 2)} ({fmt(delta)} m)"],
           {"skin_depth_m": delta})
     return 0
 
 
 def cmd_shield_attenuation(args) -> int:
-    layer = shielding.ShieldLayer(thickness=get_quantity(args, "thickness"),
-                                  conductor=_conductor_from(args),
-                                  temperature=get_quantity(args, "temp"))
-    freq = get_quantity(args, "freq")
+    layer = shielding.ShieldLayer(thickness=args.thickness, conductor=_conductor_from(args),
+                                  temperature=args.temp)
+    freq = args.freq
     db = shielding.attenuation_skin(layer, freq)
     delta = shielding.skin_depth(freq, layer.conductor, layer.temperature)
     _emit(args, [f"skin-effect attenuation = {fmt(db)} dB at {fmt(freq)} Hz "
@@ -135,9 +125,8 @@ def cmd_shield_fit(args) -> int:
     table = read_table(args.infile, ["freq_hz", "atten_db"])
     curve = shielding.AttenuationCurve(freqs_hz=tuple(table["freq_hz"]),
                                        atten_db=tuple(table["atten_db"]),
-                                       floor_db=get_quantity(args, "floor"))
-    fit = shielding.fit_attenuation_regime(
-        curve, extrapolate_to_hz=get_quantity(args, "extrapolate_to"))
+                                       floor_db=args.floor)
+    fit = shielding.fit_attenuation_regime(curve, extrapolate_to_hz=args.extrapolate_to)
     lines = [f"regime = {fit.regime}" + (" (ambiguous)" if fit.ambiguous else ""),
              f"extrapolated attenuation at {fmt(fit.extrapolate_to_hz)} Hz = "
              f"{fmt(fit.extrapolated_db)} dB",
@@ -153,10 +142,9 @@ def cmd_shield_fit(args) -> int:
 
 
 def cmd_shield_budget(args) -> int:
-    budget = shielding.field_noise_budget(
-        sensitivity_hz_per_t=get_quantity(args, "sensitivity"),
-        linewidth_hz=get_quantity(args, "linewidth"),
-        quantization_field_t=get_quantity(args, "field"))
+    budget = shielding.field_noise_budget(sensitivity_hz_per_t=args.sensitivity,
+                                          linewidth_hz=args.linewidth,
+                                          quantization_field_t=args.field)
     _emit(args, [f"field noise budget = {format_si(budget.b_max_t, 'T', 2)} "
                  f"({fmt(budget.b_max_t)} T)",
                  f"relative stability = {budget.relative_stability:.2g} "
@@ -171,18 +159,14 @@ def cmd_shield_budget(args) -> int:
 
 
 def _pair_from(args) -> coils.CoilPair:
-    radius = get_quantity(args, "radius")
-    separation = get_quantity(args, "separation")
-    if separation is None:
-        separation = radius
-    return coils.CoilPair(radius=radius, separation=separation,
-                          turns=args.turns, current=get_quantity(args, "current"))
+    separation = args.radius if args.separation is None else args.separation
+    return coils.CoilPair(radius=args.radius, separation=separation,
+                          turns=args.turns, current=args.current)
 
 
 def cmd_coil_field(args) -> int:
     pair = _pair_from(args)
-    point = (get_quantity(args, "x"), get_quantity(args, "y"), get_quantity(args, "z"))
-    b = coils.coil_field(pair, point)
+    b = coils.coil_field(pair, (args.x, args.y, args.z))
     mag = float(np.linalg.norm(b))
     _emit(args, [f"B = ({fmt(b[0])}, {fmt(b[1])}, {fmt(b[2])}) T",
                  f"|B| = {format_si(mag, 'T')} ({fmt(mag)} T)"],
@@ -192,10 +176,10 @@ def cmd_coil_field(args) -> int:
 
 def cmd_coil_homogeneity(args) -> int:
     pair = _pair_from(args)
-    worst = coils.coil_homogeneity(pair, get_quantity(args, "extent"), args.samples)
+    worst = coils.coil_homogeneity(pair, args.extent, args.samples)
     center = float(np.linalg.norm(coils.coil_field(pair, (0.0, 0.0, 0.0))))
     _emit(args, [f"center field = {format_si(center, 'T')} ({fmt(center)} T)",
-                 f"max relative deviation over {format_si(get_quantity(args, 'extent'), 'm')} "
+                 f"max relative deviation over {format_si(args.extent, 'm')} "
                  f"axial extent = {fmt(worst)}"],
           {"center_field_t": center, "max_relative_deviation": worst})
     return 0
@@ -214,13 +198,12 @@ def cmd_cryo_load(args) -> int:
         k_table = (tab["temperature_k"], tab["k_w_per_m_k"])
         material = thermal.MATERIAL_CUSTOM
     support = thermal.SupportSpec.thin_cylinder(
-        diameter_m=get_quantity(args, "diameter"), wall_m=get_quantity(args, "wall"),
-        length_m=get_quantity(args, "length"), t_cold_k=get_quantity(args, "t_cold"),
-        t_hot_k=get_quantity(args, "t_hot"), material=material, k_table=k_table)
+        diameter_m=args.diameter, wall_m=args.wall, length_m=args.length,
+        t_cold_k=args.t_cold, t_hot_k=args.t_hot, material=material, k_table=k_table)
     load = thermal.conduction_load(support)
-    geom = (f"assumed geometry: tube diameter {format_si(get_quantity(args, 'diameter'), 'm')}, "
-            f"wall {format_si(get_quantity(args, 'wall'), 'm')}, "
-            f"length {format_si(get_quantity(args, 'length'), 'm')}, "
+    geom = (f"assumed geometry: tube diameter {format_si(args.diameter, 'm')}, "
+            f"wall {format_si(args.wall, 'm')}, "
+            f"length {format_si(args.length, 'm')}, "
             f"material {'custom table' if k_table is not None else 'SS316'}")
     _emit(args, [geom,
                  f"conduction load {fmt(support.t_cold_k)} K to {fmt(support.t_hot_k)} K = "
@@ -232,8 +215,7 @@ def cmd_cryo_load(args) -> int:
 
 def cmd_cryo_boiloff(args) -> int:
     coolant = {"helium": thermal.LIQUID_HELIUM, "nitrogen": thermal.LIQUID_NITROGEN}[args.coolant]
-    rate_si = get_quantity(args, "rate")  # m^3/s
-    rate_l_per_h = rate_si * 1000.0 * 3600.0
+    rate_l_per_h = args.rate * 1000.0 * 3600.0  # args.rate is in m^3/s
     power = thermal.boiloff_power(rate_l_per_h, coolant)
     _emit(args, [f"boil-off heat load = {format_si(power, 'W', 2)} ({fmt(power)} W) "
                  f"for {fmt(rate_l_per_h)} l/h of {coolant.name}"],
@@ -258,15 +240,11 @@ def cmd_trap_solve(args) -> int:
 
 def _dc_setting(text: str) -> tuple[int, float]:
     """Parse one ``--set IDX=VOLTS``; a malformed one is a usage error (exit 2)."""
-    key, sep, val = text.partition("=")
+    key, _, val = text.partition("=")
     try:
-        idx, q = int(key), parse_quantity(val)
+        return int(key), parse_si(val, VOLT, "--set", "V")
     except (ValueError, UnitError):
-        idx = q = None
-    if not sep or q is None or q.dims not in (Quantity(1.0, VOLT).dims,
-                                              Quantity(1.0, DIMENSIONLESS).dims):
-        raise argparse.ArgumentTypeError(f"expected IDX=VOLTS, got {text!r}")
-    return idx, q.value
+        raise argparse.ArgumentTypeError(f"expected IDX=VOLTS, got {text!r}") from None
 
 
 def cmd_trap_spectrum(args) -> int:
@@ -288,17 +266,15 @@ def cmd_trap_spectrum(args) -> int:
 
 
 def cmd_trap_resonator(args) -> int:
-    ind = get_quantity(args, "inductance")
-    cap = get_quantity(args, "capacitance")
-    freq = get_quantity(args, "freq")
+    cap, freq = args.capacitance, args.freq
     if (cap is None) == (freq is None):
         raise UnitError("give exactly one of --capacitance or --freq")
     if cap is None:
-        cap = trap.resonator_capacitance(ind, freq)
+        cap = trap.resonator_capacitance(args.inductance, freq)
         _emit(args, [f"load capacitance = {format_si(cap, 'F')} ({fmt(cap)} F)"],
               {"capacitance_f": cap})
     else:
-        freq = trap.resonance_frequency(ind, cap)
+        freq = trap.resonance_frequency(args.inductance, cap)
         _emit(args, [f"resonance frequency = {format_si(freq, 'Hz')} ({fmt(freq)} Hz)"],
               {"resonance_hz": freq})
     return 0
@@ -306,7 +282,7 @@ def cmd_trap_resonator(args) -> int:
 
 def cmd_trap_spacing(args) -> int:
     species = trap.SPECIES[args.species]
-    spacing = trap.two_ion_spacing(species, get_quantity(args, "freq"))
+    spacing = trap.two_ion_spacing(species, args.freq)
     _emit(args, [f"two-ion spacing = {format_si(spacing, 'm')} ({fmt(spacing)} m)"],
           {"spacing_m": spacing, "species": species.label})
     return 0
@@ -319,13 +295,13 @@ def cmd_trap_spacing(args) -> int:
 
 def cmd_qubit_rabi(args) -> int:
     state = PhononState(nbar=args.nbar)
-    drive = DriveParams(rabi_frequency=2.0 * math.pi * get_quantity(args, "rabi"),
+    drive = DriveParams(rabi_frequency=2.0 * math.pi * args.rabi,
                         lamb_dicke=args.eta)
-    times = np.linspace(0.0, get_quantity(args, "tmax"), args.points)
+    times = np.linspace(0.0, args.tmax, args.points)
     signal = qubit.carrier_rabi_signal(state, drive, times, model=args.model)
     comments = provenance_lines(__version__) + [
         f"carrier flopping: nbar={fmt(args.nbar)} eta={fmt(args.eta)} "
-        f"rabi={fmt(get_quantity(args, 'rabi'))} Hz model={args.model}"]
+        f"rabi={fmt(args.rabi)} Hz model={args.model}"]
     if not signal.lamb_dicke_valid:
         comments.append("warning: Lamb-Dicke parameter outside validity range (eta >= 0.5)")
     columns = {"t_s": signal.times, "p_excited": signal.excitation}
@@ -380,7 +356,7 @@ def cmd_qubit_waist_fit(args) -> int:
 
 def cmd_qubit_optics(args) -> int:
     eff = qubit.collection_efficiency(args.na)
-    waist = qubit.diffraction_limited_waist(get_quantity(args, "wavelength"), args.na)
+    waist = qubit.diffraction_limited_waist(args.wavelength, args.na)
     _emit(args, [f"collection efficiency = {100.0 * eff:.2g} % ({fmt(eff)})",
                  f"diffraction-limited waist = {format_si(waist, 'm')} ({fmt(waist)} m)"],
           {"collection_efficiency": eff, "diffraction_waist_m": waist, "na": args.na})
@@ -402,11 +378,12 @@ def _default_taus(dt: float, n_phase: int) -> np.ndarray:
 
 
 def cmd_met_allan(args) -> int:
+    taus = None
+    if args.taus is not None:
+        taus = np.array([parse_si(tok, SECOND, "--taus", "s") for tok in args.taus.split(",")])
     series = read_timeseries(args.infile, "t_s", "y")
     record = FrequencyRecord(kind=args.kind, series=series)
-    if args.taus is not None:
-        taus = np.array([parse_quantity(tok).value for tok in args.taus.split(",")])
-    else:
+    if taus is None:
         taus = _default_taus(series.dt, record.phase_seconds().size)
     taus, sigmas = metrology.allan_deviation(record, taus)
     comments = provenance_lines(__version__, [args.infile]) + [
@@ -432,14 +409,14 @@ def cmd_met_linewidth(args) -> int:
 
 def cmd_met_vib(args) -> int:
     series = read_timeseries(args.infile, "t_s", "v")
-    cal = InterferometerCal(wavelength=get_quantity(args, "wavelength"),
-                            volts_per_fringe=get_quantity(args, "volts_per_fringe"),
-                            quadrature_offset=get_quantity(args, "offset"))
+    cal = InterferometerCal(wavelength=args.wavelength,
+                            volts_per_fringe=args.volts_per_fringe,
+                            quadrature_offset=args.offset)
     inv = metrology.fringe_to_displacement(series, cal)
-    stats = metrology.excursion_stats(inv.displacement, get_quantity(args, "window"))
+    stats = metrology.excursion_stats(inv.displacement, args.window)
     freqs, psd = metrology.power_spectrum(inv.displacement, window=args.window_fn)
     peaks = metrology.peak_find(freqs, psd, count=args.peaks,
-                                min_separation=get_quantity(args, "min_separation"))
+                                min_separation=args.min_separation)
     comments = provenance_lines(__version__, [args.infile]) + [
         f"displacement spectrum, window={args.window_fn}"]
     lines = [f"max |x| over {fmt(stats.window_s)} s windows = "
@@ -459,7 +436,7 @@ def cmd_met_vib(args) -> int:
 def cmd_met_image_fit(args) -> int:
     table = read_table(args.infile, ["pixel", "counts"])
     profile = ImageProfile(pixel_counts=table["counts"],
-                           pixel_pitch=get_quantity(args, "pitch"),
+                           pixel_pitch=args.pitch,
                            magnification=args.magnification)
     res = metrology.gaussian_profile_fit(profile, axis=args.axis)
     _emit(args, [f"gaussian width = {format_si(res.width_m, 'm')} ({fmt(res.width_m)} m) "
@@ -478,8 +455,8 @@ def cmd_met_image_fit(args) -> int:
 def cmd_report_table1(args) -> int:
     table = read_table(args.measured, ["temperature_k", "measured_db", "extrapolated"])
     conductor = _conductor_from(args)
-    freq = get_quantity(args, "freq")
-    thickness = get_quantity(args, "thickness")
+    freq = args.freq
+    thickness = args.thickness
     modeled = np.array([shielding.attenuation_skin(
         shielding.ShieldLayer(thickness=thickness, conductor=conductor, temperature=t), freq)
         for t in table["temperature_k"]])
@@ -694,6 +671,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _resolve_quantity_flags(args)
         return args.func(args)
     except UnitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ class CryoionError(Exception):
 
 
 class UnitError(CryoionError, TypeError):
-    """Arithmetic or conversion between incompatible units."""
+    """Unparseable unit string, or a unit of the wrong dimension."""
 
 
 class DomainError(CryoionError, ValueError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .fitting import FitResult, lm_fit
-from .units import CONSTANTS, HERTZ, KELVIN, TESLA, as_si
+from .units import CONSTANTS
 
 DB_PER_SKIN_DEPTH = 20.0 / math.log(10.0)  # 8.6859 dB of attenuation per t=delta
 
@@ -94,7 +94,8 @@ class AttenuationCurve:
         object.__setattr__(self, "floor_db", float(self.floor_db))
 
 
-def conductivity_at(conductor: ConductorSpec, temperature, ln2_ratio: float = DEFAULT_LN2_RATIO) -> float:
+def conductivity_at(conductor: ConductorSpec, temperature: float,
+                    ln2_ratio: float = DEFAULT_LN2_RATIO) -> float:
     """Conductivity in S/m at a temperature, interpolating the cooldown gain.
 
     The gain over the room-temperature value is modeled log-log linearly
@@ -102,7 +103,7 @@ def conductivity_at(conductor: ConductorSpec, temperature, ln2_ratio: float = DE
     20 K phonon scattering is frozen out and the gain saturates at rrr.  The
     gain is clamped to at most rrr everywhere and to 1 above 293 K.
     """
-    T = as_si(temperature, KELVIN, "temperature")
+    T = float(temperature)
     if not (T > 0 and math.isfinite(T)):
         raise DomainError("temperature must be positive")
     if ln2_ratio < 1.0:
@@ -120,9 +121,9 @@ def conductivity_at(conductor: ConductorSpec, temperature, ln2_ratio: float = DE
     return conductor.sigma_293k * min(conductor.rrr, gain)
 
 
-def skin_depth(frequency, conductor: ConductorSpec, temperature) -> float:
+def skin_depth(frequency: float, conductor: ConductorSpec, temperature: float) -> float:
     """Skin depth in m: sqrt(2 / (2*pi*f * sigma(T) * mu_r*mu0))."""
-    f = as_si(frequency, HERTZ, "frequency")
+    f = float(frequency)
     if not (f > 0 and math.isfinite(f)):
         raise DomainError("frequency must be positive")
     sigma = conductivity_at(conductor, temperature)
@@ -130,21 +131,19 @@ def skin_depth(frequency, conductor: ConductorSpec, temperature) -> float:
     return math.sqrt(2.0 / (2.0 * math.pi * f * sigma * mu))
 
 
-def skin_attenuation_db(thickness, delta) -> float:
+def skin_attenuation_db(thickness: float, delta: float) -> float:
     """Attenuation in dB (<= 0) of a wall of given thickness at skin depth delta."""
-    t = as_si(thickness, (1, 0, 0, 0, 0), "thickness")
-    d = as_si(delta, (1, 0, 0, 0, 0), "skin depth")
-    if t < 0 or d <= 0:
+    if thickness < 0 or delta <= 0:
         raise DomainError("thickness must be >= 0 and skin depth > 0")
-    return -DB_PER_SKIN_DEPTH * t / d
+    return -DB_PER_SKIN_DEPTH * thickness / delta
 
 
-def attenuation_skin(layer: ShieldLayer, frequency) -> float:
+def attenuation_skin(layer: ShieldLayer, frequency: float) -> float:
     """Skin-effect attenuation of one wall in dB at a frequency."""
     return skin_attenuation_db(layer.thickness, skin_depth(frequency, layer.conductor, layer.temperature))
 
 
-def attenuation_series(layers: Sequence[ShieldLayer], frequency) -> float:
+def attenuation_series(layers: Sequence[ShieldLayer], frequency: float) -> float:
     """Total dB of nested walls (attenuations add in dB)."""
     layers = list(layers)
     if not layers:
@@ -158,18 +157,16 @@ class NoiseBudget:
     relative_stability: float
 
 
-def field_noise_budget(sensitivity_hz_per_t, linewidth_hz, quantization_field_t) -> NoiseBudget:
+def field_noise_budget(sensitivity_hz_per_t: float, linewidth_hz: float,
+                       quantization_field_t: float) -> NoiseBudget:
     """Largest tolerable field excursion for a transition of given sensitivity.
 
     b_max = linewidth / sensitivity; relative_stability = b_max / bias field.
     """
-    s = as_si(sensitivity_hz_per_t, (0, -1, 1, 1, 0), "sensitivity")
-    lw = as_si(linewidth_hz, HERTZ, "linewidth")
-    b0 = as_si(quantization_field_t, TESLA, "field")
-    if s <= 0 or lw <= 0 or b0 <= 0:
+    if sensitivity_hz_per_t <= 0 or linewidth_hz <= 0 or quantization_field_t <= 0:
         raise DomainError("sensitivity, linewidth and field must be positive")
-    b_max = lw / s
-    return NoiseBudget(b_max_t=b_max, relative_stability=b_max / b0)
+    b_max = linewidth_hz / sensitivity_hz_per_t
+    return NoiseBudget(b_max_t=b_max, relative_stability=b_max / quantization_field_t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoTrapError
-from .units import CONSTANTS, HERTZ, parse_quantity
+from .errors import ConfigError, DomainError, NoTrapError, UnitError
+from .units import CONSTANTS, HERTZ, METER, VOLT, parse_si
 
 ROLE_RF = "rf"
 ROLE_DC = "dc"
@@ -495,15 +495,24 @@ _TRAP_KEYS = {"rf_voltage", "rf_frequency", "species"}
 _STRIP_KEYS = {"role", "x_min", "x_max", "y_min", "y_max", "dc_index"}
 
 
+def _layout_value(section, key: str, dims, unit_label: str) -> float:
+    """SI float of one layout value; a bad unit is a ``ConfigError`` (exit 1)."""
+    try:
+        return parse_si(section[key], dims, f"[{section.name}] {key}", unit_label)
+    except UnitError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_layout(path) -> tuple[ElectrodeLayout, IonSpecies]:
     """Read a layout from an INI-style file.
 
     One ``[trap]`` section (rf_voltage, rf_frequency in Hz, optional species)
     and one ``[strip <name>]`` section per electrode with role and extents.
-    Values may carry unit suffixes ("60um", "49.9MHz").  Unknown sections or
-    keys are rejected.
+    Values may carry unit suffixes ("60um", "49.9MHz"); a bare number is SI,
+    and a unit of the wrong dimension is a ``ConfigError`` naming the section
+    and key, as are unknown sections or keys.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -518,8 +527,8 @@ def load_layout(path) -> tuple[ElectrodeLayout, IonSpecies]:
     if unknown:
         raise ConfigError(f"unknown keys in [trap]: {sorted(unknown)}")
     try:
-        rf_voltage = parse_quantity(trap["rf_voltage"]).value
-        rf_omega = 2.0 * math.pi * parse_quantity(trap["rf_frequency"]).value
+        rf_voltage = _layout_value(trap, "rf_voltage", VOLT, "V")
+        rf_omega = 2.0 * math.pi * _layout_value(trap, "rf_frequency", HERTZ, "Hz")
     except KeyError as exc:
         raise ConfigError(f"[trap] is missing {exc}") from exc
     species = SPECIES.get(trap.get("species", "Ca40"))
@@ -537,7 +546,8 @@ def load_layout(path) -> tuple[ElectrodeLayout, IonSpecies]:
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
         try:
-            kwargs = {k: parse_quantity(sec[k]).value for k in ("x_min", "x_max", "y_min", "y_max")}
+            kwargs = {k: _layout_value(sec, k, METER, "m")
+                      for k in ("x_min", "x_max", "y_min", "y_max")}
             role = sec["role"].strip()
         except KeyError as exc:
             raise ConfigError(f"[{name}] is missing {exc}") from exc

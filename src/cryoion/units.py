@@ -1,10 +1,12 @@
-"""Dimensioned scalars, unit parsing and physical constants.
+"""Unit parsing with dimension checks, SI formatting and physical constants.
 
-All numerical code in this package works on plain floats in strict SI.
-``Quantity`` exists for the I/O boundary (CLI flags, config files): it carries
-a value together with a dimension signature, refuses arithmetic between
-incompatible dimensions, and converts unit-suffixed strings such as ``"19.5cm"``
-or ``"39GHz/T"`` into SI.
+All numerical code in this package works on plain floats in strict SI.  Unit
+strings such as ``"19.5cm"`` or ``"39GHz/T"`` arrive only at the I/O boundary
+(CLI flags, layout files), and ``parse_si`` is the one place that turns them
+into SI floats: a bare number is already SI, and any unit symbol, dimensionless
+ones such as ``%`` or ``dB`` included, must carry the dimension the value is
+for.  ``parse_quantity`` is the unchecked parser beneath it, returning a
+``Quantity`` (an SI value with its dimension signature).
 
 A dimension signature is a tuple of integer exponents over the SI base
 dimensions used here: (m, kg, s, A, K).
@@ -14,11 +16,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, UnitError
 
-Dims = tuple  # 5-tuple of Fraction/int exponents over (m, kg, s, A, K)
+Dims = tuple  # 5-tuple of int exponents over (m, kg, s, A, K)
 
 DIMENSIONLESS: Dims = (0, 0, 0, 0, 0)
 METER: Dims = (1, 0, 0, 0, 0)
@@ -40,22 +41,6 @@ LITER_PER_HOUR: Dims = (3, 0, -1, 0, 0)
 VOLUME: Dims = (3, 0, 0, 0, 0)
 
 
-def _dims_mul(a: Dims, b: Dims) -> Dims:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _dims_div(a: Dims, b: Dims) -> Dims:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _norm(d) -> Dims:
-    out = []
-    for x in d:
-        fx = Fraction(x).limit_denominator(12)
-        out.append(int(fx) if fx.denominator == 1 else fx)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Quantity:
     """A finite scalar with a dimension signature, value stored in SI."""
@@ -68,83 +53,6 @@ class Quantity:
         if not math.isfinite(v):
             raise DomainError(f"Quantity value must be finite, got {self.value!r}")
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "dims", _norm(self.dims))
-
-    # -- arithmetic ---------------------------------------------------------
-    def _require_same(self, other: "Quantity", op: str) -> None:
-        if self.dims != other.dims:
-            raise UnitError(f"cannot {op} quantities with dims {self.dims} and {other.dims}")
-
-    def __add__(self, other):
-        other = _coerce(other, self.dims, allow_bare_if_dimensionless=True)
-        self._require_same(other, "add")
-        return Quantity(self.value + other.value, self.dims)
-
-    def __sub__(self, other):
-        other = _coerce(other, self.dims, allow_bare_if_dimensionless=True)
-        self._require_same(other, "subtract")
-        return Quantity(self.value - other.value, self.dims)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.dims)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value * other.value, _dims_mul(self.dims, other.dims))
-        return Quantity(self.value * float(other), self.dims)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, _dims_div(self.dims, other.dims))
-        return Quantity(self.value / float(other), self.dims)
-
-    def __rtruediv__(self, other):
-        return Quantity(float(other) / self.value, tuple(-x for x in self.dims))
-
-    def __pow__(self, n):
-        fn = Fraction(n).limit_denominator(12)
-        new = tuple(x * fn for x in self.dims)
-        return Quantity(self.value ** float(fn), _norm(new))
-
-    def sqrt(self) -> "Quantity":
-        if self.value < 0:
-            raise DomainError("sqrt of negative quantity")
-        return self ** Fraction(1, 2)
-
-    # -- comparisons --------------------------------------------------------
-    def __lt__(self, other):
-        self._require_same(_coerce(other, self.dims), "compare")
-        return self.value < _coerce(other, self.dims).value
-
-    def __le__(self, other):
-        self._require_same(_coerce(other, self.dims), "compare")
-        return self.value <= _coerce(other, self.dims).value
-
-    def __float__(self):
-        return self.value
-
-    def to(self, symbol: str) -> float:
-        """Value expressed in the named unit (e.g. q.to("mm"))."""
-        dims, scale = resolve_unit(symbol)
-        if dims != self.dims:
-            raise UnitError(f"cannot express dims {self.dims} in unit {symbol!r}")
-        return self.value / scale
-
-    def __repr__(self):
-        return f"Quantity({self.value!r}, dims={self.dims})"
-
-
-def _coerce(x, dims: Dims, allow_bare_if_dimensionless: bool = False) -> Quantity:
-    if isinstance(x, Quantity):
-        return x
-    if allow_bare_if_dimensionless and dims == DIMENSIONLESS:
-        return Quantity(float(x))
-    if isinstance(x, (int, float)):
-        # bare numbers only combine with dimensionless quantities
-        return Quantity(float(x))
-    raise UnitError(f"cannot interpret {x!r} as a quantity")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +108,7 @@ def _resolve_token(token: str) -> tuple[Dims, float]:
     if exp != 1:
         dims = tuple(x * exp for x in dims)
         scale = scale ** exp
-    return _norm(dims), scale
+    return dims, scale
 
 
 def resolve_unit(symbol: str) -> tuple[Dims, float]:
@@ -212,9 +120,9 @@ def resolve_unit(symbol: str) -> tuple[Dims, float]:
     dims, scale = _resolve_token(parts[0])
     for den in parts[1:]:
         d, s = _resolve_token(den)
-        dims = _dims_div(dims, d)
+        dims = tuple(x - y for x, y in zip(dims, d))
         scale = scale / s
-    return _norm(dims), scale
+    return dims, scale
 
 
 def parse_quantity(text: str) -> Quantity:
@@ -227,13 +135,20 @@ def parse_quantity(text: str) -> Quantity:
     return Quantity(value * scale, dims)
 
 
-def as_si(x, dims: Dims, what: str = "value") -> float:
-    """Accept a plain SI float or a dimension-checked Quantity; return SI float."""
-    if isinstance(x, Quantity):
-        if x.dims != _norm(dims):
-            raise UnitError(f"{what}: expected dims {dims}, got {x.dims}")
-        return x.value
-    return float(x)
+def parse_si(text: str, dims: Dims, what: str, unit_label: str) -> float:
+    """SI float of a unit string for ``what``, which must carry ``dims``.
+
+    A bare number is read as SI.  Any unit symbol, dimensionless ones such as
+    "%", "dB" or "rad" included, must have exactly ``dims``.  Every failure
+    is a ``UnitError`` whose message starts with ``what``.
+    """
+    try:
+        q = parse_quantity(text)
+    except UnitError as exc:
+        raise UnitError(f"{what}: {exc}") from None
+    if q.dims != dims and _NUMBER_RE.match(text).group(2):
+        raise UnitError(f"{what}: expected a quantity in {unit_label}, got {text!r}")
+    return q.value
 
 
 _PREFIX_BY_EXP = {

@@ -84,6 +84,43 @@ def test_wrong_dimension_is_usage_error(capsys):
     assert "expected a quantity in Hz" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["shield", "skin-depth", "--freq", "100%"],
+    ["shield", "skin-depth", "--freq", "50dB"],
+    ["met", "allan", "--in", str(DEMO / "beat_fractional.csv"), "--taus", "0.01Hz"],
+    # the flag is checked before the (missing) input file is opened
+    ["met", "vib", "--in", "/nonexistent/fringe.csv", "--window", "2Hz"],
+], ids=["freq_percent", "freq_db", "taus_hz", "window_hz_before_missing_file"])
+def test_dimensionless_or_wrong_unit_is_usage_error_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    flag = argv[-2]
+    assert err.startswith(f"error: {flag}: expected a quantity in ")
+
+
+def test_unknown_unit_names_the_flag(capsys):
+    code, _, err = run(capsys, "shield", "skin-depth", "--freq", "50xyz")
+    assert code == 2
+    assert err == "error: --freq: unknown unit 'xyz'\n"
+
+
+def test_dimensionless_flag_takes_db_or_a_bare_number(capsys):
+    curve = str(DEMO / "attenuation_along.csv")
+    default = run(capsys, "shield", "fit", "--in", curve)
+    assert default[0] == 0
+    assert run(capsys, "shield", "fit", "--in", curve, "--floor=-58dB") == default
+    assert run(capsys, "shield", "fit", "--in", curve, "--floor=-58") == default
+
+
+def test_taus_take_bare_seconds_and_time_units(capsys):
+    beat = str(DEMO / "beat_fractional.csv")
+    code, out, _ = run(capsys, "met", "allan", "--in", beat, "--taus", "0.01,20ms")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["tau 0.01 s", "tau 0.02 s"]
+    assert run(capsys, "met", "allan", "--in", beat, "--taus", "0.01,0.02")[1] == out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "shield", "skin-depth", "--freq", "50Hz", "--bogus")
     assert code == 2
@@ -138,6 +175,24 @@ def test_unreadable_layout_is_data_error(capsys, tmp_path, text):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot parse layout file {str(layout)!r}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line,value", [("rf_voltage = 120V", "100%"),
+                                        ("rf_voltage = 120V", "100xyz"),
+                                        ("rf_frequency = 49.9MHz", "49.9mm"),
+                                        ("x_min = -55.2um", "5V")],
+                         ids=["percent", "unknown_unit", "wrong_dimension", "strip_extent"])
+def test_bad_layout_unit_is_data_error_naming_the_key(capsys, tmp_path, line, value):
+    text = (DEMO / "trap_layout.cfg").read_text()
+    key = line.split(" = ")[0]
+    layout = tmp_path / "layout.cfg"
+    layout.write_text(text.replace(line, f"{key} = {value}", 1))
+    code, out, err = run(capsys, "trap", "solve", "--layout", str(layout))
+    assert code == 1
+    assert out == ""
+    section = "[strip center]" if key == "x_min" else "[trap]"
+    assert err.startswith(f"error: {section} {key}: ")
     assert len(err.splitlines()) == 1
 
 
@@ -217,6 +272,9 @@ def test_trap_spectrum_dc_splits_radials(capsys):
                        str(DEMO / "trap_layout.cfg"), "--set", "0=1.5", "--set", "1=1.5")
     assert code == 0
     assert "2.83 MHz, 3.44 MHz" in out
+    # a bare number is volts
+    assert run(capsys, "trap", "spectrum", "--layout", str(DEMO / "trap_layout.cfg"),
+               "--set", "0=1.5V", "--set", "1=1500mV")[1] == out
 
 
 def test_trap_spectrum_rejects_unknown_dc_index(capsys):
@@ -227,7 +285,7 @@ def test_trap_spectrum_rejects_unknown_dc_index(capsys):
     assert "DC indices are [0, 1]" in err
 
 
-@pytest.mark.parametrize("setting", ["x=5V", "5V", "0=5Hz", "0=volts"])
+@pytest.mark.parametrize("setting", ["x=5V", "5V", "0=5Hz", "0=volts", "0=5dB"])
 def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
     code, out, err = run(capsys, "trap", "spectrum", "--layout",
                          str(DEMO / "trap_layout.cfg"), "--set", setting)
