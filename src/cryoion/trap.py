@@ -4,19 +4,25 @@ Every electrode is a rectangle in the z=0 plane; the rest of the plane is
 grounded.  The basis potential of a rectangle held at unit voltage is the
 solid angle it subtends at the field point divided by 2*pi (a sum of four
 arctangents), which is harmonic, bounded in [0, 1] and exact for the gapless
-model.  Fields and Hessians are the closed-form derivatives of those
-arctangents (Wesenberg, PRA 78, 063410 (2008); House, PRA 78, 033402 (2008)),
-summed over all strips for a batch of points in one numpy kernel.  The RF
-null is found by damped Newton steps on E = 0 with the exact field Jacobian
-J.  There the pseudopotential q^2 |E|^2 / (4 m Omega^2) has the exact Hessian
-q^2 J^T J / (2 m Omega^2); with the DC curvature added, its eigen-decomposition
-is the secular spectrum.
+model.  Fields, Hessians and third derivatives are the closed-form
+derivatives of those arctangents (Wesenberg, PRA 78, 063410 (2008); House,
+PRA 78, 033402 (2008)), summed over all strips for a batch of points in one
+numpy kernel.  The RF null is found by damped Newton steps on E = 0 with the
+exact field Jacobian J.  There the pseudopotential
+psi = q^2 |E|^2 / (4 m Omega^2) has the exact Hessian q^2 J^T J / (2 m Omega^2);
+with the DC curvature added, its eigen-decomposition is the secular spectrum.
+The trap depth is psi at the escape saddle (the lowest index-1 saddle of psi
+in the x-z plane through the null) minus psi at the null.  The saddle is
+found by the same damped Newton on grad psi = 0, with the exact gradient and
+Hessian of psi from the kernel's second and third derivatives, started from
+a coarse ray scan.
 
 Axes: x across the strips, y along the trap axis, z normal to the chip.
 """
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -34,7 +40,11 @@ ROLE_CENTER = "center"  # grounded: a covered slot or ground plane strip
 DEFAULT_START_HEIGHTS = (30e-6, 60e-6, 120e-6, 240e-6)
 
 _MIN_Z = 1e-9
-_DEPTH_CHUNK = 2048  # ray points per kernel call; bounds the transient memory
+#: coarse transverse ray scan that seeds the escape-saddle search (rays, and
+#: samples per ray), and the most Newton starts taken from it
+_SCAN_RAYS = 64
+_SCAN_SAMPLES = 16
+_SADDLE_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -166,34 +176,47 @@ def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, 
     return total
 
 
-#: signs of the four corner arctangents of a rectangle, over 2*pi; entry
-#: [i, j] is the corner at x edge i and y edge j (0 = min, 1 = max)
-_CORNER_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]]) / (2.0 * math.pi)
+#: signs of the four corner arctangents of a rectangle, over 2*pi, for the
+#: corners (x, y) = (min, min), (min, max), (max, min), (max, max)
+_CORNER_SIGN = np.array([1.0, -1.0, -1.0, 1.0]) / (2.0 * math.pi)
+#: row of each (i, j, k) third derivative among the 10 distinct ones, which
+#: are kept in the order xxx, xxy, xxz, xyy, xyz, xzz, yyy, yyz, yzz, zzz
+_THIRD_INDEX = np.array([list(itertools.combinations_with_replacement(range(3), 3))
+                         .index(tuple(sorted(ijk)))
+                         for ijk in itertools.product(range(3), repeat=3)])
 
 
-def _grad_hess(strips: Sequence[Strip], weights, points, hessian: bool = True):
-    """Weighted strip sums of grad(phi), shape (N, 3), and of its Hessian, (N, 3, 3).
+def _grad_hess(strips: Sequence[Strip], weights, points, order: int = 2):
+    """Weighted strip sums of the derivatives of phi up to ``order`` (1, 2 or 3).
 
-    ``weights`` is one number per strip or one for all; ``points`` is (N, 3)
-    with z > 0.  Each corner term F = atan(u v / (z R)), with u, v the corner
-    offsets from the point, R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and
-    b = v^2 + z^2, has closed-form derivatives F_u = v z / (a R),
-    F_v = u z / (b R), F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
-    F_uu = -u v z (2/a + 1/R^2) / (a R) and
-    F_uz = v (1 - 2 z^2/a - z^2/R^2) / (a R) (u, a and v, b swap for the v
-    terms); d/dx = -d/du and d/dy = -d/dv.  The zz entry is -(xx + yy),
-    because a weighted sum of rectangle potentials is harmonic.  With
-    ``hessian=False`` the Hessian is None.
+    Returns a tuple of ``order`` arrays: grad(phi), shape (N, 3), its Hessian,
+    (N, 3, 3), and the third derivatives, (N, 3, 3, 3).  ``weights`` is one
+    number per strip or one for all; ``points`` is (N, 3) with z > 0.  Each
+    corner term F = atan(u v / (z R)), with u, v the corner offsets from the
+    point, R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and b = v^2 + z^2, has
+    closed-form derivatives F_u = v z / (a R), F_v = u z / (b R),
+    F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
+    F_uu = -u v z (2/a + 1/R^2) / (a R),
+    F_uz = v (1 - 2 z^2/a - z^2/R^2) / (a R), F_uuv = -3 z u / R^5,
+    F_uvz = (R^2 - 3 z^2) / R^5, F_uuu = -v z P(u) / (a^2 R^3) and
+    F_uuz = -u v P(z) / (a^2 R^3) with
+    P(w) = 2 R^2 + a - 4 w^2 - w^2 (8 R^2/a + 3 a/R^2) (u, a and v, b swap
+    for the v terms); d/dx = -d/du and d/dy = -d/dv.  A weighted sum of
+    rectangle potentials is harmonic, so the zz entry of the Hessian is
+    -(xx + yy), and the third derivatives with two z indices follow from the
+    trace identities sum_i d_iik phi = 0, which leave 7 independent entries.
     """
-    ext = np.array([(s.x_min, s.x_max, s.y_min, s.y_max) for s in strips],
-                   dtype=float).reshape(-1, 4)
-    c = (np.broadcast_to(np.asarray(weights, dtype=float), len(ext))[:, None, None]
-         * _CORNER_SIGN).ravel()
+    w = np.empty((len(strips), 1))
+    w[:, 0] = weights
+    c = (w * _CORNER_SIGN).ravel()
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(p)
-    # axes: strip, x edge, y edge, point (last, so numpy's inner loops are long)
-    u = ext[:, 0:2, None, None] - p[:, 0]
-    v = ext[:, None, 2:4, None] - p[:, 1]
+    # rows: the corners of every strip; columns: the points (plain 2-D arrays,
+    # since numpy's per-call overhead dominates at the small batches of a solve)
+    u = np.array([(s.x_min, s.x_min, s.x_max, s.x_max) for s in strips],
+                 dtype=float).reshape(-1, 1) - p[:, 0]
+    v = np.array([(s.y_min, s.y_max, s.y_min, s.y_max) for s in strips],
+                 dtype=float).reshape(-1, 1) - p[:, 1]
     z = p[:, 2]
     z2 = z * z
     a = u * u + z2
@@ -205,12 +228,12 @@ def _grad_hess(strips: Sequence[Strip], weights, points, hessian: bool = True):
     uv = u * v
 
     def total(f):
-        return c @ f.reshape(c.size, n)
+        return c @ f
 
-    grad = np.column_stack([-total(v * z / ar), -total(u * z / br),
-                            -total(uv * (1.0 / a + 1.0 / b) / r)])
-    if not hessian:
-        return grad, None
+    grad = np.array([-total(v * z / ar), -total(u * z / br),
+                     -total(uv * (1.0 / a + 1.0 / b) / r)]).T
+    if order == 1:
+        return (grad,)
     ir2 = 1.0 / r2
     uvz = uv * z
     hxx = total(-uvz * (2.0 / a + ir2) / ar)
@@ -219,8 +242,32 @@ def _grad_hess(strips: Sequence[Strip], weights, points, hessian: bool = True):
     hxz = -total(v * (1.0 - 2.0 * z2 / a - z2 * ir2) / ar)
     hyz = -total(u * (1.0 - 2.0 * z2 / b - z2 * ir2) / br)
     hzz = -(hxx + hyy)
-    hess = np.stack([hxx, hxy, hxz, hxy, hyy, hyz, hxz, hyz, hzz], axis=-1)
-    return grad, hess.reshape(n, 3, 3)
+    hess = np.array([hxx, hxy, hxz, hxy, hyy, hyz, hxz, hyz, hzz]).T.reshape(n, 3, 3)
+    if order == 2:
+        return grad, hess
+
+    ir3 = ir2 / r
+    ir5 = ir3 * ir2
+    two_r2 = 2.0 * r2
+    zu, zv = z * u, z * v
+
+    def www_wwz(z_other, s, w2):  # d_www, d_wwz for (w, s) = (x, a) or (y, b); z_other = z v or z u
+        k = 4.0 + 8.0 * r2 / s + 3.0 * s * ir2
+        m = two_r2 + s
+        d = ir3 / (s * s)
+        return total(z_other * (m - w2 * k) * d), total(uv * (z2 * k - m) * d)
+
+    t = np.empty((10, n))
+    t[0], t[2] = www_wwz(zv, a, u * u)
+    t[6], t[7] = www_wwz(zu, b, v * v)
+    t[1] = total(3.0 * zu * ir5)
+    t[3] = total(3.0 * zv * ir5)
+    t[4] = total((r2 - 3.0 * z2) * ir5)
+    # trace identities: xzz = -(xxx + xyy), yzz = -(xxy + yyy), zzz = -(xxz + yyz)
+    t[5] = -(t[0] + t[3])
+    t[8] = -(t[1] + t[6])
+    t[9] = -(t[2] + t[7])
+    return grad, hess, t[_THIRD_INDEX].T.reshape(n, 3, 3, 3)
 
 
 def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
@@ -228,7 +275,7 @@ def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
     x, y, z = (float(v) for v in point)
     if z <= 0:
         raise DomainError("field is defined for z > 0 only")
-    e, _ = _grad_hess(layout.rf_strips, -layout.rf_voltage, (x, y, z), hessian=False)
+    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, (x, y, z), order=1)
     return e[0]
 
 
@@ -243,65 +290,88 @@ def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _xz_newton_step(layout, x, z):
-    """Newton steps toward E_x = E_z = 0 from the points (x, axial center, z),
-    and |(E_x, E_z)| there; a singular Jacobian gives a non-finite step."""
-    pts = np.column_stack([x, np.full_like(x, layout.axial_center), z])
-    e, jac = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts)
+def _null_step(rf, volts, pts):
+    """Newton steps toward E_x = E_z = 0 at the points, and |(E_x, E_z)|
+    there; a singular Jacobian gives a non-finite step."""
+    e, jac = _grad_hess(rf, volts, pts)
     ex, ez = e[:, 0], e[:, 2]
     jxx, jxz, jzz = jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2]
+    det = jxx * jzz - jxz * jxz
+    return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
+
+
+def _search_frame(layout):
+    """Center x0 of the RF strips and the x span of all strips, which bound
+    every stationary-point search of the x-z plane."""
+    xs = [s.x_min for s in layout.rf_strips] + [s.x_max for s in layout.rf_strips]
+    span = (max(s.x_max for s in layout.strips)
+            - min(s.x_min for s in layout.strips))
+    return 0.5 * (min(xs) + max(xs)), span
+
+
+def _damped_newton(layout, step, x, z):
+    """Converged end points of damped Newton in the x-z plane at the axial
+    center, as (x, z, value).
+
+    ``step(rf_strips, -rf_voltage, points)`` returns the Newton corrections
+    (dx, dz) at a batch of points and one value per point; all starts are
+    stepped as one batch.  A step is capped at half the current height, and a
+    start is dropped once it leaves the domain (z at or below 1 nm, above 4
+    spans, or more than 2 spans off x0; see ``_search_frame``).  A start counts
+    as converged when the Newton correction at its end point is below 1e-9 of
+    the height; ``value`` is the step's value there.
+    """
+    x0, span = _search_frame(layout)
+    # a planar-trap stationary point sits within a few electrode spans of the
+    # metal; beyond that the far field decays monotonically (and eventually
+    # underflows), which a solver would mistake for convergence
+    z_cap = 4.0 * span
+    rf, volts, y = layout.rf_strips, -layout.rf_voltage, layout.axial_center
+
+    def at(i):
+        pts = np.empty((i.size, 3))
+        pts[:, 0], pts[:, 1], pts[:, 2] = x[i], y, z[i]
+        return step(rf, volts, pts)
+
+    inside = np.ones(z.shape, dtype=bool)
+    stepping = inside.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = jxx * jzz - jxz * jxz
-        return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
+        for _ in range(60):
+            i = np.flatnonzero(stepping)
+            if i.size == 0:
+                break
+            dx, dz, _ = at(i)
+            zi = z[i]
+            norm = np.hypot(dx, dz)
+            scale = np.minimum(1.0, 0.5 * zi / norm)
+            done = norm <= 1e-9 * zi
+            xi = x[i] + scale * dx
+            zi = zi + scale * dz
+            x[i], z[i] = xi, zi
+            inside[i] = ok = (zi > _MIN_Z) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
+            stepping[i] = ok & ~done
+
+        i = np.flatnonzero(inside)
+        dx, dz, value = at(i)
+    converged = np.hypot(dx, dz) <= 1e-9 * z[i]
+    return x[i][converged], z[i][converged], value[converged]
 
 
 def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
                  start_heights: Sequence[float] = DEFAULT_START_HEIGHTS) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
-    Solves E_x = E_z = 0 by damped Newton steps with the closed-form field
-    Jacobian, stepping all start heights as one batch.  A step is capped at
-    half the current height, and a start is dropped once it leaves the domain
-    (z at or below 1 nm, above 4 electrode spans, or more than 2 spans off
-    center).  A start counts as converged when the Newton correction at its
-    end point is below 1e-9 of the height (|E| alone is not a usable test: the
-    far field is small everywhere); all converged starts agree to well below
-    1e-9 m for a valid layout, and the one with the smallest |E| is returned.
+    Solves E_x = E_z = 0 by damped Newton steps (``_damped_newton``) with the
+    closed-form field Jacobian, from every start height at once.  |E| alone is
+    not a usable convergence test, since the far field is small everywhere;
+    all converged starts agree to well below 1e-9 m for a valid layout, and
+    the one with the smallest |E| is returned.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    xs = [s.x_min for s in layout.rf_strips] + [s.x_max for s in layout.rf_strips]
-    x0 = 0.5 * (min(xs) + max(xs))
-    # a planar-trap null always sits within a few electrode spans of the
-    # metal; beyond that the far field decays monotonically (and eventually
-    # underflows), which a solver would mistake for convergence
-    span = (max(s.x_max for s in layout.strips)
-            - min(s.x_min for s in layout.strips))
-    z_cap = 4.0 * span
-
     z = np.array(start_heights, dtype=float)
-    x = np.full(z.shape, x0)
-    inside = np.ones(z.shape, dtype=bool)
-    stepping = inside.copy()
-    for _ in range(60):
-        i = np.flatnonzero(stepping)
-        if i.size == 0:
-            break
-        dx, dz, _ = _xz_newton_step(layout, x[i], z[i])
-        norm = np.hypot(dx, dz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.minimum(1.0, 0.5 * z[i] / norm)
-        done = norm <= 1e-9 * z[i]
-        x[i] += scale * dx
-        z[i] += scale * dz
-        inside[i] = (z[i] > _MIN_Z) & (z[i] <= z_cap) & (np.abs(x[i] - x0) <= 2.0 * span)
-        stepping[i] = inside[i] & ~done
-
-    i = np.flatnonzero(inside)
-    dx, dz, e = _xz_newton_step(layout, x[i], z[i])
-    converged = np.hypot(dx, dz) <= 1e-9 * z[i]
-    candidates = [(float(ek), float(xk), float(zk))
-                  for ek, xk, zk in zip(e[converged], x[i][converged], z[i][converged])]
+    x, z, e = _damped_newton(layout, _null_step, np.full(z.shape, _search_frame(layout)[0]), z)
+    candidates = [(float(ek), float(xk), float(zk)) for ek, xk, zk in zip(e, x, z)]
     if not candidates:
         raise NoTrapError("no interior RF null found from any start height")
     _, x_null, z_null = min(candidates)
@@ -331,36 +401,73 @@ class TrapSolution:
         return not self.unstable_axes
 
 
-def _trap_depth_ev(layout, species, null, height, n_rays: int = 64,
-                   n_samples: int = 400, reach: float = 30.0) -> float:
-    """Lowest escape barrier of the pseudopotential along transverse rays, in eV.
+def _saddle_step(rf, volts, pts):
+    """Newton steps toward grad psi = 0 in the x-z plane at the points, and
+    |E|^2 there, or inf where the 2x2 Hessian of psi does not have exactly one
+    negative eigenvalue.
 
-    Marches each ray in the x-z plane outward to ``reach`` heights; a ray whose
-    maximum sits at the end of its range (still climbing, e.g. toward the chip
-    plane) offers no escape path and is skipped.  The points of all rays go
-    through the field kernel in chunks of ``_DEPTH_CHUNK``.
+    With psi proportional to |E|^2 and J the field Jacobian, grad psi is
+    proportional to J^T E and the Hessian to J^T J + sum_i E_i grad(J_i), in
+    closed form from the kernel's third derivatives; the common factor
+    q^2 / (2 m Omega^2) cancels from the step.
     """
-    psi0 = pseudopotential(layout, species, null)
-    s = np.geomspace(1e-2 * height, reach * height, n_samples)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
+    e, jac, d3 = _grad_hess(rf, volts, pts, order=3)
+    jxz = jac[:, :, ::2]
+    g = np.einsum("ni,nij->nj", e, jxz)
+    h = np.einsum("nij,nik->njk", jxz, jxz) + np.einsum("ni,nijk->njk", e, d3[:, :, ::2, ::2])
+    hxx, hxz, hzz = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    det = hxx * hzz - hxz * hxz
+    return ((hxz * g[:, 1] - hzz * g[:, 0]) / det, (hxz * g[:, 0] - hxx * g[:, 1]) / det,
+            np.where(det < 0.0, np.einsum("ij,ij->i", e, e), np.inf))
+
+
+def _escape_saddle(layout, null, height):
+    """The lowest index-1 saddle of psi in the x-z plane through the null, as
+    (point, |E|^2 there), or None when no transverse ray escapes.
+
+    A coarse scan samples ``_SCAN_RAYS`` rays from the null out to 30
+    heights; a ray whose maximum sits at the end of its range (still climbing,
+    e.g. toward the chip plane) offers no escape path.  Over the ray angle the
+    escape rays' maxima form valleys, one per saddle they pass near; the
+    maximum sample of the lowest ray of each of the ``_SADDLE_STARTS`` lowest
+    valleys starts damped Newton on grad psi = 0 (``_damped_newton``, as for
+    the null).  A converged point counts only where the Hessian of psi has
+    exactly one negative eigenvalue; escape rays with no such saddle raise
+    ``NoTrapError``, so the depth is never a sampled value.
+    """
+    s = np.geomspace(1e-2 * height, 30.0 * height, _SCAN_SAMPLES)
+    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False)
     px = null[0] + np.cos(theta)[:, None] * s
     pz = null[2] + np.sin(theta)[:, None] * s
     ok = pz > 10.0 * _MIN_Z  # per ray a prefix: pz is monotonic along a ray
     pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    e2 = np.empty(len(pts))
-    for k in range(0, len(pts), _DEPTH_CHUNK):
-        e, _ = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts[k:k + _DEPTH_CHUNK],
-                          hessian=False)
-        e2[k:k + _DEPTH_CHUNK] = np.einsum("ij,ij->i", e, e)
-    psi = np.full(px.shape, -np.inf)
-    psi[ok] = species.charge_c**2 * e2 / (4.0 * species.mass_kg * layout.rf_omega**2)
+    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts, order=1)
+    e2 = np.full(px.shape, -np.inf)
+    e2[ok] = np.einsum("ij,ij->i", e, e)
     n_ok = ok.sum(axis=1)
-    imax = np.argmax(psi, axis=1)
+    imax = np.argmax(e2, axis=1)
     escape = (n_ok >= 4) & (imax < n_ok - 1)
     if not escape.any():
+        return None
+    barrier = np.where(escape, e2[np.arange(_SCAN_RAYS), imax], np.inf)
+    valley = np.flatnonzero((barrier < np.roll(barrier, 1)) & (barrier <= np.roll(barrier, -1)))
+    rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
+    x, z, e2_end = _damped_newton(layout, _saddle_step, px[rays, imax[rays]],
+                                  pz[rays, imax[rays]])
+    if not np.isfinite(e2_end).any():
+        raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
+    k = np.argmin(e2_end)
+    return np.array([x[k], layout.axial_center, z[k]]), float(e2_end[k])
+
+
+def _trap_depth_ev(layout, species, null, height) -> float:
+    """psi at the escape saddle minus psi at the null, in eV; inf when no
+    transverse ray escapes (see ``_escape_saddle``)."""
+    saddle = _escape_saddle(layout, null, height)
+    if saddle is None:
         return math.inf
-    best = float(np.min(psi[escape, imax[escape]])) - psi0
-    return best / CONSTANTS.elementary_charge
+    psi = species.charge_c**2 * saddle[1] / (4.0 * species.mass_kg * layout.rf_omega**2)
+    return (psi - pseudopotential(layout, species, null)) / CONSTANTS.elementary_charge
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
@@ -372,8 +479,13 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     RF field; the DC strips add q * sum_k V_k Hess(phi_k).  A negative
     eigenvalue of the total Hessian marks the axis unstable (frequency
     reported as 0) rather than raising.  The Mathieu q of each axis comes
-    from the eigenvalues of H_rf.  A DC index that names no DC strip of the
-    layout raises DomainError.
+    from the eigenvalues of H_rf.  The depth, in eV, is the RF pseudopotential
+    at its escape saddle minus its value at the null: the saddle is the
+    lowest index-1 saddle of psi in the x-z plane, found by Newton with the
+    exact gradient and Hessian of psi (see ``_escape_saddle``); it is inf when
+    no transverse ray from the null escapes.  The DC strips do not enter the
+    depth.  A DC index that names no DC strip of the layout raises
+    DomainError.
     """
     dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
     sol = find_rf_null(layout, species)

@@ -126,13 +126,18 @@ def resolve_unit(symbol: str) -> tuple[Dims, float]:
 
 
 def parse_quantity(text: str) -> Quantity:
-    """Parse "20mm", "50 Hz", "5.96e7", "-58dB", "39GHz/T" ... into a Quantity."""
+    """Parse "20mm", "50 Hz", "5.96e7", "-58dB", "39GHz/T" ... into a Quantity.
+
+    A value that overflows to infinity, such as "1e999Hz", is a ``UnitError``.
+    """
     m = _NUMBER_RE.match(str(text))
     if not m:
         raise UnitError(f"cannot parse quantity from {text!r}")
-    value = float(m.group(1))
     dims, scale = resolve_unit(m.group(2))
-    return Quantity(value * scale, dims)
+    value = float(m.group(1)) * scale
+    if not math.isfinite(value):
+        raise UnitError(f"{str(text).strip()!r} is beyond the float range")
+    return Quantity(value, dims)
 
 
 def parse_si(text: str, dims: Dims, what: str, unit_label: str) -> float:

@@ -99,6 +99,15 @@ def test_dimensionless_or_wrong_unit_is_usage_error_naming_the_flag(capsys, argv
     assert err.startswith(f"error: {flag}: expected a quantity in ")
 
 
+@pytest.mark.parametrize("value", ["1e999Hz", "1e999", "1e306GHz"])
+def test_overflowing_value_is_usage_error_naming_the_flag(capsys, value):
+    code, out, err = run(capsys, "shield", "skin-depth", "--freq", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --freq: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_unknown_unit_names_the_flag(capsys):
     code, _, err = run(capsys, "shield", "skin-depth", "--freq", "50xyz")
     assert code == 2
@@ -181,8 +190,10 @@ def test_unreadable_layout_is_data_error(capsys, tmp_path, text):
 @pytest.mark.parametrize("line,value", [("rf_voltage = 120V", "100%"),
                                         ("rf_voltage = 120V", "100xyz"),
                                         ("rf_frequency = 49.9MHz", "49.9mm"),
-                                        ("x_min = -55.2um", "5V")],
-                         ids=["percent", "unknown_unit", "wrong_dimension", "strip_extent"])
+                                        ("x_min = -55.2um", "5V"),
+                                        ("rf_voltage = 120V", "1e999V")],
+                         ids=["percent", "unknown_unit", "wrong_dimension", "strip_extent",
+                              "overflow"])
 def test_bad_layout_unit_is_data_error_naming_the_key(capsys, tmp_path, line, value):
     text = (DEMO / "trap_layout.cfg").read_text()
     key = line.split(" = ")[0]
@@ -264,7 +275,7 @@ def test_trap_spectrum_demo_layout(capsys):
     assert code == 0
     assert "3.15 MHz, 3.15 MHz" in out
     assert "0.1786" in out
-    assert "trap depth = 0.0403578903912 eV" in out
+    assert "trap depth = 0.0403579560127 eV" in out
 
 
 def test_trap_spectrum_dc_splits_radials(capsys):

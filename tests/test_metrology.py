@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryoion.errors import ClippingError, DomainError, InsufficientDataError
 from cryoion.fitting import lorentzian_model
@@ -68,6 +70,21 @@ def test_allan_accepts_equivalent_phase_record():
     _, s1 = allan_deviation(from_freq, taus)
     _, s2 = allan_deviation(from_phase, taus)
     assert np.array_equal(s1, s2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(1e-3, 1e3), negate=st.booleans(),
+       kind=st.sampled_from([KIND_FRACTIONAL, KIND_PHASE]), n=st.integers(20, 400),
+       seed=st.integers(0, 2**16))
+def test_allan_scales_with_the_record(c, negate, kind, n, seed):
+    # sigma_y(c y) = |c| sigma_y(y), for frequency and phase records alike
+    c = -c if negate else c
+    dt = 0.25
+    y = 1e-14 * seeded_rng(seed).standard_normal(n)
+    taus = dt * np.arange(1, (n - 1) // 2 + 1, max(1, n // 10))
+    _, base = allan_deviation(FrequencyRecord(kind, TimeSeries(0.0, dt, y)), taus)
+    _, scaled = allan_deviation(FrequencyRecord(kind, TimeSeries(0.0, dt, c * y)), taus)
+    assert np.allclose(scaled, abs(c) * base, rtol=1e-12, atol=0.0)
 
 
 def test_allan_tau_validation():

@@ -1,10 +1,14 @@
 """Gapless-plane trap electrostatics: potentials, RF null, secular motion."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from cryoion import trap
 from cryoion.errors import ConfigError, DomainError, NoTrapError
 from cryoion.trap import (
     CA40,
@@ -17,6 +21,7 @@ from cryoion.trap import (
     Strip,
     dc_potential,
     find_rf_null,
+    _escape_saddle,
     _grad_hess,
     five_wire_layout,
     load_layout,
@@ -89,6 +94,17 @@ def mp_hess(strips, point):
                 H[i, j] = float(mp.diff(lambda *c: mp_phi(strips, *c), p, tuple(order))
                                 * _UM**2)
         return H
+
+
+def mp_third(strips, point):
+    """Third derivatives of phi in 1/m^3 by mpmath.diff of the arctangent sum at 30 digits."""
+    with mp.workdps(30):
+        p = [mp.mpf(float(c)) * _UM for c in point]
+        T = np.empty((3, 3, 3))
+        for ijk in itertools.product(range(3), repeat=3):
+            order = tuple(ijk.count(axis) for axis in range(3))
+            T[ijk] = float(mp.diff(lambda *c: mp_phi(strips, *c), p, order) * _UM**3)
+        return T
 
 
 def mp_psi(layout, species, x, y, z):
@@ -208,10 +224,11 @@ def test_kernel_derivatives_match_mpmath():
                       ROLE_RF)
         pts = np.column_stack([rng.uniform(-300e-6, 300e-6, 3), rng.uniform(-300e-6, 300e-6, 3),
                                rng.uniform(5e-6, 300e-6, 3)])
-        grad, hess = _grad_hess([strip], 1.0, pts)
-        for p, g, h in zip(pts, grad, hess):
+        grad, hess, third = _grad_hess([strip], 1.0, pts, order=3)
+        for p, g, h, t in zip(pts, grad, hess, third):
             assert np.allclose(g, mp_grad([strip], p), rtol=1e-10, atol=0.0)
             assert np.allclose(h, mp_hess([strip], p), rtol=1e-10, atol=0.0)
+            assert np.allclose(t, mp_third([strip], p), rtol=1e-10, atol=0.0)
 
 
 def test_analytic_hessians_are_traceless(five_wire):
@@ -254,6 +271,83 @@ def test_conformal_scaling_of_potential():
                       rng.uniform(20e-6, 200e-6)])
         assert rect_potential(doubled, 2.0 * p) == pytest.approx(
             rect_potential(strip, p), rel=1e-12)
+
+
+@st.composite
+def strips_and_points(draw, n_points=3):
+    """A rectangle and points above the plane, drawn in micrometres, in SI."""
+    x0, y0 = draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))
+    w, length = draw(st.floats(5.0, 150.0)), draw(st.floats(5.0, 3000.0))
+    strip = Strip(x0 * 1e-6, (x0 + w) * 1e-6, y0 * 1e-6, (y0 + length) * 1e-6, ROLE_RF)
+    pts = [(draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0)),
+            draw(st.floats(5.0, 300.0))) for _ in range(n_points)]
+    return strip, np.array(pts) * 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(strips_and_points())
+def test_kernel_derivatives_are_harmonic_and_consistent(case):
+    # harmonicity: a traceless Hessian and sum_i d_iik phi = 0 for every k; the
+    # third derivatives are symmetric and are the central differences of the
+    # Hessian, which checks the entries the kernel fills from the identities
+    strip, pts = case
+    _, hess, third = _grad_hess([strip], 1.0, pts, order=3)
+    for p, h, t in zip(pts, hess, third):
+        assert abs(np.trace(h)) <= 1e-12 * np.linalg.norm(h)
+        assert np.all(np.abs(np.einsum("iik->k", t)) <= 1e-12 * np.linalg.norm(t))
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(t, t.transpose(perm))
+
+        def central(step):
+            d = np.empty((3, 3, 3))
+            for k in range(3):
+                dp = np.zeros(3)
+                dp[k] = step
+                _, hi = _grad_hess([strip], 1.0, p + dp)
+                _, lo = _grad_hess([strip], 1.0, p - dp)
+                d[:, :, k] = (hi[0] - lo[0]) / (2.0 * step)
+            return d
+
+        h = 1e-2 * p[2]
+        fd = (4.0 * central(0.5 * h) - central(h)) / 3.0  # Richardson refined
+        assert np.allclose(t, fd, rtol=0.0, atol=1e-6 * np.linalg.norm(t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(strips_and_points(), st.floats(0.05, 0.95), st.booleans())
+def test_abutting_strips_equal_their_union(case, cut, along_x):
+    strip, pts = case
+    if along_x:
+        mid = strip.x_min + cut * (strip.x_max - strip.x_min)
+        parts = [Strip(strip.x_min, mid, strip.y_min, strip.y_max, ROLE_RF),
+                 Strip(mid, strip.x_max, strip.y_min, strip.y_max, ROLE_RF)]
+    else:
+        mid = strip.y_min + cut * (strip.y_max - strip.y_min)
+        parts = [Strip(strip.x_min, strip.x_max, strip.y_min, mid, ROLE_RF),
+                 Strip(strip.x_min, strip.x_max, mid, strip.y_max, ROLE_RF)]
+    whole = _grad_hess([strip], 1.0, pts, order=3)
+    split = _grad_hess(parts, 1.0, pts, order=3)
+    for n, (a, b) in enumerate(zip(split, whole), start=1):
+        # the halves carry the shared edge's corner terms with opposite
+        # signs; an n-th derivative corner term is of order z^-n
+        err = np.abs(a - b).reshape(len(pts), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * pts[:, 2] ** -n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(strips_and_points(), st.floats(0.1, 10.0))
+def test_kernel_derivatives_scale_conformally(case, lam):
+    # phi(lam * layout, lam * r) = phi(layout, r), so the n-th derivatives
+    # scale as lam^-n
+    strip, pts = case
+    scaled = Strip(lam * strip.x_min, lam * strip.x_max, lam * strip.y_min, lam * strip.y_max,
+                   ROLE_RF)
+    base = _grad_hess([strip], 1.0, pts, order=3)
+    big = _grad_hess([scaled], 1.0, lam * pts, order=3)
+    for n, (b, d) in enumerate(zip(base, big), start=1):
+        # rounding is set by the corner terms, of order z^-n (see above)
+        err = np.abs(d * lam**n - b).reshape(len(pts), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * pts[:, 2] ** -n)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +542,120 @@ def test_unknown_dc_index_raises(five_wire):
 
 
 def test_trap_depth_matches_mpmath_barrier(five_wire, solved):
-    # the symmetric trap's lowest escape is straight up; its barrier sample
-    # on that ray, with psi from the mpmath field, gives the depth
+    # the symmetric trap's escape saddle lies on the vertical through the
+    # null: mpmath finds the root of d(psi)/dz there at 30 digits, started
+    # from the highest of a coarse sample of the public pseudopotential
     layout, _ = five_wire
     null, h = solved.null_position, solved.height
-    s = np.geomspace(1e-2 * h, 30.0 * h, 400)
-    psi = [pseudopotential(layout, CA40, (null[0], null[1], null[2] + si)) for si in s]
-    top = null + [0.0, 0.0, s[int(np.argmax(psi))]]
+    s = np.geomspace(1e-2 * h, 30.0 * h, 64)
+    psi = [pseudopotential(layout, CA40, null + [0.0, 0.0, si]) for si in s]
+    z_top = null[2] + s[int(np.argmax(psi))]
+
+    def phi(*c):
+        return mp_phi(layout.rf_strips, *c)
+
     with mp.workdps(30):
-        barrier = [mp_psi(layout, CA40, *(mp.mpf(float(c)) * _UM for c in p)) for p in (top, null)]
-        oracle = float((barrier[0] - barrier[1]) / mp.mpf(CONSTANTS.elementary_charge))
+        x, y, z0 = (mp.mpf(float(c)) * _UM for c in null)
+
+        def dpsi_dz(z):  # proportional to sum_i d_i(phi) d_i d_z(phi)
+            return sum(mp.diff(phi, (x, y, z), o) * mp.diff(phi, (x, y, z), (o[0], o[1], o[2] + 1))
+                       for o in _FIRST)
+
+        z_saddle = mp.findroot(dpsi_dz, mp.mpf(float(z_top)) * _UM)
+        barrier = mp_psi(layout, CA40, x, y, z_saddle) - mp_psi(layout, CA40, x, y, z0)
+        oracle = float(barrier / mp.mpf(CONSTANTS.elementary_charge))
     assert solved.trap_depth_ev == pytest.approx(oracle, rel=1e-11)
+
+
+def test_asymmetric_trap_depth_is_its_escape_saddle():
+    # rails of unequal width tilt the escape saddle off the vertical and
+    # between the scan's rays; a ray march puts the barrier at 0.0579519 eV
+    # with 64 rays and at 0.0578887 eV with 1024
+    layout = ElectrodeLayout(strips=(Strip(-55e-6, 55e-6, -3e-3, 3e-3, ROLE_CENTER),
+                                     Strip(55e-6, 115e-6, -3e-3, 3e-3, ROLE_RF),
+                                     Strip(-195e-6, -55e-6, -3e-3, 3e-3, ROLE_RF)),
+                             rf_voltage=120.0, rf_omega=RF_OMEGA)
+    sol = secular_spectrum(layout, CA40)
+    assert 0.0 < sol.trap_depth_ev <= 0.0578887
+    saddle, _ = _escape_saddle(layout, sol.null_position, sol.height)
+    assert abs(saddle[0] - sol.null_position[0]) > 1e-6  # off the vertical
+
+    def phi(*c):
+        return mp_phi(layout.rf_strips, *c)
+
+    # grad psi, proportional to sum_i d_i(phi) d_i d_j(phi), vanishes in x and z
+    with mp.workdps(30):
+        p = [mp.mpf(float(c)) * _UM for c in saddle]
+        g = [mp.diff(phi, p, o) for o in _FIRST]
+        for j in (0, 2):
+            terms = [g[i] * mp.diff(phi, p, tuple(a + b for a, b in zip(_FIRST[i], _FIRST[j])))
+                     for i in range(3)]
+            assert abs(sum(terms)) <= 1e-10 * sum(abs(t) for t in terms)
+        null = [mp.mpf(float(c)) * _UM for c in sol.null_position]
+        barrier = mp_psi(layout, CA40, *p) - mp_psi(layout, CA40, *null)
+        oracle = float(barrier / mp.mpf(CONSTANTS.elementary_charge))
+    assert sol.trap_depth_ev == pytest.approx(oracle, rel=1e-10)
+
+
+def test_escape_rays_without_a_saddle_raise(monkeypatch, five_wire):
+    # the depth is never a sampled value: when no Newton start reaches a
+    # saddle, rays that escape leave the depth undefined
+    layout, _ = five_wire
+    monkeypatch.setattr(trap, "_SADDLE_STARTS", 0)
+    with pytest.raises(NoTrapError, match="no escape saddle"):
+        secular_spectrum(layout, CA40)
+
+
+def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000):
+    """Lowest escape-ray barrier of psi above the null, in eV, by a dense march.
+
+    Each transverse ray is sampled at ``n_samples`` distances out to 30
+    heights; a ray whose highest sample is its last one does not escape.  The
+    maximum of each escape ray is then polished by golden-section search
+    between the samples beside it, so that every ray barrier is exact and, as
+    the top of an escape path, no lower than the escape saddle.
+    """
+    rf, volts = layout.rf_strips, -layout.rf_voltage
+    s = np.geomspace(1e-2 * height, 30.0 * height, n_samples)
+
+    def e2(theta, dist):
+        pts = np.column_stack([null[0] + np.cos(theta) * dist, np.full(dist.size, null[1]),
+                               null[2] + np.sin(theta) * dist])
+        (e,) = _grad_hess(rf, volts, pts, order=1)
+        return np.einsum("ij,ij->i", e, e)
+
+    theta, lo, hi = [], [], []
+    for th in np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False):
+        ray = s[null[2] + math.sin(th) * s > 1e-8]
+        k = int(np.argmax(e2(np.full(ray.size, th), ray)))
+        if 0 < k < ray.size - 1:
+            theta.append(th)
+            lo.append(ray[k - 1])
+            hi.append(ray[k + 1])
+    theta, lo, hi = np.array(theta), np.array(lo), np.array(hi)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        left = e2(theta, a) > e2(theta, b)
+        hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+    top = float(e2(theta, 0.5 * (lo + hi)).min())
+    psi = species.charge_c**2 * top / (4.0 * species.mass_kg * layout.rf_omega**2)
+    return (psi - pseudopotential(layout, species, null)) / CONSTANTS.elementary_charge
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=st.floats(20e-6, 150e-6), rail=st.floats(40e-6, 120e-6), gap=st.floats(5e-6, 15e-6),
+       volts=st.floats(50.0, 250.0), freq=st.floats(20e6, 60e6))
+def test_five_wire_depth_matches_dense_ray_march(g, rail, gap, volts, freq):
+    # the bench's design ranges; each polished ray barrier bounds the saddle
+    # from above, and the ray through it attains it
+    layout, _ = five_wire_layout(g, rail_width=rail, gap=gap, rf_voltage=volts,
+                                 rf_omega=2.0 * math.pi * freq)
+    sol = secular_spectrum(layout, CA40)
+    march = ray_march_depth(layout, CA40, sol.null_position, sol.height)
+    assert math.isfinite(sol.trap_depth_ev) and sol.trap_depth_ev > 0.0
+    assert sol.trap_depth_ev <= march * (1.0 + 1e-9)
+    assert sol.trap_depth_ev == pytest.approx(march, rel=1e-6)
 
 
 def test_axial_q_matches_mpmath_curvature(five_wire, solved):

@@ -110,7 +110,7 @@ def test_parse_si_rejects_a_unit_of_the_wrong_dimension(text, dims):
         parse_si(text, dims, "--what", "unit")
 
 
-@pytest.mark.parametrize("text", ["100xyz", "fifty", ""])
+@pytest.mark.parametrize("text", ["100xyz", "fifty", "", "1e999V", "1e306kV"])
 def test_parse_si_names_the_value_on_unparseable_text(text):
     with pytest.raises(UnitError, match=r"^\[trap\] rf_voltage: "):
         parse_si(text, VOLT, "[trap] rf_voltage", "V")
