@@ -20,12 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import coils, metrology, qubit, shielding, thermal, trap
 from .csvio import fmt, provenance_lines, read_table, read_timeseries, render_table, write_table
-from .errors import CryoionError, UnitError
-from .metrology import FrequencyRecord, ImageProfile, InterferometerCal
-from .qubit import DriveParams, PhononState
-from .series import TimeSeries
+from .errors import CryoionError, DomainError, UnitError
 from .units import (CONSTANTS, DIMENSIONLESS, HENRY, HERTZ, HZ_PER_TESLA, KELVIN,
                     LITER_PER_HOUR, METER, SECOND, SIEMENS_PER_METER, TESLA, VOLT,
                     format_si, parse_si)
@@ -98,11 +94,15 @@ def _maybe_write(args, columns, comments) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _conductor_from(args) -> shielding.ConductorSpec:
+def _conductor_from(args):
+    from . import shielding
+
     return shielding.ConductorSpec(sigma_293k=args.sigma, rrr=args.rrr, mu_r=args.mu_r)
 
 
 def cmd_shield_skin_depth(args) -> int:
+    from . import shielding
+
     delta = shielding.skin_depth(args.freq, _conductor_from(args), args.temp)
     _emit(args, [f"skin depth = {format_si(delta, 'm', 2)} ({fmt(delta)} m)"],
           {"skin_depth_m": delta})
@@ -110,6 +110,8 @@ def cmd_shield_skin_depth(args) -> int:
 
 
 def cmd_shield_attenuation(args) -> int:
+    from . import shielding
+
     layer = shielding.ShieldLayer(thickness=args.thickness, conductor=_conductor_from(args),
                                   temperature=args.temp)
     freq = args.freq
@@ -122,6 +124,8 @@ def cmd_shield_attenuation(args) -> int:
 
 
 def cmd_shield_fit(args) -> int:
+    from . import shielding
+
     table = read_table(args.infile, ["freq_hz", "atten_db"])
     curve = shielding.AttenuationCurve(freqs_hz=tuple(table["freq_hz"]),
                                        atten_db=tuple(table["atten_db"]),
@@ -142,6 +146,8 @@ def cmd_shield_fit(args) -> int:
 
 
 def cmd_shield_budget(args) -> int:
+    from . import shielding
+
     budget = shielding.field_noise_budget(sensitivity_hz_per_t=args.sensitivity,
                                           linewidth_hz=args.linewidth,
                                           quantization_field_t=args.field)
@@ -158,13 +164,17 @@ def cmd_shield_budget(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pair_from(args) -> coils.CoilPair:
+def _pair_from(args):
+    from . import coils
+
     separation = args.radius if args.separation is None else args.separation
     return coils.CoilPair(radius=args.radius, separation=separation,
                           turns=args.turns, current=args.current)
 
 
 def cmd_coil_field(args) -> int:
+    from . import coils
+
     pair = _pair_from(args)
     b = coils.coil_field(pair, (args.x, args.y, args.z))
     mag = float(np.linalg.norm(b))
@@ -175,6 +185,8 @@ def cmd_coil_field(args) -> int:
 
 
 def cmd_coil_homogeneity(args) -> int:
+    from . import coils
+
     pair = _pair_from(args)
     worst = coils.coil_homogeneity(pair, args.extent, args.samples)
     center = float(np.linalg.norm(coils.coil_field(pair, (0.0, 0.0, 0.0))))
@@ -191,6 +203,8 @@ def cmd_coil_homogeneity(args) -> int:
 
 
 def cmd_cryo_load(args) -> int:
+    from . import thermal
+
     k_table = None
     material = thermal.MATERIAL_SS316
     if args.k_table is not None:
@@ -214,6 +228,8 @@ def cmd_cryo_load(args) -> int:
 
 
 def cmd_cryo_boiloff(args) -> int:
+    from . import thermal
+
     coolant = {"helium": thermal.LIQUID_HELIUM, "nitrogen": thermal.LIQUID_NITROGEN}[args.coolant]
     rate_l_per_h = args.rate * 1000.0 * 3600.0  # args.rate is in m^3/s
     power = thermal.boiloff_power(rate_l_per_h, coolant)
@@ -229,6 +245,8 @@ def cmd_cryo_boiloff(args) -> int:
 
 
 def cmd_trap_solve(args) -> int:
+    from . import trap
+
     layout, species = trap.load_layout(args.layout)
     sol = trap.find_rf_null(layout, species)
     _emit(args, [f"rf null at x = {format_si(sol.null_position[0], 'm')}, "
@@ -248,6 +266,8 @@ def _dc_setting(text: str) -> tuple[int, float]:
 
 
 def cmd_trap_spectrum(args) -> int:
+    from . import trap
+
     layout, species = trap.load_layout(args.layout)
     voltages = dict(args.set or [])
     sol = trap.secular_spectrum(layout, species, dc_voltages=voltages or None)
@@ -266,6 +286,8 @@ def cmd_trap_spectrum(args) -> int:
 
 
 def cmd_trap_resonator(args) -> int:
+    from . import trap
+
     cap, freq = args.capacitance, args.freq
     if (cap is None) == (freq is None):
         raise UnitError("give exactly one of --capacitance or --freq")
@@ -281,6 +303,8 @@ def cmd_trap_resonator(args) -> int:
 
 
 def cmd_trap_spacing(args) -> int:
+    from . import trap
+
     species = trap.SPECIES[args.species]
     spacing = trap.two_ion_spacing(species, args.freq)
     _emit(args, [f"two-ion spacing = {format_si(spacing, 'm')} ({fmt(spacing)} m)"],
@@ -294,9 +318,12 @@ def cmd_trap_spacing(args) -> int:
 
 
 def cmd_qubit_rabi(args) -> int:
-    state = PhononState(nbar=args.nbar)
-    drive = DriveParams(rabi_frequency=2.0 * math.pi * args.rabi,
-                        lamb_dicke=args.eta)
+    from . import qubit
+
+    _check_count(args.points, "--points")
+    state = qubit.PhononState(nbar=args.nbar)
+    drive = qubit.DriveParams(rabi_frequency=2.0 * math.pi * args.rabi,
+                              lamb_dicke=args.eta)
     times = np.linspace(0.0, args.tmax, args.points)
     signal = qubit.carrier_rabi_signal(state, drive, times, model=args.model)
     comments = provenance_lines(__version__) + [
@@ -314,12 +341,16 @@ def cmd_qubit_rabi(args) -> int:
 
 
 def cmd_qubit_thermometry(args) -> int:
+    from . import qubit
+
     nbar = qubit.sideband_ratio_to_nbar(args.ratio)
     _emit(args, [f"nbar = {fmt(nbar)} (sideband ratio {fmt(args.ratio)})"], {"nbar": nbar})
     return 0
 
 
 def cmd_qubit_heating_fit(args) -> int:
+    from . import qubit
+
     table = read_table(args.infile, ["wait_s", "nbar"])
     res = qubit.heating_rate_fit(table["wait_s"], table["nbar"])
     rate, sig = res.params["rate"], res.sigma("rate")
@@ -332,6 +363,8 @@ def cmd_qubit_heating_fit(args) -> int:
 
 
 def cmd_qubit_ramsey_fit(args) -> int:
+    from . import qubit
+
     table = read_table(args.infile, ["wait_s", "contrast"])
     res = qubit.ramsey_contrast_fit(table["wait_s"], table["contrast"], shape=args.shape)
     _emit(args, [f"contrast 1/e time = {format_si(res.t_1e, 's')} ({fmt(res.t_1e)} s), "
@@ -343,6 +376,8 @@ def cmd_qubit_ramsey_fit(args) -> int:
 
 
 def cmd_qubit_waist_fit(args) -> int:
+    from . import qubit
+
     table = read_table(args.infile, ["position_m", "rabi_rad_s"])
     res = qubit.waist_from_rabi_scan(table["position_m"], table["rabi_rad_s"])
     _emit(args, [f"beam waist = {format_si(res.profile.waist, 'm')} "
@@ -355,6 +390,8 @@ def cmd_qubit_waist_fit(args) -> int:
 
 
 def cmd_qubit_optics(args) -> int:
+    from . import qubit
+
     eff = qubit.collection_efficiency(args.na)
     waist = qubit.diffraction_limited_waist(args.wavelength, args.na)
     _emit(args, [f"collection efficiency = {100.0 * eff:.2g} % ({fmt(eff)})",
@@ -378,11 +415,13 @@ def _default_taus(dt: float, n_phase: int) -> np.ndarray:
 
 
 def cmd_met_allan(args) -> int:
+    from . import metrology
+
     taus = None
     if args.taus is not None:
         taus = np.array([parse_si(tok, SECOND, "--taus", "s") for tok in args.taus.split(",")])
     series = read_timeseries(args.infile, "t_s", "y")
-    record = FrequencyRecord(kind=args.kind, series=series)
+    record = metrology.FrequencyRecord(kind=args.kind, series=series)
     if taus is None:
         taus = _default_taus(series.dt, record.phase_seconds().size)
     taus, sigmas = metrology.allan_deviation(record, taus)
@@ -396,6 +435,8 @@ def cmd_met_allan(args) -> int:
 
 
 def cmd_met_linewidth(args) -> int:
+    from . import metrology
+
     table = read_table(args.infile, ["freq_hz", "power"])
     res = metrology.lorentzian_linewidth_fit(table["freq_hz"], table["power"])
     _emit(args, [f"lorentzian fwhm = {fmt(res.fwhm_hz)} Hz "
@@ -408,10 +449,13 @@ def cmd_met_linewidth(args) -> int:
 
 
 def cmd_met_vib(args) -> int:
+    from . import metrology
+
+    _check_count(args.peaks, "--peaks")
     series = read_timeseries(args.infile, "t_s", "v")
-    cal = InterferometerCal(wavelength=args.wavelength,
-                            volts_per_fringe=args.volts_per_fringe,
-                            quadrature_offset=args.offset)
+    cal = metrology.InterferometerCal(wavelength=args.wavelength,
+                                      volts_per_fringe=args.volts_per_fringe,
+                                      quadrature_offset=args.offset)
     inv = metrology.fringe_to_displacement(series, cal)
     stats = metrology.excursion_stats(inv.displacement, args.window)
     freqs, psd = metrology.power_spectrum(inv.displacement, window=args.window_fn)
@@ -434,10 +478,12 @@ def cmd_met_vib(args) -> int:
 
 
 def cmd_met_image_fit(args) -> int:
+    from . import metrology
+
     table = read_table(args.infile, ["pixel", "counts"])
-    profile = ImageProfile(pixel_counts=table["counts"],
-                           pixel_pitch=args.pitch,
-                           magnification=args.magnification)
+    profile = metrology.ImageProfile(pixel_counts=table["counts"],
+                                     pixel_pitch=args.pitch,
+                                     magnification=args.magnification)
     res = metrology.gaussian_profile_fit(profile, axis=args.axis)
     _emit(args, [f"gaussian width = {format_si(res.width_m, 'm')} ({fmt(res.width_m)} m) "
                  f"at {format_si(res.center_m, 'm')}"
@@ -453,6 +499,8 @@ def cmd_met_image_fit(args) -> int:
 
 
 def cmd_report_table1(args) -> int:
+    from . import shielding
+
     table = read_table(args.measured, ["temperature_k", "measured_db", "extrapolated"])
     conductor = _conductor_from(args)
     freq = args.freq
@@ -487,58 +535,65 @@ def cmd_report_table1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a plain float flag; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _check_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise DomainError(f"{flag} must be a positive integer, got {value}")
+
+
+def _leaf(ops, name, func, help_text):
+    p = ops.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    return p
+
+
 def _add_conductor_flags(p) -> None:
     add_quantity_flag(p, "--sigma", SIEMENS_PER_METER, "S/m",
                       "room-temperature conductivity", default=5.96e7)
-    p.add_argument("--rrr", type=float, default=1.0,
+    p.add_argument("--rrr", type=_finite_float, default=1.0,
                    help="residual resistivity ratio (default 1)")
-    p.add_argument("--mu-r", type=float, default=1.0,
+    p.add_argument("--mu-r", type=_finite_float, default=1.0,
                    help="relative permeability (default 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cryoion",
-        description="Models and measurement pipelines for a cryogenic ion-trap apparatus.")
-    parser.add_argument("--version", action="version", version=f"cryoion {__version__}")
-    groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def leaf(group, name, func, help_text):
-        p = group.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    # shield ----------------------------------------------------------------
-    shield = groups.add_parser("shield", help="magnetic shielding").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(shield, "skin-depth", cmd_shield_skin_depth, "skin depth of a conductor")
+def _build_shield(ops) -> None:
+    p = _leaf(ops, "skin-depth", cmd_shield_skin_depth, "skin depth of a conductor")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "field frequency", required=True)
     add_quantity_flag(p, "--temp", KELVIN, "K", "wall temperature", default=293.0)
     _add_conductor_flags(p)
-    p = leaf(shield, "attenuation", cmd_shield_attenuation, "skin-effect wall attenuation")
+    p = _leaf(ops, "attenuation", cmd_shield_attenuation, "skin-effect wall attenuation")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "field frequency", required=True)
     add_quantity_flag(p, "--thickness", METER, "m", "wall thickness", required=True)
     add_quantity_flag(p, "--temp", KELVIN, "K", "wall temperature", default=293.0)
     _add_conductor_flags(p)
-    p = leaf(shield, "fit", cmd_shield_fit, "classify a measured attenuation curve")
+    p = _leaf(ops, "fit", cmd_shield_fit, "classify a measured attenuation curve")
     p.add_argument("--in", dest="infile", required=True, help="CSV with freq_hz,atten_db")
     add_quantity_flag(p, "--floor", DIMENSIONLESS, "dB", "sensor floor", default=-58.0)
     add_quantity_flag(p, "--extrapolate-to", HERTZ, "Hz", "extrapolation frequency",
                       default=50.0)
-    p = leaf(shield, "budget", cmd_shield_budget, "field-noise budget for a transition")
+    p = _leaf(ops, "budget", cmd_shield_budget, "field-noise budget for a transition")
     add_quantity_flag(p, "--linewidth", HERTZ, "Hz", "transition linewidth", required=True)
     add_quantity_flag(p, "--sensitivity", HZ_PER_TESLA, "Hz/T", "field sensitivity",
                       required=True)
     add_quantity_flag(p, "--field", TESLA, "T", "quantization bias field", required=True)
 
-    # coil ------------------------------------------------------------------
-    coil = groups.add_parser("coil", help="bias-field coils").add_subparsers(
-        dest="op", required=True, metavar="OP")
+
+def _build_coil(ops) -> None:
     for name, func, help_text in (("field", cmd_coil_field, "field of a coaxial pair"),
                                   ("homogeneity", cmd_coil_homogeneity,
                                    "axial field homogeneity")):
-        p = leaf(coil, name, func, help_text)
+        p = _leaf(ops, name, func, help_text)
         add_quantity_flag(p, "--radius", METER, "m", "loop radius", required=True)
         add_quantity_flag(p, "--separation", METER, "m",
                           "loop separation (default: radius, Helmholtz)")
@@ -554,10 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=201,
                            help="axial sample count (default 201)")
 
-    # cryo ------------------------------------------------------------------
-    cryo = groups.add_parser("cryo", help="cryogenic heat budget").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(cryo, "load", cmd_cryo_load, "conduction load of the trap mount")
+
+def _build_cryo(ops) -> None:
+    p = _leaf(ops, "load", cmd_cryo_load, "conduction load of the trap mount")
     add_quantity_flag(p, "--diameter", METER, "m", "tube diameter",
                       default=DEFAULT_MOUNT["diameter"])
     add_quantity_flag(p, "--wall", METER, "m", "tube wall thickness",
@@ -568,69 +622,72 @@ def build_parser() -> argparse.ArgumentParser:
     add_quantity_flag(p, "--t-hot", KELVIN, "K", "hot end", default=DEFAULT_MOUNT["t_hot"])
     p.add_argument("--k-table", default=None,
                    help="CSV temperature_k,k_w_per_m_k overriding the SS316 fit")
-    p = leaf(cryo, "boiloff", cmd_cryo_boiloff, "heat load from cryogen consumption")
+    p = _leaf(ops, "boiloff", cmd_cryo_boiloff, "heat load from cryogen consumption")
     add_quantity_flag(p, "--rate", LITER_PER_HOUR, "l/h", "boil-off rate", required=True)
     p.add_argument("--coolant", choices=("helium", "nitrogen"), default="helium")
 
-    # trap ------------------------------------------------------------------
-    trap_g = groups.add_parser("trap", help="surface trap electrostatics").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(trap_g, "solve", cmd_trap_solve, "locate the RF null")
+
+def _build_trap(ops) -> None:
+    from . import trap
+
+    p = _leaf(ops, "solve", cmd_trap_solve, "locate the RF null")
     p.add_argument("--layout", required=True, help="INI layout file")
-    p = leaf(trap_g, "spectrum", cmd_trap_spectrum, "secular frequencies and depth")
+    p = _leaf(ops, "spectrum", cmd_trap_spectrum, "secular frequencies and depth")
     p.add_argument("--layout", required=True, help="INI layout file")
     p.add_argument("--set", action="append", type=_dc_setting, metavar="IDX=VOLTS",
                    help="DC electrode voltage, repeatable")
-    p = leaf(trap_g, "resonator", cmd_trap_resonator, "LC resonator arithmetic")
+    p = _leaf(ops, "resonator", cmd_trap_resonator, "LC resonator arithmetic")
     add_quantity_flag(p, "--inductance", HENRY, "H", "coil inductance", required=True)
     add_quantity_flag(p, "--capacitance", (-2, -1, 4, 2, 0), "F", "load capacitance")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "resonance frequency")
-    p = leaf(trap_g, "spacing", cmd_trap_spacing, "two-ion equilibrium spacing")
+    p = _leaf(ops, "spacing", cmd_trap_spacing, "two-ion equilibrium spacing")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "axial secular frequency", required=True)
     p.add_argument("--species", choices=sorted(trap.SPECIES), default="Ca40")
 
-    # qubit -----------------------------------------------------------------
-    qubit_g = groups.add_parser("qubit", help="qubit dynamics and fits").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(qubit_g, "rabi", cmd_qubit_rabi, "thermal carrier flopping curve")
-    p.add_argument("--nbar", type=float, required=True, help="mean phonon occupation")
+
+def _build_qubit(ops) -> None:
+    from . import qubit
+
+    p = _leaf(ops, "rabi", cmd_qubit_rabi, "thermal carrier flopping curve")
+    p.add_argument("--nbar", type=_finite_float, required=True, help="mean phonon occupation")
     add_quantity_flag(p, "--rabi", HERTZ, "Hz", "carrier Rabi frequency Omega/2pi",
                       required=True)
-    p.add_argument("--eta", type=float, default=0.0, help="Lamb-Dicke parameter")
+    p.add_argument("--eta", type=_finite_float, default=0.0, help="Lamb-Dicke parameter")
     add_quantity_flag(p, "--tmax", SECOND, "s", "trace length", required=True)
     p.add_argument("--points", type=int, default=500, help="samples (default 500)")
     p.add_argument("--model", choices=(qubit.RABI_LINEAR, qubit.RABI_LAGUERRE),
                    default=qubit.RABI_LINEAR)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p = leaf(qubit_g, "thermometry", cmd_qubit_thermometry, "sideband-ratio thermometry")
-    p.add_argument("--ratio", type=float, required=True, help="red/blue sideband ratio")
-    p = leaf(qubit_g, "heating-fit", cmd_qubit_heating_fit, "linear heating-rate fit")
+    p = _leaf(ops, "thermometry", cmd_qubit_thermometry, "sideband-ratio thermometry")
+    p.add_argument("--ratio", type=_finite_float, required=True, help="red/blue sideband ratio")
+    p = _leaf(ops, "heating-fit", cmd_qubit_heating_fit, "linear heating-rate fit")
     p.add_argument("--in", dest="infile", required=True, help="CSV with wait_s,nbar")
-    p = leaf(qubit_g, "ramsey-fit", cmd_qubit_ramsey_fit, "Ramsey contrast decay fit")
+    p = _leaf(ops, "ramsey-fit", cmd_qubit_ramsey_fit, "Ramsey contrast decay fit")
     p.add_argument("--in", dest="infile", required=True, help="CSV with wait_s,contrast")
     p.add_argument("--shape", choices=(qubit.RAMSEY_GAUSSIAN, qubit.RAMSEY_EXPONENTIAL),
                    default=qubit.RAMSEY_GAUSSIAN)
-    p = leaf(qubit_g, "waist-fit", cmd_qubit_waist_fit, "addressing-beam waist fit")
+    p = _leaf(ops, "waist-fit", cmd_qubit_waist_fit, "addressing-beam waist fit")
     p.add_argument("--in", dest="infile", required=True,
                    help="CSV with position_m,rabi_rad_s")
-    p = leaf(qubit_g, "optics", cmd_qubit_optics, "collection and addressing budgets")
-    p.add_argument("--na", type=float, required=True, help="numerical aperture")
+    p = _leaf(ops, "optics", cmd_qubit_optics, "collection and addressing budgets")
+    p.add_argument("--na", type=_finite_float, required=True, help="numerical aperture")
     add_quantity_flag(p, "--wavelength", METER, "m", "addressing wavelength",
                       default=CONSTANTS.wavelength_qubit_ca)
 
-    # met -------------------------------------------------------------------
-    met = groups.add_parser("met", help="metrology pipelines").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(met, "allan", cmd_met_allan, "overlapping Allan deviation")
+
+def _build_met(ops) -> None:
+    from . import metrology
+
+    p = _leaf(ops, "allan", cmd_met_allan, "overlapping Allan deviation")
     p.add_argument("--in", dest="infile", required=True, help="CSV with t_s,y")
     p.add_argument("--kind", choices=(metrology.KIND_FRACTIONAL, metrology.KIND_PHASE),
                    default=metrology.KIND_FRACTIONAL)
     p.add_argument("--taus", default=None,
                    help="comma list of averaging times (default: powers of two)")
     p.add_argument("--out", default=None, help="write tau_s,sigma_y CSV here")
-    p = leaf(met, "linewidth", cmd_met_linewidth, "Lorentzian beat-note linewidth")
+    p = _leaf(ops, "linewidth", cmd_met_linewidth, "Lorentzian beat-note linewidth")
     p.add_argument("--in", dest="infile", required=True, help="CSV with freq_hz,power")
-    p = leaf(met, "vib", cmd_met_vib, "fringe record to displacement, spectrum, peaks")
+    p = _leaf(ops, "vib", cmd_met_vib, "fringe record to displacement, spectrum, peaks")
     p.add_argument("--in", dest="infile", required=True, help="CSV with t_s,v")
     add_quantity_flag(p, "--wavelength", METER, "m", "interferometer wavelength",
                       default=633e-9)
@@ -642,18 +699,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks", type=int, default=3, help="number of peaks to report")
     add_quantity_flag(p, "--min-separation", HERTZ, "Hz", "peak separation", default=5.0)
     p.add_argument("--out", default=None, help="write freq_hz,psd CSV here")
-    p = leaf(met, "image-fit", cmd_met_image_fit, "ion-image Gaussian profile fit")
+    p = _leaf(ops, "image-fit", cmd_met_image_fit, "ion-image Gaussian profile fit")
     p.add_argument("--in", dest="infile", required=True, help="CSV with pixel,counts")
     add_quantity_flag(p, "--pitch", METER, "m", "camera pixel pitch", default=16e-6)
-    p.add_argument("--magnification", type=float, default=15.0)
+    p.add_argument("--magnification", type=_finite_float, default=15.0)
     p.add_argument("--axis", choices=(metrology.AXIS_ROW, metrology.AXIS_COLUMN),
                    default=metrology.AXIS_ROW)
 
-    # report ----------------------------------------------------------------
-    report = groups.add_parser("report", help="composite reports").add_subparsers(
-        dest="op", required=True, metavar="OP")
-    p = leaf(report, "table1", cmd_report_table1,
-             "measured vs modeled 50 Hz attenuation by shield temperature")
+
+def _build_report(ops) -> None:
+    p = _leaf(ops, "table1", cmd_report_table1,
+              "measured vs modeled 50 Hz attenuation by shield temperature")
     p.add_argument("--measured", required=True,
                    help="CSV with temperature_k,measured_db,extrapolated")
     add_quantity_flag(p, "--thickness", METER, "m", "wall thickness", default=20e-3)
@@ -661,11 +717,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_conductor_flags(p)
     p.add_argument("--out", default=None, help="write the table as CSV here")
 
+
+#: group -> (help text, builder of its subcommands)
+GROUPS = {
+    "shield": ("magnetic shielding", _build_shield),
+    "coil": ("bias-field coils", _build_coil),
+    "cryo": ("cryogenic heat budget", _build_cryo),
+    "trap": ("surface trap electrostatics", _build_trap),
+    "qubit": ("qubit dynamics and fits", _build_qubit),
+    "met": ("metrology pipelines", _build_met),
+    "report": ("composite reports", _build_report),
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The ``cryoion`` parser with every group registered.
+
+    Only ``group``'s subcommands are built, or every group's when ``group``
+    is None; top-level help and group errors read the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cryoion",
+        description="Models and measurement pipelines for a cryogenic ion-trap apparatus.")
+    parser.add_argument("--version", action="version", version=f"cryoion {__version__}")
+    groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
+    for name, (help_text, build) in GROUPS.items():
+        ops = groups.add_parser(name, help=help_text).add_subparsers(
+            dest="op", required=True, metavar="OP")
+        if group is None or group == name:
+            build(ops)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

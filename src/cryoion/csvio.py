@@ -8,7 +8,6 @@ of each input instead of timestamps.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
@@ -29,6 +28,8 @@ def fmt(value: float) -> str:
 
 
 def sha256_of(path) -> str:
+    import hashlib  # only calls that hash an input pay for the import
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):

@@ -267,7 +267,7 @@ class ImageProfile:
             raise DomainError("pixel_counts must be a non-empty 1-d or 2-d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("pixel counts must be finite")
-        if self.pixel_pitch <= 0 or self.magnification <= 0:
+        if not (self.pixel_pitch > 0 and self.magnification > 0):
             raise DomainError("pixel pitch and magnification must be positive")
         arr.flags.writeable = False
         object.__setattr__(self, "pixel_counts", arr)

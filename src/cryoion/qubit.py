@@ -92,7 +92,7 @@ class DriveParams:
     def __post_init__(self):
         if self.rabi_frequency < 0:
             raise DomainError("rabi_frequency must be >= 0")
-        if self.lamb_dicke < 0:
+        if not (self.lamb_dicke >= 0):
             raise DomainError("lamb_dicke must be >= 0")
 
     @property

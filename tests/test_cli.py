@@ -154,6 +154,56 @@ def test_resonator_needs_exactly_one_unknown(capsys):
     assert code == 2
 
 
+RABI = ["qubit", "rabi", "--nbar", "5", "--rabi", "100kHz", "--tmax", "50us"]
+IMAGE_FIT = ["met", "image-fit", "--in", str(DEMO / "ion_image.csv")]
+VIB = ["met", "vib", "--in", str(DEMO / "vibration_fringe.csv")]
+
+
+@pytest.mark.parametrize("argv", [
+    RABI + ["--eta", "nan"],
+    RABI + ["--eta", "inf"],
+    ["qubit", "rabi", "--rabi", "100kHz", "--tmax", "50us", "--nbar", "nan"],
+    ["qubit", "thermometry", "--ratio", "nan"],
+    ["qubit", "optics", "--na", "inf"],
+    IMAGE_FIT + ["--magnification", "nan"],
+    ["shield", "skin-depth", "--freq", "50Hz", "--rrr", "inf"],
+    ["report", "table1", "--measured", str(DEMO / "attenuation_50hz_measured.csv"),
+     "--mu-r", "nan"],
+], ids=["eta_nan", "eta_inf", "nbar", "ratio", "na", "magnification", "rrr", "mu_r"])
+def test_non_finite_plain_float_is_usage_error_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {argv[-2]}: must be finite, got '{argv[-1]}'\n" in err
+
+
+def test_malformed_plain_float_keeps_its_usage_message(capsys):
+    code, _, err = run(capsys, "shield", "skin-depth", "--freq", "50Hz", "--rrr", "abc")
+    assert code == 2
+    assert err.endswith("error: argument --rrr: invalid float value: 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    RABI + ["--points", "-3"],
+    RABI + ["--points", "0"],
+    VIB + ["--peaks", "0"],
+    VIB + ["--peaks", "-1"],
+    # the count is checked before the (missing) input file is opened
+    ["met", "vib", "--in", "/nonexistent/fringe.csv", "--peaks", "0"],
+], ids=["points_negative", "points_zero", "peaks_zero", "peaks_negative", "peaks_no_file"])
+def test_count_below_one_is_data_error_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[-2]} must be a positive integer, got {argv[-1]}\n"
+
+
+def test_count_below_one_writes_no_file(capsys, tmp_path):
+    out_csv = tmp_path / "rabi.csv"
+    assert run(capsys, *RABI, "--points", "0", "--out", str(out_csv))[0] == 1
+    assert not out_csv.exists()
+
+
 def test_domain_error_is_data_error(capsys):
     code, _, err = run(capsys, "qubit", "thermometry", "--ratio", "1.5")
     assert code == 1

@@ -349,3 +349,10 @@ def test_image_fit_guards():
     frame = ImageProfile(np.outer(make_profile(1.84e-6).pixel_counts, np.ones(5)))
     with pytest.raises(DomainError):
         gaussian_profile_fit(frame, axis="diagonal")
+
+
+@pytest.mark.parametrize("pitch,mag", [(math.nan, 15.0), (16e-6, math.nan), (16e-6, 0.0),
+                                       (-16e-6, 15.0)])
+def test_image_profile_rejects_non_positive_or_nan_scale(pitch, mag):
+    with pytest.raises(DomainError, match="positive"):
+        ImageProfile(np.ones(8), pixel_pitch=pitch, magnification=mag)

@@ -324,3 +324,9 @@ def test_diffraction_limited_waist_values():
         diffraction_limited_waist(729e-9, 0.0)
     with pytest.raises(DomainError):
         diffraction_limited_waist(-729e-9, 0.23)
+
+
+@pytest.mark.parametrize("eta", [-0.1, math.nan])
+def test_drive_rejects_negative_or_nan_lamb_dicke(eta):
+    with pytest.raises(DomainError, match="lamb_dicke"):
+        DriveParams(1e5, eta)
