@@ -2,7 +2,8 @@
 
 Every numeric flag accepts a unit suffix ("--freq 50Hz", "--radius 19.5cm");
 the same unit can be given separately ("--freq 50 --freq-unit Hz"), and bare
-numbers are read as SI base units.  ``main`` turns every such flag into an SI
+numbers are read as SI base units; a negative value may follow its flag
+("--x -1cm").  ``main`` turns every such flag into an SI
 float before the handler runs.  Exit codes: 0 success, 1 computation or
 input-data error, 2 usage error (unknown flags, malformed units, or a unit of
 the wrong dimension, "%" and "dB" included).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -55,6 +57,29 @@ def add_quantity_flag(parser, flag: str, dims, unit_label: str, help_text: str,
     parser.add_argument(flag + "-unit", default=None, help=argparse.SUPPRESS)
     dest = flag.lstrip("-").replace("-", "_")
     parser.set_defaults(**{dest + "_spec": (dims, unit_label, default)})
+
+
+#: a token that starts like a negative number ("-1cm", "-0.1V", "-1e-3"): no
+#: option of this CLI starts with a digit, so such a token is always a value
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1cm`` into ``--flag=-1cm``.
+
+    argparse reads a token that starts with "-" and is not a plain number
+    as an option, so without this a negative unit-suffixed value after its
+    flag would be a usage error unless written with "=".
+    """
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if (last.startswith("--") and last != "--" and "=" not in last
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _resolve_quantity_flags(args) -> None:
@@ -167,6 +192,7 @@ def cmd_shield_budget(args) -> int:
 def _pair_from(args):
     from . import coils
 
+    _check_count(args.turns, "--turns")
     separation = args.radius if args.separation is None else args.separation
     return coils.CoilPair(radius=args.radius, separation=separation,
                           turns=args.turns, current=args.current)
@@ -750,7 +776,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
     try:
         args = parser.parse_args(argv)

@@ -5,9 +5,19 @@ this package shares one auditable engine:
 
 * central-difference Jacobian with per-parameter step h_i = max(1e-8, 1e-6*|theta_i|)
 * damping factor starts at 1e-3, *10 on a rejected step, /10 on an accepted one
+* each iteration takes one eigendecomposition S = V diag(L) V^T of the
+  column-scaled normal matrix S = N^-1 J^T J N^-1, N = sqrt(diag J^T J); every
+  damped trial of that iteration is then Marquardt's step
+  -(J^T J + lam diag J^T J)^-1 g = -(V/N) ((V/N)^T g / (L + lam))
 * converged when the relative cost decrease falls below 1e-10, the gradient
   norm falls below 1e-12, or no damped step can reduce the cost at all (the
   point is a minimum at working precision), within at most 200 iterations
+* stopped as degenerate (not converged) as soon as an iterate's N is zero or
+  non-finite or min(L) <= 1e-12 max(L): the data no longer constrain some
+  direction, the covariance there is infinite, and the fit is running off
+  toward a boundary at infinity (an amplitude and an offset cancelling, a
+  width shrinking to zero); this is the same test that makes the covariance
+  infinite, so a degenerate stop always reports infinite sigmas
 
 Models must broadcast over a parameter batch.  Each Jacobian costs one model
 call, ``model(x[:, None], batch)``, where ``batch`` has shape (p, 2p) and
@@ -39,6 +49,10 @@ REASON_GRAD_TOL = "grad_tol"
 REASON_COST_TOL = "cost_tol"
 REASON_DAMPING_EXHAUSTED = "damping_exhausted"
 REASON_MAX_ITER = "max_iter"
+REASON_DEGENERATE = "degenerate"
+
+#: the scaled normal matrix is degenerate when min(L) <= DEGENERATE_RATIO * max(L)
+DEGENERATE_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,8 @@ class FitResult:
     """Outcome of an lm_fit call. ``params`` maps name -> value in theta order.
 
     ``reason`` names the rule that stopped the fit (one of the ``REASON_*``
-    constants); ``converged`` is false only for ``max_iter``.  ``model_calls``
-    counts every model evaluation, one per Jacobian included.
+    constants); ``converged`` is false for ``max_iter`` and ``degenerate``.
+    ``model_calls`` counts every model evaluation, one per Jacobian included.
     """
 
     params: dict
@@ -103,20 +117,30 @@ def numeric_jacobian(
     return J
 
 
+def _scaled_eigh(A: np.ndarray):
+    """Eigendecomposition of the column-scaled normal matrix, or None if degenerate.
+
+    Returns (N, L, V) with N = sqrt(diag A) and N^-1 A N^-1 = V diag(L) V^T.
+    Scaling the columns first keeps widely different parameter magnitudes
+    from being mistaken for rank deficiency.  None means some direction is
+    unconstrained: N is zero or non-finite, or min(L) <= DEGENERATE_RATIO *
+    max(L).
+    """
+    N = np.sqrt(A.diagonal())
+    if not (np.all(np.isfinite(N)) and np.all(N > 0)):
+        return None
+    evals, evecs = np.linalg.eigh(A / N / N[:, None])
+    if not evals[0] > DEGENERATE_RATIO * evals[-1]:
+        return None
+    return N, evals, evecs
+
+
 def _covariance(J: np.ndarray, ssr: float, n: int, p: int, absolute_weights: bool) -> np.ndarray:
-    A = J.T @ J
-    # invert in column-scaled form so that widely different parameter
-    # magnitudes are not mistaken for rank deficiency
-    norms = np.sqrt(np.diag(A))
-    if not (np.all(np.isfinite(norms)) and np.all(norms > 0)):
+    scaled = _scaled_eigh(J.T @ J)
+    if scaled is None:
         return np.full((p, p), np.inf)
-    scale = 1.0 / norms
-    scaled = A * np.outer(scale, scale)
-    evals, evecs = np.linalg.eigh(scaled)
-    if evals[-1] <= 0 or evals[0] <= 1e-12 * evals[-1]:
-        # degenerate direction: the data do not constrain some parameter
-        return np.full((p, p), np.inf)
-    Ainv = ((evecs / evals) @ evecs.T) * np.outer(scale, scale)
+    N, evals, evecs = scaled
+    Ainv = ((evecs / evals) @ evecs.T) / N / N[:, None]
     if absolute_weights:
         return Ainv
     if n <= p:
@@ -192,33 +216,29 @@ def lm_fit(
     for iterations in range(1, max_iter + 1):
         J = numeric_jacobian(batch_residual, theta)
         g = J.T @ r
+        scaled = _scaled_eigh(J.T @ J)
+        if scaled is None:
+            reason = REASON_DEGENERATE
+            break
         if float(np.linalg.norm(g)) < GRAD_TOL:
             reason = REASON_GRAD_TOL
             break
-        A = J.T @ J
-        diag = A.diagonal().copy()
-        floor = 1e-12 * max(float(diag.max()), 1e-300)
-        diag[diag < floor] = floor
-        D = np.diag(diag)
-        descent = -g
+        N, evals, evecs = scaled
+        W = evecs / N[:, None]
+        Wg = W.T @ g
 
         accepted = False
         new_theta = new_r = None
         new_cost = cost
         for _ in range(60):
-            try:
-                step = np.linalg.solve(A + lam * D, descent)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                cand = theta + step
-                rc = residual(cand)
-                if np.isfinite(rc).all():
-                    cc = 0.5 * float(rc @ rc)
-                    if cc < cost:
-                        accepted = True
-                        new_theta, new_r, new_cost = cand, rc, cc
-                        break
+            cand = theta - W @ (Wg / (evals + lam))
+            rc = residual(cand)
+            if np.isfinite(rc).all():
+                cc = 0.5 * float(rc @ rc)
+                if cc < cost:
+                    accepted = True
+                    new_theta, new_r, new_cost = cand, rc, cc
+                    break
             lam *= 10.0
             if lam > 1e14:
                 break
@@ -243,8 +263,8 @@ def lm_fit(
         names = [f"theta{i}" for i in range(p)]
     params = {str(k): float(v) for k, v in zip(names, theta)}
     return FitResult(params=params, covariance=cov, residual_rms=rms,
-                     converged=reason != REASON_MAX_ITER, iterations=iterations,
-                     reason=reason, model_calls=model_calls)
+                     converged=reason not in (REASON_MAX_ITER, REASON_DEGENERATE),
+                     iterations=iterations, reason=reason, model_calls=model_calls)
 
 
 # ---------------------------------------------------------------------------

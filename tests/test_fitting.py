@@ -3,12 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from cryoion import qubit, shielding
 from cryoion.errors import DomainError, FitRankError, SingularModelError
 from cryoion.fitting import (
+    DEFAULT_MAX_ITER,
     REASON_COST_TOL,
     REASON_DAMPING_EXHAUSTED,
+    REASON_DEGENERATE,
     REASON_GRAD_TOL,
     REASON_MAX_ITER,
     exp_decay_model,
@@ -138,6 +141,26 @@ def test_degenerate_direction_gives_infinite_covariance():
 
     res = lm_fit(flat, np.arange(6.0), np.full(6, 2.0), [1.0, 1.0])
     assert np.all(np.isinf(res.covariance))
+    assert res.reason == REASON_DEGENERATE and not res.converged
+
+
+def test_no_signal_gaussian_run_off_stops_degenerate():
+    # flat Poisson counts: the best "Gaussian plus offset" is a broad cap whose
+    # amplitude grows without bound while the offset cancels it, so the fit
+    # runs off toward infinity; once the scaled normal matrix is numerically
+    # singular the engine stops instead of iterating on to max_iter
+    px = np.arange(40.0)
+    counts = seeded_rng(8).poisson(50.0, px.size).astype(float)
+    # the start guess of metrology.gaussian_profile_fit: half-maximum span
+    b0, a0 = counts.min(), counts.max() - counts.min()
+    above = np.nonzero(counts - b0 > 0.5 * a0)[0]
+    theta0 = [a0, float(np.argmax(counts)), (above[-1] - above[0]) / 2.355, b0]
+    res = lm_fit(gaussian_model, px, counts, theta0)
+    assert res.reason == REASON_DEGENERATE
+    assert not res.converged
+    assert np.all(np.isinf(res.covariance))
+    assert res.iterations < DEFAULT_MAX_ITER // 4
+    assert res.theta[0] > 0.0 > res.theta[3]
 
 
 def test_huge_parameter_scale_difference_is_not_degenerate():
@@ -361,6 +384,67 @@ def test_scaling_y_scales_gaussian_amplitude_and_offset(amplitude, offset, s, ne
     assert scaled.theta[3] == pytest.approx(s * b, abs=abs(s) * tol)
     assert scaled.theta[1] == pytest.approx(c, abs=1e-6 * abs(w))
     assert scaled.theta[2] == pytest.approx(w, rel=1e-6)
+
+
+def _line_jacobian(x, theta):
+    return np.column_stack([x, np.ones_like(x)])
+
+
+def _gaussian_jacobian(x, theta):
+    a, c, w, _ = theta
+    u = (x - c) / w
+    e = np.exp(-0.5 * u * u)
+    return np.column_stack([e, a * e * u / w, a * e * u * u / w, np.ones_like(x)])
+
+
+def _lorentzian_jacobian(x, theta):
+    a, c, g, _ = theta
+    hw = 0.5 * g
+    d = (x - c) ** 2 + hw**2
+    return np.column_stack([hw**2 / d, 2.0 * a * hw**2 * (x - c) / d**2,
+                            a * hw * (x - c) ** 2 / d**2, np.ones_like(x)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["line", "gaussian", "lorentzian"]),
+       amplitude=st.floats(0.5, 100.0), negate=st.booleans(), center=st.floats(-1.0, 1.0),
+       width=st.floats(0.0, 1.0), offset=_moderate,
+       start=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_well_posed_fits_match_scipy_least_squares(shape, amplitude, negate, center, width,
+                                                   offset, start, seed):
+    # well-posed: a peak well inside the scan, 1 % noise and a start within
+    # 20 % of the truth (a line starts at zero); the oracle is scipy's LM with
+    # an analytic Jacobian, started at the truth, at its tightest tolerances
+    noise = seeded_rng(seed).standard_normal
+    s = np.asarray(start)
+    if shape == "line":
+        model, jacobian = line_model, _line_jacobian
+        truth = np.array([amplitude * (-1.0 if negate else 1.0), offset])
+        x = np.linspace(0.0, 2.0, 15)
+        y = model(x, truth) + 0.1 * noise(x.size)
+        theta0 = np.zeros(2)
+        scale = np.full(2, 1.0 + np.abs(truth).sum())
+    else:
+        a = -amplitude if negate else amplitude
+        if shape == "gaussian":
+            model, jacobian = gaussian_model, _gaussian_jacobian
+            w = 0.3 + 1.2 * width
+            x = np.linspace(-3.0, 3.0, 41)
+        else:
+            model, jacobian = lorentzian_model, _lorentzian_jacobian
+            w = 0.5 + 2.5 * width
+            x = np.linspace(-6.0, 6.0, 61)
+        truth = np.array([a, center, w, offset])
+        y = model(x, truth) + 0.01 * amplitude * noise(x.size)
+        theta0 = truth + 0.2 * s * [a, w, w, amplitude]
+        scale = np.array([amplitude + abs(offset), w, w, amplitude + abs(offset)])
+    res = lm_fit(model, x, y, theta0)
+    oracle = least_squares(lambda th: model(x, th) - y, truth, jac=lambda th: jacobian(x, th),
+                           method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert res.reason != REASON_DEGENERATE
+    assert res.converged
+    assert np.all(np.abs(res.theta - oracle.x) <= 1e-7 * scale)
 
 
 def test_time_series_basics():
