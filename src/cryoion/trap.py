@@ -8,9 +8,11 @@ model.  Fields, Hessians and third derivatives are the closed-form
 derivatives of those arctangents (Wesenberg, PRA 78, 063410 (2008); House,
 PRA 78, 033402 (2008)), summed over all strips for a batch of points in one
 numpy kernel.  The RF null is found by damped Newton steps on E = 0 with the
-exact field Jacobian J.  There the pseudopotential
-psi = q^2 |E|^2 / (4 m Omega^2) has the exact Hessian q^2 J^T J / (2 m Omega^2);
-with the DC curvature added, its eigen-decomposition is the secular spectrum.
+exact field Jacobian J, from several starts, stopping at the first that
+converges.  There the pseudopotential psi = q^2 |E|^2 / (4 m Omega^2) has
+the exact Hessian q^2 J^T J / (2 m Omega^2); with the DC curvature added,
+its eigen-decomposition is the secular spectrum, and the Mathieu q of each
+axis follows from a singular value of J.
 The trap depth is psi at the escape saddle (the lowest index-1 saddle of psi
 in the x-z plane through the null) minus psi at the null.  The saddle is
 found by the same damped Newton on grad psi = 0, with the exact gradient and
@@ -75,6 +77,8 @@ class Strip:
     dc_index: int | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise DomainError("strip extents must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("strip extents must have positive width and length")
         if self.role not in (ROLE_RF, ROLE_DC, ROLE_CENTER):
@@ -133,19 +137,24 @@ def _rect_phi(strip: Strip, px, py, pz):
     return (corner(u2, v2) - corner(u1, v2) - corner(u2, v1) + corner(u1, v1)) / (2.0 * math.pi)
 
 
+def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
+    """(x, y, z) floats of a point where ``what`` is defined: finite, z > 0."""
+    x, y, z = (float(v) for v in point)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError(f"{what} is defined at finite points only, got {(x, y, z)}")
+    if z <= 0:
+        raise DomainError(f"{what} is defined for z > 0 only")
+    return x, y, z
+
+
 def rect_potential(strip: Strip, point) -> float:
     """Basis potential of one rectangle at a single point with z > 0."""
-    x, y, z = (float(v) for v in point)
-    if z <= 0:
-        raise DomainError("potential is defined for z > 0 only")
-    return float(_rect_phi(strip, x, y, z))
+    return float(_rect_phi(strip, *_field_point(point)))
 
 
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     """Sum of RF strip basis potentials (dimensionless, unit drive)."""
-    x, y, z = (float(v) for v in point)
-    if z <= 0:
-        raise DomainError("potential is defined for z > 0 only")
+    x, y, z = _field_point(point)
     return float(sum(_rect_phi(s, x, y, z) for s in layout.rf_strips))
 
 
@@ -162,14 +171,15 @@ def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
         raise DomainError(f"no DC strip has index {unknown}; "
                           f"the layout's DC indices are {known}")
     strips = [s for s in layout.strips if s.role == ROLE_DC and s.dc_index in voltages]
-    return strips, [float(voltages[s.dc_index]) for s in strips]
+    volts = [float(voltages[s.dc_index]) for s in strips]
+    if not all(map(math.isfinite, volts)):
+        raise DomainError(f"DC voltages must be finite, got {dict(voltages)}")
+    return strips, volts
 
 
 def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, point) -> float:
     """Static potential in V from the DC strips at their set voltages."""
-    x, y, z = (float(v) for v in point)
-    if z <= 0:
-        raise DomainError("potential is defined for z > 0 only")
+    x, y, z = _field_point(point)
     total = 0.0
     for s, volts in zip(*_dc_strips(layout, voltages)):
         total += volts * float(_rect_phi(s, x, y, z))
@@ -179,110 +189,123 @@ def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, 
 #: signs of the four corner arctangents of a rectangle, over 2*pi, for the
 #: corners (x, y) = (min, min), (min, max), (max, min), (max, max)
 _CORNER_SIGN = np.array([1.0, -1.0, -1.0, 1.0]) / (2.0 * math.pi)
-#: row of each (i, j, k) third derivative among the 10 distinct ones, which
-#: are kept in the order xxx, xxy, xxz, xyy, xyz, xzz, yyy, yyz, yzz, zzz
-_THIRD_INDEX = np.array([list(itertools.combinations_with_replacement(range(3), 3))
-                         .index(tuple(sorted(ijk)))
-                         for ijk in itertools.product(range(3), repeat=3)])
 
 
-def _grad_hess(strips: Sequence[Strip], weights, points, order: int = 2):
-    """Weighted strip sums of the derivatives of phi up to ``order`` (1, 2 or 3).
+def _rows(names):
+    """Row of each (i, j, ...) derivative among ``names`` ("xx", "xyz", ...),
+    which name every distinct derivative once, in any order."""
+    order = len(names[0])
+    return np.array([names.index("".join(sorted("xyz"[i] for i in ijk)))
+                     for ijk in itertools.product(range(3), repeat=order)])
 
+
+#: the kernel's Hessian rows, and its third-derivative rows: the x and y
+#: versions of each stacked term, xyz, then the entries the trace identities fill
+_HESS_ROWS = _rows(("xx", "yy", "xy", "xz", "yz", "zz"))
+_THIRD_ROWS = _rows(("xxx", "yyy", "xxz", "yyz", "xxy", "xyy", "xyz", "xzz", "yzz", "zzz"))
+
+
+def _corners(strips: Sequence[Strip], weights):
+    """Corner table of weighted strips for ``_derivatives``: the weight of
+    every corner arctangent, shape (C,) for the C = 4 * len(strips) corners,
+    and the corner coordinates, shape (2, C, 1) for x and y.  ``weights`` is
+    one number per strip or one for all."""
+    w = np.empty((len(strips), 1))
+    w[:, 0] = weights
+    xy = np.array([((s.x_min, s.x_min, s.x_max, s.x_max), (s.y_min, s.y_max, s.y_min, s.y_max))
+                   for s in strips], dtype=float).reshape(-1, 2, 4)
+    return (w * _CORNER_SIGN).ravel(), xy.transpose(1, 0, 2).reshape(2, -1, 1)
+
+
+def _derivatives(corners, points, order: int = 2):
+    """Weighted corner sums of the derivatives of phi up to ``order`` (1, 2 or 3).
+
+    ``corners`` is a table from ``_corners``; ``points`` is (N, 3) with z > 0.
     Returns a tuple of ``order`` arrays: grad(phi), shape (N, 3), its Hessian,
-    (N, 3, 3), and the third derivatives, (N, 3, 3, 3).  ``weights`` is one
-    number per strip or one for all; ``points`` is (N, 3) with z > 0.  Each
-    corner term F = atan(u v / (z R)), with u, v the corner offsets from the
-    point, R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and b = v^2 + z^2, has
-    closed-form derivatives F_u = v z / (a R), F_v = u z / (b R),
-    F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
+    (N, 3, 3), and the third derivatives, (N, 3, 3, 3).  Each corner term
+    F = atan(u v / (z R)), with u, v the corner offsets from the point,
+    R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and b = v^2 + z^2, has closed-form
+    derivatives F_u = v z / (a R), F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
     F_uu = -u v z (2/a + 1/R^2) / (a R),
     F_uz = v (1 - 2 z^2/a - z^2/R^2) / (a R), F_uuv = -3 z u / R^5,
     F_uvz = (R^2 - 3 z^2) / R^5, F_uuu = -v z P(u) / (a^2 R^3) and
     F_uuz = -u v P(z) / (a^2 R^3) with
-    P(w) = 2 R^2 + a - 4 w^2 - w^2 (8 R^2/a + 3 a/R^2) (u, a and v, b swap
-    for the v terms); d/dx = -d/du and d/dy = -d/dv.  A weighted sum of
-    rectangle potentials is harmonic, so the zz entry of the Hessian is
-    -(xx + yy), and the third derivatives with two z indices follow from the
-    trace identities sum_i d_iik phi = 0, which leave 7 independent entries.
+    P(w) = 2 R^2 + a - 4 w^2 - w^2 (8 R^2/a + 3 a/R^2); F is symmetric in u
+    and v, so each v term is its u term with u, a and v, b swapped, and
+    d/dx = -d/du, d/dy = -d/dv.  The u and v versions of a term are one
+    stacked (2, C, N) array, and every term is summed over the corners in
+    one contraction.  A weighted sum of rectangle potentials is harmonic, so
+    the zz entry of the Hessian is -(xx + yy), and the third derivatives with
+    two z indices follow from the trace identities sum_i d_iik phi = 0, which
+    leave 7 independent entries.
     """
-    w = np.empty((len(strips), 1))
-    w[:, 0] = weights
-    c = (w * _CORNER_SIGN).ravel()
+    c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(p)
-    # rows: the corners of every strip; columns: the points (plain 2-D arrays,
+    # axes: u or v, then the corners, then the points (small dense arrays,
     # since numpy's per-call overhead dominates at the small batches of a solve)
-    u = np.array([(s.x_min, s.x_min, s.x_max, s.x_max) for s in strips],
-                 dtype=float).reshape(-1, 1) - p[:, 0]
-    v = np.array([(s.y_min, s.y_max, s.y_min, s.y_max) for s in strips],
-                 dtype=float).reshape(-1, 1) - p[:, 1]
+    s = xy - p[:, :2].T[:, None]
+    t = s[::-1]
     z = p[:, 2]
     z2 = z * z
-    a = u * u + z2
-    b = v * v + z2
-    r2 = a + v * v
+    ss = s * s
+    a = ss + z2
+    r2 = a[0] + ss[1]
     r = np.sqrt(r2)
     ar = a * r
-    br = b * r
-    uv = u * v
-
-    def total(f):
-        return c @ f
-
-    grad = np.array([-total(v * z / ar), -total(u * z / br),
-                     -total(uv * (1.0 / a + 1.0 / b) / r)]).T
+    uv = s[0] * s[1]
+    # rows of the sum: -grad; then xx, yy, xy, xz, yz; then the third
+    # derivatives xxx, yyy, xxz, yyz, xxy, xyy, xyz
+    parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
+    if order > 1:
+        ir2 = 1.0 / r2
+        parts += [-(uv * z) * (2.0 / a + ir2) / ar, (z * ir2 / r)[None],
+                  -t * (1.0 - 2.0 * z2 / a - z2 * ir2) / ar]
+    if order > 2:
+        ir3 = ir2 / r
+        ir5 = ir3 * ir2
+        k = 4.0 + 8.0 * r2 / a + 3.0 * a * ir2
+        m = 2.0 * r2 + a
+        d = ir3 / (a * a)
+        zs = z * s
+        parts += [zs[::-1] * (m - ss * k) * d, uv * (z2 * k - m) * d, 3.0 * zs * ir5,
+                  ((r2 - 3.0 * z2) * ir5)[None]]
+    out = c @ np.concatenate(parts)
+    grad = -out[:3].T
     if order == 1:
         return (grad,)
-    ir2 = 1.0 / r2
-    uvz = uv * z
-    hxx = total(-uvz * (2.0 / a + ir2) / ar)
-    hyy = total(-uvz * (2.0 / b + ir2) / br)
-    hxy = total(z * ir2 / r)
-    hxz = -total(v * (1.0 - 2.0 * z2 / a - z2 * ir2) / ar)
-    hyz = -total(u * (1.0 - 2.0 * z2 / b - z2 * ir2) / br)
-    hzz = -(hxx + hyy)
-    hess = np.array([hxx, hxy, hxz, hxy, hyy, hyz, hxz, hyz, hzz]).T.reshape(n, 3, 3)
+    h = np.concatenate([out[3:8], -(out[3] + out[4])[None]])
+    hess = h[_HESS_ROWS].T.reshape(n, 3, 3)
     if order == 2:
         return grad, hess
-
-    ir3 = ir2 / r
-    ir5 = ir3 * ir2
-    two_r2 = 2.0 * r2
-    zu, zv = z * u, z * v
-
-    def www_wwz(z_other, s, w2):  # d_www, d_wwz for (w, s) = (x, a) or (y, b); z_other = z v or z u
-        k = 4.0 + 8.0 * r2 / s + 3.0 * s * ir2
-        m = two_r2 + s
-        d = ir3 / (s * s)
-        return total(z_other * (m - w2 * k) * d), total(uv * (z2 * k - m) * d)
-
-    t = np.empty((10, n))
-    t[0], t[2] = www_wwz(zv, a, u * u)
-    t[6], t[7] = www_wwz(zu, b, v * v)
-    t[1] = total(3.0 * zu * ir5)
-    t[3] = total(3.0 * zv * ir5)
-    t[4] = total((r2 - 3.0 * z2) * ir5)
     # trace identities: xzz = -(xxx + xyy), yzz = -(xxy + yyy), zzz = -(xxz + yyz)
-    t[5] = -(t[0] + t[3])
-    t[8] = -(t[1] + t[6])
-    t[9] = -(t[2] + t[7])
-    return grad, hess, t[_THIRD_INDEX].T.reshape(n, 3, 3, 3)
+    d3 = out[8:]
+    d3 = np.concatenate([d3, -(d3[[0, 4, 2]] + d3[[5, 1, 3]])])
+    return grad, hess, d3[_THIRD_ROWS].T.reshape(n, 3, 3, 3)
+
+
+def _grad_hess(strips: Sequence[Strip], weights, points, order: int = 2):
+    """``_derivatives`` of the weighted ``strips`` at ``points``, for one
+    evaluation; a solve builds its corner table once with ``_corners``."""
+    return _derivatives(_corners(strips, weights), points, order)
 
 
 def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
     """Peak RF field vector -V grad(phi_rf) (V/m) at a point, in closed form."""
-    x, y, z = (float(v) for v in point)
-    if z <= 0:
-        raise DomainError("field is defined for z > 0 only")
-    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, (x, y, z), order=1)
+    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, _field_point(point, "field"),
+                      order=1)
     return e[0]
 
 
 def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> float:
     """Time-averaged RF confinement energy q^2 |E|^2 / (4 m Omega^2), in J."""
     e = rf_field(layout, point)
-    return species.charge_c**2 * float(e @ e) / (4.0 * species.mass_kg * layout.rf_omega**2)
+    return _psi(layout, species, float(e @ e))
+
+
+def _psi(layout, species, e2):
+    """Pseudopotential in J where the squared RF field amplitude is ``e2``."""
+    return species.charge_c**2 * e2 / (4.0 * species.mass_kg * layout.rf_omega**2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +313,10 @@ def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _null_step(rf, volts, pts):
+def _null_step(rf, pts):
     """Newton steps toward E_x = E_z = 0 at the points, and |(E_x, E_z)|
     there; a singular Jacobian gives a non-finite step."""
-    e, jac = _grad_hess(rf, volts, pts)
+    e, jac = _derivatives(rf, pts)
     ex, ez = e[:, 0], e[:, 2]
     jxx, jxz, jzz = jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2]
     det = jxx * jzz - jxz * jxz
@@ -309,29 +332,34 @@ def _search_frame(layout):
     return 0.5 * (min(xs) + max(xs)), span
 
 
-def _damped_newton(layout, step, x, z):
+def _damped_newton(layout, rf, step, x, z, first: bool = False):
     """Converged end points of damped Newton in the x-z plane at the axial
     center, as (x, z, value).
 
-    ``step(rf_strips, -rf_voltage, points)`` returns the Newton corrections
-    (dx, dz) at a batch of points and one value per point; all starts are
-    stepped as one batch.  A step is capped at half the current height, and a
-    start is dropped once it leaves the domain (z at or below 1 nm, above 4
-    spans, or more than 2 spans off x0; see ``_search_frame``).  A start counts
-    as converged when the Newton correction at its end point is below 1e-9 of
-    the height; ``value`` is the step's value there.
+    ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
+    their drive (``_corners``), returns the Newton corrections (dx, dz) at a
+    batch of points and one value per point; all starts are stepped as one
+    batch.  A step is capped at half the current height, and a start is
+    dropped once it leaves the domain (z at or below 1 nm, above 4 spans, or
+    more than 2 spans off x0; see ``_search_frame``).  A start counts as
+    converged when the Newton correction at its end point is below 1e-9 of
+    the height; ``value`` is the step's value there.  With ``first``, the
+    search stops at the first iteration in which some start converges with
+    its last step inside the domain, and returns the starts that did: each
+    end point is one Newton step past the converged point, whose value it
+    carries, so that no further evaluation is needed.
     """
     x0, span = _search_frame(layout)
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
     z_cap = 4.0 * span
-    rf, volts, y = layout.rf_strips, -layout.rf_voltage, layout.axial_center
+    y = layout.axial_center
 
     def at(i):
         pts = np.empty((i.size, 3))
         pts[:, 0], pts[:, 1], pts[:, 2] = x[i], y, z[i]
-        return step(rf, volts, pts)
+        return step(rf, pts)
 
     inside = np.ones(z.shape, dtype=bool)
     stepping = inside.copy()
@@ -340,7 +368,7 @@ def _damped_newton(layout, step, x, z):
             i = np.flatnonzero(stepping)
             if i.size == 0:
                 break
-            dx, dz, _ = at(i)
+            dx, dz, value = at(i)
             zi = z[i]
             norm = np.hypot(dx, dz)
             scale = np.minimum(1.0, 0.5 * zi / norm)
@@ -350,6 +378,8 @@ def _damped_newton(layout, step, x, z):
             x[i], z[i] = xi, zi
             inside[i] = ok = (zi > _MIN_Z) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
             stepping[i] = ok & ~done
+            if first and (ok & done).any():
+                return xi[ok & done], zi[ok & done], value[ok & done]
 
         i = np.flatnonzero(inside)
         dx, dz, value = at(i)
@@ -363,14 +393,18 @@ def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
 
     Solves E_x = E_z = 0 by damped Newton steps (``_damped_newton``) with the
     closed-form field Jacobian, from every start height at once.  |E| alone is
-    not a usable convergence test, since the far field is small everywhere;
-    all converged starts agree to well below 1e-9 m for a valid layout, and
-    the one with the smallest |E| is returned.
+    not a usable convergence test, since the far field is small everywhere.
+    The search stops at the first iteration in which some start converges:
+    converged starts agree to well below 1e-9 m for a valid layout, so the
+    others would add Newton steps and nothing else.  Of the starts that
+    converge in that iteration, the one with the smallest |E| is returned.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
     z = np.array(start_heights, dtype=float)
-    x, z, e = _damped_newton(layout, _null_step, np.full(z.shape, _search_frame(layout)[0]), z)
+    rf = _corners(layout.rf_strips, -layout.rf_voltage)
+    x, z, e = _damped_newton(layout, rf, _null_step,
+                             np.full(z.shape, _search_frame(layout)[0]), z, first=True)
     candidates = [(float(ek), float(xk), float(zk)) for ek, xk, zk in zip(e, x, z)]
     if not candidates:
         raise NoTrapError("no interior RF null found from any start height")
@@ -401,7 +435,7 @@ class TrapSolution:
         return not self.unstable_axes
 
 
-def _saddle_step(rf, volts, pts):
+def _saddle_step(rf, pts):
     """Newton steps toward grad psi = 0 in the x-z plane at the points, and
     |E|^2 there, or inf where the 2x2 Hessian of psi does not have exactly one
     negative eigenvalue.
@@ -411,7 +445,7 @@ def _saddle_step(rf, volts, pts):
     closed form from the kernel's third derivatives; the common factor
     q^2 / (2 m Omega^2) cancels from the step.
     """
-    e, jac, d3 = _grad_hess(rf, volts, pts, order=3)
+    e, jac, d3 = _derivatives(rf, pts, order=3)
     jxz = jac[:, :, ::2]
     g = np.einsum("ni,nij->nj", e, jxz)
     h = np.einsum("nij,nik->njk", jxz, jxz) + np.einsum("ni,nijk->njk", e, d3[:, :, ::2, ::2])
@@ -441,7 +475,8 @@ def _escape_saddle(layout, null, height):
     pz = null[2] + np.sin(theta)[:, None] * s
     ok = pz > 10.0 * _MIN_Z  # per ray a prefix: pz is monotonic along a ray
     pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, pts, order=1)
+    rf = _corners(layout.rf_strips, -layout.rf_voltage)
+    (e,) = _derivatives(rf, pts, order=1)
     e2 = np.full(px.shape, -np.inf)
     e2[ok] = np.einsum("ij,ij->i", e, e)
     n_ok = ok.sum(axis=1)
@@ -452,22 +487,12 @@ def _escape_saddle(layout, null, height):
     barrier = np.where(escape, e2[np.arange(_SCAN_RAYS), imax], np.inf)
     valley = np.flatnonzero((barrier < np.roll(barrier, 1)) & (barrier <= np.roll(barrier, -1)))
     rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
-    x, z, e2_end = _damped_newton(layout, _saddle_step, px[rays, imax[rays]],
+    x, z, e2_end = _damped_newton(layout, rf, _saddle_step, px[rays, imax[rays]],
                                   pz[rays, imax[rays]])
     if not np.isfinite(e2_end).any():
         raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
     k = np.argmin(e2_end)
     return np.array([x[k], layout.axial_center, z[k]]), float(e2_end[k])
-
-
-def _trap_depth_ev(layout, species, null, height) -> float:
-    """psi at the escape saddle minus psi at the null, in eV; inf when no
-    transverse ray escapes (see ``_escape_saddle``)."""
-    saddle = _escape_saddle(layout, null, height)
-    if saddle is None:
-        return math.inf
-    psi = species.charge_c**2 * saddle[1] / (4.0 * species.mass_kg * layout.rf_omega**2)
-    return (psi - pseudopotential(layout, species, null)) / CONSTANTS.elementary_charge
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
@@ -478,33 +503,43 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     H_rf = q^2 J^T J / (2 m Omega^2), with J the closed-form Jacobian of the
     RF field; the DC strips add q * sum_k V_k Hess(phi_k).  A negative
     eigenvalue of the total Hessian marks the axis unstable (frequency
-    reported as 0) rather than raising.  The Mathieu q of each axis comes
-    from the eigenvalues of H_rf.  The depth, in eV, is the RF pseudopotential
+    reported as 0) rather than raising; a Hessian that is not finite (a DC
+    voltage so large that the curvature overflows) raises DomainError.  The
+    Mathieu q of each axis is 2 |q| sigma_i / (m Omega^2), with sigma_i the
+    singular values of J; they give the small axial q to full relative
+    precision, which the eigenvalues of J^T J, with its squared condition
+    number, do not.  One evaluation of the RF kernel at the null gives J and
+    the residual field E there.  The depth, in eV, is the RF pseudopotential
     at its escape saddle minus its value at the null: the saddle is the
     lowest index-1 saddle of psi in the x-z plane, found by Newton with the
     exact gradient and Hessian of psi (see ``_escape_saddle``); it is inf when
     no transverse ray from the null escapes.  The DC strips do not enter the
-    depth.  A DC index that names no DC strip of the layout raises
-    DomainError.
+    depth.  A DC index that names no DC strip of the layout, or a DC voltage
+    that is not finite, raises DomainError.
     """
     dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
     sol = find_rf_null(layout, species)
     null = sol.null_position
-    q_ion, mass = species.charge_c, species.mass_kg
-    _, jac = _grad_hess(layout.rf_strips, -layout.rf_voltage, null)
-    H_rf = q_ion**2 / (2.0 * mass * layout.rf_omega**2) * (jac[0].T @ jac[0])
-    _, dc_hess = _grad_hess(dc_strips, dc_volts, null)
-    H = H_rf + q_ion * dc_hess[0]
+    q_ion, mass, omega = species.charge_c, species.mass_kg, layout.rf_omega
+    (e,), (jac,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, null)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = q_ion**2 / (2.0 * mass * omega**2) * (jac.T @ jac)
+        if dc_strips:
+            H = H + q_ion * _grad_hess(dc_strips, dc_volts, null)[1][0]
+    if not np.isfinite(H).all():
+        raise DomainError("the curvature at the RF null is not finite; "
+                          "the RF or DC voltages are too large")
     evals, axes = np.linalg.eigh(H)
     scale = float(np.linalg.norm(H))
     unstable = tuple(int(i) for i, ev in enumerate(evals) if ev < -1e-9 * scale)
     freqs = tuple(math.sqrt(max(float(ev), 0.0) / mass) / (2.0 * math.pi) for ev in evals)
+    sigma = np.linalg.svd(jac, compute_uv=False)[::-1]
+    q_params = tuple(float(q) for q in 2.0 * abs(q_ion) / (mass * omega**2) * sigma)
 
-    rf_evals = np.linalg.eigvalsh(H_rf)
-    q_params = tuple(2.0 * math.sqrt(2.0) * math.sqrt(max(float(ev), 0.0) / mass)
-                     / layout.rf_omega for ev in rf_evals)
-
-    depth = _trap_depth_ev(layout, species, null, sol.height)
+    saddle = _escape_saddle(layout, null, sol.height)
+    depth = math.inf if saddle is None else (
+        (_psi(layout, species, saddle[1]) - _psi(layout, species, float(e @ e)))
+        / CONSTANTS.elementary_charge)
     return TrapSolution(null_position=null, height=sol.height,
                         secular_freqs_hz=freqs, axes=axes, q_params=q_params,
                         trap_depth_ev=depth, unstable_axes=unstable)

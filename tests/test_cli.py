@@ -359,6 +359,14 @@ def test_trap_spectrum_rejects_unknown_dc_index(capsys):
     assert "DC indices are [0, 1]" in err
 
 
+def test_trap_spectrum_overflowing_voltage_is_data_error(capsys):
+    code, out, err = run(capsys, "trap", "spectrum", "--layout",
+                         str(DEMO / "trap_layout.cfg"), "--set", "0=1e308")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("setting", ["x=5V", "5V", "0=5Hz", "0=volts", "0=5dB"])
 def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
     code, out, err = run(capsys, "trap", "spectrum", "--layout",
