@@ -103,9 +103,13 @@ def mp_third(strips, point):
     with mp.workdps(30):
         p = [mp.mpf(float(c)) * _UM for c in point]
         T = np.empty((3, 3, 3))
+        found = {}  # the 10 distinct orders of the 27 entries
         for ijk in itertools.product(range(3), repeat=3):
             order = tuple(ijk.count(axis) for axis in range(3))
-            T[ijk] = float(mp.diff(lambda *c: mp_phi(strips, *c), p, order) * _UM**3)
+            if order not in found:
+                found[order] = float(mp.diff(lambda *c: mp_phi(strips, *c), p, order)
+                                     * _UM**3)
+            T[ijk] = found[order]
         return T
 
 
@@ -307,10 +311,15 @@ def strips_and_points(draw, n_points=3):
 
 @settings(max_examples=50, deadline=None)
 @given(strips_and_points())
+@example((Strip(170e-6, 177e-6, 0.0, 5e-6, ROLE_RF),
+          np.array([[0.0, 0.0, 5e-6], [-100e-6, 0.0, 5e-6], [0.0, 0.0, 5e-6]])))
 def test_kernel_derivatives_are_harmonic_and_consistent(case):
     # harmonicity: a traceless Hessian and sum_i d_iik phi = 0 for every k; the
-    # third derivatives are symmetric and are the central differences of the
-    # Hessian, which checks the entries the kernel fills from the identities
+    # third derivatives are symmetric and match mpmath, which checks the
+    # entries the kernel fills from the identities.  The example is a narrow
+    # strip seen from far away and low down, where the corner terms cancel:
+    # there a central difference of the float Hessian is off by 1e-6 of the
+    # tensor's norm while the kernel itself is good to 1e-8 of it
     strip, pts = case
     _, hess, third = _grad_hess([strip], 1.0, pts, order=3)
     for p, h, t in zip(pts, hess, third):
@@ -318,20 +327,7 @@ def test_kernel_derivatives_are_harmonic_and_consistent(case):
         assert np.all(np.abs(np.einsum("iik->k", t)) <= 1e-12 * np.linalg.norm(t))
         for perm in itertools.permutations(range(3)):
             assert np.array_equal(t, t.transpose(perm))
-
-        def central(step):
-            d = np.empty((3, 3, 3))
-            for k in range(3):
-                dp = np.zeros(3)
-                dp[k] = step
-                _, hi = _grad_hess([strip], 1.0, p + dp)
-                _, lo = _grad_hess([strip], 1.0, p - dp)
-                d[:, :, k] = (hi[0] - lo[0]) / (2.0 * step)
-            return d
-
-        h = 1e-2 * p[2]
-        fd = (4.0 * central(0.5 * h) - central(h)) / 3.0  # Richardson refined
-        assert np.allclose(t, fd, rtol=0.0, atol=1e-6 * np.linalg.norm(t))
+        assert np.allclose(t, mp_third([strip], p), rtol=0.0, atol=1e-6 * np.linalg.norm(t))
 
 
 @settings(max_examples=50, deadline=None)
