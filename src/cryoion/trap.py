@@ -4,20 +4,19 @@ Every electrode is a rectangle in the z=0 plane; the rest of the plane is
 grounded.  The basis potential of a rectangle held at unit voltage is the
 solid angle it subtends at the field point divided by 2*pi (a sum of four
 arctangents), which is harmonic, bounded in [0, 1] and exact for the gapless
-model.  Fields, Hessians and third derivatives are the closed-form
-derivatives of those arctangents (Wesenberg, PRA 78, 063410 (2008); House,
-PRA 78, 033402 (2008)), summed over all strips for a batch of points in one
-numpy kernel.  The RF null is found by damped Newton steps on E = 0 with the
-exact field Jacobian J, from several starts, stopping at the first that
-converges.  There the pseudopotential psi = q^2 |E|^2 / (4 m Omega^2) has
-the exact Hessian q^2 J^T J / (2 m Omega^2); with the DC curvature added,
-its eigen-decomposition is the secular spectrum, and the Mathieu q of each
-axis follows from a singular value of J.
-The trap depth is psi at the escape saddle (the lowest index-1 saddle of psi
-in the x-z plane through the null) minus psi at the null.  The saddle is
-found by the same damped Newton on grad psi = 0, with the exact gradient and
-Hessian of psi from the kernel's second and third derivatives, started from
-a coarse ray scan.
+model.  One numpy kernel sums those arctangents and their closed-form
+derivatives up to third order over all strips for a batch of points
+(Wesenberg, PRA 78, 063410 (2008); House, PRA 78, 033402 (2008)).
+
+The solve is scale-free: it runs on the RF strips at unit drive, and each of
+its lengths is a fixed fraction of the RF strips' x extent or of the height.
+Damped Newton steps with exact derivatives find the RF null (E = 0, with the
+field Jacobian J) and the escape saddle of |E|^2 in the x-z plane through it.
+V, Omega, m and q enter once, at the end: psi = (qV)^2 |E|^2 / (4 m Omega^2)
+has the Hessian (qV)^2 J^T J / (2 m Omega^2) at the null, which with the DC
+curvature gives the secular spectrum; the Mathieu q_i = 2 |qV| sigma_i /
+(m Omega^2), with sigma_i the singular values of J; and the depth is psi at
+the saddle minus psi at the null.
 
 Axes: x across the strips, y along the trap axis, z normal to the chip.
 """
@@ -38,10 +37,11 @@ ROLE_RF = "rf"
 ROLE_DC = "dc"
 ROLE_CENTER = "center"  # grounded: a covered slot or ground plane strip
 
-#: multi-start heights for the null search (absolute, tuned to ~100 um scale traps)
-DEFAULT_START_HEIGHTS = (30e-6, 60e-6, 120e-6, 240e-6)
+#: start heights of the null search, as fractions of the RF strips' x extent L
+DEFAULT_START_FRACTIONS = (1 / 12, 1 / 6, 1 / 3, 2 / 3)
 
-_MIN_Z = 1e-9
+#: lowest height of a search point, as a fraction of L (1 nm on the demo layout)
+_MIN_Z = 4e-6
 #: coarse transverse ray scan that seeds the escape-saddle search (rays, and
 #: samples per ray), and the most Newton starts taken from it
 _SCAN_RAYS = 64
@@ -56,8 +56,9 @@ class IonSpecies:
     label: str
 
     def __post_init__(self):
-        if not (self.mass_kg > 0 and self.charge_c != 0):
-            raise DomainError("species needs positive mass and non-zero charge")
+        if not (0 < self.mass_kg < math.inf and math.isfinite(self.charge_c) and self.charge_c):
+            raise DomainError("species needs a finite positive mass and a finite non-zero "
+                              f"charge, got {self.mass_kg} kg and {self.charge_c} C")
 
 
 CA40 = IonSpecies(CONSTANTS.m_ca40, CONSTANTS.elementary_charge, "Ca40")
@@ -123,20 +124,6 @@ class ElectrodeLayout:
 # ---------------------------------------------------------------------------
 
 
-def _rect_phi(strip: Strip, px, py, pz):
-    """Vectorized unit-voltage basis potential of one rectangle (z > 0)."""
-    u1 = strip.x_min - px
-    u2 = strip.x_max - px
-    v1 = strip.y_min - py
-    v2 = strip.y_max - py
-    z = pz
-
-    def corner(u, v):
-        return np.arctan(u * v / (z * np.sqrt(u * u + v * v + z * z)))
-
-    return (corner(u2, v2) - corner(u1, v2) - corner(u2, v1) + corner(u1, v1)) / (2.0 * math.pi)
-
-
 def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
     """(x, y, z) floats of a point where ``what`` is defined: finite, z > 0."""
     x, y, z = (float(v) for v in point)
@@ -149,13 +136,12 @@ def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
 
 def rect_potential(strip: Strip, point) -> float:
     """Basis potential of one rectangle at a single point with z > 0."""
-    return float(_rect_phi(strip, *_field_point(point)))
+    return float(_grad_hess([strip], 1.0, _field_point(point), order=0)[0])
 
 
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     """Sum of RF strip basis potentials (dimensionless, unit drive)."""
-    x, y, z = _field_point(point)
-    return float(sum(_rect_phi(s, x, y, z) for s in layout.rf_strips))
+    return float(_grad_hess(layout.rf_strips, 1.0, _field_point(point), order=0)[0])
 
 
 def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
@@ -179,11 +165,7 @@ def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
 
 def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, point) -> float:
     """Static potential in V from the DC strips at their set voltages."""
-    x, y, z = _field_point(point)
-    total = 0.0
-    for s, volts in zip(*_dc_strips(layout, voltages)):
-        total += volts * float(_rect_phi(s, x, y, z))
-    return total
+    return float(_grad_hess(*_dc_strips(layout, voltages), _field_point(point), order=0)[0])
 
 
 #: signs of the four corner arctangents of a rectangle, over 2*pi, for the
@@ -218,11 +200,12 @@ def _corners(strips: Sequence[Strip], weights):
 
 
 def _derivatives(corners, points, order: int = 2):
-    """Weighted corner sums of the derivatives of phi up to ``order`` (1, 2 or 3).
+    """Weighted corner sums of phi and its derivatives up to ``order`` (0 to 3).
 
     ``corners`` is a table from ``_corners``; ``points`` is (N, 3) with z > 0.
-    Returns a tuple of ``order`` arrays: grad(phi), shape (N, 3), its Hessian,
-    (N, 3, 3), and the third derivatives, (N, 3, 3, 3).  Each corner term
+    Order 0 returns phi, shape (N,); otherwise a tuple of ``order`` arrays:
+    grad(phi), shape (N, 3), its Hessian, (N, 3, 3), and the third
+    derivatives, (N, 3, 3, 3).  Each corner term
     F = atan(u v / (z R)), with u, v the corner offsets from the point,
     R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and b = v^2 + z^2, has closed-form
     derivatives F_u = v z / (a R), F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
@@ -238,6 +221,11 @@ def _derivatives(corners, points, order: int = 2):
     the zz entry of the Hessian is -(xx + yy), and the third derivatives with
     two z indices follow from the trace identities sum_i d_iik phi = 0, which
     leave 7 independent entries.
+
+    Third derivatives are accurate norm-wise, not entry-wise: where the corner
+    terms cancel (a narrow strip seen from far away at low height) one entry
+    can lose most of its digits.  At strip x 170-177 um, y 0-5 um and point
+    (-100, 0, 5) um, d_yyy is off by 2.8e-6 relative, the tensor by 2.7e-9.
     """
     c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -245,15 +233,17 @@ def _derivatives(corners, points, order: int = 2):
     # axes: u or v, then the corners, then the points (small dense arrays,
     # since numpy's per-call overhead dominates at the small batches of a solve)
     s = xy - p[:, :2].T[:, None]
-    t = s[::-1]
     z = p[:, 2]
     z2 = z * z
     ss = s * s
     a = ss + z2
     r2 = a[0] + ss[1]
     r = np.sqrt(r2)
-    ar = a * r
     uv = s[0] * s[1]
+    if order == 0:
+        return c @ np.arctan(uv / (z * r))
+    t = s[::-1]
+    ar = a * r
     # rows of the sum: -grad; then xx, yy, xy, xz, yz; then the third
     # derivatives xxx, yyy, xxz, yyz, xxy, xyy, xyz
     parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
@@ -299,13 +289,25 @@ def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
 
 def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> float:
     """Time-averaged RF confinement energy q^2 |E|^2 / (4 m Omega^2), in J."""
-    e = rf_field(layout, point)
-    return _psi(layout, species, float(e @ e))
+    (e,) = _grad_hess(layout.rf_strips, 1.0, _field_point(point, "field"), order=1)
+    return 0.25 * _drive_factors(layout, species)[0] * float(e[0] @ e[0])
 
 
-def _psi(layout, species, e2):
-    """Pseudopotential in J where the squared RF field amplitude is ``e2``."""
-    return species.charge_c**2 * e2 / (4.0 * species.mass_kg * layout.rf_omega**2)
+def _drive_factors(layout, species):
+    """f = (qV)^2 / (m Omega^2) and g = 2 |qV| / (m Omega^2), which carry the
+    unit-drive field E and Jacobian J over to the ion: psi = f |E|^2 / 4, its
+    Hessian at the null is f J^T J / 2, and the Mathieu q_i = g sigma_i.  A
+    factor that is not finite, or zero at a non-zero drive, is a DomainError."""
+    v, omega = layout.rf_voltage, layout.rf_omega
+    qv = abs(species.charge_c * v)
+    m_omega2 = species.mass_kg * omega * omega
+    g = 2.0 * qv / m_omega2 if m_omega2 > 0 else math.inf
+    f = 0.5 * qv * g
+    if not (math.isfinite(f) and math.isfinite(g)) or (v != 0 and f == 0):
+        raise DomainError(f"rf_voltage = {v:g} V and rf_frequency = {omega / (2 * math.pi):g} "
+                          f"Hz give {species.label} the factors (qV)^2/(m Omega^2) = {f:g} and "
+                          f"2|qV|/(m Omega^2) = {g:g}; both must be finite and non-zero")
+    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +326,11 @@ def _null_step(rf, pts):
 
 
 def _search_frame(layout):
-    """Center x0 of the RF strips and the x span of all strips, which bound
-    every stationary-point search of the x-z plane."""
+    """Center x0 and x extent L of the RF strips, and the x span of all strips:
+    the frame and length scale of every stationary-point search in x-z."""
     xs = [s.x_min for s in layout.rf_strips] + [s.x_max for s in layout.rf_strips]
-    span = (max(s.x_max for s in layout.strips)
-            - min(s.x_min for s in layout.strips))
-    return 0.5 * (min(xs) + max(xs)), span
+    span = max(s.x_max for s in layout.strips) - min(s.x_min for s in layout.strips)
+    return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span
 
 
 def _damped_newton(layout, rf, step, x, z, first: bool = False):
@@ -337,23 +338,23 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
     center, as (x, z, value).
 
     ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
-    their drive (``_corners``), returns the Newton corrections (dx, dz) at a
+    unit drive (``_corners``), returns the Newton corrections (dx, dz) at a
     batch of points and one value per point; all starts are stepped as one
     batch.  A step is capped at half the current height, and a start is
-    dropped once it leaves the domain (z at or below 1 nm, above 4 spans, or
-    more than 2 spans off x0; see ``_search_frame``).  A start counts as
-    converged when the Newton correction at its end point is below 1e-9 of
-    the height; ``value`` is the step's value there.  With ``first``, the
+    dropped once it leaves the domain (z at or below ``_MIN_Z`` L, above 4
+    spans, or more than 2 spans off x0; see ``_search_frame``).  A start
+    counts as converged when the Newton correction at its end point is below
+    1e-9 of the height; ``value`` is the step's value there.  With ``first``, the
     search stops at the first iteration in which some start converges with
     its last step inside the domain, and returns the starts that did: each
     end point is one Newton step past the converged point, whose value it
     carries, so that no further evaluation is needed.
     """
-    x0, span = _search_frame(layout)
+    x0, rf_extent, span = _search_frame(layout)
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
-    z_cap = 4.0 * span
+    z_min, z_cap = _MIN_Z * rf_extent, 4.0 * span
     y = layout.axial_center
 
     def at(i):
@@ -376,7 +377,7 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
             xi = x[i] + scale * dx
             zi = zi + scale * dz
             x[i], z[i] = xi, zi
-            inside[i] = ok = (zi > _MIN_Z) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
+            inside[i] = ok = (zi > z_min) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
             stepping[i] = ok & ~done
             if first and (ok & done).any():
                 return xi[ok & done], zi[ok & done], value[ok & done]
@@ -388,29 +389,30 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
 
 
 def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
-                 start_heights: Sequence[float] = DEFAULT_START_HEIGHTS) -> "TrapSolution":
+                 start_fractions: Sequence[float] = DEFAULT_START_FRACTIONS) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
-    Solves E_x = E_z = 0 by damped Newton steps (``_damped_newton``) with the
-    closed-form field Jacobian, from every start height at once.  |E| alone is
-    not a usable convergence test, since the far field is small everywhere.
-    The search stops at the first iteration in which some start converges:
-    converged starts agree to well below 1e-9 m for a valid layout, so the
-    others would add Newton steps and nothing else.  Of the starts that
-    converge in that iteration, the one with the smallest |E| is returned.
+    Solves E_x = E_z = 0 at unit drive by damped Newton steps
+    (``_damped_newton``) with the closed-form field Jacobian, from starts at
+    the ``start_fractions`` of the RF strips' x extent above their center, all
+    at once, so that the search scales with the layout and neither the drive
+    nor the species enters it.  |E| alone is not a usable convergence test,
+    since the far field is small everywhere.  The search stops at the first
+    iteration in which some start converges (converged starts agree to well
+    below 1e-9 of the height); of those starts, the one with the smallest |E|
+    is returned.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    z = np.array(start_heights, dtype=float)
-    rf = _corners(layout.rf_strips, -layout.rf_voltage)
-    x, z, e = _damped_newton(layout, rf, _null_step,
-                             np.full(z.shape, _search_frame(layout)[0]), z, first=True)
-    candidates = [(float(ek), float(xk), float(zk)) for ek, xk, zk in zip(e, x, z)]
-    if not candidates:
+    x0, rf_extent, _ = _search_frame(layout)
+    z = rf_extent * np.array(start_fractions, dtype=float)
+    x, z, e = _damped_newton(layout, _corners(layout.rf_strips, 1.0), _null_step,
+                             np.full(z.shape, x0), z, first=True)
+    if not e.size:
         raise NoTrapError("no interior RF null found from any start height")
-    _, x_null, z_null = min(candidates)
-    pos = np.array([x_null, layout.axial_center, z_null])
-    return TrapSolution(null_position=pos, height=z_null)
+    k = np.argmin(e)
+    return TrapSolution(null_position=np.array([x[k], layout.axial_center, z[k]]),
+                        height=float(z[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +444,8 @@ def _saddle_step(rf, pts):
 
     With psi proportional to |E|^2 and J the field Jacobian, grad psi is
     proportional to J^T E and the Hessian to J^T J + sum_i E_i grad(J_i), in
-    closed form from the kernel's third derivatives; the common factor
-    q^2 / (2 m Omega^2) cancels from the step.
+    closed form from the kernel's third derivatives; the factors of psi
+    cancel from the step, so the field is that of unit drive.
     """
     e, jac, d3 = _derivatives(rf, pts, order=3)
     jxz = jac[:, :, ::2]
@@ -457,25 +459,25 @@ def _saddle_step(rf, pts):
 
 def _escape_saddle(layout, null, height):
     """The lowest index-1 saddle of psi in the x-z plane through the null, as
-    (point, |E|^2 there), or None when no transverse ray escapes.
+    (point, |E|^2 there at unit drive), or None when no transverse ray escapes.
 
     A coarse scan samples ``_SCAN_RAYS`` rays from the null out to 30
     heights; a ray whose maximum sits at the end of its range (still climbing,
     e.g. toward the chip plane) offers no escape path.  Over the ray angle the
     escape rays' maxima form valleys, one per saddle they pass near; the
     maximum sample of the lowest ray of each of the ``_SADDLE_STARTS`` lowest
-    valleys starts damped Newton on grad psi = 0 (``_damped_newton``, as for
-    the null).  A converged point counts only where the Hessian of psi has
-    exactly one negative eigenvalue; escape rays with no such saddle raise
-    ``NoTrapError``, so the depth is never a sampled value.
+    valleys starts damped Newton on grad psi = 0 (``_damped_newton``).  A
+    converged point counts only where the Hessian of psi has exactly one
+    negative eigenvalue; escape rays with no such saddle raise ``NoTrapError``,
+    so the depth is never a sampled value.
     """
     s = np.geomspace(1e-2 * height, 30.0 * height, _SCAN_SAMPLES)
     theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False)
     px = null[0] + np.cos(theta)[:, None] * s
     pz = null[2] + np.sin(theta)[:, None] * s
-    ok = pz > 10.0 * _MIN_Z  # per ray a prefix: pz is monotonic along a ray
+    ok = pz > 10.0 * _MIN_Z * _search_frame(layout)[1]  # per ray a prefix: pz is monotonic
     pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    rf = _corners(layout.rf_strips, -layout.rf_voltage)
+    rf = _corners(layout.rf_strips, 1.0)
     (e,) = _derivatives(rf, pts, order=1)
     e2 = np.full(px.shape, -np.inf)
     e2[ok] = np.einsum("ij,ij->i", e, e)
@@ -499,47 +501,43 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
                      dc_voltages: Mapping[int, float] | None = None) -> TrapSolution:
     """Secular frequencies, axes, Mathieu q and depth at the RF null.
 
-    At the null E = 0, so the Hessian of the pseudopotential is exactly
-    H_rf = q^2 J^T J / (2 m Omega^2), with J the closed-form Jacobian of the
-    RF field; the DC strips add q * sum_k V_k Hess(phi_k).  A negative
-    eigenvalue of the total Hessian marks the axis unstable (frequency
-    reported as 0) rather than raising; a Hessian that is not finite (a DC
-    voltage so large that the curvature overflows) raises DomainError.  The
-    Mathieu q of each axis is 2 |q| sigma_i / (m Omega^2), with sigma_i the
-    singular values of J; they give the small axial q to full relative
-    precision, which the eigenvalues of J^T J, with its squared condition
-    number, do not.  One evaluation of the RF kernel at the null gives J and
-    the residual field E there.  The depth, in eV, is the RF pseudopotential
-    at its escape saddle minus its value at the null: the saddle is the
-    lowest index-1 saddle of psi in the x-z plane, found by Newton with the
-    exact gradient and Hessian of psi (see ``_escape_saddle``); it is inf when
-    no transverse ray from the null escapes.  The DC strips do not enter the
-    depth.  A DC index that names no DC strip of the layout, or a DC voltage
-    that is not finite, raises DomainError.
+    The null and the escape saddle are found at unit drive; V, Omega, m and q
+    enter once, through ``_drive_factors``.  At the null E = 0, so the Hessian
+    of psi is exactly (qV)^2 J^T J / (2 m Omega^2), to which the DC strips add
+    q * sum_k V_k Hess(phi_k); its eigen-decomposition over m gives the
+    frequencies and axes.  A negative eigenvalue marks the axis unstable
+    (frequency reported as 0) rather than raising.  The Mathieu q of each axis
+    is 2 |qV| sigma_i / (m Omega^2), from the singular values of J, which keep
+    the small axial q to full relative precision; the eigenvalues of J^T J,
+    with its condition number squared, would not.  The depth, in eV, is
+    (qV)^2 (|E_saddle|^2 - |E_null|^2) / (4 m Omega^2 e), with the saddle of
+    ``_escape_saddle``; it is inf when no transverse ray from the null
+    escapes, and the DC strips do not enter it.  A DC index that names no DC
+    strip, a DC voltage or curvature that is not finite, or a drive factor
+    that is zero or not finite raises DomainError.
     """
     dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
     sol = find_rf_null(layout, species)
+    f, g = _drive_factors(layout, species)
     null = sol.null_position
-    q_ion, mass, omega = species.charge_c, species.mass_kg, layout.rf_omega
-    (e,), (jac,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, null)
+    (e,), (jac,) = _grad_hess(layout.rf_strips, 1.0, null)
+    m = species.mass_kg
     with np.errstate(over="ignore", invalid="ignore"):
-        H = q_ion**2 / (2.0 * mass * omega**2) * (jac.T @ jac)
+        k = 0.5 * f / m * (jac.T @ jac)  # H / m, whose eigenvalues are omega^2
         if dc_strips:
-            H = H + q_ion * _grad_hess(dc_strips, dc_volts, null)[1][0]
-    if not np.isfinite(H).all():
+            k = k + species.charge_c / m * _grad_hess(dc_strips, dc_volts, null)[1][0]
+        scale = float(np.linalg.norm(k))
+    if not math.isfinite(scale):
         raise DomainError("the curvature at the RF null is not finite; "
                           "the RF or DC voltages are too large")
-    evals, axes = np.linalg.eigh(H)
-    scale = float(np.linalg.norm(H))
+    evals, axes = np.linalg.eigh(k)
     unstable = tuple(int(i) for i, ev in enumerate(evals) if ev < -1e-9 * scale)
-    freqs = tuple(math.sqrt(max(float(ev), 0.0) / mass) / (2.0 * math.pi) for ev in evals)
-    sigma = np.linalg.svd(jac, compute_uv=False)[::-1]
-    q_params = tuple(float(q) for q in 2.0 * abs(q_ion) / (mass * omega**2) * sigma)
+    freqs = tuple(math.sqrt(max(float(ev), 0.0)) / (2.0 * math.pi) for ev in evals)
+    q_params = tuple(float(q) for q in g * np.linalg.svd(jac, compute_uv=False)[::-1])
 
     saddle = _escape_saddle(layout, null, sol.height)
     depth = math.inf if saddle is None else (
-        (_psi(layout, species, saddle[1]) - _psi(layout, species, float(e @ e)))
-        / CONSTANTS.elementary_charge)
+        0.25 * f * (saddle[1] - float(e @ e)) / CONSTANTS.elementary_charge)
     return TrapSolution(null_position=null, height=sol.height,
                         secular_freqs_hz=freqs, axes=axes, q_params=q_params,
                         trap_depth_ev=depth, unstable_axes=unstable)

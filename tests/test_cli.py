@@ -367,6 +367,18 @@ def test_trap_spectrum_overflowing_voltage_is_data_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_trap_spectrum_underflowing_drive_frequency_is_data_error(capsys, tmp_path):
+    # Omega^2 underflows to 0: the pseudopotential factor is a typed error
+    layout = tmp_path / "layout.cfg"
+    layout.write_text((DEMO / "trap_layout.cfg").read_text().replace(
+        "rf_frequency = 49.9MHz", "rf_frequency = 1e-200Hz", 1))
+    code, out, err = run(capsys, "trap", "spectrum", "--layout", str(layout))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rf_frequency = 1e-200 Hz" in err
+
+
 @pytest.mark.parametrize("setting", ["x=5V", "5V", "0=5Hz", "0=volts", "0=5dB"])
 def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
     code, out, err = run(capsys, "trap", "spectrum", "--layout",
