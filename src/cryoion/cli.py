@@ -10,6 +10,7 @@ the wrong dimension, "%" and "dB" included).
 
 Reports are deterministic: no timestamps, numbers rendered with %.12g, and
 file outputs carry ``#`` provenance comments (tool version, input hashes).
+``--json`` prints one strict JSON object: a non-finite value is ``null``.
 """
 from __future__ import annotations
 
@@ -98,20 +99,72 @@ def _resolve_quantity_flags(args) -> None:
         setattr(args, dest, default if raw is None else parse_si(raw, dims, flag, unit_label))
 
 
-def _emit(args, lines, payload) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+class _Text:
+    """A report value in a text template: ``{key}`` is %.12g for a float and
+    str() otherwise; a spec ending in a type letter (``{key:.4g}``) formats
+    the float, any other (``{key:>8}``) aligns that text; ``{key:si:UNIT:SIG}``
+    is ``format_si`` (SIG optional).  Lists join their elements with ", ";
+    ``{key[i]}`` picks one."""
+
+    def __init__(self, value):
+        self.value = value.tolist() if hasattr(value, "tolist") else value
+
+    def __getitem__(self, index):
+        return _Text(self.value[index])
+
+    def __format__(self, spec: str) -> str:
+        value = self.value
+        if isinstance(value, (list, tuple)):
+            return ", ".join(format(_Text(v), spec) for v in value)
+        if spec.startswith("si:"):
+            unit, _, sig = spec[3:].partition(":")
+            return format_si(value, unit, int(sig or 3))
+        if not isinstance(value, float):
+            value = str(value)
+        elif not spec[-1:].isalpha():
+            value = fmt(value)
+        return format(value, spec)
+
+
+def _plain(value):
+    """A report value as strict JSON data: arrays to lists, non-finite floats to None."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _render(args, payload: dict, text: list[str], table=None) -> None:
+    """Print one command's report; every output decision is made here.
+
+    ``payload`` is the ``--json`` object.  ``text`` holds ``format_map``
+    templates (see ``_Text``) over the payload and, for echoed inputs, the
+    flags.  ``table`` is ``(columns, comments)``: ``--out`` writes it and adds
+    ``out`` and a ``wrote PATH`` line; a command without text lines prints it
+    instead, as CSV or as JSON columns.
+    """
+    if table is not None:
+        if args.out is not None:
+            write_table(args.out, *table)
+            payload, text = {**payload, "out": args.out}, [*text, "wrote {out}"]
+        elif not text:
+            if not args.json:
+                sys.stdout.write(render_table(*table))
+                return
+            payload = {**payload, **table[0]}
+    if args.json:
+        print(json.dumps({key: _plain(v) for key, v in payload.items()},
+                         sort_keys=True, allow_nan=False))
     else:
-        for line in lines:
-            print(line)
+        fields = {key: _Text(v) for key, v in {**vars(args), **payload}.items()}
+        print("\n".join(line.format_map(fields) for line in text))
 
 
-def _maybe_write(args, columns, comments) -> list[str]:
-    out = getattr(args, "out", None)
-    if out is None:
-        return []
-    write_table(out, columns, comments)
-    return [f"wrote {out}"]
+def _fit_report(res, payload: dict, line: str):
+    """A single-fit report: the fit's flags join the payload and mark the text."""
+    payload.update(unconstrained=res.unconstrained, converged=res.fit.converged,
+                   reason=res.fit.reason)
+    return payload, [line + (" [UNCONSTRAINED]" if res.unconstrained else "")]
 
 
 # ---------------------------------------------------------------------------
@@ -125,63 +178,51 @@ def _conductor_from(args):
     return shielding.ConductorSpec(sigma_293k=args.sigma, rrr=args.rrr, mu_r=args.mu_r)
 
 
-def cmd_shield_skin_depth(args) -> int:
+def cmd_shield_skin_depth(args):
     from . import shielding
 
     delta = shielding.skin_depth(args.freq, _conductor_from(args), args.temp)
-    _emit(args, [f"skin depth = {format_si(delta, 'm', 2)} ({fmt(delta)} m)"],
-          {"skin_depth_m": delta})
-    return 0
+    return {"skin_depth_m": delta}, ["skin depth = {skin_depth_m:si:m:2} ({skin_depth_m} m)"]
 
 
-def cmd_shield_attenuation(args) -> int:
+def cmd_shield_attenuation(args):
     from . import shielding
 
     layer = shielding.ShieldLayer(thickness=args.thickness, conductor=_conductor_from(args),
                                   temperature=args.temp)
-    freq = args.freq
-    db = shielding.attenuation_skin(layer, freq)
-    delta = shielding.skin_depth(freq, layer.conductor, layer.temperature)
-    _emit(args, [f"skin-effect attenuation = {fmt(db)} dB at {fmt(freq)} Hz "
-                 f"(skin depth {format_si(delta, 'm')})"],
-          {"attenuation_db": db, "skin_depth_m": delta})
-    return 0
+    return ({"attenuation_db": shielding.attenuation_skin(layer, args.freq),
+             "skin_depth_m": shielding.skin_depth(args.freq, layer.conductor, layer.temperature)},
+            ["skin-effect attenuation = {attenuation_db} dB at {freq} Hz "
+             "(skin depth {skin_depth_m:si:m})"])
 
 
-def cmd_shield_fit(args) -> int:
+def cmd_shield_fit(args):
     from . import shielding
 
     table = read_table(args.infile, ["freq_hz", "atten_db"])
     curve = shielding.AttenuationCurve(freqs_hz=tuple(table["freq_hz"]),
-                                       atten_db=tuple(table["atten_db"]),
-                                       floor_db=args.floor)
+                                       atten_db=tuple(table["atten_db"]), floor_db=args.floor)
     fit = shielding.fit_attenuation_regime(curve, extrapolate_to_hz=args.extrapolate_to)
-    lines = [f"regime = {fit.regime}" + (" (ambiguous)" if fit.ambiguous else ""),
-             f"extrapolated attenuation at {fmt(fit.extrapolate_to_hz)} Hz = "
-             f"{fmt(fit.extrapolated_db)} dB",
-             f"skin model: {fmt(fit.skin_db)} dB, contact model: {fmt(fit.contact_db)} dB",
-             f"points used = {fit.n_used}, censored at floor = {fit.n_censored}"]
     payload = {"regime": fit.regime, "ambiguous": fit.ambiguous,
                "extrapolate_to_hz": fit.extrapolate_to_hz,
                "extrapolated_db": fit.extrapolated_db,
                "skin_db": fit.skin_db, "contact_db": fit.contact_db,
                "n_used": fit.n_used, "n_censored": fit.n_censored}
-    _emit(args, lines, payload)
-    return 0
+    return payload, ["regime = {regime}" + (" (ambiguous)" if fit.ambiguous else ""),
+                     "extrapolated attenuation at {extrapolate_to_hz} Hz = {extrapolated_db} dB",
+                     "skin model: {skin_db} dB, contact model: {contact_db} dB",
+                     "points used = {n_used}, censored at floor = {n_censored}"]
 
 
-def cmd_shield_budget(args) -> int:
+def cmd_shield_budget(args):
     from . import shielding
 
     budget = shielding.field_noise_budget(sensitivity_hz_per_t=args.sensitivity,
                                           linewidth_hz=args.linewidth,
                                           quantization_field_t=args.field)
-    _emit(args, [f"field noise budget = {format_si(budget.b_max_t, 'T', 2)} "
-                 f"({fmt(budget.b_max_t)} T)",
-                 f"relative stability = {budget.relative_stability:.2g} "
-                 f"({fmt(budget.relative_stability)})"],
-          {"b_max_t": budget.b_max_t, "relative_stability": budget.relative_stability})
-    return 0
+    return ({"b_max_t": budget.b_max_t, "relative_stability": budget.relative_stability},
+            ["field noise budget = {b_max_t:si:T:2} ({b_max_t} T)",
+             "relative stability = {relative_stability:.2g} ({relative_stability})"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +239,23 @@ def _pair_from(args):
                           turns=args.turns, current=args.current)
 
 
-def cmd_coil_field(args) -> int:
+def cmd_coil_field(args):
+    from . import coils
+
+    b = coils.coil_field(_pair_from(args), (args.x, args.y, args.z))
+    return ({"b_t": b, "b_mag_t": np.linalg.norm(b)},
+            ["B = ({b_t}) T", "|B| = {b_mag_t:si:T} ({b_mag_t} T)"])
+
+
+def cmd_coil_homogeneity(args):
     from . import coils
 
     pair = _pair_from(args)
-    b = coils.coil_field(pair, (args.x, args.y, args.z))
-    mag = float(np.linalg.norm(b))
-    _emit(args, [f"B = ({fmt(b[0])}, {fmt(b[1])}, {fmt(b[2])}) T",
-                 f"|B| = {format_si(mag, 'T')} ({fmt(mag)} T)"],
-          {"b_t": [float(v) for v in b], "b_mag_t": mag})
-    return 0
-
-
-def cmd_coil_homogeneity(args) -> int:
-    from . import coils
-
-    pair = _pair_from(args)
-    worst = coils.coil_homogeneity(pair, args.extent, args.samples)
-    center = float(np.linalg.norm(coils.coil_field(pair, (0.0, 0.0, 0.0))))
-    _emit(args, [f"center field = {format_si(center, 'T')} ({fmt(center)} T)",
-                 f"max relative deviation over {format_si(args.extent, 'm')} "
-                 f"axial extent = {fmt(worst)}"],
-          {"center_field_t": center, "max_relative_deviation": worst})
-    return 0
+    return ({"center_field_t": np.linalg.norm(coils.coil_field(pair, (0.0, 0.0, 0.0))),
+             "max_relative_deviation": coils.coil_homogeneity(pair, args.extent, args.samples)},
+            ["center field = {center_field_t:si:T} ({center_field_t} T)",
+             "max relative deviation over {extent:si:m} axial extent = "
+             "{max_relative_deviation}"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +263,7 @@ def cmd_coil_homogeneity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cryo_load(args) -> int:
+def cmd_cryo_load(args):
     from . import thermal
 
     k_table = None
@@ -240,29 +275,24 @@ def cmd_cryo_load(args) -> int:
     support = thermal.SupportSpec.thin_cylinder(
         diameter_m=args.diameter, wall_m=args.wall, length_m=args.length,
         t_cold_k=args.t_cold, t_hot_k=args.t_hot, material=material, k_table=k_table)
-    load = thermal.conduction_load(support)
-    geom = (f"assumed geometry: tube diameter {format_si(args.diameter, 'm')}, "
-            f"wall {format_si(args.wall, 'm')}, "
-            f"length {format_si(args.length, 'm')}, "
-            f"material {'custom table' if k_table is not None else 'SS316'}")
-    _emit(args, [geom,
-                 f"conduction load {fmt(support.t_cold_k)} K to {fmt(support.t_hot_k)} K = "
-                 f"{format_si(load, 'W')} ({fmt(load)} W)"],
-          {"load_w": load, "cross_section_m2": support.cross_section_m2,
-           "t_cold_k": support.t_cold_k, "t_hot_k": support.t_hot_k})
-    return 0
+    return ({"load_w": thermal.conduction_load(support),
+             "cross_section_m2": support.cross_section_m2,
+             "t_cold_k": support.t_cold_k, "t_hot_k": support.t_hot_k},
+            ["assumed geometry: tube diameter {diameter:si:m}, wall {wall:si:m}, "
+             "length {length:si:m}, material "
+             + ("custom table" if k_table is not None else "SS316"),
+             "conduction load {t_cold_k} K to {t_hot_k} K = {load_w:si:W} ({load_w} W)"])
 
 
-def cmd_cryo_boiloff(args) -> int:
+def cmd_cryo_boiloff(args):
     from . import thermal
 
     coolant = {"helium": thermal.LIQUID_HELIUM, "nitrogen": thermal.LIQUID_NITROGEN}[args.coolant]
     rate_l_per_h = args.rate * 1000.0 * 3600.0  # args.rate is in m^3/s
-    power = thermal.boiloff_power(rate_l_per_h, coolant)
-    _emit(args, [f"boil-off heat load = {format_si(power, 'W', 2)} ({fmt(power)} W) "
-                 f"for {fmt(rate_l_per_h)} l/h of {coolant.name}"],
-          {"power_w": power, "rate_l_per_h": rate_l_per_h, "coolant": coolant.name})
-    return 0
+    return ({"power_w": thermal.boiloff_power(rate_l_per_h, coolant),
+             "rate_l_per_h": rate_l_per_h, "coolant": coolant.name},
+            ["boil-off heat load = {power_w:si:W:2} ({power_w} W) "
+             "for {rate_l_per_h} l/h of {coolant}"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +300,14 @@ def cmd_cryo_boiloff(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_trap_solve(args) -> int:
+def cmd_trap_solve(args):
     from . import trap
 
     layout, species = trap.load_layout(args.layout)
     sol = trap.find_rf_null(layout, species)
-    _emit(args, [f"rf null at x = {format_si(sol.null_position[0], 'm')}, "
-                 f"height = {format_si(sol.height, 'm')} ({fmt(sol.height)} m)"],
-          {"null_x_m": float(sol.null_position[0]), "height_m": sol.height,
-           "species": species.label})
-    return 0
+    return ({"null_x_m": sol.null_position[0], "height_m": sol.height,
+             "species": species.label},
+            ["rf null at x = {null_x_m:si:m}, height = {height_m:si:m} ({height_m} m)"])
 
 
 def _dc_setting(text: str) -> tuple[int, float]:
@@ -291,51 +319,39 @@ def _dc_setting(text: str) -> tuple[int, float]:
         raise argparse.ArgumentTypeError(f"expected IDX=VOLTS, got {text!r}") from None
 
 
-def cmd_trap_spectrum(args) -> int:
+def cmd_trap_spectrum(args):
     from . import trap
 
     layout, species = trap.load_layout(args.layout)
-    voltages = dict(args.set or [])
-    sol = trap.secular_spectrum(layout, species, dc_voltages=voltages or None)
-    lines = [f"height = {format_si(sol.height, 'm')}",
-             "secular frequencies = "
-             + ", ".join(format_si(f, "Hz") for f in sol.secular_freqs_hz),
-             "stability q = " + ", ".join(f"{q:.4g}" for q in sol.q_params),
-             f"trap depth = {fmt(sol.trap_depth_ev)} eV"]
+    sol = trap.secular_spectrum(layout, species, dc_voltages=dict(args.set or []) or None)
+    text = ["height = {height_m:si:m}", "secular frequencies = {secular_freqs_hz:si:Hz}",
+            "stability q = {q_params:.4g}", "trap depth = {trap_depth_ev} eV"]
     if sol.unstable_axes:
-        lines.append(f"UNSTABLE axes: {list(sol.unstable_axes)}")
-    _emit(args, lines,
-          {"height_m": sol.height, "secular_freqs_hz": list(sol.secular_freqs_hz),
-           "q_params": list(sol.q_params), "trap_depth_ev": sol.trap_depth_ev,
-           "unstable_axes": list(sol.unstable_axes), "species": species.label})
-    return 0
+        text.append("UNSTABLE axes: [{unstable_axes}]")
+    return ({"height_m": sol.height, "secular_freqs_hz": sol.secular_freqs_hz,
+             "q_params": sol.q_params, "trap_depth_ev": sol.trap_depth_ev,
+             "unstable_axes": sol.unstable_axes, "species": species.label}, text)
 
 
-def cmd_trap_resonator(args) -> int:
+def cmd_trap_resonator(args):
     from . import trap
 
     cap, freq = args.capacitance, args.freq
     if (cap is None) == (freq is None):
         raise UnitError("give exactly one of --capacitance or --freq")
     if cap is None:
-        cap = trap.resonator_capacitance(args.inductance, freq)
-        _emit(args, [f"load capacitance = {format_si(cap, 'F')} ({fmt(cap)} F)"],
-              {"capacitance_f": cap})
-    else:
-        freq = trap.resonance_frequency(args.inductance, cap)
-        _emit(args, [f"resonance frequency = {format_si(freq, 'Hz')} ({fmt(freq)} Hz)"],
-              {"resonance_hz": freq})
-    return 0
+        return ({"capacitance_f": trap.resonator_capacitance(args.inductance, freq)},
+                ["load capacitance = {capacitance_f:si:F} ({capacitance_f} F)"])
+    return ({"resonance_hz": trap.resonance_frequency(args.inductance, cap)},
+            ["resonance frequency = {resonance_hz:si:Hz} ({resonance_hz} Hz)"])
 
 
-def cmd_trap_spacing(args) -> int:
+def cmd_trap_spacing(args):
     from . import trap
 
     species = trap.SPECIES[args.species]
-    spacing = trap.two_ion_spacing(species, args.freq)
-    _emit(args, [f"two-ion spacing = {format_si(spacing, 'm')} ({fmt(spacing)} m)"],
-          {"spacing_m": spacing, "species": species.label})
-    return 0
+    return ({"spacing_m": trap.two_ion_spacing(species, args.freq), "species": species.label},
+            ["two-ion spacing = {spacing_m:si:m} ({spacing_m} m)"])
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +359,14 @@ def cmd_trap_spacing(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_qubit_rabi(args) -> int:
+def cmd_qubit_rabi(args):
     from . import qubit
 
     _check_count(args.points, "--points")
+    if not args.tmax > 0:
+        raise DomainError(f"--tmax must be positive, got {args.tmax:g} s")
     state = qubit.PhononState(nbar=args.nbar)
-    drive = qubit.DriveParams(rabi_frequency=2.0 * math.pi * args.rabi,
-                              lamb_dicke=args.eta)
+    drive = qubit.DriveParams(rabi_frequency=2.0 * math.pi * args.rabi, lamb_dicke=args.eta)
     times = np.linspace(0.0, args.tmax, args.points)
     signal = qubit.carrier_rabi_signal(state, drive, times, model=args.model)
     comments = provenance_lines(__version__) + [
@@ -358,72 +375,58 @@ def cmd_qubit_rabi(args) -> int:
     if not signal.lamb_dicke_valid:
         comments.append("warning: Lamb-Dicke parameter outside validity range (eta >= 0.5)")
     columns = {"t_s": signal.times, "p_excited": signal.excitation}
-    if args.out is not None:
-        write_table(args.out, columns, comments)
-        _emit(args, [f"wrote {args.out}"], {"out": args.out, "n": int(times.size)})
-    else:
-        sys.stdout.write(render_table(columns, comments))
-    return 0
+    return {"n": times.size}, [], (columns, comments)
 
 
-def cmd_qubit_thermometry(args) -> int:
+def cmd_qubit_thermometry(args):
     from . import qubit
 
-    nbar = qubit.sideband_ratio_to_nbar(args.ratio)
-    _emit(args, [f"nbar = {fmt(nbar)} (sideband ratio {fmt(args.ratio)})"], {"nbar": nbar})
-    return 0
+    return ({"nbar": qubit.sideband_ratio_to_nbar(args.ratio)},
+            ["nbar = {nbar} (sideband ratio {ratio})"])
 
 
-def cmd_qubit_heating_fit(args) -> int:
+def cmd_qubit_heating_fit(args):
     from . import qubit
 
     table = read_table(args.infile, ["wait_s", "nbar"])
     res = qubit.heating_rate_fit(table["wait_s"], table["nbar"])
-    rate, sig = res.params["rate"], res.sigma("rate")
-    _emit(args, [f"heating rate = {fmt(rate)} +/- {fmt(sig)} phonons/s "
-                 f"(intercept {fmt(res.params['intercept'])}, "
-                 f"converged={res.converged})"],
-          {"rate_phonons_per_s": rate, "rate_sigma": sig,
-           "intercept": res.params["intercept"], "converged": res.converged})
-    return 0
+    return ({"rate_phonons_per_s": res.params["rate"], "rate_sigma": res.sigma("rate"),
+             "intercept": res.params["intercept"], "converged": res.converged,
+             "reason": res.reason},
+            ["heating rate = {rate_phonons_per_s} +/- {rate_sigma} phonons/s "
+             "(intercept {intercept}, converged={converged})"])
 
 
-def cmd_qubit_ramsey_fit(args) -> int:
+def cmd_qubit_ramsey_fit(args):
     from . import qubit
 
     table = read_table(args.infile, ["wait_s", "contrast"])
     res = qubit.ramsey_contrast_fit(table["wait_s"], table["contrast"], shape=args.shape)
-    _emit(args, [f"contrast 1/e time = {format_si(res.t_1e, 's')} ({fmt(res.t_1e)} s), "
-                 f"shape {res.shape}"
-                 + (" [UNCONSTRAINED]" if res.unconstrained else "")],
-          {"t_1e_s": res.t_1e, "contrast0": res.contrast0, "shape": res.shape,
-           "unconstrained": res.unconstrained})
-    return 0
+    return _fit_report(res, {"t_1e_s": res.t_1e, "t_1e_sigma_s": res.fit.sigma("t_1e"),
+                             "contrast0": res.contrast0, "shape": res.shape},
+                       "contrast 1/e time = {t_1e_s:si:s} ({t_1e_s} s), shape {shape}")
 
 
-def cmd_qubit_waist_fit(args) -> int:
+def cmd_qubit_waist_fit(args):
     from . import qubit
 
     table = read_table(args.infile, ["position_m", "rabi_rad_s"])
     res = qubit.waist_from_rabi_scan(table["position_m"], table["rabi_rad_s"])
-    _emit(args, [f"beam waist = {format_si(res.profile.waist, 'm')} "
-                 f"({fmt(res.profile.waist)} m) at "
-                 f"{format_si(res.profile.center, 'm')}"
-                 + (" [UNCONSTRAINED]" if res.unconstrained else "")],
-          {"waist_m": res.profile.waist, "center_m": res.profile.center,
-           "peak_rabi_rad_s": res.profile.peak_rabi, "unconstrained": res.unconstrained})
-    return 0
+    return _fit_report(res, {"waist_m": res.profile.waist,
+                             "waist_sigma_m": res.fit.sigma("waist"),
+                             "center_m": res.profile.center,
+                             "peak_rabi_rad_s": res.profile.peak_rabi},
+                       "beam waist = {waist_m:si:m} ({waist_m} m) at {center_m:si:m}")
 
 
-def cmd_qubit_optics(args) -> int:
+def cmd_qubit_optics(args):
     from . import qubit
 
     eff = qubit.collection_efficiency(args.na)
-    waist = qubit.diffraction_limited_waist(args.wavelength, args.na)
-    _emit(args, [f"collection efficiency = {100.0 * eff:.2g} % ({fmt(eff)})",
-                 f"diffraction-limited waist = {format_si(waist, 'm')} ({fmt(waist)} m)"],
-          {"collection_efficiency": eff, "diffraction_waist_m": waist, "na": args.na})
-    return 0
+    return ({"collection_efficiency": eff, "na": args.na,
+             "diffraction_waist_m": qubit.diffraction_limited_waist(args.wavelength, args.na)},
+            [f"collection efficiency = {100.0 * eff:.2g} % ({{collection_efficiency}})",
+             "diffraction-limited waist = {diffraction_waist_m:si:m} ({diffraction_waist_m} m)"])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +443,7 @@ def _default_taus(dt: float, n_phase: int) -> np.ndarray:
     return np.array(taus)
 
 
-def cmd_met_allan(args) -> int:
+def cmd_met_allan(args):
     from . import metrology
 
     taus = None
@@ -453,28 +456,22 @@ def cmd_met_allan(args) -> int:
     taus, sigmas = metrology.allan_deviation(record, taus)
     comments = provenance_lines(__version__, [args.infile]) + [
         f"overlapping allan deviation, kind={args.kind}"]
-    lines = [f"tau {fmt(t)} s: sigma_y = {fmt(s)}" for t, s in zip(taus, sigmas)]
-    lines += _maybe_write(args, {"tau_s": taus, "sigma_y": sigmas}, comments)
-    _emit(args, lines, {"tau_s": [float(v) for v in taus],
-                        "sigma_y": [float(v) for v in sigmas]})
-    return 0
+    columns = {"tau_s": taus, "sigma_y": sigmas}
+    text = [f"tau {{tau_s[{i}]}} s: sigma_y = {{sigma_y[{i}]}}" for i in range(len(taus))]
+    return columns, text, (columns, comments)
 
 
-def cmd_met_linewidth(args) -> int:
+def cmd_met_linewidth(args):
     from . import metrology
 
     table = read_table(args.infile, ["freq_hz", "power"])
     res = metrology.lorentzian_linewidth_fit(table["freq_hz"], table["power"])
-    _emit(args, [f"lorentzian fwhm = {fmt(res.fwhm_hz)} Hz "
-                 f"+/- {fmt(res.fit.sigma('fwhm'))} Hz at "
-                 f"{fmt(res.center_hz)} Hz"
-                 + (" [UNCONSTRAINED]" if res.unconstrained else "")],
-          {"fwhm_hz": res.fwhm_hz, "center_hz": res.center_hz,
-           "unconstrained": res.unconstrained})
-    return 0
+    return _fit_report(res, {"fwhm_hz": res.fwhm_hz, "fwhm_sigma_hz": res.fit.sigma("fwhm"),
+                             "center_hz": res.center_hz},
+                       "lorentzian fwhm = {fwhm_hz} Hz +/- {fwhm_sigma_hz} Hz at {center_hz} Hz")
 
 
-def cmd_met_vib(args) -> int:
+def cmd_met_vib(args):
     from . import metrology
 
     _check_count(args.peaks, "--peaks")
@@ -489,34 +486,25 @@ def cmd_met_vib(args) -> int:
                                 min_separation=args.min_separation)
     comments = provenance_lines(__version__, [args.infile]) + [
         f"displacement spectrum, window={args.window_fn}"]
-    lines = [f"max |x| over {fmt(stats.window_s)} s windows = "
-             f"{format_si(stats.max_abs, 'm')} ({fmt(stats.max_abs)} m)",
-             f"peak-to-peak = {format_si(stats.peak_to_peak, 'm')}",
-             f"drift = {format_si(stats.drift, 'm')}",
-             "peaks: " + ", ".join(format_si(p, "Hz") for p in peaks),
-             f"clipped fraction = {fmt(inv.clipped_fraction)}"]
-    lines += _maybe_write(args, {"freq_hz": freqs, "psd": psd}, comments)
-    _emit(args, lines,
-          {"max_abs_m": stats.max_abs, "peak_to_peak_m": stats.peak_to_peak,
-           "drift_m": stats.drift, "peaks_hz": [float(p) for p in peaks],
-           "clipped_fraction": inv.clipped_fraction})
-    return 0
+    return ({"max_abs_m": stats.max_abs, "peak_to_peak_m": stats.peak_to_peak,
+             "drift_m": stats.drift, "peaks_hz": peaks, "window_s": stats.window_s,
+             "clipped_fraction": inv.clipped_fraction},
+            ["max |x| over {window_s} s windows = {max_abs_m:si:m} ({max_abs_m} m)",
+             "peak-to-peak = {peak_to_peak_m:si:m}", "drift = {drift_m:si:m}",
+             "peaks: {peaks_hz:si:Hz}", "clipped fraction = {clipped_fraction}"],
+            ({"freq_hz": freqs, "psd": psd}, comments))
 
 
-def cmd_met_image_fit(args) -> int:
+def cmd_met_image_fit(args):
     from . import metrology
 
     table = read_table(args.infile, ["pixel", "counts"])
-    profile = metrology.ImageProfile(pixel_counts=table["counts"],
-                                     pixel_pitch=args.pitch,
+    profile = metrology.ImageProfile(pixel_counts=table["counts"], pixel_pitch=args.pitch,
                                      magnification=args.magnification)
     res = metrology.gaussian_profile_fit(profile, axis=args.axis)
-    _emit(args, [f"gaussian width = {format_si(res.width_m, 'm')} ({fmt(res.width_m)} m) "
-                 f"at {format_si(res.center_m, 'm')}"
-                 + (" [UNCONSTRAINED]" if res.unconstrained else "")],
-          {"width_m": res.width_m, "center_m": res.center_m,
-           "unconstrained": res.unconstrained})
-    return 0
+    return _fit_report(res, {"width_m": res.width_m, "center_m": res.center_m,
+                             "width_sigma_m": res.fit.sigma("sigma") * profile.object_plane_pitch},
+                       "gaussian width = {width_m:si:m} ({width_m} m) at {center_m:si:m}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,36 +512,26 @@ def cmd_met_image_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_report_table1(args) -> int:
+def cmd_report_table1(args):
     from . import shielding
 
     table = read_table(args.measured, ["temperature_k", "measured_db", "extrapolated"])
     conductor = _conductor_from(args)
-    freq = args.freq
-    thickness = args.thickness
-    modeled = np.array([shielding.attenuation_skin(
-        shielding.ShieldLayer(thickness=thickness, conductor=conductor, temperature=t), freq)
+    modeled = np.array([shielding.attenuation_skin(shielding.ShieldLayer(
+        thickness=args.thickness, conductor=conductor, temperature=t), args.freq)
         for t in table["temperature_k"]])
     comments = provenance_lines(__version__, [args.measured]) + [
-        f"skin-effect model: wall {format_si(thickness, 'm')}, "
+        f"skin-effect model: wall {format_si(args.thickness, 'm')}, "
         f"sigma(293K)={fmt(conductor.sigma_293k)} S/m, rrr={fmt(conductor.rrr)}",
-        f"attenuation of {format_si(freq, 'Hz')} fields vs inner-shield temperature",
+        f"attenuation of {format_si(args.freq, 'Hz')} fields vs inner-shield temperature",
         "measured column: extrapolated=1 marks values beyond the sensor floor"]
-    columns = {"temperature_k": table["temperature_k"],
-               "measured_db": table["measured_db"],
-               "modeled_skin_db": modeled,
-               "extrapolated": table["extrapolated"]}
-    lines = [f"{'T [K]':>8}  {'measured [dB]':>14}  {'skin model [dB]':>16}  note"]
-    for t, meas, mod, ex in zip(table["temperature_k"], table["measured_db"], modeled,
-                                table["extrapolated"]):
-        note = "extrapolated" if ex else "measured"
-        lines.append(f"{fmt(t):>8}  {fmt(meas):>14}  {fmt(mod):>16}  {note}")
-    lines += _maybe_write(args, columns, comments)
-    _emit(args, lines,
-          {"temperature_k": [float(v) for v in table["temperature_k"]],
-           "measured_db": [float(v) for v in table["measured_db"]],
-           "modeled_skin_db": [float(v) for v in modeled]})
-    return 0
+    payload = {"temperature_k": table["temperature_k"], "measured_db": table["measured_db"],
+               "modeled_skin_db": modeled}
+    text = [f"{'T [K]':>8}  {'measured [dB]':>14}  {'skin model [dB]':>16}  note"]
+    text += [f"{{temperature_k[{i}]:>8}}  {{measured_db[{i}]:>14}}  {{modeled_skin_db[{i}]:>16}}  "
+             + ("extrapolated" if ex else "measured")
+             for i, ex in enumerate(table["extrapolated"])]
+    return payload, text, ({**payload, "extrapolated": table["extrapolated"]}, comments)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +762,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _resolve_quantity_flags(args)
-        return args.func(args)
+        _render(args, *args.func(args))
+        return 0
     except UnitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,11 @@ this package shares one auditable engine:
   column-scaled normal matrix S = N^-1 J^T J N^-1, N = sqrt(diag J^T J); every
   damped trial of that iteration is then Marquardt's step
   -(J^T J + lam diag J^T J)^-1 g = -(V/N) ((V/N)^T g / (L + lam))
-* converged when the relative cost decrease falls below 1e-10, the gradient
-  norm falls below 1e-12, or no damped step can reduce the cost at all (the
-  point is a minimum at working precision), within at most 200 iterations
+* converged when the relative cost decrease falls below 1e-10, the cosine
+  |J_i . r| / (|J_i| |r|) between the residual and every Jacobian column is at
+  most 1e-12 (a test that rescaling y or a parameter leaves unchanged), or no
+  damped step can reduce the cost at all (the point is a minimum at working
+  precision), within at most 200 iterations
 * stopped as degenerate (not converged) as soon as an iterate's N is zero or
   non-finite or min(L) <= 1e-12 max(L): the data no longer constrain some
   direction, the covariance there is infinite, and the fit is running off
@@ -220,10 +222,12 @@ def lm_fit(
         if scaled is None:
             reason = REASON_DEGENERATE
             break
-        if float(np.linalg.norm(g)) < GRAD_TOL:
+        N, evals, evecs = scaled
+        # the cosine between r and each column of J: unchanged by rescaling y
+        # or a parameter, unlike the raw gradient norm (which scales as y^2)
+        if float(np.max(np.abs(g) / N)) <= GRAD_TOL * float(np.linalg.norm(r)):
             reason = REASON_GRAD_TOL
             break
-        N, evals, evecs = scaled
         W = evecs / N[:, None]
         Wg = W.T @ g
 

@@ -212,8 +212,12 @@ def fit_attenuation_regime(curve: AttenuationCurve, extrapolate_to_hz: float = 5
     Points at or below the measurement floor are censored (the sensor cannot
     resolve deeper attenuation); at least 3 points must survive.  The skin
     model is dB = -a*sqrt(f); the contact model is dB = b - 20*s*log10(f)
-    with the slope s left free.
+    with the slope s left free.  The extrapolation frequency must be positive
+    and finite.
     """
+    if not 0 < extrapolate_to_hz < math.inf:
+        raise DomainError("extrapolation frequency must be positive and finite, "
+                          f"got {extrapolate_to_hz:g} Hz")
     f = np.array(curve.freqs_hz, dtype=float)
     a = np.array(curve.atten_db, dtype=float)
     usable = a > curve.floor_db

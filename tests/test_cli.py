@@ -217,6 +217,26 @@ def test_count_below_one_writes_no_file(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("tmax", ["-1s", "0s"])
+def test_non_positive_tmax_is_data_error_and_writes_no_file(capsys, tmp_path, tmax):
+    out_csv = tmp_path / "rabi.csv"
+    code, out, err = run(capsys, *RABI[:-1], tmax, "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --tmax must be positive, got {tmax[:-1]} s\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("freq", ["0Hz", "-5Hz"])
+def test_non_positive_extrapolation_frequency_is_data_error(capsys, freq):
+    code, out, err = run(capsys, "shield", "fit", "--in", str(DEMO / "attenuation_along.csv"),
+                         "--extrapolate-to", freq)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: extrapolation frequency must be positive and finite, "
+                   f"got {freq[:-2]} Hz\n")
+
+
 def test_domain_error_is_data_error(capsys):
     code, _, err = run(capsys, "qubit", "thermometry", "--ratio", "1.5")
     assert code == 1
@@ -479,6 +499,127 @@ def test_met_allan_out_file_has_provenance(tmp_path, capsys):
     text = out_csv.read_text()
     assert "# input beat_fractional.csv sha256=" in text
     assert text.count("\n") == 3 + 3 + 1  # three comments, header, three rows
+
+
+def test_qubit_rabi_json_prints_the_columns(capsys):
+    code, out, _ = run(capsys, *RABI, "--points", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload) == ["n", "p_excited", "t_s"]
+    assert payload["n"] == 3
+    assert payload["t_s"] == pytest.approx([0.0, 25e-6, 50e-6], rel=1e-15)
+    assert len(payload["p_excited"]) == 3
+
+
+def test_qubit_rabi_json_with_out_reports_the_file(capsys, tmp_path):
+    out_csv = tmp_path / "rabi.csv"
+    code, out, _ = run(capsys, *RABI, "--points", "3", "--json", "--out", str(out_csv))
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "out": str(out_csv)}
+    assert out_csv.read_text().count("\n") == 2 + 1 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["met", "allan", "--in", str(DEMO / "beat_fractional.csv")],
+    VIB,
+    ["report", "table1", "--measured", str(DEMO / "attenuation_50hz_measured.csv")],
+], ids=["allan", "vib", "table1"])
+def test_table_command_json_names_the_written_file(capsys, tmp_path, argv):
+    out_csv = tmp_path / "table.csv"
+    without = json.loads(run(capsys, *argv, "--json")[1])
+    code, out, _ = run(capsys, *argv, "--json", "--out", str(out_csv))
+    assert code == 0
+    assert json.loads(out) == {**without, "out": str(out_csv)}
+    assert out_csv.read_text().startswith("# cryoion ")
+
+
+def _no_constants(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def test_json_prints_a_non_finite_value_as_null(capsys, tmp_path):
+    # equal wait times leave the slope undetermined: its sigma is infinite
+    flat = tmp_path / "flat.csv"
+    flat.write_text("wait_s,nbar\n1,0.5\n1,0.7\n1,0.6\n")
+    code, out, _ = run(capsys, "qubit", "heating-fit", "--in", str(flat), "--json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_no_constants)
+    assert payload["rate_sigma"] is None
+    assert payload["converged"] is False
+    code, out, _ = run(capsys, "qubit", "heating-fit", "--in", str(flat))
+    assert code == 0 and "+/- inf phonons/s" in out
+
+
+# ---------------------------------------------------------------------------
+# report contract: every leaf, in text and JSON form
+# ---------------------------------------------------------------------------
+
+FIT_KEYS = {"converged", "reason"}
+
+#: one demo invocation per leaf and the JSON keys it must carry at least
+LEAVES = {
+    ("shield", "skin-depth"): (["--freq", "50Hz"], {"skin_depth_m"}),
+    ("shield", "attenuation"): (["--freq", "50Hz", "--thickness", "20mm", "--temp", "20K",
+                                 "--rrr", "10"], {"attenuation_db", "skin_depth_m"}),
+    ("shield", "fit"): (["--in", str(DEMO / "attenuation_along.csv")],
+                        {"ambiguous", "contact_db", "extrapolate_to_hz", "extrapolated_db",
+                         "n_censored", "n_used", "regime", "skin_db"}),
+    ("shield", "budget"): (["--linewidth", "140mHz", "--sensitivity", "39GHz/T",
+                            "--field", "0.3mT"], {"b_max_t", "relative_stability"}),
+    ("coil", "field"): (["--radius", "19.5cm", "--z", "1cm", "--turns", "50"],
+                        {"b_t", "b_mag_t"}),
+    ("coil", "homogeneity"): (["--radius", "19.5cm", "--extent", "1cm"],
+                              {"center_field_t", "max_relative_deviation"}),
+    ("cryo", "load"): ([], {"load_w", "cross_section_m2", "t_cold_k", "t_hot_k"}),
+    ("cryo", "boiloff"): (["--rate", "0.5l/h"], {"power_w", "rate_l_per_h", "coolant"}),
+    ("trap", "solve"): (["--layout", str(DEMO / "trap_layout.cfg")],
+                        {"null_x_m", "height_m", "species"}),
+    ("trap", "spectrum"): (["--layout", str(DEMO / "trap_layout.cfg")],
+                           {"height_m", "secular_freqs_hz", "q_params", "trap_depth_ev",
+                            "unstable_axes", "species"}),
+    ("trap", "resonator"): (["--inductance", "1uH", "--freq", "50MHz"], {"capacitance_f"}),
+    ("trap", "spacing"): (["--freq", "1MHz"], {"spacing_m", "species"}),
+    ("qubit", "rabi"): (RABI[2:], {"n", "t_s", "p_excited"}),
+    ("qubit", "thermometry"): (["--ratio", "0.3"], {"nbar"}),
+    ("qubit", "heating-fit"): (["--in", str(DEMO / "heating.csv")],
+                               {"rate_phonons_per_s", "rate_sigma", "intercept"} | FIT_KEYS),
+    ("qubit", "ramsey-fit"): (["--in", str(DEMO / "ramsey.csv")],
+                              {"t_1e_s", "t_1e_sigma_s", "contrast0", "shape",
+                               "unconstrained"} | FIT_KEYS),
+    ("qubit", "waist-fit"): (["--in", str(DEMO / "waist_scan.csv")],
+                             {"waist_m", "waist_sigma_m", "center_m", "peak_rabi_rad_s",
+                              "unconstrained"} | FIT_KEYS),
+    ("qubit", "optics"): (["--na", "0.23"],
+                          {"collection_efficiency", "diffraction_waist_m", "na"}),
+    ("met", "allan"): (["--in", str(DEMO / "beat_fractional.csv")], {"tau_s", "sigma_y"}),
+    ("met", "linewidth"): (["--in", str(DEMO / "beat_spectrum.csv")],
+                           {"fwhm_hz", "fwhm_sigma_hz", "center_hz",
+                            "unconstrained"} | FIT_KEYS),
+    ("met", "vib"): (VIB[2:], {"max_abs_m", "peak_to_peak_m", "drift_m", "peaks_hz",
+                               "window_s", "clipped_fraction"}),
+    ("met", "image-fit"): (IMAGE_FIT[2:], {"width_m", "width_sigma_m", "center_m",
+                                           "unconstrained"} | FIT_KEYS),
+    ("report", "table1"): (["--measured", str(DEMO / "attenuation_50hz_measured.csv")],
+                           {"temperature_k", "measured_db", "modeled_skin_db"}),
+}
+
+
+def test_contract_covers_every_leaf():
+    from test_startup import FULL_LEAVES
+
+    assert sorted(LEAVES) == sorted(tuple(leaf) for leaf in FULL_LEAVES)
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_every_leaf_reports_in_text_and_strict_json(capsys, leaf):
+    argv, keys = LEAVES[leaf]
+    code, out, err = run(capsys, *leaf, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and "{" not in out
+    code, out, err = run(capsys, *leaf, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+    assert keys <= set(json.loads(out, parse_constant=_no_constants))
 
 
 # ---------------------------------------------------------------------------

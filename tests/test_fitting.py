@@ -1,7 +1,7 @@
 """Least-squares engine: recovery, covariance semantics, Jacobians, error paths."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -370,6 +370,8 @@ def test_shifting_y_moves_line_intercept(slope, intercept, shift, seed):
 @settings(max_examples=40, deadline=None)
 @given(amplitude=_factor, offset=_moderate, s=_factor, negate=st.booleans(),
        seed=st.integers(0, 2**16))
+# an absolute gradient stop ended the scaled fit one step early here
+@example(amplitude=0.01171875, offset=0.0, s=0.01171875, negate=False, seed=2157)
 def test_scaling_y_scales_gaussian_amplitude_and_offset(amplitude, offset, s, negate, seed):
     s = -s if negate else s
     x = np.linspace(-3.0, 3.0, 41)

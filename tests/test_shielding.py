@@ -206,6 +206,13 @@ def test_regime_fit_flags_ambiguous_mixture():
     assert hi <= 2.0 * lo
 
 
+@pytest.mark.parametrize("freq", [0.0, -5.0, math.inf, math.nan])
+def test_regime_fit_rejects_non_positive_or_non_finite_extrapolation(freq):
+    curve = AttenuationCurve((2.0, 4.0, 8.0), (-24.0, -33.9, -48.0), floor_db=-58.0)
+    with pytest.raises(DomainError, match="extrapolation frequency"):
+        fit_attenuation_regime(curve, extrapolate_to_hz=freq)
+
+
 def test_regime_fit_needs_three_points_above_floor():
     freqs = (2.0, 4.0, 100.0, 200.0)
     atten = (-24.0, -33.9, -58.0, -58.0)
