@@ -11,16 +11,16 @@ the wrong dimension, "%" and "dB" included).
 Reports are deterministic: no timestamps, numbers rendered with %.12g, and
 file outputs carry ``#`` provenance comments (tool version, input hashes).
 ``--json`` prints one strict JSON object: a non-finite value is ``null``.
+
+numpy and ``json`` are imported only where an array or JSON is made, so
+a command that needs only scalars starts without numpy.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-
-import numpy as np
 
 from . import __version__
 from .csvio import fmt, provenance_lines, read_table, read_timeseries, render_table, write_table
@@ -153,6 +153,8 @@ def _render(args, payload: dict, text: list[str], table=None) -> None:
                 return
             payload = {**payload, **table[0]}
     if args.json:
+        import json
+
         print(json.dumps({key: _plain(v) for key, v in payload.items()},
                          sort_keys=True, allow_nan=False))
     else:
@@ -240,6 +242,8 @@ def _pair_from(args):
 
 
 def cmd_coil_field(args):
+    import numpy as np
+
     from . import coils
 
     b = coils.coil_field(_pair_from(args), (args.x, args.y, args.z))
@@ -248,6 +252,8 @@ def cmd_coil_field(args):
 
 
 def cmd_coil_homogeneity(args):
+    import numpy as np
+
     from . import coils
 
     pair = _pair_from(args)
@@ -360,6 +366,8 @@ def cmd_trap_spacing(args):
 
 
 def cmd_qubit_rabi(args):
+    import numpy as np
+
     from . import qubit
 
     _check_count(args.points, "--points")
@@ -435,6 +443,8 @@ def cmd_qubit_optics(args):
 
 
 def _default_taus(dt: float, n_phase: int) -> np.ndarray:
+    import numpy as np
+
     taus = []
     m = 1
     while 2 * m + 1 <= n_phase:
@@ -444,6 +454,8 @@ def _default_taus(dt: float, n_phase: int) -> np.ndarray:
 
 
 def cmd_met_allan(args):
+    import numpy as np
+
     from . import metrology
 
     taus = None
@@ -513,6 +525,8 @@ def cmd_met_image_fit(args):
 
 
 def cmd_report_table1(args):
+    import numpy as np
+
     from . import shielding
 
     table = read_table(args.measured, ["temperature_k", "measured_db", "extrapolated"])

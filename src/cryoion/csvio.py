@@ -4,6 +4,9 @@ Dialect: comma separator, ``.`` decimal point, ``#`` comment lines, mandatory
 header row.  Numbers are written with ``%.12g`` so identical inputs produce
 byte-identical files; provenance comments carry the tool version and a sha256
 of each input instead of timestamps.
+
+numpy is imported inside the functions that build arrays, so a command
+that needs only scalars starts without it.
 """
 from __future__ import annotations
 
@@ -13,10 +16,7 @@ import math
 import os
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import CsvFormatError, InsufficientDataError, NonUniformTimeError
-from .series import TimeSeries
 
 NUMBER_FORMAT = "%.12g"
 
@@ -47,6 +47,8 @@ def provenance_lines(version: str, input_paths: Sequence = ()) -> list[str]:
 
 def read_table(path, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Read a CSV file with exactly the expected header into named float arrays."""
+    import numpy as np
+
     try:
         handle = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
@@ -102,6 +104,10 @@ def read_timeseries(path, time_column: str, value_column: str) -> TimeSeries:
     The sample interval is taken from the median of the time differences;
     any step deviating by more than 1e-6 relative is rejected.
     """
+    import numpy as np
+
+    from .series import TimeSeries
+
     table = read_table(path, [time_column, value_column])
     t = table[time_column]
     v = table[value_column]
@@ -120,6 +126,8 @@ def read_timeseries(path, time_column: str, value_column: str) -> TimeSeries:
 
 def render_table(columns: Mapping[str, np.ndarray], comments: Sequence[str] = ()) -> str:
     """Render named columns to CSV text with leading ``#`` comment lines."""
+    import numpy as np
+
     names = list(columns)
     arrays = [np.atleast_1d(np.asarray(columns[n], dtype=float)) for n in names]
     length = arrays[0].size

@@ -198,7 +198,10 @@ def peak_find(freqs, psd, count: int, min_separation: float = 0.0) -> np.ndarray
     A peak must exceed both immediate neighbours (endpoints never qualify),
     and accepted peaks are kept at least ``min_separation`` apart, scanning in
     descending power.  Returns the peak frequencies in descending power order.
+    A negative or non-finite ``min_separation`` is a DomainError.
     """
+    if not (min_separation >= 0 and math.isfinite(min_separation)):
+        raise DomainError(f"min_separation must be finite and >= 0, got {min_separation:g}")
     f = np.asarray(freqs, dtype=float)
     p = np.asarray(psd, dtype=float)
     if p.size == 0:

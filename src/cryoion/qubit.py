@@ -8,6 +8,9 @@ extraction, and the photon-collection / diffraction-limit optics budget.
 The motional state is modeled as a single effective thermal mode.  Rabi decay
 from a hot radial mode and thermometry along the axial mode are therefore
 described by the same ``PhononState`` with different ``nbar``.
+
+numpy (and ``cryoion.fitting``) is imported inside the functions that
+build arrays, so a command that needs only scalars starts without it.
 """
 from __future__ import annotations
 
@@ -15,10 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, InsufficientDataError
-from .fitting import FitResult, line_model, lm_fit
 
 RABI_LINEAR = "linear"      # Omega_n = Omega * (1 - eta^2 * n)
 RABI_LAGUERRE = "laguerre"  # Omega_n = Omega * exp(-eta^2/2) * L_n(eta^2)
@@ -65,12 +65,16 @@ class PhononState:
 
     @property
     def mean_occupation(self) -> float:
+        import numpy as np
+
         p = self.probabilities
         return float(np.arange(p.size) @ p)
 
 
 def thermal_distribution(state: PhononState) -> np.ndarray:
     """P(n) = nbar^n / (1+nbar)^(n+1) for n = 0..n_max, renormalized."""
+    import numpy as np
+
     n = np.arange(state.n_max + 1, dtype=float)
     if state.nbar == 0:
         p = np.zeros(n.size)
@@ -116,6 +120,8 @@ def _laguerre_upto(n_max: int, x: float) -> np.ndarray:
     D_0 = -x; near x = 0, where every L_k is close to 1, this keeps the
     rounding error at the level of one ulp instead of growing with k.
     """
+    import numpy as np
+
     vals = [1.0]
     step = -x
     for k in range(1, n_max + 1):
@@ -134,6 +140,8 @@ def carrier_rabi_signal(state: PhononState, drive: DriveParams, times,
     An out-of-regime Lamb-Dicke parameter does not raise; it clears the
     ``lamb_dicke_valid`` flag on the result.
     """
+    import numpy as np
+
     if drive.detuning != 0.0:
         raise DomainError("carrier signal is defined on resonance (detuning=0)")
     t = np.asarray(times, dtype=float)
@@ -173,6 +181,10 @@ def nbar_to_sideband_ratio(nbar: float) -> float:
 
 def heating_rate_fit(wait_s, nbars, weights=None) -> FitResult:
     """Linear fit nbar(t) = intercept + rate * t; rate in phonons per second."""
+    import numpy as np
+
+    from .fitting import line_model, lm_fit
+
     t = np.asarray(wait_s, dtype=float)
     n = np.asarray(nbars, dtype=float)
     if t.size < 3:
@@ -206,6 +218,10 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
     fitted t_1e runs past ten times the record span (flat data converges to
     an arbitrarily long decay with a deceptively finite uncertainty).
     """
+    import numpy as np
+
+    from .fitting import lm_fit
+
     t = np.asarray(wait_s, dtype=float)
     c = np.asarray(contrasts, dtype=float)
     if t.size < 4:
@@ -268,6 +284,10 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
     and the fitted w is directly the 1/e^2 intensity radius.  Scans without a
     bell shape are flagged ``unconstrained`` instead of raising.
     """
+    import numpy as np
+
+    from .fitting import lm_fit
+
     x = np.asarray(positions_m, dtype=float)
     om = np.asarray(rabi_rad_s, dtype=float)
     if x.size < 4:

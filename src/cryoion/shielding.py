@@ -5,6 +5,9 @@ the skin depth delta = sqrt(2/(omega*sigma*mu)) is smaller than the wall, i.e.
 by -20*log10(e) * t/delta decibels.  Cooling the wall raises the conductivity
 and deepens the attenuation; measured curves can instead be limited by joint
 contact resistance, which this module classifies by competing model fits.
+
+numpy (and ``cryoion.fitting``) is imported inside the functions that
+build arrays, so a command that needs only scalars starts without it.
 """
 from __future__ import annotations
 
@@ -12,10 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, InsufficientDataError
-from .fitting import FitResult, lm_fit
 from .units import CONSTANTS
 
 DB_PER_SKIN_DEPTH = 20.0 / math.log(10.0)  # 8.6859 dB of attenuation per t=delta
@@ -135,7 +135,7 @@ def skin_attenuation_db(thickness: float, delta: float) -> float:
     """Attenuation in dB (<= 0) of a wall of given thickness at skin depth delta."""
     if thickness < 0 or delta <= 0:
         raise DomainError("thickness must be >= 0 and skin depth > 0")
-    return -DB_PER_SKIN_DEPTH * thickness / delta
+    return 0.0 - DB_PER_SKIN_DEPTH * thickness / delta  # 0.0, not -0.0, for a bare wall
 
 
 def attenuation_skin(layer: ShieldLayer, frequency: float) -> float:
@@ -178,10 +178,14 @@ REGIME_CONTACT = "contact_limited"
 
 
 def _skin_model(f, theta):
+    import numpy as np
+
     return -theta[0] * np.sqrt(np.asarray(f, dtype=float))
 
 
 def _contact_model(f, theta):
+    import numpy as np
+
     return theta[0] - 20.0 * theta[1] * np.log10(np.asarray(f, dtype=float))
 
 
@@ -215,6 +219,10 @@ def fit_attenuation_regime(curve: AttenuationCurve, extrapolate_to_hz: float = 5
     with the slope s left free.  The extrapolation frequency must be positive
     and finite.
     """
+    import numpy as np
+
+    from .fitting import lm_fit
+
     if not 0 < extrapolate_to_hz < math.inf:
         raise DomainError("extrapolation frequency must be positive and finite, "
                           f"got {extrapolate_to_hz:g} Hz")

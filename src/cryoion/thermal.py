@@ -5,13 +5,14 @@ Q = (A/L) * integral of k(T) dT between the cold and hot ends.  The built-in
 k(T) for 316 stainless steel is the NIST cryogenic materials log-polynomial
 fit (valid 4-300 K); custom materials supply a (T, k) table interpolated
 linearly.
+
+numpy is imported inside the functions that build arrays, so a command
+that needs only scalars starts without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -26,6 +27,8 @@ MATERIAL_CUSTOM = "custom"
 
 def ss316_conductivity(temperature_k) -> float:
     """Thermal conductivity of 316 stainless in W/(m K), valid 4-300 K."""
+    import numpy as np
+
     T = np.asarray(temperature_k, dtype=float)
     if np.any(T < _SS316_RANGE_K[0]) or np.any(T > _SS316_RANGE_K[1]):
         raise DomainError(f"SS316 table covers {_SS316_RANGE_K[0]}-{_SS316_RANGE_K[1]} K")
@@ -56,6 +59,8 @@ class SupportSpec:
         if self.material == MATERIAL_CUSTOM:
             if self.k_table is None:
                 raise DomainError("custom material requires a k_table")
+            import numpy as np
+
             T, k = (np.asarray(v, dtype=float) for v in self.k_table)
             if T.size != k.size or T.size < 2 or np.any(np.diff(T) <= 0) or np.any(k <= 0):
                 raise DomainError("k_table must be ascending in T with positive k")
@@ -76,6 +81,8 @@ class SupportSpec:
     def conductivity(self, temperature_k):
         if self.material == MATERIAL_SS316:
             return ss316_conductivity(temperature_k)
+        import numpy as np
+
         T_tab, k_tab = self.k_table
         T = np.asarray(temperature_k, dtype=float)
         if np.any(T < T_tab[0]) or np.any(T > T_tab[-1]):
@@ -86,6 +93,8 @@ class SupportSpec:
 
 def conduction_load(support: SupportSpec) -> float:
     """Heat leak in W: (A/L) * integral k(T) dT, trapezoid on a <= 1 K grid."""
+    import numpy as np
+
     span = support.t_hot_k - support.t_cold_k
     n = max(2, int(math.ceil(span)) + 1)
     T = np.linspace(support.t_cold_k, support.t_hot_k, n)

@@ -237,6 +237,38 @@ def test_non_positive_extrapolation_frequency_is_data_error(capsys, freq):
                    f"got {freq[:-2]} Hz\n")
 
 
+@pytest.mark.parametrize("flag", [["--min-separation=-1Hz"], ["--min-separation", "-1Hz"]])
+def test_negative_min_separation_is_data_error_and_writes_no_file(capsys, tmp_path, flag):
+    out_csv = tmp_path / "vib.csv"
+    code, out, err = run(capsys, *VIB, *flag, "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err == "error: min_separation must be finite and >= 0, got -1\n"
+    assert not out_csv.exists()
+
+
+def test_zero_thickness_wall_prints_zero_not_negative_zero(capsys, tmp_path):
+    argv = ["shield", "attenuation", "--freq", "50Hz", "--thickness", "0m"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "skin-effect attenuation = 0 dB at 50 Hz (skin depth 9.22 mm)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert '"attenuation_db": 0.0,' in out
+    assert json.loads(out, parse_constant=_no_constants)["attenuation_db"] == 0.0
+    table = tmp_path / "table1.csv"
+    argv = ["report", "table1", "--measured", str(DEMO / "attenuation_50hz_measured.csv"),
+            "--thickness", "0m"]
+    code, out, _ = run(capsys, *argv, "--out", str(table))
+    assert code == 0
+    assert [line.split()[2] for line in out.splitlines()[1:-1]] == ["0"] * 4
+    assert "-0" not in table.read_text()
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_no_constants)["modeled_skin_db"] == [0.0] * 4
+    assert "-0.0" not in out
+
+
 def test_domain_error_is_data_error(capsys):
     code, _, err = run(capsys, "qubit", "thermometry", "--ratio", "1.5")
     assert code == 1

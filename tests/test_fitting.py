@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from cryoion import qubit, shielding
+from cryoion import fitting, qubit, shielding
 from cryoion.errors import DomainError, FitRankError, SingularModelError
 from cryoion.fitting import (
     DEFAULT_MAX_ITER,
@@ -239,15 +239,19 @@ def _reference_jacobian(func, theta, rel_step=1e-6, min_step=1e-8):
     return np.column_stack(cols)
 
 
-def _model_of(monkeypatch, module, fit, *args, **kwargs):
-    """The model function a public fit hands to lm_fit."""
+def _model_of(monkeypatch, fit, *args, **kwargs):
+    """The model function a public fit hands to lm_fit.
+
+    The fits import ``lm_fit`` when they run, so the spy replaces the
+    binding in ``cryoion.fitting``.
+    """
     seen = []
 
     def spy(model, *a, **k):
         seen.append(model)
         return lm_fit(model, *a, **k)
 
-    monkeypatch.setattr(module, "lm_fit", spy)
+    monkeypatch.setattr(fitting, "lm_fit", spy)
     fit(*args, **kwargs)
     return seen[0]
 
@@ -265,12 +269,12 @@ def _builtin_case(name, monkeypatch):
         return lorentzian_model, np.linspace(170.0, 190.0, 41), np.array([1.0, 180.1, 2.2, 0.01])
     if name in ("ramsey_gaussian", "ramsey_exponential"):
         shape = qubit.RAMSEY_GAUSSIAN if name == "ramsey_gaussian" else qubit.RAMSEY_EXPONENTIAL
-        model = _model_of(monkeypatch, qubit, qubit.ramsey_contrast_fit,
+        model = _model_of(monkeypatch, qubit.ramsey_contrast_fit,
                           t, 0.97 * np.exp(-((t / 0.0182) ** 2)), shape=shape)
         return model, t, np.array([0.96, 0.0181])
     if name == "waist":
         x = np.linspace(-8e-6, 8e-6, 17)
-        model = _model_of(monkeypatch, qubit, qubit.waist_from_rabi_scan,
+        model = _model_of(monkeypatch, qubit.waist_from_rabi_scan,
                           x, 6.3e5 * np.exp(-((x / 3e-6) ** 2)))
         return model, x, np.array([6.3e5, 1.2e-7, 3.1e-6])
     f = np.geomspace(1.0, 400.0, 10)

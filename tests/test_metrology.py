@@ -243,6 +243,14 @@ def test_peak_find_respects_separation_and_endpoints():
     assert list(peaks) == [2.0]
 
 
+@pytest.mark.parametrize("separation", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_peak_find_rejects_negative_or_non_finite_separation(separation):
+    f = np.arange(10.0)
+    p = np.array([5.0, 1.0, 4.0, 1.0, 3.5, 1.0, 0.5, 0.2, 0.1, 9.0])
+    with pytest.raises(DomainError, match="min_separation must be finite and >= 0"):
+        peak_find(f, p, count=5, min_separation=separation)
+
+
 # ---------------------------------------------------------------------------
 # excursion statistics
 # ---------------------------------------------------------------------------

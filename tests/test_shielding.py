@@ -122,6 +122,8 @@ def test_attenuation_20mm_wall_cold_brackets():
 def test_zero_thickness_no_attenuation():
     layer = ShieldLayer(thickness=0.0, conductor=COPPER, temperature=293.0)
     assert attenuation_skin(layer, 50.0) == 0.0
+    # +0.0, not -0.0, which would print as "-0 dB"
+    assert math.copysign(1.0, attenuation_skin(layer, 50.0)) == 1.0
 
 
 def test_series_attenuation_adds():

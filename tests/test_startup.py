@@ -3,6 +3,7 @@ per-group parser reads exactly like the parser built with every group."""
 import argparse
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,8 +52,58 @@ def test_skin_depth_call_imports_only_what_it_uses():
     # the lazily imported module is listed, so an absence below means something
     assert "cryoion.shielding" in modules
     unused = {"cryoion.trap", "cryoion.qubit", "cryoion.metrology", "cryoion.coils",
-              "cryoion.thermal", "configparser", "hashlib"}
+              "cryoion.thermal", "configparser", "hashlib", "numpy"}
     assert unused.isdisjoint(modules)
+
+
+#: commands whose answer is a few scalars, with their stdout; none loads numpy
+SCALAR_COMMANDS = {
+    "shield skin-depth --freq 50Hz":
+        b"skin depth = 9.2 mm (0.0092195983095 m)\n",
+    "shield attenuation --freq 50Hz --thickness 20mm --temp 20K --rrr 10":
+        b"skin-effect attenuation = -59.5843633075 dB at 50 Hz (skin depth 2.92 mm)\n",
+    "shield budget --linewidth 140mHz --sensitivity 39GHz/T --field 0.5mT":
+        b"field noise budget = 3.6 pT (3.58974358974e-12 T)\n"
+        b"relative stability = 7.2e-09 (7.17948717949e-09)\n",
+    "cryo boiloff --rate 0.5l/h --coolant helium":
+        b"boil-off heat load = 360 mW (0.361111111111 W) for 0.5 l/h of LHe\n",
+    "qubit thermometry --ratio 0.3":
+        b"nbar = 0.428571428571 (sideband ratio 0.3)\n",
+    "qubit optics --na 0.4":
+        b"collection efficiency = 4.2 % (0.0417424305044)\n"
+        b"diffraction-limited waist = 580 nm (5.8011976757e-07 m)\n",
+}
+
+ARRAY_MODULES = {"numpy", "cryoion.fitting", "cryoion.series"}
+
+
+def _call_modules(argv: list[str]) -> tuple[bytes, list[str]]:
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cryoion", *argv],
+                          capture_output=True, check=True)
+    return proc.stdout, imported_modules(proc.stderr.decode())
+
+
+def test_import_cli_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cryoion.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("command", SCALAR_COMMANDS)
+def test_scalar_command_loads_no_numpy(command):
+    stdout, modules = _call_modules(command.split())
+    assert stdout == SCALAR_COMMANDS[command]
+    assert "cryoion.cli" in modules
+    assert ARRAY_MODULES.isdisjoint(modules)
+
+
+def test_fit_command_still_loads_numpy():
+    # the positive control for the absence checks above
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    stdout, modules = _call_modules(["qubit", "heating-fit", "--in", str(demo / "heating.csv")])
+    assert stdout.startswith(b"heating rate = ")
+    assert {"numpy", "cryoion.fitting"} <= set(modules)
 
 
 def test_import_cryoion_leaves_numpy_out():
