@@ -20,6 +20,14 @@ this package shares one auditable engine:
   toward a boundary at infinity (an amplitude and an offset cancelling, a
   width shrinking to zero); this is the same test that makes the covariance
   infinite, so a degenerate stop always reports infinite sigmas
+* stopped as off_range (not converged), for a peak-shaped model that names
+  its center and width parameters (``peak=(center_index, width_index)``), at
+  the first accepted iterate whose center lies more than one x-span outside
+  [min x, max x] or whose |width| exceeds two x-spans, span = max x - min x:
+  on data without a peak the fit otherwise drifts far off the scanned range
+  while its normal matrix stays well conditioned ("parameter evaporation",
+  Transtrum, Machta and Sethna, Phys. Rev. E 83, 036701 (2011)); the bounds
+  are relative to the span, so shifting or scaling x leaves the rule unchanged
 
 Models must broadcast over a parameter batch.  Each Jacobian costs one model
 call, ``model(x[:, None], batch)``, where ``batch`` has shape (p, 2p) and
@@ -35,6 +43,7 @@ estimated from the residuals: covariance = (J^T J)^-1 * SSR/(n-p).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -52,6 +61,7 @@ REASON_COST_TOL = "cost_tol"
 REASON_DAMPING_EXHAUSTED = "damping_exhausted"
 REASON_MAX_ITER = "max_iter"
 REASON_DEGENERATE = "degenerate"
+REASON_OFF_RANGE = "off_range"
 
 #: the scaled normal matrix is degenerate when min(L) <= DEGENERATE_RATIO * max(L)
 DEGENERATE_RATIO = 1e-12
@@ -62,7 +72,8 @@ class FitResult:
     """Outcome of an lm_fit call. ``params`` maps name -> value in theta order.
 
     ``reason`` names the rule that stopped the fit (one of the ``REASON_*``
-    constants); ``converged`` is false for ``max_iter`` and ``degenerate``.
+    constants); ``converged`` is false for ``max_iter``, ``degenerate`` and
+    ``off_range``.
     ``model_calls`` counts every model evaluation, one per Jacobian included.
     """
 
@@ -158,6 +169,7 @@ def lm_fit(
     weights=None,
     names: Sequence[str] | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
+    peak: tuple[int, int] | None = None,
 ) -> FitResult:
     """Fit model(x, theta) -> predictions to y by damped least squares.
 
@@ -166,12 +178,19 @@ def lm_fit(
     parameter vector (see the module docstring).  Each Jacobian is one such
     call.
 
+    ``peak=(center_index, width_index)`` marks a peak-shaped model: the fit
+    then stops as ``off_range`` (not converged) at the first accepted iterate
+    whose center lies more than one x-span outside [min x, max x] or whose
+    |width| exceeds two x-spans, span = max x - min x; the covariance is
+    computed at that iterate, as at every stop.  Without ``peak`` no such
+    stop exists.
+
     Raises FitRankError if there are fewer observations than parameters,
-    DomainError if ``names`` does not name every parameter or the model does
-    not broadcast over a batch, and SingularModelError if the model is
-    non-finite at the start point or at an accepted iterate.  Non-finite trial
-    steps are rejected like any other bad step (damping increases) rather than
-    aborting the fit.
+    DomainError if ``names`` does not name every parameter, ``peak`` does not
+    name two distinct parameter indices or the model does not broadcast over
+    a batch, and SingularModelError if the model is non-finite at the start
+    point or at an accepted iterate.  Non-finite trial steps are rejected like
+    any other bad step (damping increases) rather than aborting the fit.
     """
     y = np.asarray(y, dtype=float).ravel()
     theta = np.asarray(theta0, dtype=float).ravel().copy()
@@ -180,6 +199,16 @@ def lm_fit(
         raise FitRankError(f"{n} observations cannot constrain {p} parameters")
     if names is not None and len(names) != p:
         raise DomainError(f"{len(names)} names given for {p} parameters")
+    if peak is not None:
+        try:
+            center_i, width_i = map(operator.index, peak)
+        except (TypeError, ValueError):
+            center_i = width_i = -1
+        if center_i == width_i or not (0 <= center_i < p and 0 <= width_i < p):
+            raise DomainError(
+                f"peak must name two distinct parameter indices in [0, {p}), got {peak!r}")
+        x_lo, x_hi = float(np.min(x)), float(np.max(x))
+        x_span = x_hi - x_lo
     sw = None
     if weights is not None:
         w = np.asarray(weights, dtype=float).ravel()
@@ -254,6 +283,11 @@ def lm_fit(
             break
         rel_decrease = (cost - new_cost) / max(cost, 1e-300)
         theta, r, cost = new_theta, new_r, new_cost
+        if peak is not None and not (
+                x_lo - x_span <= theta[center_i] <= x_hi + x_span
+                and abs(theta[width_i]) <= 2.0 * x_span):
+            reason = REASON_OFF_RANGE
+            break
         lam = max(lam / 10.0, 1e-14)
         if rel_decrease < COST_TOL:
             reason = REASON_COST_TOL
@@ -267,7 +301,8 @@ def lm_fit(
         names = [f"theta{i}" for i in range(p)]
     params = {str(k): float(v) for k, v in zip(names, theta)}
     return FitResult(params=params, covariance=cov, residual_rms=rms,
-                     converged=reason not in (REASON_MAX_ITER, REASON_DEGENERATE),
+                     converged=reason not in (REASON_MAX_ITER, REASON_DEGENERATE,
+                                              REASON_OFF_RANGE),
                      iterations=iterations, reason=reason, model_calls=model_calls)
 
 

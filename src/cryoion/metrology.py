@@ -92,7 +92,10 @@ def lorentzian_linewidth_fit(freq_hz, power, weights=None) -> LinewidthFit:
     """Fit S(f) = A (G/2)^2 / ((f-f0)^2 + (G/2)^2) + b and report FWHM = G.
 
     Peakless spectra do not raise; the result is flagged ``unconstrained``
-    when the 1-sigma uncertainty on the width exceeds the width.
+    when the fit does not converge, which includes the ``off_range`` stop of
+    a peak that leaves the scanned band (center more than one band width
+    outside it, or FWHM above two band widths), or when the 1-sigma
+    uncertainty on the width exceeds the width.
     """
     f = np.asarray(freq_hz, dtype=float)
     p = np.asarray(power, dtype=float)
@@ -106,7 +109,7 @@ def lorentzian_linewidth_fit(freq_hz, power, weights=None) -> LinewidthFit:
     if g0 <= 0:
         g0 = float(f.max() - f.min()) / 5.0 or 1.0
     res = lm_fit(lorentzian_model, f, p, np.array([a0, f0, g0, b0]), weights=weights,
-                 names=("amplitude", "center", "fwhm", "offset"))
+                 names=("amplitude", "center", "fwhm", "offset"), peak=(1, 2))
     fwhm = abs(res.params["fwhm"])
     sig = res.sigma("fwhm")
     unconstrained = (not res.converged) or not math.isfinite(sig) or sig > fwhm
@@ -306,7 +309,10 @@ def gaussian_profile_fit(profile: ImageProfile, axis: str = AXIS_ROW,
 
     The fit runs in pixel space; center and width (the Gaussian standard
     deviation) are scaled by pixel_pitch/magnification.  A flat profile is
-    flagged ``unconstrained`` rather than raising.
+    flagged ``unconstrained`` rather than raising: its fit is degenerate, or
+    stops as ``off_range`` once the center leaves the profile by more than
+    its length or the width exceeds twice that length, or its width has a
+    1-sigma uncertainty above the width.
     """
     counts = profile.axis_profile(axis)
     if counts.size < 5:
@@ -318,7 +324,7 @@ def gaussian_profile_fit(profile: ImageProfile, axis: str = AXIS_ROW,
     above = np.nonzero(counts - b0 > 0.5 * a0)[0]
     s0 = max(float(above[-1] - above[0]) / 2.355, 0.5) if above.size >= 2 else counts.size / 4.0
     res = lm_fit(gaussian_model, px, counts, np.array([a0, c0, s0, b0]), weights=weights,
-                 names=("amplitude", "center", "sigma", "offset"))
+                 names=("amplitude", "center", "sigma", "offset"), peak=(1, 2))
     scale = profile.object_plane_pitch
     sigma_px = abs(res.params["sigma"])
     sig = res.sigma("sigma")

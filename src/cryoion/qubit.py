@@ -282,7 +282,10 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
 
     The Rabi rate follows the field, so Omega(x) = Omega0 exp(-(x-x0)^2/w^2)
     and the fitted w is directly the 1/e^2 intensity radius.  Scans without a
-    bell shape are flagged ``unconstrained`` instead of raising.
+    bell shape are flagged ``unconstrained`` instead of raising: the fit does
+    not converge (it is degenerate, or stops as ``off_range`` once the center
+    leaves the scan by more than its span or the waist exceeds two spans), or
+    the 1-sigma uncertainty on the waist exceeds the waist.
     """
     import numpy as np
 
@@ -300,7 +303,7 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
     span = float(x.max() - x.min()) or 1.0
     theta0 = np.array([float(om[i0]) or 1.0, float(x[i0]), span / 4.0])
     res = lm_fit(model, x, om, theta0, weights=weights,
-                 names=("peak_rabi", "center", "waist"))
+                 names=("peak_rabi", "center", "waist"), peak=(1, 2))
     w = abs(res.params["waist"])
     sig = res.sigma("waist")
     unconstrained = (not res.converged) or not math.isfinite(sig) or sig > w

@@ -344,11 +344,12 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
     dropped once it leaves the domain (z at or below ``_MIN_Z`` L, above 4
     spans, or more than 2 spans off x0; see ``_search_frame``).  A start
     counts as converged when the Newton correction at its end point is below
-    1e-9 of the height; ``value`` is the step's value there.  With ``first``, the
-    search stops at the first iteration in which some start converges with
-    its last step inside the domain, and returns the starts that did: each
-    end point is one Newton step past the converged point, whose value it
-    carries, so that no further evaluation is needed.
+    1e-9 of the height and its last step stays inside the domain; ``value``
+    is the step's value at that point, recorded in the iteration in which the
+    start converges.  Each end point is one Newton step past its converged
+    point, whose value it carries, so that no further evaluation is needed.
+    With ``first``, the search stops at the first iteration in which some
+    start converges and returns the starts that did.
     """
     x0, rf_extent, span = _search_frame(layout)
     # a planar-trap stationary point sits within a few electrode spans of the
@@ -362,8 +363,9 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
         pts[:, 0], pts[:, 1], pts[:, 2] = x[i], y, z[i]
         return step(rf, pts)
 
-    inside = np.ones(z.shape, dtype=bool)
-    stepping = inside.copy()
+    stepping = np.ones(z.shape, dtype=bool)
+    converged = np.zeros(z.shape, dtype=bool)
+    values = np.empty(z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(60):
             i = np.flatnonzero(stepping)
@@ -377,15 +379,13 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
             xi = x[i] + scale * dx
             zi = zi + scale * dz
             x[i], z[i] = xi, zi
-            inside[i] = ok = (zi > z_min) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
+            ok = (zi > z_min) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
             stepping[i] = ok & ~done
-            if first and (ok & done).any():
-                return xi[ok & done], zi[ok & done], value[ok & done]
-
-        i = np.flatnonzero(inside)
-        dx, dz, value = at(i)
-    converged = np.hypot(dx, dz) <= 1e-9 * z[i]
-    return x[i][converged], z[i][converged], value[converged]
+            converged[i] = hit = ok & done
+            values[i[hit]] = value[hit]
+            if first and hit.any():
+                break
+    return x[converged], z[converged], values[converged]
 
 
 def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,

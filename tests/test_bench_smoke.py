@@ -24,3 +24,6 @@ def test_traced_scan_fits_run_is_correct_and_sees_every_family():
     assert result["failed"] == 0
     for family in ("heating", "regime"):
         assert result["metrics"][f"fitting.{family}.iterations_mean"]["value"] > 0, family
+    # the peak fits, which pass lm_fit its peak keyword, and the no-signal scans
+    for family in ("waist", "image", "linewidth", "nosignal"):
+        assert result["metrics"][f"fitting.{family}.iterations_mean"]["value"] > 0, family

@@ -498,6 +498,31 @@ def test_qubit_fits_on_demo_data(capsys):
     assert code == 0 and "beam waist = 3 µm" in out
 
 
+def _waist_scan(tmp_path, positions, rates):
+    scan = tmp_path / "waist.csv"
+    scan.write_text("position_m,rabi_rad_s\n"
+                    + "".join(f"{x!r},{r!r}\n" for x, r in zip(positions, rates)))
+    return str(scan)
+
+
+def test_waist_fit_of_a_flat_scan_stops_off_range(capsys, tmp_path):
+    scan = _waist_scan(tmp_path, [(k - 4) * 2e-6 for k in range(9)], [1e5] * 9)
+    code, out, err = run(capsys, "qubit", "waist-fit", "--in", scan, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["reason"] == "off_range"
+    assert payload["converged"] is False and payload["unconstrained"] is True
+    code, out, _ = run(capsys, "qubit", "waist-fit", "--in", scan)
+    assert code == 0 and out.endswith(" [UNCONSTRAINED]\n")
+
+
+def test_waist_fit_at_one_position_is_flagged_unconstrained(capsys, tmp_path):
+    scan = _waist_scan(tmp_path, [1e-6] * 5, [1.0, 2.0, 3.0, 2.0, 1.0])
+    code, out, err = run(capsys, "qubit", "waist-fit", "--in", scan)
+    assert (code, err) == (0, "")
+    assert out == "beam waist = 250 mm (0.25 m) at 1 µm [UNCONSTRAINED]\n"
+
+
 def test_report_table1_demo(capsys):
     code, out, _ = run(capsys, "report", "table1", "--measured",
                        str(DEMO / "attenuation_50hz_measured.csv"), "--rrr", "10")

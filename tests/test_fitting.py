@@ -1,11 +1,11 @@
 """Least-squares engine: recovery, covariance semantics, Jacobians, error paths."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from cryoion import fitting, qubit, shielding
+from cryoion import fitting, metrology, qubit, shielding
 from cryoion.errors import DomainError, FitRankError, SingularModelError
 from cryoion.fitting import (
     DEFAULT_MAX_ITER,
@@ -14,6 +14,7 @@ from cryoion.fitting import (
     REASON_DEGENERATE,
     REASON_GRAD_TOL,
     REASON_MAX_ITER,
+    REASON_OFF_RANGE,
     exp_decay_model,
     gaussian_model,
     line_model,
@@ -446,11 +447,141 @@ def test_well_posed_fits_match_scipy_least_squares(shape, amplitude, negate, cen
         theta0 = truth + 0.2 * s * [a, w, w, amplitude]
         scale = np.array([amplitude + abs(offset), w, w, amplitude + abs(offset)])
     res = lm_fit(model, x, y, theta0)
+    if shape != "line":
+        # the off_range stop never fires on a well-posed peak fit
+        peaked = lm_fit(model, x, y, theta0, peak=(1, 2))
+        assert peaked.params == res.params
+        assert np.array_equal(peaked.covariance, res.covariance)
+        assert (peaked.reason, peaked.iterations, peaked.model_calls) == (
+            res.reason, res.iterations, res.model_calls)
     oracle = least_squares(lambda th: model(x, th) - y, truth, jac=lambda th: jacobian(x, th),
                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     assert res.reason != REASON_DEGENERATE
     assert res.converged
     assert np.all(np.abs(res.theta - oracle.x) <= 1e-7 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the off_range stop of peak fits
+# ---------------------------------------------------------------------------
+
+#: rows per no-signal scan of each peak family, drawn log-uniformly
+_NOSIGNAL_ROWS = {"waist": (5, 60), "image": (24, 400), "linewidth": (25, 400)}
+
+
+def _nosignal_scan(family, rng):
+    """(x, y) of a pure-noise scan shaped like a real one of ``family``.
+
+    Waist scans are Rabi rates over about 5 waists of position (metres),
+    image profiles Poisson counts over pixels and linewidth spectra a flat
+    floor with 2 % noise over 12 line widths (hertz).
+    """
+    lo, hi = _NOSIGNAL_ROWS[family]
+    rows = int(round(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
+    if family == "waist":
+        w = rng.uniform(2e-6, 10e-6)
+        x = np.linspace(-2.5 * w, 2.5 * w, rows) + rng.uniform(-0.3, 0.3) * w
+        peak = 2 * np.pi * rng.uniform(50e3, 200e3)
+        return x, np.abs(rng.normal(loc=0.05 * peak, scale=0.01 * peak, size=rows))
+    if family == "image":
+        return np.arange(rows, dtype=float), rng.poisson(50.0, size=rows).astype(float)
+    fwhm = rng.uniform(0.5, 5.0)
+    f0 = rng.uniform(150.0, 250.0)
+    f = np.linspace(f0 - 6.0 * fwhm, f0 + 6.0 * fwhm, rows) + rng.uniform(-0.3, 0.3) * fwhm
+    return f, 0.01 * (1.0 + rng.normal(scale=0.02, size=rows))
+
+
+def _peak_fit(family, x, y):
+    """The package's fit of ``family`` on (x, y): (FitResult, unconstrained)."""
+    if family == "waist":
+        fit = qubit.waist_from_rabi_scan(x, y)
+    elif family == "image":
+        fit = metrology.gaussian_profile_fit(metrology.ImageProfile(pixel_counts=y))
+    else:
+        fit = metrology.lorentzian_linewidth_fit(x, y)
+    return fit.fit, fit.unconstrained
+
+
+def test_no_signal_waist_scan_stops_off_range():
+    # without the stop this scan runs all 200 iterations while centre and
+    # waist drift to millimetres on a 21 um scan
+    x, y = _nosignal_scan("waist", seeded_rng(0))
+    res, unconstrained = _peak_fit("waist", x, y)
+    assert res.reason == REASON_OFF_RANGE
+    assert not res.converged and unconstrained
+    assert res.iterations < DEFAULT_MAX_ITER // 20
+    span = x.max() - x.min()
+    assert (not x.min() - span <= res.params["center"] <= x.max() + span
+            or abs(res.params["waist"]) > 2.0 * span)
+
+
+def test_no_signal_peak_fits_stay_within_the_iteration_budget():
+    # without the stop these scans take 66 (waist), 45 (image) and 55
+    # (linewidth) iterations on average, and 6 waist fits run to max_iter
+    rng = seeded_rng(17)
+    iterations = {}
+    for family in _NOSIGNAL_ROWS:
+        for _ in range(20):
+            res, unconstrained = _peak_fit(family, *_nosignal_scan(family, rng))
+            iterations.setdefault(family, []).append(res.iterations)
+            if res.reason == REASON_OFF_RANGE:
+                assert unconstrained
+    assert max(iterations["waist"]) < DEFAULT_MAX_ITER
+    budget = {"waist": 10, "image": 35, "linewidth": 40}
+    for family, counts in iterations.items():
+        assert np.mean(counts) < budget[family], family
+
+
+def test_peak_must_name_two_distinct_parameters():
+    x = np.arange(8.0)
+    y = gaussian_model(x, [1.0, 3.5, 1.2, 0.1])
+    for bad in [(1, 1), (1, 4), (-1, 2), (1,), (1, 2, 3), ("a", 2), (1.0, 2), 1]:
+        with pytest.raises(DomainError, match="peak"):
+            lm_fit(gaussian_model, x, y, [1.0, 3.0, 1.0, 0.0], peak=bad)
+
+
+def test_zero_span_waist_scan_stops_degenerate_before_any_step():
+    # every position equal: x spans nothing, so the fit stops as degenerate
+    # before it accepts a step and the off_range bounds are never compared
+    res, unconstrained = _peak_fit("waist", np.full(5, 1e-6),
+                                   np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
+    assert (res.reason, res.iterations, unconstrained) == (REASON_DEGENERATE, 1, True)
+
+
+def _waist_shape(x, theta):
+    """The Rabi-rate profile of ``qubit.waist_from_rabi_scan``."""
+    return theta[0] * np.exp(-((x - theta[1]) / theta[2]) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["waist", "image", "linewidth"]), seed=st.integers(0, 2**16),
+       x_scale=st.floats(0.1, 10.0), x_shift=st.floats(-10.0, 10.0),
+       y_scale=st.floats(0.01, 100.0))
+def test_off_range_stop_is_unchanged_by_affine_x_and_scaled_y(family, seed, x_scale, x_shift,
+                                                               y_scale):
+    # the bounds are relative to the x span, so a no-signal fit stops at the
+    # same iterate in any units.  The waist scan runs in micrometres so that
+    # the Jacobian's absolute minimum step stays inactive, and the model is
+    # fitted directly so that the image's pixel axis can move too.  LM itself
+    # is equivariant only up to rounding, which a slow drift over tens of
+    # iterations can turn into a stop one iteration earlier or later, so the
+    # property covers the fits that stop within 20 iterations
+    x, y = _nosignal_scan(family, seeded_rng(seed))
+    if family == "waist":
+        x = 1e6 * x
+    model = {"waist": _waist_shape, "image": gaussian_model,
+             "linewidth": lorentzian_model}[family]
+
+    def fit(xv, yv):
+        i0 = int(np.argmax(yv))
+        span = xv.max() - xv.min()
+        theta0 = [yv[i0], xv[i0], span / 4.0] + ([] if family == "waist" else [yv.min()])
+        return lm_fit(model, xv, yv, theta0, peak=(1, 2))
+
+    base = fit(x, y)
+    assume(base.reason == REASON_OFF_RANGE and base.iterations <= 20)
+    moved = fit(x_scale * x + x_shift * (x.max() - x.min()), y_scale * y)
+    assert (moved.reason, moved.iterations) == (base.reason, base.iterations)
 
 
 def test_time_series_basics():

@@ -640,11 +640,12 @@ def test_trap_depth_positive_and_sub_ev(solved):
 
 
 def test_demo_spectrum_kernel_evaluations(monkeypatch):
-    # one demo-layout spectrum evaluates the kernel 12 times: the null search
+    # one demo-layout spectrum evaluates the kernel 11 times: the null search
     # stops at its first converged start (4 order-2 batches), one order-2
     # evaluation at the null gives both J and the field behind psi(null), the
-    # ray scan is one order-1 batch and the saddle search takes 6 order-3
-    # batches; without DC voltages no DC evaluation runs
+    # ray scan is one order-1 batch and the saddle search takes 5 order-3
+    # batches, each start's value recorded in the iteration where it
+    # converges; without DC voltages no DC evaluation runs
     layout, species = load_layout(DEMO_LAYOUT)
     counts = collections.Counter()
     kernel = trap._derivatives
@@ -655,10 +656,10 @@ def test_demo_spectrum_kernel_evaluations(monkeypatch):
 
     monkeypatch.setattr(trap, "_derivatives", counted)
     secular_spectrum(layout, species)
-    assert counts == {1: 1, 2: 5, 3: 6}
+    assert counts == {1: 1, 2: 5, 3: 5}
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
-    assert counts == {1: 1, 2: 6, 3: 6}
+    assert counts == {1: 1, 2: 6, 3: 5}
 
 
 def test_spectrum_invariant_under_translation(five_wire, solved):
