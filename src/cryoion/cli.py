@@ -242,22 +242,18 @@ def _pair_from(args):
 
 
 def cmd_coil_field(args):
-    import numpy as np
-
     from . import coils
 
     b = coils.coil_field(_pair_from(args), (args.x, args.y, args.z))
-    return ({"b_t": b, "b_mag_t": np.linalg.norm(b)},
+    return ({"b_t": b, "b_mag_t": math.hypot(*b)},
             ["B = ({b_t}) T", "|B| = {b_mag_t:si:T} ({b_mag_t} T)"])
 
 
 def cmd_coil_homogeneity(args):
-    import numpy as np
-
     from . import coils
 
     pair = _pair_from(args)
-    return ({"center_field_t": np.linalg.norm(coils.coil_field(pair, (0.0, 0.0, 0.0))),
+    return ({"center_field_t": math.hypot(*coils.coil_field(pair, (0.0, 0.0, 0.0))),
              "max_relative_deviation": coils.coil_homogeneity(pair, args.extent, args.samples)},
             ["center field = {center_field_t:si:T} ({center_field_t} T)",
              "max relative deviation over {extent:si:m} axial extent = "
@@ -340,23 +336,23 @@ def cmd_trap_spectrum(args):
 
 
 def cmd_trap_resonator(args):
-    from . import trap
+    from . import species
 
     cap, freq = args.capacitance, args.freq
     if (cap is None) == (freq is None):
         raise UnitError("give exactly one of --capacitance or --freq")
     if cap is None:
-        return ({"capacitance_f": trap.resonator_capacitance(args.inductance, freq)},
+        return ({"capacitance_f": species.resonator_capacitance(args.inductance, freq)},
                 ["load capacitance = {capacitance_f:si:F} ({capacitance_f} F)"])
-    return ({"resonance_hz": trap.resonance_frequency(args.inductance, cap)},
+    return ({"resonance_hz": species.resonance_frequency(args.inductance, cap)},
             ["resonance frequency = {resonance_hz:si:Hz} ({resonance_hz} Hz)"])
 
 
 def cmd_trap_spacing(args):
-    from . import trap
+    from . import species
 
-    species = trap.SPECIES[args.species]
-    return ({"spacing_m": trap.two_ion_spacing(species, args.freq), "species": species.label},
+    ion = species.SPECIES[args.species]
+    return ({"spacing_m": species.two_ion_spacing(ion, args.freq), "species": ion.label},
             ["two-ion spacing = {spacing_m:si:m} ({spacing_m} m)"])
 
 
@@ -646,7 +642,7 @@ def _build_cryo(ops) -> None:
 
 
 def _build_trap(ops) -> None:
-    from . import trap
+    from . import species
 
     p = _leaf(ops, "solve", cmd_trap_solve, "locate the RF null")
     p.add_argument("--layout", required=True, help="INI layout file")
@@ -660,7 +656,7 @@ def _build_trap(ops) -> None:
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "resonance frequency")
     p = _leaf(ops, "spacing", cmd_trap_spacing, "two-ion equilibrium spacing")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "axial secular frequency", required=True)
-    p.add_argument("--species", choices=sorted(trap.SPECIES), default="Ca40")
+    p.add_argument("--species", choices=sorted(species.SPECIES), default="Ca40")
 
 
 def _build_qubit(ops) -> None:

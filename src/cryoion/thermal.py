@@ -6,8 +6,9 @@ k(T) for 316 stainless steel is the NIST cryogenic materials log-polynomial
 fit (valid 4-300 K); custom materials supply a (T, k) table interpolated
 linearly.
 
-numpy is imported inside the functions that build arrays, so a command
-that needs only scalars starts without it.
+The SS316 fit and the conduction integral are scalar ``math``, so ``cryoion
+cryo load`` answers without numpy; numpy is imported only for array inputs
+and custom k tables.
 """
 from __future__ import annotations
 
@@ -25,18 +26,28 @@ MATERIAL_SS316 = "SS316"
 MATERIAL_CUSTOM = "custom"
 
 
-def ss316_conductivity(temperature_k) -> float:
-    """Thermal conductivity of 316 stainless in W/(m K), valid 4-300 K."""
+def _ss316(temperature_k: float) -> float:
+    """The SS316 log-polynomial at one temperature."""
+    if not _SS316_RANGE_K[0] <= temperature_k <= _SS316_RANGE_K[1]:
+        raise DomainError(f"SS316 table covers {_SS316_RANGE_K[0]}-{_SS316_RANGE_K[1]} K")
+    L = math.log10(temperature_k)
+    acc = 0.0
+    for i, c in enumerate(_SS316_LOG10_COEFFS):
+        acc = acc + c * L**i
+    return 10.0**acc
+
+
+def ss316_conductivity(temperature_k):
+    """Thermal conductivity of 316 stainless in W/(m K), valid 4-300 K.
+
+    A float gives a float; an array gives an array of the same evaluation.
+    """
+    if isinstance(temperature_k, (int, float)):
+        return _ss316(float(temperature_k))
     import numpy as np
 
     T = np.asarray(temperature_k, dtype=float)
-    if np.any(T < _SS316_RANGE_K[0]) or np.any(T > _SS316_RANGE_K[1]):
-        raise DomainError(f"SS316 table covers {_SS316_RANGE_K[0]}-{_SS316_RANGE_K[1]} K")
-    L = np.log10(T)
-    acc = np.zeros_like(L)
-    for i, c in enumerate(_SS316_LOG10_COEFFS):
-        acc = acc + c * L**i
-    out = 10.0**acc
+    out = np.array([_ss316(t) for t in T.ravel().tolist()]).reshape(T.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -93,13 +104,14 @@ class SupportSpec:
 
 def conduction_load(support: SupportSpec) -> float:
     """Heat leak in W: (A/L) * integral k(T) dT, trapezoid on a <= 1 K grid."""
-    import numpy as np
-
-    span = support.t_hot_k - support.t_cold_k
-    n = max(2, int(math.ceil(span)) + 1)
-    T = np.linspace(support.t_cold_k, support.t_hot_k, n)
-    k = support.conductivity(T)
-    integral = float(np.sum(0.5 * (k[1:] + k[:-1]) * np.diff(T)))
+    lo, hi = support.t_cold_k, support.t_hot_k
+    k_lo, k_hi = support.conductivity(lo), support.conductivity(hi)  # range checks first
+    n = max(2, int(math.ceil(hi - lo)) + 1)
+    # the nodes of np.linspace: lo + i*step, the last one exactly hi
+    step = (hi - lo) / (n - 1)
+    T = [lo + i * step for i in range(n - 1)] + [hi]
+    k = [k_lo] + [support.conductivity(t) for t in T[1:-1]] + [k_hi]
+    integral = math.fsum(0.5 * (k[i + 1] + k[i]) * (T[i + 1] - T[i]) for i in range(n - 1))
     return support.cross_section_m2 / support.length_m * integral
 
 

@@ -18,6 +18,11 @@ curvature gives the secular spectrum; the Mathieu q_i = 2 |qV| sigma_i /
 (m Omega^2), with sigma_i the singular values of J; and the depth is psi at
 the saddle minus psi at the null.
 
+The ion species, the LC resonator arithmetic and the two-ion spacing are
+scalar closed forms in ``cryoion.species``, imported here so that they are
+also ``cryoion.trap`` names; the CLI's scalar trap commands use that module
+and never load this one or numpy.
+
 Axes: x across the strips, y along the trap axis, z normal to the chip.
 """
 from __future__ import annotations
@@ -31,6 +36,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, NoTrapError, UnitError
+from .species import (CA40, SPECIES, SR88, IonSpecies, resonance_frequency,
+                      resonator_capacitance, two_ion_spacing)
 from .units import CONSTANTS, HERTZ, METER, VOLT, parse_si
 
 ROLE_RF = "rf"
@@ -47,23 +54,6 @@ _MIN_Z = 4e-6
 _SCAN_RAYS = 64
 _SCAN_SAMPLES = 16
 _SADDLE_STARTS = 4
-
-
-@dataclass(frozen=True)
-class IonSpecies:
-    mass_kg: float
-    charge_c: float
-    label: str
-
-    def __post_init__(self):
-        if not (0 < self.mass_kg < math.inf and math.isfinite(self.charge_c) and self.charge_c):
-            raise DomainError("species needs a finite positive mass and a finite non-zero "
-                              f"charge, got {self.mass_kg} kg and {self.charge_c} C")
-
-
-CA40 = IonSpecies(CONSTANTS.m_ca40, CONSTANTS.elementary_charge, "Ca40")
-SR88 = IonSpecies(CONSTANTS.m_sr88, CONSTANTS.elementary_charge, "Sr88")
-SPECIES = {"Ca40": CA40, "Sr88": SR88}
 
 
 @dataclass(frozen=True)
@@ -541,39 +531,6 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     return TrapSolution(null_position=null, height=sol.height,
                         secular_freqs_hz=freqs, axes=axes, q_params=q_params,
                         trap_depth_ev=depth, unstable_axes=unstable)
-
-
-# ---------------------------------------------------------------------------
-# lumped resonator and ion-crystal helpers
-# ---------------------------------------------------------------------------
-
-
-def resonator_capacitance(inductance_h: float, resonance_hz: float) -> float:
-    """Load capacitance of an LC resonator: C = 1/(L*(2*pi*f0)^2)."""
-    if inductance_h <= 0 or resonance_hz <= 0:
-        raise DomainError("inductance and resonance frequency must be positive")
-    return 1.0 / (inductance_h * (2.0 * math.pi * resonance_hz) ** 2)
-
-
-def resonance_frequency(inductance_h: float, capacitance_f: float) -> float:
-    """f0 = 1/(2*pi*sqrt(L*C))."""
-    if inductance_h <= 0 or capacitance_f <= 0:
-        raise DomainError("inductance and capacitance must be positive")
-    return 1.0 / (2.0 * math.pi * math.sqrt(inductance_h * capacitance_f))
-
-
-def two_ion_spacing(species: IonSpecies, secular_frequency_hz: float) -> float:
-    """Equilibrium spacing of two ions sharing a harmonic well, in m.
-
-    Balance of Coulomb repulsion and restoring force:
-    s = (q^2 / (2*pi*eps0*m*omega^2))^(1/3).
-    """
-    f = float(secular_frequency_hz)
-    if f <= 0:
-        raise DomainError("secular frequency must be positive")
-    omega = 2.0 * math.pi * f
-    s3 = species.charge_c**2 / (2.0 * math.pi * CONSTANTS.eps0 * species.mass_kg * omega**2)
-    return s3 ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

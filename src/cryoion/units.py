@@ -164,17 +164,16 @@ _PREFIX_BY_EXP = {
 def format_si(value: float, symbol: str, sig: int = 3) -> str:
     """Engineering-notation string, e.g. format_si(9.2196e-3, "m") -> "9.22 mm".
 
-    Only simple (single-token, unprefixed) symbols are given SI prefixes;
-    anything else falls back to plain scientific notation.
+    Only simple (single-token, unprefixed) symbols are given SI prefixes, and
+    only from f to T; anything else falls back to plain ``%.{sig}g`` with the
+    bare symbol, e.g. format_si(1e-30, "m") -> "1e-30 m".
     """
     if not math.isfinite(value):
         return f"{value} {symbol}".strip()
     if value == 0:
         return f"0 {symbol}".strip()
-    simple = "/" not in symbol and symbol in _UNITS
-    if simple:
-        exp3 = int(math.floor(math.log10(abs(value)) / 3.0)) * 3
-        exp3 = min(max(exp3, -15), 12)
+    exp3 = int(math.floor(math.log10(abs(value)) / 3.0)) * 3
+    if "/" not in symbol and symbol in _UNITS and -15 <= exp3 <= 12:
         mant = value / 10.0 ** exp3
         text = f"{mant:.{sig}g}"
         # rounding can push the mantissa to 1000; renormalize

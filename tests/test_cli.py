@@ -2,11 +2,13 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from cryoion.cli import main
+from test_startup import FULL_LEAVES, SCALAR_COMMANDS
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -163,6 +165,63 @@ def test_resonator_needs_exactly_one_unknown(capsys):
     code, _, _ = run(capsys, "trap", "resonator", "--inductance", "2.2uH",
                      "--freq", "42.58MHz", "--capacitance", "6.4pF")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["trap", "spacing", "--freq", "1e-150Hz"], "two-ion spacing"),
+    (["trap", "spacing", "--freq", "1e300Hz"], "two-ion spacing"),
+    (["trap", "resonator", "--inductance", "1e-200H", "--freq", "1e-200Hz"],
+     "load capacitance"),
+    (["trap", "resonator", "--inductance", "1e300H", "--freq", "1e300Hz"], "load capacitance"),
+    (["trap", "resonator", "--inductance", "1e-200H", "--capacitance", "1e-200F"],
+     "resonance frequency"),
+])
+def test_closed_form_beyond_the_float_range_is_data_error(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} is beyond the float range\n"
+
+
+def _coil_json(capsys, *argv):
+    code, out, err = run(capsys, "coil", *argv, "--json")
+    assert (code, err) == (0, "")
+    return json.loads(out, parse_constant=_no_constants)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3])
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e148, 1e300])
+def test_coil_field_scales_as_one_over_the_radius(capsys, scale, x):
+    unit = _coil_json(capsys, "field", "--radius", "1m", "--z", "1m", "--x", f"{x}m")
+    got = _coil_json(capsys, "field", "--radius", f"{scale}m", "--z", f"{scale}m",
+                     "--x", f"{x * scale}m")
+    assert got["b_mag_t"] == pytest.approx(unit["b_mag_t"] / scale, rel=1e-12)
+    assert got["b_t"] == pytest.approx([b / scale for b in unit["b_t"]], rel=1e-12)
+
+
+def test_tiny_coil_homogeneity_is_scale_free(capsys):
+    unit = _coil_json(capsys, "homogeneity", "--radius", "1m", "--extent", "1e-2m")
+    tiny = _coil_json(capsys, "homogeneity", "--radius", "1e-300m", "--extent", "1e-302m")
+    assert tiny["center_field_t"] == pytest.approx(unit["center_field_t"] * 1e300, rel=1e-12)
+    assert tiny["max_relative_deviation"] == pytest.approx(unit["max_relative_deviation"],
+                                                           rel=1e-6)
+
+
+def test_large_current_gives_a_finite_magnitude(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = _coil_json(capsys, "field", "--radius", "19.5cm", "--z", "1cm")
+        big = _coil_json(capsys, "field", "--radius", "19.5cm", "--z", "1cm",
+                         "--current", "1e300A")
+    assert big["b_mag_t"] == pytest.approx(unit["b_mag_t"] * 1e300, rel=1e-12)
+    code, out, _ = run(capsys, "coil", "field", "--radius", "19.5cm", "--z", "1cm",
+                       "--current", "1e300A")
+    assert code == 0 and "inf" not in out
+
+
+def test_coil_field_beyond_the_float_range_is_data_error(capsys):
+    code, out, err = run(capsys, "coil", "field", "--radius", "1e-300m", "--current", "1e300A")
+    assert (code, out) == (1, "")
+    assert err == "error: coil field is beyond the float range\n"
 
 
 RABI = ["qubit", "rabi", "--nbar", "5", "--rabi", "100kHz", "--tmax", "50us"]
@@ -662,8 +721,6 @@ LEAVES = {
 
 
 def test_contract_covers_every_leaf():
-    from test_startup import FULL_LEAVES
-
     assert sorted(LEAVES) == sorted(tuple(leaf) for leaf in FULL_LEAVES)
 
 
@@ -677,6 +734,59 @@ def test_every_leaf_reports_in_text_and_strict_json(capsys, leaf):
     assert (code, err) == (0, "")
     assert out.count("\n") == 1
     assert keys <= set(json.loads(out, parse_constant=_no_constants))
+
+
+# ---------------------------------------------------------------------------
+# contract sweep: extreme values on every quantity flag of the scalar leaves
+# ---------------------------------------------------------------------------
+
+#: the leaves whose answer is a few scalars, the ones run without numpy
+SCALAR_LEAVES = sorted({tuple(command.split()[:2]) for command in SCALAR_COMMANDS})
+SWEEP_VALUES = ("0", "-1", "1e150", "1e-150", "1e300", "1e-300")
+
+
+def _quantity_flags(leaf) -> list[tuple[str, str]]:
+    """(flag, unit label) of every unit-suffixed flag of one leaf."""
+    from cryoion import cli
+
+    args = cli.build_parser(leaf[0]).parse_args([*leaf, *LEAVES[leaf][0]])
+    return [("--" + key[:-len("_spec")].replace("_", "-"), spec[1])
+            for key, spec in sorted(vars(args).items()) if key.endswith("_spec")]
+
+
+def _with_flag(argv: list[str], flag: str, value: str) -> list[str]:
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+SWEEP = [(leaf, flag, value + unit, as_json) for leaf in SCALAR_LEAVES
+         for flag, unit in _quantity_flags(leaf) for value in SWEEP_VALUES
+         for as_json in (False, True)]
+
+
+def test_sweep_covers_every_scalar_leaf_with_a_quantity_flag():
+    # qubit thermometry takes only the plain --ratio
+    assert len(SCALAR_LEAVES) == 11
+    assert {leaf for leaf, *_ in SWEEP} == set(SCALAR_LEAVES) - {("qubit", "thermometry")}
+
+
+@pytest.mark.parametrize("leaf,flag,value,as_json", SWEEP,
+                         ids=[f"{' '.join(leaf)} {flag}={value}{' json' if as_json else ''}"
+                              for leaf, flag, value, as_json in SWEEP])
+def test_scalar_leaf_contract_at_extreme_values(capsys, leaf, flag, value, as_json):
+    argv = [*leaf, *_with_flag(LEAVES[leaf][0], flag, value)] + (["--json"] if as_json else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.splitlines()[-1].startswith(("error: ", "cryoion ")), err
+    assert all(len(line) <= 120 for line in out.splitlines()), out
+    if as_json and code == 0:
+        json.loads(out, parse_constant=_no_constants)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Coil-pair field: elliptic integrals, loop field, homogeneity."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipe, ellipk
 
 from cryoion.errors import DomainError, SingularFieldError
@@ -67,6 +70,27 @@ def test_loop_off_axis_against_biot_savart():
         b = loop_field(RADIUS, 0.03, 2.5, p)
         oracle = bs_loop(RADIUS, 0.03, 2.5, p)
         assert np.linalg.norm(b - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+def mp_loop(radius, z0, amp_turns, rho, z):
+    """(B_rho, B_z) of a loop from mpmath's K and E at 30 digits (near-axis oracle)."""
+    with mpmath.workdps(30):
+        a, r, dz = mpmath.mpf(radius), mpmath.mpf(rho), mpmath.mpf(z) - mpmath.mpf(z0)
+        den, near = (a + r) ** 2 + dz**2, (a - r) ** 2 + dz**2
+        K, E = mpmath.ellipk(4 * a * r / den), mpmath.ellipe(4 * a * r / den)
+        pref = mpmath.mpf(CONSTANTS.mu0) * amp_turns / (2 * mpmath.pi * mpmath.sqrt(den))
+        return (pref * dz / r * (-K + E * (a**2 + r**2 + dz**2) / near),
+                pref * (K + E * (a**2 - r**2 - dz**2) / near))
+
+
+@pytest.mark.parametrize("exponent", range(2, 12))
+def test_loop_near_axis_against_mpmath(exponent):
+    # K and E cancel in B_rho as rho -> 0; B must keep its digits there
+    rho, z = RADIUS * 10.0**-exponent, 0.11
+    b = loop_field(RADIUS, 0.03, 2.5, (rho, 0.0, z))
+    b_rho, b_z = mp_loop(RADIUS, 0.03, 2.5, rho, z)
+    assert b[1] == 0.0
+    assert math.hypot(b[0] - b_rho, b[2] - b_z) <= 1e-14 * abs(b_z)
 
 
 def test_loop_field_is_divergence_free():
@@ -148,5 +172,24 @@ def test_pair_field_is_sum_of_loops():
     pair = CoilPair(radius=RADIUS, separation=0.21, turns=7, current=0.4)
     p = (0.02, -0.01, 0.03)
     ni = 7 * 0.4
-    expected = (loop_field(RADIUS, -0.105, ni, p) + loop_field(RADIUS, 0.105, ni, p))
+    # np.add: the fields are tuples, which + would concatenate
+    expected = np.add(loop_field(RADIUS, -0.105, ni, p), loop_field(RADIUS, 0.105, ni, p))
     assert np.allclose(coil_field(pair, p), expected, rtol=1e-12)
+
+
+_COORD = st.floats(min_value=-0.6, max_value=0.6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COORD, _COORD, _COORD, st.floats(min_value=0.05, max_value=0.6),
+       st.floats(min_value=-100.0, max_value=100.0))
+def test_scaling_every_length_scales_the_field_inversely(x, y, z, separation, log_scale):
+    # keep 1 % of the radius off both filaments, where B is smooth enough for 1e-12
+    rho = math.hypot(x, y)
+    for z0 in (-0.5 * separation, 0.5 * separation):
+        assume(math.hypot(rho - RADIUS, z - z0) > 0.01 * RADIUS)
+    scale = 10.0 ** log_scale
+    b = coil_field(CoilPair(RADIUS, separation, 3, 1.5), (x, y, z))
+    scaled = coil_field(CoilPair(RADIUS * scale, separation * scale, 3, 1.5),
+                        (x * scale, y * scale, z * scale))
+    assert math.dist([v * scale for v in scaled], b) <= 1e-12 * math.hypot(*b)

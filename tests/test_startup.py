@@ -1,6 +1,7 @@
 """Lazy start-up: what ``import cryoion`` and one CLI call load, and that the
 per-group parser reads exactly like the parser built with every group."""
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,7 @@ def test_skin_depth_call_imports_only_what_it_uses():
 
 
 #: commands whose answer is a few scalars, with their stdout; none loads numpy
+#: or the trap solver
 SCALAR_COMMANDS = {
     "shield skin-depth --freq 50Hz":
         b"skin depth = 9.2 mm (0.0092195983095 m)\n",
@@ -72,14 +74,35 @@ SCALAR_COMMANDS = {
     "qubit optics --na 0.4":
         b"collection efficiency = 4.2 % (0.0417424305044)\n"
         b"diffraction-limited waist = 580 nm (5.8011976757e-07 m)\n",
+    "coil field --radius 19.5cm --z 1cm --turns 50":
+        b"B = (0, 0, 0.000230556190291) T\n"
+        b"|B| = 231 \xc2\xb5T (0.000230556190291 T)\n",
+    "coil homogeneity --radius 19.5cm --extent 1cm":
+        b"center field = 4.61 \xc2\xb5T (4.61116043884e-06 T)\n"
+        b"max relative deviation over 10 mm axial extent = 4.97601076759e-07\n",
+    "cryo load":
+        b"assumed geometry: tube diameter 40 mm, wall 500 \xc2\xb5m, length 120 mm, "
+        b"material SS316\n"
+        b"conduction load 20 K to 80 K = 174 mW (0.173565435433 W)\n",
+    "trap resonator --inductance 1uH --freq 50MHz":
+        b"load capacitance = 10.1 pF (1.01321183642e-11 F)\n",
+    "trap spacing --freq 1MHz":
+        b"two-ion spacing = 5.61 \xc2\xb5m (5.60544255316e-06 m)\n",
 }
 
-ARRAY_MODULES = {"numpy", "cryoion.fitting", "cryoion.series"}
+ARRAY_MODULES = {"numpy", "cryoion.fitting", "cryoion.series", "cryoion.trap"}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _call_modules(argv: list[str]) -> tuple[bytes, list[str]]:
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cryoion", *argv],
-                          capture_output=True, check=True)
+def _call_modules(argv: list[str], isolated: bool = False) -> tuple[bytes, list[str]]:
+    """stdout and imported modules of one call; ``isolated`` runs it under
+    ``python -S`` with only ``src`` on the path, so site-packages (numpy
+    included) cannot be imported at all."""
+    flags, env = ["-X", "importtime"], None
+    if isolated:
+        flags, env = ["-S", *flags], {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, *flags, "-m", "cryoion", *argv],
+                          capture_output=True, check=True, env=env)
     return proc.stdout, imported_modules(proc.stderr.decode())
 
 
@@ -92,7 +115,7 @@ def test_import_cli_leaves_numpy_out():
 
 @pytest.mark.parametrize("command", SCALAR_COMMANDS)
 def test_scalar_command_loads_no_numpy(command):
-    stdout, modules = _call_modules(command.split())
+    stdout, modules = _call_modules(command.split(), isolated=True)
     assert stdout == SCALAR_COMMANDS[command]
     assert "cryoion.cli" in modules
     assert ARRAY_MODULES.isdisjoint(modules)

@@ -1,6 +1,7 @@
 """Conductive heat leaks through supports and cryogen boil-off."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -33,6 +34,9 @@ def test_ss316_vectorized_and_monotone():
     k = ss316_conductivity(T)
     assert k.shape == T.shape
     assert np.all(np.diff(k) > 0)  # monotone increasing over the full range
+    # one evaluation: each array entry is the scalar value, bit for bit
+    assert k.tolist() == [ss316_conductivity(t) for t in T.tolist()]
+    assert ss316_conductivity(T.reshape(1, -1, 1)).shape == (1, T.size, 1)
 
 
 def test_ss316_range_limits():
@@ -50,6 +54,21 @@ def test_conduction_load_against_quadrature_oracle():
     assert conduction_load(support) == pytest.approx(expected, rel=1e-4)
     wide = SupportSpec(cross_section_m2=1e-4, length_m=0.1, t_cold_k=4.0, t_hot_k=300.0)
     assert conduction_load(wide) == pytest.approx(1e-4 / 0.1 * SS316_INTEGRAL_4_300, rel=1e-4)
+
+
+@pytest.mark.parametrize("t_cold,t_hot", [(20.0, 80.0), (4.0, 300.0), (4.0, 4.5),
+                                          (77.3, 77.31), (4.2, 299.9), (10.0, 11.0)])
+def test_conduction_load_sum_matches_a_30_digit_trapezoid(t_cold, t_hot):
+    # the np.linspace nodes and the float k there; only the sum is taken at 30 digits
+    support = SupportSpec(6.283185307179587e-05, 0.12, t_cold, t_hot)
+    nodes = np.linspace(t_cold, t_hot, max(2, math.ceil(t_hot - t_cold) + 1)).tolist()
+    k = [ss316_conductivity(t) for t in nodes]
+    with mpmath.workdps(30):
+        integral = mpmath.fsum((mpmath.mpf(k[i]) + k[i + 1]) / 2
+                               * (mpmath.mpf(nodes[i + 1]) - nodes[i])
+                               for i in range(len(nodes) - 1))
+        expected = mpmath.mpf(support.cross_section_m2) / support.length_m * integral
+        assert abs(conduction_load(support) - expected) <= 1e-15 * expected
 
 
 def test_frozen_oracle_matches_live_quadrature():

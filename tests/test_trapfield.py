@@ -1017,3 +1017,26 @@ def test_two_ion_spacing_value_and_scaling():
     assert s > 3.0e-6
     with pytest.raises(DomainError):
         two_ion_spacing(CA40, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: resonator_capacitance(1e-200, 1e-200),  # L*(2 pi f)^2 underflows to 0
+    lambda: resonator_capacitance(1e300, 1e300),    # (2 pi f)^2 overflows
+    lambda: resonance_frequency(1e-200, 1e-200),    # L*C underflows to 0
+    lambda: resonance_frequency(1e300, 1e300),      # L*C overflows: f0 underflows to 0
+    lambda: two_ion_spacing(CA40, 1e-150),          # m*omega^2 underflows to 0
+    lambda: two_ion_spacing(CA40, 1e300),           # omega^2 overflows
+], ids=["cap_under", "cap_over", "f0_under", "f0_over", "spacing_under", "spacing_over"])
+def test_closed_forms_beyond_the_float_range_raise_domain_error(call):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        call()
+
+
+def test_species_module_serves_the_trap_names():
+    import cryoion
+    from cryoion import species
+
+    for name in ("IonSpecies", "CA40", "SR88", "SPECIES", "resonator_capacitance",
+                 "resonance_frequency", "two_ion_spacing"):
+        assert getattr(trap, name) is getattr(species, name)
+    assert cryoion.CA40 is species.CA40 and cryoion.two_ion_spacing is species.two_ion_spacing

@@ -130,6 +130,18 @@ def test_format_si(value, symbol, sig, expected):
     assert format_si(value, symbol, sig) == expected
 
 
+@pytest.mark.parametrize("value,symbol,sig,expected", [
+    (2.32e176, "m", 3, "2.32e+176 m"),
+    (1e-30, "m", 3, "1e-30 m"),
+    (1e20, "W", 2, "1e+20 W"),
+    (-4.5e-17, "F", 3, "-4.5e-17 F"),
+    (1e-15, "m", 3, "1 fm"),
+    (999e12, "Hz", 3, "999 THz"),
+])
+def test_format_si_beyond_the_prefixes_is_plain_g(value, symbol, sig, expected):
+    assert format_si(value, symbol, sig) == expected
+
+
 def test_format_si_mantissa_renormalizes():
     # 999.96 rounds to 1000 at 3 significant digits; must carry into the prefix
     assert format_si(0.99996, "m", 3) == "1 m"
