@@ -30,7 +30,9 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,6 +56,12 @@ _MIN_Z = 4e-6
 _SCAN_RAYS = 64
 _SCAN_SAMPLES = 16
 _SADDLE_STARTS = 4
+#: directions (cos, sin) of the scan's rays in the x-z plane, one row per ray
+_RAY_COS, _RAY_SIN = (f(np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False))[:, None]
+                      for f in (np.cos, np.sin))
+#: the rays in order with one wrapped neighbour at each end: ring[:-2] is each
+#: ray's neighbour before it on the circle, ring[2:] the one after
+_RAY_RING = np.arange(-1, _SCAN_RAYS + 1) % _SCAN_RAYS
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,9 @@ class ElectrodeLayout:
                     raise DomainError("strips overlap with positive area")
         object.__setattr__(self, "strips", strips)
 
-    @property
+    @cached_property
     def rf_strips(self) -> tuple:
+        # cached in the instance dict, outside the fields that eq, hash and repr see
         return tuple(s for s in self.strips if s.role == ROLE_RF)
 
     @property
@@ -115,8 +124,16 @@ class ElectrodeLayout:
 
 
 def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
-    """(x, y, z) floats of a point where ``what`` is defined: finite, z > 0."""
-    x, y, z = (float(v) for v in point)
+    """(x, y, z) floats of a point where ``what`` is defined: three real
+    numbers, finite, with z > 0."""
+    try:
+        x, y, z = point
+        if any(isinstance(v, (str, bytes)) for v in (x, y, z)):
+            raise TypeError  # text is not a number, though float() would parse it
+        x, y, z = float(x), float(y), float(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} needs a point of three numbers (x, y, z), "
+                          f"got {point!r}") from None
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError(f"{what} is defined at finite points only, got {(x, y, z)}")
     if z <= 0:
@@ -163,18 +180,39 @@ def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, 
 _CORNER_SIGN = np.array([1.0, -1.0, -1.0, 1.0]) / (2.0 * math.pi)
 
 
-def _rows(names):
-    """Row of each (i, j, ...) derivative among ``names`` ("xx", "xyz", ...),
-    which name every distinct derivative once, in any order."""
-    order = len(names[0])
-    return np.array([names.index("".join(sorted("xyz"[i] for i in ijk)))
-                     for ijk in itertools.product(range(3), repeat=order)])
+#: the rows that the kernel sums over the corners, in order: -grad; then
+#: Hessian entries; then third derivatives.  The rest follow from these.
+_SUMMED = ("x", "y", "z", "xx", "yy", "xy", "xz", "yz",
+           "xxx", "yyy", "xxz", "yyz", "xxy", "xyy", "xyz")
 
 
-#: the kernel's Hessian rows, and its third-derivative rows: the x and y
-#: versions of each stacked term, xyz, then the entries the trace identities fill
-_HESS_ROWS = _rows(("xx", "yy", "xy", "xz", "yz", "zz"))
-_THIRD_ROWS = _rows(("xxx", "yyy", "xxz", "yyz", "xxy", "xyy", "xyz", "xzz", "yzz", "zzz"))
+def _row_map(order):
+    """The 0/1 map from the kernel's summed rows at ``order`` (2 or 3) to the
+    entries of grad and of the derivative tensors up to ``order``, each
+    flattened in C order, and the sign of each entry.
+
+    An entry with two z indices is minus the sum of its x-x and y-y
+    partners, by the trace identity sum_i d_iik phi = 0 (harmonicity), and a
+    gradient entry is minus its row, which sums -grad.  The signs are applied
+    after the sums, so that every entry is exactly plus or minus its sum,
+    zeros included, as a negation gives: a matmul never returns -0.0.
+    """
+    rows = [name for name in _SUMMED if len(name) <= order]
+    entries = ["".join(sorted(ijk)) for n in range(1, order + 1)
+               for ijk in itertools.product("xyz", repeat=n)]
+    ones, signs = [], []
+    for col, name in enumerate(entries):
+        by_trace = name.endswith("zz")
+        summed = (["".join(sorted(name[:-2] + pair)) for pair in ("xx", "yy")] if by_trace
+                  else [name])
+        ones += [(rows.index(r), col) for r in summed]
+        signs.append(-1.0 if by_trace or len(name) == 1 else 1.0)
+    row_map = np.zeros((len(rows), len(entries)))
+    row_map[tuple(zip(*ones))] = 1.0
+    return row_map, np.array(signs)
+
+
+_ROW_MAPS = {order: _row_map(order) for order in (2, 3)}
 
 
 def _corners(strips: Sequence[Strip], weights):
@@ -207,10 +245,16 @@ def _derivatives(corners, points, order: int = 2):
     and v, so each v term is its u term with u, a and v, b swapped, and
     d/dx = -d/du, d/dy = -d/dv.  The u and v versions of a term are one
     stacked (2, C, N) array, and every term is summed over the corners in
-    one contraction.  A weighted sum of rectangle potentials is harmonic, so
-    the zz entry of the Hessian is -(xx + yy), and the third derivatives with
-    two z indices follow from the trace identities sum_i d_iik phi = 0, which
-    leave 7 independent entries.
+    one contraction, into the 15 rows of ``_SUMMED``: -grad, the 5 Hessian
+    entries xx, yy, xy, xz, yz and the 7 independent third derivatives.  A
+    weighted sum of rectangle potentials is harmonic, so the zz entry of the
+    Hessian is -(xx + yy), and the third derivatives with two z indices follow
+    from the trace identities sum_i d_iik phi = 0.  One constant map
+    (``_row_map``) takes the summed rows to all 39 entries of the gradient,
+    Hessian and third derivatives, with those identities built in; it is one
+    small matmul and a sign per entry, and the three outputs are reshaped
+    views of its result, so that equal entries are one value and the
+    symmetries and identities hold bit for bit.
 
     Third derivatives are accurate norm-wise, not entry-wise: where the corner
     terms cancel (a narrow strip seen from far away at low height) one entry
@@ -234,8 +278,7 @@ def _derivatives(corners, points, order: int = 2):
         return c @ np.arctan(uv / (z * r))
     t = s[::-1]
     ar = a * r
-    # rows of the sum: -grad; then xx, yy, xy, xz, yz; then the third
-    # derivatives xxx, yyy, xxz, yyz, xxy, xyy, xyz
+    # the rows of the sum, in the order of _SUMMED
     parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
     if order > 1:
         ir2 = 1.0 / r2
@@ -251,17 +294,14 @@ def _derivatives(corners, points, order: int = 2):
         parts += [zs[::-1] * (m - ss * k) * d, uv * (z2 * k - m) * d, 3.0 * zs * ir5,
                   ((r2 - 3.0 * z2) * ir5)[None]]
     out = c @ np.concatenate(parts)
-    grad = -out[:3].T
     if order == 1:
-        return (grad,)
-    h = np.concatenate([out[3:8], -(out[3] + out[4])[None]])
-    hess = h[_HESS_ROWS].T.reshape(n, 3, 3)
+        return (-out.T,)
+    row_map, signs = _ROW_MAPS[order]
+    res = (out.T @ row_map) * signs
+    grad, hess = res[:, :3], res[:, 3:12].reshape(n, 3, 3)
     if order == 2:
         return grad, hess
-    # trace identities: xzz = -(xxx + xyy), yzz = -(xxy + yyy), zzz = -(xxz + yyz)
-    d3 = out[8:]
-    d3 = np.concatenate([d3, -(d3[[0, 4, 2]] + d3[[5, 1, 3]])])
-    return grad, hess, d3[_THIRD_ROWS].T.reshape(n, 3, 3, 3)
+    return grad, hess, res[:, 12:].reshape(n, 3, 3, 3)
 
 
 def _grad_hess(strips: Sequence[Strip], weights, points, order: int = 2):
@@ -316,16 +356,17 @@ def _null_step(rf, pts):
 
 
 def _search_frame(layout):
-    """Center x0 and x extent L of the RF strips, and the x span of all strips:
-    the frame and length scale of every stationary-point search in x-z."""
+    """Center x0 and x extent L of the RF strips, the x span of all strips and
+    the axial center y: the frame and length scale of every stationary-point
+    search in x-z."""
     xs = [s.x_min for s in layout.rf_strips] + [s.x_max for s in layout.rf_strips]
     span = max(s.x_max for s in layout.strips) - min(s.x_min for s in layout.strips)
-    return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span
+    return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span, layout.axial_center
 
 
-def _damped_newton(layout, rf, step, x, z, first: bool = False):
+def _damped_newton(frame, rf, step, x, z, first: bool = False):
     """Converged end points of damped Newton in the x-z plane at the axial
-    center, as (x, z, value).
+    center, as (x, z, value); ``frame`` is the layout's ``_search_frame``.
 
     ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
     unit drive (``_corners``), returns the Newton corrections (dx, dz) at a
@@ -341,12 +382,11 @@ def _damped_newton(layout, rf, step, x, z, first: bool = False):
     With ``first``, the search stops at the first iteration in which some
     start converges and returns the starts that did.
     """
-    x0, rf_extent, span = _search_frame(layout)
+    x0, rf_extent, span, y = frame
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
     z_min, z_cap = _MIN_Z * rf_extent, 4.0 * span
-    y = layout.axial_center
 
     def at(i):
         pts = np.empty((i.size, 3))
@@ -390,18 +430,29 @@ def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
     since the far field is small everywhere.  The search stops at the first
     iteration in which some start converges (converged starts agree to well
     below 1e-9 of the height); of those starts, the one with the smallest |E|
-    is returned.
+    is returned.  ``start_fractions`` is a non-empty 1-D sequence of
+    positive, finite numbers; anything else is a DomainError, so that no
+    start is silently left out.
     """
+    try:
+        fractions = np.asarray(start_fractions)
+    except ValueError:  # a ragged nesting
+        fractions = np.array(())
+    if (fractions.dtype.kind not in "iuf" or fractions.ndim != 1 or not fractions.size
+            or not ((fractions > 0) & (fractions < math.inf)).all()):
+        raise DomainError("start_fractions must be a non-empty 1-D sequence of positive, "
+                          f"finite numbers, got {start_fractions!r}")
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    x0, rf_extent, _ = _search_frame(layout)
-    z = rf_extent * np.array(start_fractions, dtype=float)
-    x, z, e = _damped_newton(layout, _corners(layout.rf_strips, 1.0), _null_step,
+    frame = _search_frame(layout)
+    x0, rf_extent, _, y = frame
+    z = rf_extent * fractions.astype(float)
+    x, z, e = _damped_newton(frame, _corners(layout.rf_strips, 1.0), _null_step,
                              np.full(z.shape, x0), z, first=True)
     if not e.size:
         raise NoTrapError("no interior RF null found from any start height")
     k = np.argmin(e)
-    return TrapSolution(null_position=np.array([x[k], layout.axial_center, z[k]]),
+    return TrapSolution(null_position=np.array([x[k], y, z[k]]),
                         height=float(z[k]))
 
 
@@ -438,18 +489,21 @@ def _saddle_step(rf, pts):
     cancel from the step, so the field is that of unit drive.
     """
     e, jac, d3 = _derivatives(rf, pts, order=3)
+    n = len(pts)
+    row = e[:, None]  # E as a 1x3 matrix per point
     jxz = jac[:, :, ::2]
-    g = np.einsum("ni,nij->nj", e, jxz)
-    h = np.einsum("nij,nik->njk", jxz, jxz) + np.einsum("ni,nijk->njk", e, d3[:, :, ::2, ::2])
+    g = (row @ jxz)[:, 0]
+    h = jxz.transpose(0, 2, 1) @ jxz + (row @ d3[:, :, ::2, ::2].reshape(n, 3, 4)).reshape(n, 2, 2)
     hxx, hxz, hzz = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
     det = hxx * hzz - hxz * hxz
     return ((hxz * g[:, 1] - hzz * g[:, 0]) / det, (hxz * g[:, 0] - hxx * g[:, 1]) / det,
-            np.where(det < 0.0, np.einsum("ij,ij->i", e, e), np.inf))
+            np.where(det < 0.0, (row @ e[:, :, None])[:, 0, 0], np.inf))
 
 
-def _escape_saddle(layout, null, height):
+def _escape_saddle(layout, rf, null, height):
     """The lowest index-1 saddle of psi in the x-z plane through the null, as
-    (point, |E|^2 there at unit drive), or None when no transverse ray escapes.
+    (point, |E|^2 there at unit drive), or None when no transverse ray escapes;
+    ``rf`` is the corner table of the RF strips at unit drive.
 
     A coarse scan samples ``_SCAN_RAYS`` rays from the null out to 30
     heights; a ray whose maximum sits at the end of its range (still climbing,
@@ -461,13 +515,12 @@ def _escape_saddle(layout, null, height):
     negative eigenvalue; escape rays with no such saddle raise ``NoTrapError``,
     so the depth is never a sampled value.
     """
+    frame = _search_frame(layout)
     s = np.geomspace(1e-2 * height, 30.0 * height, _SCAN_SAMPLES)
-    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False)
-    px = null[0] + np.cos(theta)[:, None] * s
-    pz = null[2] + np.sin(theta)[:, None] * s
-    ok = pz > 10.0 * _MIN_Z * _search_frame(layout)[1]  # per ray a prefix: pz is monotonic
+    px = null[0] + _RAY_COS * s
+    pz = null[2] + _RAY_SIN * s
+    ok = pz > 10.0 * _MIN_Z * frame[1]  # per ray a prefix: pz is monotonic
     pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    rf = _corners(layout.rf_strips, 1.0)
     (e,) = _derivatives(rf, pts, order=1)
     e2 = np.full(px.shape, -np.inf)
     e2[ok] = np.einsum("ij,ij->i", e, e)
@@ -476,15 +529,16 @@ def _escape_saddle(layout, null, height):
     escape = (n_ok >= 4) & (imax < n_ok - 1)
     if not escape.any():
         return None
-    barrier = np.where(escape, e2[np.arange(_SCAN_RAYS), imax], np.inf)
-    valley = np.flatnonzero((barrier < np.roll(barrier, 1)) & (barrier <= np.roll(barrier, -1)))
+    barrier = np.where(escape, e2.max(axis=1), np.inf)
+    ring = barrier[_RAY_RING]
+    valley = np.flatnonzero((barrier < ring[:-2]) & (barrier <= ring[2:]))
     rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
-    x, z, e2_end = _damped_newton(layout, rf, _saddle_step, px[rays, imax[rays]],
+    x, z, e2_end = _damped_newton(frame, rf, _saddle_step, px[rays, imax[rays]],
                                   pz[rays, imax[rays]])
     if not np.isfinite(e2_end).any():
         raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
     k = np.argmin(e2_end)
-    return np.array([x[k], layout.axial_center, z[k]]), float(e2_end[k])
+    return np.array([x[k], frame[3], z[k]]), float(e2_end[k])
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
@@ -510,7 +564,8 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     sol = find_rf_null(layout, species)
     f, g = _drive_factors(layout, species)
     null = sol.null_position
-    (e,), (jac,) = _grad_hess(layout.rf_strips, 1.0, null)
+    rf = _corners(layout.rf_strips, 1.0)
+    (e,), (jac,) = _derivatives(rf, null)
     m = species.mass_kg
     with np.errstate(over="ignore", invalid="ignore"):
         k = 0.5 * f / m * (jac.T @ jac)  # H / m, whose eigenvalues are omega^2
@@ -525,7 +580,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     freqs = tuple(math.sqrt(max(float(ev), 0.0)) / (2.0 * math.pi) for ev in evals)
     q_params = tuple(float(q) for q in g * np.linalg.svd(jac, compute_uv=False)[::-1])
 
-    saddle = _escape_saddle(layout, null, sol.height)
+    saddle = _escape_saddle(layout, rf, null, sol.height)
     depth = math.inf if saddle is None else (
         0.25 * f * (saddle[1] - float(e @ e)) / CONSTANTS.elementary_charge)
     return TrapSolution(null_position=null, height=sol.height,
@@ -565,11 +620,18 @@ def five_wire_layout(center_half_width: float, rail_width: float = 60e-6,
     In the gapless model each gap is split half-half between its neighbours
     (``assign_gaps=True``), so the modeled RF rail spans
     [g + gap/2, g + 1.5*gap + rail_width] with g the center half width.
-    Returns (ElectrodeLayout, FiveWireGeometry).
+    ``dc_segments`` DC strips run along each side; 0 leaves out the DC
+    rails.  Returns (ElectrodeLayout, FiveWireGeometry).
     """
     g, wg, wr, wd = center_half_width, gap, rail_width, dc_width
     if min(g, wg, wr, wd, length) <= 0:
         raise DomainError("all five-wire dimensions must be positive")
+    try:
+        n_dc = operator.index(dc_segments)
+    except TypeError:
+        n_dc = -1
+    if n_dc < 0:
+        raise DomainError(f"dc_segments must be a non-negative integer, got {dc_segments!r}")
     half_len = 0.5 * length
     if assign_gaps:
         center_edge = g + 0.5 * wg
@@ -582,11 +644,10 @@ def five_wire_layout(center_half_width: float, rail_width: float = 60e-6,
     strips = [Strip(-center_edge, center_edge, -half_len, half_len, ROLE_CENTER),
               Strip(rf_in, rf_out, -half_len, half_len, ROLE_RF),
               Strip(-rf_out, -rf_in, -half_len, half_len, ROLE_RF)]
-    edges = np.linspace(-half_len, half_len, dc_segments + 1)
-    for k in range(dc_segments):
+    edges = np.linspace(-half_len, half_len, n_dc + 1)
+    for k in range(n_dc):
         strips.append(Strip(dc_in, dc_out, edges[k], edges[k + 1], ROLE_DC, dc_index=k))
-        strips.append(Strip(-dc_out, -dc_in, edges[k], edges[k + 1], ROLE_DC,
-                            dc_index=dc_segments + k))
+        strips.append(Strip(-dc_out, -dc_in, edges[k], edges[k + 1], ROLE_DC, dc_index=n_dc + k))
     layout = ElectrodeLayout(strips=tuple(strips), rf_voltage=rf_voltage, rf_omega=rf_omega)
     geom = FiveWireGeometry(center_half_width=g, rail_width=wr, gap=wg, dc_width=wd,
                             length=length, gaps_assigned=assign_gaps)

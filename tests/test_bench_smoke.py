@@ -1,9 +1,12 @@
-"""The committed benchmark's traced fit workload runs and records every fit family.
+"""The committed benchmark's traced fit and trap workloads run and see their layers.
 
 The traced run wraps ``fitting.lm_fit`` and ``csvio.read_table`` where the
 program looks them up, so a fit that binds them differently, or an
 ``lm_fit`` result without integer ``iterations``, shows up here as a failed
-run or as a family whose iteration mean is 0.
+run or as a family whose iteration mean is 0.  Likewise it wraps the trap
+solver's public ``find_rf_null`` and ``secular_spectrum`` in the module, so
+a spectrum that stops calling the null search through the module shows up
+as a layer with no calls.
 """
 import json
 import subprocess
@@ -13,13 +16,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_scan_fits_run_is_correct_and_sees_every_family():
+def traced_run(workload):
+    """The result line of a one-second traced bench run of ``workload``."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "scan_fits", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_scan_fits_run_is_correct_and_sees_every_family():
+    result = traced_run("scan_fits")
     assert result["correct"] is True
     assert result["failed"] == 0
     for family in ("heating", "regime"):
@@ -27,3 +35,11 @@ def test_traced_scan_fits_run_is_correct_and_sees_every_family():
     # the peak fits, which pass lm_fit its peak keyword, and the no-signal scans
     for family in ("waist", "image", "linewidth", "nosignal"):
         assert result["metrics"][f"fitting.{family}.iterations_mean"]["value"] > 0, family
+
+
+def test_traced_trap_design_run_is_correct_and_sees_the_solver():
+    result = traced_run("trap_design")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    for layer in ("trap.find_rf_null", "trap.secular_spectrum"):
+        assert result["metrics"][f"{layer}.calls"]["value"] > 0, layer

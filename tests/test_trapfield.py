@@ -222,6 +222,26 @@ def test_non_finite_point_is_domain_error(five_wire, name, point):
         _POINT_FUNCTIONS[name](layout, point)
 
 
+@pytest.mark.parametrize("name", sorted(_POINT_FUNCTIONS))
+@pytest.mark.parametrize("point", [(0.0, 1e-5), (0.0, 0.0, 1e-5, 1.0), 1e-5, (), "xyz",
+                                   ("0", "0", "1e-5"), (0.0, None, 1e-5), (0.0, 0.0, 1j)],
+                         ids=["two", "four", "bare_float", "empty", "text", "text_numbers",
+                              "none", "complex"])
+def test_point_that_is_not_three_numbers_is_domain_error(five_wire, name, point):
+    layout, _ = five_wire
+    with pytest.raises(DomainError, match="three numbers"):
+        _POINT_FUNCTIONS[name](layout, point)
+
+
+def test_point_may_be_any_sequence_of_three_numbers(five_wire):
+    layout, _ = five_wire
+    p = (1e-5, 2e-4, 8e-5)
+    e = rf_field(layout, p)
+    for same in ([1e-5, 2e-4, 8e-5], np.array(p), iter(p), (np.float32(1e-5), 2e-4, 8e-5)):
+        assert np.allclose(rf_field(layout, same), e, rtol=1e-6, atol=0.0)
+    assert np.array_equal(rf_field(layout, (0, 0, 1)), rf_field(layout, (0.0, 0.0, 1.0)))
+
+
 def test_rect_potential_is_harmonic():
     strip = Strip(-60e-6, -20e-6, -300e-6, 300e-6, ROLE_RF)
     rng = np.random.default_rng(13)
@@ -385,6 +405,27 @@ def test_kernel_derivatives_are_harmonic_and_consistent(case):
         for perm in itertools.permutations(range(3)):
             assert np.array_equal(t, t.transpose(perm))
         assert np.allclose(t, mp_third([strip], p), rtol=0.0, atol=1e-6 * np.linalg.norm(t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(strips_and_points(n_points=4), min_size=1, max_size=3),
+       st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_kernel_symmetries_and_trace_identities_hold_bit_for_bit(cases, weights):
+    # the kernel assembles its Hessian and third derivatives from 15 summed
+    # rows by one constant map, so equal entries are one value and the
+    # entries with two z indices are exactly minus the sum of their x-x and
+    # y-y partners
+    strips = [strip for strip, _ in cases]
+    pts = np.concatenate([p for _, p in cases])
+    corners = trap._corners(strips, weights[:len(strips)])
+    _, hess2 = trap._derivatives(corners, pts, order=2)
+    _, hess3, t = trap._derivatives(corners, pts, order=3)
+    for h in (hess2, hess3):
+        assert np.array_equal(h, h.transpose(0, 2, 1))
+        assert np.array_equal(h[:, 2, 2], -(h[:, 0, 0] + h[:, 1, 1]))
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(t, t.transpose(0, *(1 + i for i in perm)))
+    assert np.array_equal(t[:, :, 2, 2], -(t[:, :, 0, 0] + t[:, :, 1, 1]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -598,6 +639,25 @@ def test_no_trap_for_zero_drive(five_wire):
         find_rf_null(dead, CA40)
 
 
+@pytest.mark.parametrize("fractions", [(-0.1, 0.3), (0.0, 0.3), [[0.1, 0.2]], ("x",), (),
+                                       (math.nan,), (math.inf,), (0.1, math.nan), 0.3, ("0.1",),
+                                       (0.1, None), (True,), (0.1j,)],
+                         ids=["negative", "zero", "nested", "text", "empty", "nan", "inf",
+                              "one_nan", "scalar", "text_number", "none", "bool", "complex"])
+def test_bad_start_fractions_are_domain_error(five_wire, fractions):
+    # a start that cannot be used is an error, not a start silently left out
+    layout, _ = five_wire
+    with pytest.raises(DomainError, match="start_fractions"):
+        find_rf_null(layout, CA40, start_fractions=fractions)
+
+
+def test_start_fractions_take_any_positive_sequence(five_wire, solved):
+    layout, _ = five_wire
+    for fractions in (list(DEFAULT_START_FRACTIONS), np.array(DEFAULT_START_FRACTIONS)):
+        sol = find_rf_null(layout, CA40, start_fractions=fractions)
+        assert np.array_equal(sol.null_position, solved.null_position)
+
+
 # ---------------------------------------------------------------------------
 # secular spectrum
 # ---------------------------------------------------------------------------
@@ -775,7 +835,8 @@ def test_asymmetric_trap_depth_is_its_escape_saddle():
                              rf_voltage=120.0, rf_omega=RF_OMEGA)
     sol = secular_spectrum(layout, CA40)
     assert 0.0 < sol.trap_depth_ev <= 0.0578887
-    saddle, _ = _escape_saddle(layout, sol.null_position, sol.height)
+    saddle, _ = _escape_saddle(layout, trap._corners(layout.rf_strips, 1.0), sol.null_position,
+                               sol.height)
     assert abs(saddle[0] - sol.null_position[0]) > 1e-6  # off the vertical
 
     def phi(*c):
@@ -925,6 +986,33 @@ def test_layout_rejects_overlap_and_missing_rf():
     # shared edges are fine
     ElectrodeLayout(strips=(a, Strip(1e-5, 3e-5, -1e-4, 1e-4, ROLE_CENTER)),
                     rf_voltage=100.0, rf_omega=RF_OMEGA)
+
+
+@pytest.mark.parametrize("segments", [-1, 1.5, 2.0, "2", None])
+def test_five_wire_dc_segments_must_be_a_non_negative_integer(segments):
+    with pytest.raises(DomainError, match="dc_segments"):
+        five_wire_layout(52.7e-6, dc_segments=segments)
+
+
+def test_five_wire_dc_segments_count_the_rails():
+    for n in (0, 1, np.int64(3)):
+        layout, _ = five_wire_layout(52.7e-6, dc_segments=n)
+        roles = collections.Counter(s.role for s in layout.strips)
+        assert (roles[ROLE_CENTER], roles[ROLE_RF], roles[ROLE_DC]) == (1, 2, 2 * n)
+
+
+def test_solved_layout_equals_a_fresh_one():
+    # rf_strips is computed once per layout; the cache must not change what
+    # a layout compares, hashes or prints as
+    solved_layout, _ = five_wire_layout(52.7e-6)
+    fresh, _ = five_wire_layout(52.7e-6)
+    secular_spectrum(solved_layout, CA40)
+    assert solved_layout.rf_strips == fresh.rf_strips
+    assert solved_layout == fresh and fresh == solved_layout
+    assert hash(solved_layout) == hash(fresh)
+    assert repr(solved_layout) == repr(fresh)
+    assert solved_layout != ElectrodeLayout(strips=fresh.strips, rf_voltage=121.0,
+                                            rf_omega=fresh.rf_omega)
 
 
 def test_load_layout_round_trip(tmp_path, five_wire):
