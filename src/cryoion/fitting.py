@@ -1,9 +1,13 @@
-"""Nonlinear least squares via Levenberg-Marquardt with numeric Jacobians.
+"""Nonlinear least squares via Levenberg-Marquardt with closed-form Jacobians.
 
 The solver is deliberately small and fully pinned down so that every fit in
 this package shares one auditable engine:
 
-* central-difference Jacobian with per-parameter step h_i = max(1e-8, 1e-6*|theta_i|)
+* a model returns its predictions and their exact Jacobian at one parameter
+  vector, ``model(x, theta) -> (values, jacobian)`` with shapes (n,) and
+  (n, p); it is called once at the start and once per damped trial, and an
+  accepted trial's Jacobian is the next iteration's, so no call is spent on
+  differentiation and nothing depends on a step size or the units of x
 * damping factor starts at 1e-3, *10 on a rejected step, /10 on an accepted one
 * each iteration takes one eigendecomposition S = V diag(L) V^T of the
   column-scaled normal matrix S = N^-1 J^T J N^-1, N = sqrt(diag J^T J); every
@@ -18,32 +22,31 @@ this package shares one auditable engine:
   non-finite or min(L) <= 1e-12 max(L): the data no longer constrain some
   direction, the covariance there is infinite, and the fit is running off
   toward a boundary at infinity (an amplitude and an offset cancelling, a
-  width shrinking to zero); this is the same test that makes the covariance
-  infinite, so a degenerate stop always reports infinite sigmas
-* stopped as off_range (not converged), for a peak-shaped model that names
-  its center and width parameters (``peak=(center_index, width_index)``), at
-  the first accepted iterate whose center lies more than one x-span outside
-  [min x, max x] or whose |width| exceeds two x-spans, span = max x - min x:
-  on data without a peak the fit otherwise drifts far off the scanned range
-  while its normal matrix stays well conditioned ("parameter evaporation",
-  Transtrum, Machta and Sethna, Phys. Rev. E 83, 036701 (2011)); the bounds
-  are relative to the span, so shifting or scaling x leaves the rule unchanged
-
-Models must broadcast over a parameter batch.  Each Jacobian costs one model
-call, ``model(x[:, None], batch)``, where ``batch`` has shape (p, 2p) and
-holds the 2p perturbed parameter vectors as columns; the call must return
-shape (n, 2p).  Writing the model with ``theta[k]`` and numpy ufuncs, as the
-built-in shapes below are, is enough: ``theta[k]`` is then a row of 2p values
-that broadcasts against the (n, 1) column of x.
+  width shrinking to zero); a degenerate stop always reports infinite sigmas
+* for a peak-shaped model that names its center and width parameters
+  (``peak=(center_index, width_index)``), with span = max x - min x:
+  stopped as degenerate too when moving the center or the width by one span
+  would change no prediction by more than EPS * max|y| (the peak has
+  vanished, and on noise-free flat data the residual is exactly zero), and
+  stopped as off_range (not converged) at the first accepted iterate whose
+  center lies more than one span outside [min x, max x] or whose |width|
+  exceeds two spans: on data without a peak the fit otherwise drifts far off
+  the scanned range while its normal matrix stays well conditioned
+  ("parameter evaporation", Transtrum, Machta and Sethna, Phys. Rev. E 83,
+  036701 (2011)); both rules are relative to the span and to y, so shifting
+  or scaling x or scaling y leaves them unchanged
 
 Weights are interpreted as absolute inverse variances (w_i = 1/sigma_i^2) when
 supplied, in which case the covariance is (J^T W J)^-1 and scaling all weights
 by c scales the covariance by 1/c.  Without weights the noise level is
-estimated from the residuals: covariance = (J^T J)^-1 * SSR/(n-p).
+estimated from the residuals: covariance = (J^T J)^-1 * SSR/(n-p).  A variance
+that overflows is reported as an infinite sigma.
 """
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -65,6 +68,8 @@ REASON_OFF_RANGE = "off_range"
 
 #: the scaled normal matrix is degenerate when min(L) <= DEGENERATE_RATIO * max(L)
 DEGENERATE_RATIO = 1e-12
+#: a peak fit is degenerate once its center and width move no prediction by EPS * max|y|
+EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ class FitResult:
     ``reason`` names the rule that stopped the fit (one of the ``REASON_*``
     constants); ``converged`` is false for ``max_iter``, ``degenerate`` and
     ``off_range``.
-    ``model_calls`` counts every model evaluation, one per Jacobian included.
+    ``model_calls`` counts every model evaluation: one at the start and one
+    per damped trial, each returning its values and Jacobian.
     """
 
     params: dict
@@ -98,36 +104,11 @@ class FitResult:
         i = list(self.params).index(name)
         return float(self.sigmas[i])
 
-
-def numeric_jacobian(
-    func: Callable[[np.ndarray], np.ndarray],
-    theta,
-    rel_step: float = 1e-6,
-    min_step: float = 1e-8,
-) -> np.ndarray:
-    """Central-difference Jacobian of func at theta, shape (n_values, n_params).
-
-    ``func`` is called once, on a (p, 2p) batch whose column i is
-    theta + h_i e_i and whose column p + i is theta - h_i e_i, and must
-    return the (n_values, 2p) array of the values at those columns.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    p = theta.size
-    h = np.maximum(min_step, rel_step * np.abs(theta))
-    batch = np.empty((p, 2 * p))
-    batch[:] = theta[:, None]
-    flat = batch.reshape(-1)  # a view: stride 2p + 1 walks the diagonal of each half
-    flat[::2 * p + 1] += h
-    flat[p::2 * p + 1] -= h
-    f = np.asarray(func(batch), dtype=float)
-    if f.ndim != 2 or f.shape[1] != 2 * p:
-        raise DomainError(
-            f"func must broadcast over a ({p}, {2 * p}) parameter batch and return "
-            f"(n_values, {2 * p}) values, got shape {f.shape}")
-    J = (f[:, :p] - f[:, p:]) / (2.0 * h)
-    if not np.isfinite(J).all():
-        raise SingularModelError("non-finite model output while differentiating")
-    return J
+    def is_unconstrained(self, name: str) -> bool:
+        """True if the fit did not converge or the 1-sigma of ``name`` is
+        non-finite or exceeds |``name``|: the data do not pin it down."""
+        sig = self.sigma(name)
+        return not self.converged or not math.isfinite(sig) or sig > abs(self.params[name])
 
 
 def _scaled_eigh(A: np.ndarray):
@@ -150,15 +131,14 @@ def _scaled_eigh(A: np.ndarray):
 
 def _covariance(J: np.ndarray, ssr: float, n: int, p: int, absolute_weights: bool) -> np.ndarray:
     scaled = _scaled_eigh(J.T @ J)
-    if scaled is None:
+    if scaled is None or (not absolute_weights and n <= p):
         return np.full((p, p), np.inf)
     N, evals, evecs = scaled
-    Ainv = ((evecs / evals) @ evecs.T) / N / N[:, None]
-    if absolute_weights:
-        return Ainv
-    if n <= p:
-        return np.full((p, p), np.inf)
-    return Ainv * (ssr / (n - p))
+    # a column far smaller than the others can overflow 1/N^2: that variance
+    # is infinite (and 0 * inf a NaN, which ``sigmas`` reads as infinite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ainv = ((evecs / evals) @ evecs.T) / N / N[:, None]
+        return Ainv if absolute_weights else Ainv * (ssr / (n - p))
 
 
 def lm_fit(
@@ -171,27 +151,30 @@ def lm_fit(
     max_iter: int = DEFAULT_MAX_ITER,
     peak: tuple[int, int] | None = None,
 ) -> FitResult:
-    """Fit model(x, theta) -> predictions to y by damped least squares.
+    """Fit model(x, theta) -> (predictions, jacobian) to y by damped least squares.
 
-    ``model`` must also accept a parameter batch: ``model(x[:, None], batch)``
-    with ``batch`` of shape (p, 2p) returns shape (n, 2p), one column per
-    parameter vector (see the module docstring).  Each Jacobian is one such
-    call.
+    ``model`` is called with x as a float array and one parameter vector, and
+    returns the n predictions and their (n, p) Jacobian in closed form (see
+    the module docstring).  It is called once at the start and once per
+    damped trial; the covariance uses the Jacobian of the final iterate.
 
     ``peak=(center_index, width_index)`` marks a peak-shaped model: the fit
     then stops as ``off_range`` (not converged) at the first accepted iterate
     whose center lies more than one x-span outside [min x, max x] or whose
-    |width| exceeds two x-spans, span = max x - min x; the covariance is
-    computed at that iterate, as at every stop.  Without ``peak`` no such
-    stop exists.
+    |width| exceeds two x-spans, span = max x - min x, and as ``degenerate``
+    when moving the center or the width by one x-span would change no
+    prediction by more than EPS * max|y| (y weighted by sqrt(weights) when
+    weights are given).  Without ``peak`` neither stop exists.
 
     Raises FitRankError if there are fewer observations than parameters,
     DomainError if ``names`` does not name every parameter, ``peak`` does not
-    name two distinct parameter indices or the model does not broadcast over
-    a batch, and SingularModelError if the model is non-finite at the start
-    point or at an accepted iterate.  Non-finite trial steps are rejected like
-    any other bad step (damping increases) rather than aborting the fit.
+    name two distinct parameter indices or the model does not return
+    (values, jacobian) of shapes (n,) and (n, p), and SingularModelError if
+    the model or its Jacobian is non-finite at the start point.  A trial
+    whose values or Jacobian are non-finite is rejected like any other bad
+    step (damping increases) rather than aborting the fit.
     """
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     theta = np.asarray(theta0, dtype=float).ravel().copy()
     n, p = y.size, theta.size
@@ -199,6 +182,12 @@ def lm_fit(
         raise FitRankError(f"{n} observations cannot constrain {p} parameters")
     if names is not None and len(names) != p:
         raise DomainError(f"{len(names)} names given for {p} parameters")
+    sw = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=float).ravel()
+        if w.size != n or np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise SingularModelError("weights must be finite and non-negative")
+        sw = np.sqrt(w)
     if peak is not None:
         try:
             center_i, width_i = map(operator.index, peak)
@@ -207,51 +196,45 @@ def lm_fit(
         if center_i == width_i or not (0 <= center_i < p and 0 <= width_i < p):
             raise DomainError(
                 f"peak must name two distinct parameter indices in [0, {p}), got {peak!r}")
+        peak_cols = [center_i, width_i]
         x_lo, x_hi = float(np.min(x)), float(np.max(x))
         x_span = x_hi - x_lo
-    sw = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.size != n or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise SingularModelError("weights must be finite and non-negative")
-        sw = np.sqrt(w)
-    x_col = np.reshape(x, (-1, 1))
+        y_floor = EPS * float(np.max(np.abs(y if sw is None else y * sw)))
     model_calls = 0
 
-    def residual(th: np.ndarray) -> np.ndarray:
+    def evaluate(th: np.ndarray):
         nonlocal model_calls
         model_calls += 1
-        pred = np.asarray(model(x, th), dtype=float).ravel()
-        r = pred - y
-        return r * sw if sw is not None else r
+        out = model(x, th)
+        try:
+            pred, jac = out
+            pred = np.asarray(pred, dtype=float).ravel()
+            jac = np.asarray(jac, dtype=float)
+        except (TypeError, ValueError):
+            pred = jac = None
+        if pred is None or pred.size != n or jac.shape != (n, p):
+            raise DomainError(f"model(x, theta) must return (values, jacobian) of shapes "
+                              f"({n},) and ({n}, {p})")
+        if sw is None:
+            return pred - y, jac
+        return (pred - y) * sw, jac * sw[:, None]
 
-    def batch_residual(batch: np.ndarray) -> np.ndarray:
-        nonlocal model_calls
-        model_calls += 1
-        pred = np.asarray(model(x_col, batch), dtype=float)
-        if pred.shape != (n, batch.shape[1]):
-            raise DomainError(
-                f"model(x[:, None], theta) with theta of shape {batch.shape} must "
-                f"broadcast to shape {(n, batch.shape[1])}, got {pred.shape}")
-        r = pred - y[:, None]
-        return r * sw[:, None] if sw is not None else r
-
-    r = residual(theta)
-    if not np.isfinite(r).all():
-        raise SingularModelError("non-finite model output at the starting point")
+    r, J = evaluate(theta)
+    if not (np.isfinite(r).all() and np.isfinite(J).all()):
+        raise SingularModelError("non-finite model output or Jacobian at the starting point")
     cost = 0.5 * float(r @ r)
     lam = 1e-3
     reason = REASON_MAX_ITER
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        J = numeric_jacobian(batch_residual, theta)
-        g = J.T @ r
         scaled = _scaled_eigh(J.T @ J)
-        if scaled is None:
+        if scaled is None or (peak is not None and x_span * float(
+                np.abs(J[:, peak_cols]).max(axis=0).min()) <= y_floor):
             reason = REASON_DEGENERATE
             break
         N, evals, evecs = scaled
+        g = J.T @ r
         # the cosine between r and each column of J: unchanged by rescaling y
         # or a parameter, unlike the raw gradient norm (which scales as y^2)
         if float(np.max(np.abs(g) / N)) <= GRAD_TOL * float(np.linalg.norm(r)):
@@ -261,17 +244,13 @@ def lm_fit(
         Wg = W.T @ g
 
         accepted = False
-        new_theta = new_r = None
-        new_cost = cost
         for _ in range(60):
             cand = theta - W @ (Wg / (evals + lam))
-            rc = residual(cand)
-            if np.isfinite(rc).all():
-                cc = 0.5 * float(rc @ rc)
-                if cc < cost:
-                    accepted = True
-                    new_theta, new_r, new_cost = cand, rc, cc
-                    break
+            rc, Jc = evaluate(cand)
+            cc = 0.5 * float(rc @ rc)
+            if cc < cost and np.isfinite(Jc).all():
+                accepted = True
+                break
             lam *= 10.0
             if lam > 1e14:
                 break
@@ -281,8 +260,8 @@ def lm_fit(
             # noise-free data, where the cost bottoms out at rounding error)
             reason = REASON_DAMPING_EXHAUSTED
             break
-        rel_decrease = (cost - new_cost) / max(cost, 1e-300)
-        theta, r, cost = new_theta, new_r, new_cost
+        rel_decrease = (cost - cc) / max(cost, 1e-300)
+        theta, r, J, cost = cand, rc, Jc, cc
         if peak is not None and not (
                 x_lo - x_span <= theta[center_i] <= x_hi + x_span
                 and abs(theta[width_i]) <= 2.0 * x_span):
@@ -293,9 +272,11 @@ def lm_fit(
             reason = REASON_COST_TOL
             break
 
-    J = numeric_jacobian(batch_residual, theta)
     ssr = 2.0 * cost
-    cov = _covariance(J, ssr, n, p, absolute_weights=sw is not None)
+    if reason == REASON_DEGENERATE:
+        cov = np.full((p, p), np.inf)
+    else:
+        cov = _covariance(J, ssr, n, p, absolute_weights=sw is not None)
     rms = float(np.sqrt(ssr / n))
     if names is None:
         names = [f"theta{i}" for i in range(p)]
@@ -313,22 +294,27 @@ def lm_fit(
 
 def line_model(x, theta):
     """theta = (slope, intercept)."""
-    return theta[0] * np.asarray(x, dtype=float) + theta[1]
-
-
-def exp_decay_model(x, theta):
-    """theta = (amplitude, rate); amplitude * exp(-rate*x)."""
-    return theta[0] * np.exp(-theta[1] * np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return theta[0] * x + theta[1], np.array([x, np.ones_like(x)]).T
 
 
 def gaussian_model(x, theta):
     """theta = (amplitude, center, sigma, offset)."""
-    x = np.asarray(x, dtype=float)
-    return theta[0] * np.exp(-0.5 * ((x - theta[1]) / theta[2]) ** 2) + theta[3]
+    a, c, w, b = theta
+    u = (np.asarray(x, dtype=float) - c) / w
+    e = np.exp(-0.5 * u**2)
+    ae = a * e
+    return ae + b, np.array([e, ae * u / w, ae * u * u / w, np.ones_like(u)]).T
 
 
 def lorentzian_model(x, theta):
     """theta = (amplitude, center, fwhm, offset); amplitude is the peak height."""
-    x = np.asarray(x, dtype=float)
-    hw = 0.5 * theta[2]
-    return theta[0] * hw**2 / ((x - theta[1]) ** 2 + hw**2) + theta[3]
+    a, c, g, b = theta
+    d = np.asarray(x, dtype=float) - c
+    hw = 0.5 * g
+    hw2 = hw**2
+    den = d**2 + hw2
+    shape = hw2 / den
+    slope = a * shape / den
+    return (a * hw2 / den + b,
+            np.array([shape, 2.0 * slope * d, slope * d * d / hw, np.ones_like(d)]).T)

@@ -110,11 +110,8 @@ def lorentzian_linewidth_fit(freq_hz, power, weights=None) -> LinewidthFit:
         g0 = float(f.max() - f.min()) / 5.0 or 1.0
     res = lm_fit(lorentzian_model, f, p, np.array([a0, f0, g0, b0]), weights=weights,
                  names=("amplitude", "center", "fwhm", "offset"), peak=(1, 2))
-    fwhm = abs(res.params["fwhm"])
-    sig = res.sigma("fwhm")
-    unconstrained = (not res.converged) or not math.isfinite(sig) or sig > fwhm
-    return LinewidthFit(center_hz=res.params["center"], fwhm_hz=fwhm,
-                        fit=res, unconstrained=unconstrained)
+    return LinewidthFit(center_hz=res.params["center"], fwhm_hz=abs(res.params["fwhm"]),
+                        fit=res, unconstrained=res.is_unconstrained("fwhm"))
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +323,7 @@ def gaussian_profile_fit(profile: ImageProfile, axis: str = AXIS_ROW,
     res = lm_fit(gaussian_model, px, counts, np.array([a0, c0, s0, b0]), weights=weights,
                  names=("amplitude", "center", "sigma", "offset"), peak=(1, 2))
     scale = profile.object_plane_pitch
-    sigma_px = abs(res.params["sigma"])
-    sig = res.sigma("sigma")
-    unconstrained = (not res.converged) or not math.isfinite(sig) or sig > sigma_px
-    return ImageFit(center_m=res.params["center"] * scale, width_m=sigma_px * scale,
+    return ImageFit(center_m=res.params["center"] * scale,
+                    width_m=abs(res.params["sigma"]) * scale,
                     amplitude=res.params["amplitude"], offset=res.params["offset"],
-                    fit=res, unconstrained=unconstrained)
+                    fit=res, unconstrained=res.is_unconstrained("sigma"))

@@ -233,10 +233,15 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
 
     if shape == RAMSEY_GAUSSIAN:
         def model(x, theta):
-            return theta[0] * np.exp(-((x / theta[1]) ** 2))
+            c0, t1e = theta
+            v = x / t1e
+            e = np.exp(-(v**2))
+            return c0 * e, np.array([e, 2.0 * c0 * e * v * v / t1e]).T
     else:
         def model(x, theta):
-            return theta[0] * np.exp(-x / theta[1])
+            c0, t1e = theta
+            e = np.exp(-x / t1e)
+            return c0 * e, np.array([e, c0 * e * (x / t1e) / t1e]).T
 
     c0 = float(c.max()) if c.max() > 0 else 1.0
     below = np.nonzero(c < c0 / math.e)[0]
@@ -245,9 +250,7 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
     res = lm_fit(model, t, c, np.array([c0, t0]), weights=weights,
                  names=("contrast0", "t_1e"))
     t_1e = abs(res.params["t_1e"])
-    sig = res.sigma("t_1e")
-    unconstrained = ((not res.converged) or not math.isfinite(sig) or sig > t_1e
-                     or t_1e > 10.0 * span)
+    unconstrained = res.is_unconstrained("t_1e") or t_1e > 10.0 * span
     return RamseyFit(t_1e=t_1e, contrast0=res.params["contrast0"], shape=shape,
                      fit=res, unconstrained=unconstrained)
 
@@ -297,7 +300,11 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
         raise InsufficientDataError("waist scan needs at least 4 points")
 
     def model(xv, theta):
-        return theta[0] * np.exp(-((xv - theta[1]) / theta[2]) ** 2)
+        peak, center, waist = theta
+        u = (xv - center) / waist
+        e = np.exp(-(u**2))
+        slope = 2.0 * peak * e * u / waist
+        return peak * e, np.array([e, slope, slope * u]).T
 
     i0 = int(np.argmax(om))
     span = float(x.max() - x.min()) or 1.0
@@ -305,12 +312,10 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
     res = lm_fit(model, x, om, theta0, weights=weights,
                  names=("peak_rabi", "center", "waist"), peak=(1, 2))
     w = abs(res.params["waist"])
-    sig = res.sigma("waist")
-    unconstrained = (not res.converged) or not math.isfinite(sig) or sig > w
     profile = BeamProfile(waist=w if w > 0 else math.inf,
                           center=res.params["center"],
                           peak_rabi=res.params["peak_rabi"])
-    return WaistFit(profile=profile, fit=res, unconstrained=unconstrained)
+    return WaistFit(profile=profile, fit=res, unconstrained=res.is_unconstrained("waist"))
 
 
 def collection_efficiency(numerical_aperture: float) -> float:

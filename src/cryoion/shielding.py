@@ -180,13 +180,15 @@ REGIME_CONTACT = "contact_limited"
 def _skin_model(f, theta):
     import numpy as np
 
-    return -theta[0] * np.sqrt(np.asarray(f, dtype=float))
+    root = np.sqrt(f)
+    return -theta[0] * root, -root[:, None]
 
 
 def _contact_model(f, theta):
     import numpy as np
 
-    return theta[0] - 20.0 * theta[1] * np.log10(np.asarray(f, dtype=float))
+    decades = np.log10(f)
+    return theta[0] - 20.0 * theta[1] * decades, np.array([np.ones_like(f), -20.0 * decades]).T
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,9 @@ def fit_attenuation_regime(curve: AttenuationCurve, extrapolate_to_hz: float = 5
     slope0, b0 = np.polyfit(np.log10(fu), au, 1)
     contact = lm_fit(_contact_model, fu, au, [b0, -slope0 / 20.0], names=["b", "s"])
 
-    skin_db = float(_skin_model(extrapolate_to_hz, skin.theta))
-    contact_db = float(_contact_model(extrapolate_to_hz, contact.theta))
+    at = np.array([extrapolate_to_hz], dtype=float)
+    skin_db = float(_skin_model(at, skin.theta)[0][0])
+    contact_db = float(_contact_model(at, contact.theta)[0][0])
     if skin.residual_rms <= contact.residual_rms:
         regime, chosen = REGIME_SKIN, skin_db
     else:

@@ -189,13 +189,13 @@ def test_criterion_07_fit_round_trips_and_coverage():
     assert waist.profile.waist == pytest.approx(3e-6, rel=1e-6)
 
     f = np.linspace(150.0, 210.0, 121)
-    lw = metrology.lorentzian_linewidth_fit(f, lorentzian_model(f, [2.0, 180.0, 1.58, 0.01]))
+    lw = metrology.lorentzian_linewidth_fit(f, lorentzian_model(f, [2.0, 180.0, 1.58, 0.01])[0])
     assert lw.fwhm_hz == pytest.approx(1.58, rel=1e-6)
 
     px = np.arange(33, dtype=float)
     scale = 16e-6 / 15.0
     img = metrology.gaussian_profile_fit(
-        metrology.ImageProfile(gaussian_model(px, [1000.0, 16.0, 1.725, 50.0])))
+        metrology.ImageProfile(gaussian_model(px, [1000.0, 16.0, 1.725, 50.0])[0]))
     assert img.width_m == pytest.approx(1.725 * scale, rel=1e-6)
 
     # Monte-Carlo coverage: report 3-sigma intervals that contain the truth in
@@ -234,13 +234,13 @@ def test_criterion_07_fit_round_trips_and_coverage():
     w = np.full(f.size, 1.0 / 0.02**2)
     hits = 0
     for _ in range(n_trials):
-        p = lorentzian_model(f, [2.0, 180.0, 1.58, 0.01]) + 0.02 * rng.standard_normal(f.size)
+        p = lorentzian_model(f, [2.0, 180.0, 1.58, 0.01])[0] + 0.02 * rng.standard_normal(f.size)
         res = metrology.lorentzian_linewidth_fit(f, p, weights=w)
         hits += abs(res.fwhm_hz - 1.58) <= 3.0 * res.fit.sigma("fwhm")
     assert hits >= 990, f"linewidth coverage {hits}/1000"
 
     rng = seeded_rng(755)
-    truth = gaussian_model(px, [1000.0, 16.0, 1.725, 50.0])
+    truth = gaussian_model(px, [1000.0, 16.0, 1.725, 50.0])[0]
     w = np.full(px.size, 1.0 / 8.0**2)
     hits = 0
     for _ in range(n_trials):

@@ -6,12 +6,17 @@ program looks them up, so a fit that binds them differently, or an
 run or as a family whose iteration mean is 0.  Likewise it wraps the trap
 solver's public ``find_rf_null`` and ``secular_spectrum`` in the module, so
 a spectrum that stops calling the null search through the module shows up
-as a layer with no calls.
+as a layer with no calls.  Every distinct scan of the fit workload is also
+fitted once in process, where the suite turns warnings into errors.
 """
+import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+from cryoion import csvio, metrology, qubit, shielding
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +48,36 @@ def test_traced_trap_design_run_is_correct_and_sees_the_solver():
     assert result["failed"] == 0
     for layer in ("trap.find_rf_null", "trap.secular_spectrum"):
         assert result["metrics"][f"{layer}.calls"]["value"] > 0, layer
+
+
+#: family -> (the public fit of a scan's columns, the estimate the benchmark checks)
+SCAN_FITS = {
+    "waist": (lambda t: qubit.waist_from_rabi_scan(t["position_m"], t["rabi_rad_s"]),
+              lambda r: r.profile.waist),
+    "ramsey": (lambda t: qubit.ramsey_contrast_fit(t["wait_s"], t["contrast"]),
+               lambda r: r.t_1e),
+    "heating": (lambda t: qubit.heating_rate_fit(t["wait_s"], t["nbar"]),
+                lambda r: r.params["rate"]),
+    "image": (lambda t: metrology.gaussian_profile_fit(
+        metrology.ImageProfile(pixel_counts=t["counts"])), lambda r: r.width_m),
+    "linewidth": (lambda t: metrology.lorentzian_linewidth_fit(t["freq_hz"], t["power"]),
+                  lambda r: r.fwhm_hz),
+    "regime": (lambda t: shielding.fit_attenuation_regime(shielding.AttenuationCurve(
+        freqs_hz=tuple(t["freq_hz"]), atten_db=tuple(t["atten_db"]), floor_db=-58.0)),
+               lambda r: r.extrapolated_db),
+}
+
+
+def test_every_seed_one_scan_fits_to_a_finite_estimate_without_warning(tmp_path, monkeypatch):
+    # 1200 signal and 1500 no-signal scans; a fit that overflows, divides by
+    # zero or takes 0 * inf warns, and the warning fails the test
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
+    spec.loader.exec_module(gen)
+    scans = {scan.path: scan for scan in gen.scans(1, str(tmp_path))}
+    assert len(scans) == gen.SIGNAL_SCANS + gen.NOSIGNAL_SCANS
+    for scan in scans.values():
+        fit, estimate = SCAN_FITS[scan.family]
+        value = estimate(fit(csvio.read_table(scan.path, scan.columns)))
+        assert math.isfinite(value), scan.path

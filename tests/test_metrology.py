@@ -112,7 +112,7 @@ def test_frequency_record_validation():
 
 def test_linewidth_noise_free_round_trip():
     f = np.linspace(100.0, 200.0, 60)
-    power = lorentzian_model(f, [2.0, 180.0, 1.58, 0.01])
+    power = lorentzian_model(f, [2.0, 180.0, 1.58, 0.01])[0]
     fit = lorentzian_linewidth_fit(f, power)
     assert not fit.unconstrained
     assert fit.center_hz == pytest.approx(180.0, rel=1e-9)
