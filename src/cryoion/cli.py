@@ -324,8 +324,13 @@ def _dc_setting(text: str) -> tuple[int, float]:
 def cmd_trap_spectrum(args):
     from . import trap
 
+    voltages = {}
+    for index, volts in args.set or []:
+        if index in voltages:
+            raise UnitError(f"--set: DC index {index} is given more than once")
+        voltages[index] = volts
     layout, species = trap.load_layout(args.layout)
-    sol = trap.secular_spectrum(layout, species, dc_voltages=dict(args.set or []) or None)
+    sol = trap.secular_spectrum(layout, species, dc_voltages=voltages or None)
     text = ["height = {height_m:si:m}", "secular frequencies = {secular_freqs_hz:si:Hz}",
             "stability q = {q_params:.4g}", "trap depth = {trap_depth_ev} eV"]
     if sol.unstable_axes:

@@ -214,6 +214,13 @@ def _row_map(order):
 
 _ROW_MAPS = {order: _row_map(order) for order in (2, 3)}
 
+#: ``_derivatives`` evaluates a batch of more corner-point pairs than this in
+#: blocks of about this many pairs, which keeps every order-1 temporary below
+#: 128 KiB, where the allocator switches to mapping memory from the system ...
+_BLOCK_PAIRS = 4096
+#: ... and of a whole multiple of this many points
+_BLOCK_ALIGN = 16
+
 
 def _corners(strips: Sequence[Strip], weights):
     """Corner table of weighted strips for ``_derivatives``: the weight of
@@ -260,9 +267,40 @@ def _derivatives(corners, points, order: int = 2):
     terms cancel (a narrow strip seen from far away at low height) one entry
     can lose most of its digits.  At strip x 170-177 um, y 0-5 um and point
     (-100, 0, 5) um, d_yyy is off by 2.8e-6 relative, the tensor by 2.7e-9.
+
+    A batch of more than ``_BLOCK_PAIRS`` corner-point pairs is evaluated in
+    consecutive blocks of points through one kernel body, and the blocks'
+    outputs are stacked, so that the peak memory of a call is set by the
+    block size and not by the batch: in one piece, the escape-saddle ray scan
+    (about 841 points x 8 corners) would allocate about 0.9 MB of
+    temporaries, which the allocator may give back to the system after each
+    scan and fault in again on the next.  A block holds ``_BLOCK_PAIRS // C``
+    points rounded down to a multiple of ``_BLOCK_ALIGN`` (at least
+    ``_BLOCK_ALIGN``), and a remainder shorter than ``_BLOCK_ALIGN`` joins
+    the last block.  The bits do not change with the block size: each corner
+    sum is one row of a BLAS matrix-vector product over the points, whose
+    rounding (OpenBLAS) depends on the row's place in the product's groups of
+    rows and on whether the product has fewer than four rows, and whole
+    multiples of 16 points keep every row where one single-threaded product
+    over the batch has it.  Small batches, such as the solve's order-2 and
+    order-3 steps, are one block and pay no extra copy.
     """
     c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
+    size = max(_BLOCK_ALIGN, _BLOCK_PAIRS // max(c.size, 1) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    if len(p) <= size:
+        return _corner_sums(c, xy, p, order)
+    # a product of one to three rows is rounded unlike the same rows at the
+    # end of a longer one, so a short remainder joins the block before it
+    edges = [*range(0, len(p) - _BLOCK_ALIGN, size), len(p)]
+    blocks = [_corner_sums(c, xy, p[i:j], order) for i, j in zip(edges, edges[1:])]
+    if order == 0:
+        return np.concatenate(blocks)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _corner_sums(c, xy, p, order):
+    """The kernel body of ``_derivatives`` for one block of points ``p``, (n, 3)."""
     n = len(p)
     # axes: u or v, then the corners, then the points (small dense arrays,
     # since numpy's per-call overhead dominates at the small batches of a solve)

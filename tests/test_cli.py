@@ -499,6 +499,19 @@ def test_trap_spectrum_malformed_set_is_usage_error(capsys, setting):
     assert "--set" in err
 
 
+@pytest.mark.parametrize("settings", [("0=1V", "0=2V"), ("0=1V", "1=3V", "0=1V")])
+def test_trap_spectrum_repeated_set_index_is_usage_error(capsys, settings):
+    # a second voltage for the same DC strip used to replace the first silently
+    argv = ["trap", "spectrum", "--layout", str(DEMO / "trap_layout.cfg")]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --set") and err.count("\n") == 1
+    assert "DC index 0" in err
+
+
 def test_trap_layout_non_integer_dc_index_names_section(capsys, tmp_path):
     text = (DEMO / "trap_layout.cfg").read_text()
     layout = tmp_path / "layout.cfg"

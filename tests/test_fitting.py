@@ -19,6 +19,7 @@ from cryoion.fitting import (
     REASON_GRAD_TOL,
     REASON_MAX_ITER,
     REASON_OFF_RANGE,
+    WIDTH_FLOOR,
     gaussian_model,
     line_model,
     lm_fit,
@@ -516,6 +517,35 @@ def test_no_signal_waist_scan_stops_off_range():
     span = x.max() - x.min()
     assert (not x.min() - span <= res.params["center"] <= x.max() + span
             or abs(res.params["waist"]) > 2.0 * span)
+
+
+@pytest.mark.parametrize("arrangement", ["scanned", "shuffled", "each twice"])
+def test_no_signal_linewidth_shrinking_onto_one_sample_stops_off_range(arrangement):
+    # on this noise spectrum the fwhm shrinks onto one sample while the
+    # centre stays in the band, so neither the span bounds nor the degenerate
+    # stop fire: the fit ran all 200 iterations and ended 0.034 frequency
+    # steps wide.  It stops once the fwhm is below a quarter of the smallest
+    # step, also where the first two frequencies are not one step apart
+    x, y = _nosignal_scan("linewidth", seeded_rng(47))
+    step = np.diff(x).min()
+    if arrangement == "shuffled":
+        order = seeded_rng(1).permutation(x.size)
+        x, y = x[order], y[order]
+    elif arrangement == "each twice":
+        x, y = np.repeat(x, 2), np.repeat(y, 2)
+    res, unconstrained = _peak_fit("linewidth", x, y)
+    assert (res.reason, unconstrained) == (REASON_OFF_RANGE, True)
+    assert res.iterations < DEFAULT_MAX_ITER // 2
+    assert abs(res.params["fwhm"]) < WIDTH_FLOOR * step
+    assert x.min() <= res.params["center"] <= x.max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), max_size=30))
+def test_smallest_step_is_the_closest_pair_of_distinct_values(values):
+    # the width floor's step, in any order and with repeated values
+    gaps = [abs(a - b) for a in values for b in values if a != b]
+    assert fitting._smallest_step(np.array(values)) == min(gaps, default=0.0)
 
 
 def test_no_signal_peak_fits_stay_within_the_iteration_budget():

@@ -3,7 +3,9 @@ import collections
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -720,6 +722,98 @@ def test_demo_spectrum_kernel_evaluations(monkeypatch):
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
     assert counts == {1: 1, 2: 6, 3: 5}
+
+
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during ``call()``."""
+    call()  # a first call settles numpy's caches
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ray_scan_memory_is_set_by_the_block_not_the_batch(monkeypatch):
+    # the demo spectrum's ray scan, 841 points x 8 corners, would peak at
+    # 944 188 B with the temporaries of all points at once; in blocks of 512
+    # points it peaks at about 0.58 MB, and eight times the points add only
+    # their stacked outputs, where one piece would need eight times the memory
+    layout, species = load_layout(DEMO_LAYOUT)
+    scans = []
+    kernel = trap._derivatives
+
+    def spy(corners, points, order=2):
+        if order == 1:
+            scans.append((corners, np.array(points)))
+        return kernel(corners, points, order)
+
+    monkeypatch.setattr(trap, "_derivatives", spy)
+    secular_spectrum(layout, species)
+    ((corners, pts),) = scans
+    assert pts.shape == (841, 3)
+    peaks = []
+    for k in (1, 8):
+        batch = np.tile(pts, (k, 1))
+        peaks.append(_traced_peak(lambda: kernel(corners, batch, order=1)))
+    assert peaks[0] < 640 * 1024
+    assert peaks[1] < 2 * peaks[0]
+
+
+#: RF layouts of 2 and 26 strips side by side: 8 and 104 corners
+_BLOCK_LAYOUTS = {n: [Strip(k * 30e-6, k * 30e-6 + (10 + k % 7) * 1e-6, -(1 + k % 3) * 1e-3,
+                            (1 + k % 5) * 1e-3, ROLE_RF) for k in range(n)]
+                  for n in (2, 26)}
+
+
+@st.composite
+def block_cases(draw):
+    """A layout of ``_BLOCK_LAYOUTS``, a number of points (up to three default
+    blocks and a remainder), a seed for the points, a block size in
+    corner-point pairs and the cuts of a split, in multiples of 16 points."""
+    n_strips = draw(st.sampled_from(sorted(_BLOCK_LAYOUTS)))
+    n = (draw(st.integers(0, 3)) * (trap._BLOCK_PAIRS // (4 * n_strips) // 16 * 16)
+         + draw(st.integers(0, 40)))
+    cuts = draw(st.sets(st.integers(1, (n - 16) // 16), max_size=4)) if n >= 32 else ()
+    return (n_strips, n, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(16 * 4 * n_strips, 7000)), tuple(sorted(cuts)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(block_cases())
+@example((2, 0, 0, 7000, ()))
+@example((2, 1, 0, 7000, ()))
+@example((2, 515, 0, 7000, (1,)))
+@example((26, 33, 0, 7000, (1,)))
+def test_kernel_bits_do_not_change_with_the_block_size(case):
+    # each point's corner sum is a row of a BLAS matrix-vector product whose
+    # rounding depends on the row's place in groups of 16 rows and on a
+    # product of fewer than four rows (see _derivatives), so the bits hold
+    # for blocks and splits of whole multiples of 16 points; every product
+    # here stays below the 9216 pairs from which OpenBLAS splits a
+    # matrix-vector product between threads.  515 points, a default block of
+    # 512 with a remainder of 3 joined to it, are one block at 7000 pairs too
+    n_strips, n, seed, pairs, cuts = case
+    strips = _BLOCK_LAYOUTS[n_strips]
+    rng = np.random.default_rng(seed)
+    corners = trap._corners(strips, rng.uniform(-2.0, 2.0, n_strips))
+    x0, x1 = strips[0].x_min, strips[-1].x_max
+    pts = np.column_stack([rng.uniform(2 * x0 - x1, 2 * x1 - x0, n), rng.uniform(-2e-3, 2e-3, n),
+                           rng.uniform(1e-6, 3e-4, n)])
+    edges = [0, *(16 * c for c in cuts), n]
+    for order in range(4):
+        whole = trap._derivatives(corners, pts, order)
+        with mock.patch.object(trap, "_BLOCK_PAIRS", pairs):
+            resized = trap._derivatives(corners, pts, order)
+        pieces = [trap._derivatives(corners, pts[i:j], order) for i, j in zip(edges, edges[1:])]
+        if order == 0:
+            whole, resized, pieces = (whole,), (resized,), [(p,) for p in pieces]
+        shapes = [(n,)] if order == 0 else [(n,) + (3,) * k for k in range(1, order + 1)]
+        assert [w.shape for w in whole] == shapes
+        for k, w in enumerate(whole):
+            assert w.tobytes() == resized[k].tobytes()
+            assert w.tobytes() == np.concatenate([p[k] for p in pieces]).tobytes()
 
 
 def test_spectrum_invariant_under_translation(five_wire, solved):
