@@ -9,10 +9,13 @@ this package shares one auditable engine:
   accepted trial's Jacobian is the next iteration's, so no call is spent on
   differentiation and nothing depends on a step size or the units of x
 * damping factor starts at 1e-3, *10 on a rejected step, /10 on an accepted one
-* each iteration takes one eigendecomposition S = V diag(L) V^T of the
-  column-scaled normal matrix S = N^-1 J^T J N^-1, N = sqrt(diag J^T J); every
-  damped trial of that iteration is then Marquardt's step
-  -(J^T J + lam diag J^T J)^-1 g = -(V/N) ((V/N)^T g / (L + lam))
+* each iterate's Jacobian J is decomposed once: S = V diag(L) V^T, the
+  column-scaled normal matrix S = N^-1 J^T J N^-1, N = sqrt(diag J^T J); that
+  one decomposition gives every damped trial of the iteration Marquardt's
+  step -(J^T J + lam diag J^T J)^-1 g = -(V/N) ((V/N)^T g / (L + lam)),
+  decides the degenerate stop below and, for the iterate the fit ends on,
+  the covariance (J^T J)^-1 = (V/N) L^-1 (V/N)^T; only a fit that ends on a
+  newly accepted iterate (cost_tol, off_range, max_iter) decomposes once more
 * converged when the relative cost decrease falls below 1e-10, the cosine
   |J_i . r| / (|J_i| |r|) between the residual and every Jacobian column is at
   most 1e-12 (a test that rescaling y or a parameter leaves unchanged), or no
@@ -107,7 +110,8 @@ class FitResult:
 
     def sigma(self, name: str) -> float:
         i = list(self.params).index(name)
-        return float(self.sigmas[i])
+        d = float(self.covariance[i, i])
+        return math.sqrt(d) if d >= 0 else math.inf
 
     def is_unconstrained(self, name: str) -> bool:
         """True if the fit did not converge or the 1-sigma of ``name`` is
@@ -122,20 +126,26 @@ def _scaled_eigh(A: np.ndarray):
     Returns (N, L, V) with N = sqrt(diag A) and N^-1 A N^-1 = V diag(L) V^T.
     Scaling the columns first keeps widely different parameter magnitudes
     from being mistaken for rank deficiency.  None means some direction is
-    unconstrained: N is zero or non-finite, or min(L) <= DEGENERATE_RATIO *
-    max(L).
+    unconstrained: diag A holds a zero, negative or non-finite entry (a NaN
+    fails every comparison), or min(L) <= DEGENERATE_RATIO * max(L).
     """
-    N = np.sqrt(A.diagonal())
-    if not (np.all(np.isfinite(N)) and np.all(N > 0)):
+    d = A.diagonal()
+    # p is small: a Python test of its p entries beats two numpy reductions
+    if not all(0.0 < v < math.inf for v in d.tolist()):
         return None
-    evals, evecs = np.linalg.eigh(A / N / N[:, None])
+    N = np.sqrt(d)
+    S = A / N
+    S /= N[:, None]
+    evals, evecs = np.linalg.eigh(S)
     if not evals[0] > DEGENERATE_RATIO * evals[-1]:
         return None
     return N, evals, evecs
 
 
-def _covariance(J: np.ndarray, ssr: float, n: int, p: int, absolute_weights: bool) -> np.ndarray:
-    scaled = _scaled_eigh(J.T @ J)
+def _covariance(scaled, ssr: float, n: int, p: int, absolute_weights: bool) -> np.ndarray:
+    """(J^T J)^-1, times SSR/(n-p) without absolute weights, from the
+    decomposition ``scaled = _scaled_eigh(J^T J)``; infinite if that is None
+    or, without absolute weights, if n <= p."""
     if scaled is None or (not absolute_weights and n <= p):
         return np.full((p, p), np.inf)
     N, evals, evecs = scaled
@@ -144,6 +154,20 @@ def _covariance(J: np.ndarray, ssr: float, n: int, p: int, absolute_weights: boo
     with np.errstate(over="ignore", invalid="ignore"):
         Ainv = ((evecs / evals) @ evecs.T) / N / N[:, None]
         return Ainv if absolute_weights else Ainv * (ssr / (n - p))
+
+
+def scan_arrays(x, y, what: str):
+    """``x`` and ``y`` of a scan as float arrays.
+
+    Raises DomainError, naming the fit ``what``, unless both are 1-D and of
+    one length.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise DomainError(f"{what} needs 1-D x and y of equal length, "
+                          f"got shapes {x.shape} and {y.shape}")
+    return x, y
 
 
 def _smallest_step(x) -> float:
@@ -182,25 +206,34 @@ def lm_fit(
     exists.
 
     Raises FitRankError if there are fewer observations than parameters,
-    DomainError if ``names`` does not name every parameter, ``peak`` does not
-    name two distinct parameter indices or the model does not return
+    DomainError if theta0 is empty, ``names`` does not name every parameter,
+    the leading length of x or the number of weights is not the length n of
+    y (all checked before the model is called), ``peak`` does not name two
+    distinct parameter indices or the model does not return
     (values, jacobian) of shapes (n,) and (n, p), and SingularModelError if
-    the model or its Jacobian is non-finite at the start point.  A trial
-    whose values or Jacobian are non-finite is rejected like any other bad
-    step (damping increases) rather than aborting the fit.
+    a weight is negative or non-finite or the model or its Jacobian is
+    non-finite at the start point.  A trial whose values or Jacobian are
+    non-finite is rejected like any other bad step (damping increases)
+    rather than aborting the fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     theta = np.asarray(theta0, dtype=float).ravel().copy()
     n, p = y.size, theta.size
+    if p == 0:
+        raise DomainError("theta0 holds no parameters")
     if n < p:
         raise FitRankError(f"{n} observations cannot constrain {p} parameters")
     if names is not None and len(names) != p:
         raise DomainError(f"{len(names)} names given for {p} parameters")
+    if x.ndim == 0 or len(x) != n:
+        raise DomainError(f"x has {len(x) if x.ndim else 'no'} rows but y has {n} values")
     sw = None
     if weights is not None:
         w = np.asarray(weights, dtype=float).ravel()
-        if w.size != n or np.any(w < 0) or not np.all(np.isfinite(w)):
+        if w.size != n:
+            raise DomainError(f"{w.size} weights given for {n} values of y")
+        if not np.isfinite(w).all() or (w < 0).any():
             raise SingularModelError("weights must be finite and non-negative")
         sw = np.sqrt(w)
     if peak is not None:
@@ -211,15 +244,17 @@ def lm_fit(
         if center_i == width_i or not (0 <= center_i < p and 0 <= width_i < p):
             raise DomainError(
                 f"peak must name two distinct parameter indices in [0, {p}), got {peak!r}")
-        peak_cols = [center_i, width_i]
-        x_lo, x_hi = float(np.min(x)), float(np.max(x))
+        # the two columns as a view: a slice, not an index list, which copies
+        lo, hi = sorted((center_i, width_i))
+        peak_cols = slice(lo, hi + 1, hi - lo)
+        x_lo, x_hi = float(x.min()), float(x.max())
         x_span = x_hi - x_lo
         # no two distinct x values are closer than the smallest step, so the
         # first two bound the width floor from above, and the step itself is
         # found only for an iterate narrower than that bound
         first_gap = abs(float(x.flat[1]) - float(x.flat[0])) if x.size > 1 else 0.0
         w_bound = WIDTH_FLOOR * (first_gap or x_span)
-        y_floor = EPS * float(np.max(np.abs(y if sw is None else y * sw)))
+        y_floor = EPS * float(abs(y if sw is None else y * sw).max())
     model_calls = 0
 
     def evaluate(th: np.ndarray):
@@ -242,22 +277,26 @@ def lm_fit(
     r, J = evaluate(theta)
     if not (np.isfinite(r).all() and np.isfinite(J).all()):
         raise SingularModelError("non-finite model output or Jacobian at the starting point")
-    cost = 0.5 * float(r @ r)
+    rr = float(r @ r)
+    cost = 0.5 * rr
     lam = 1e-3
     reason = REASON_MAX_ITER
     iterations = 0
+    # the decomposition of the current J, once taken; the covariance reuses it
+    scaled = None
 
     for iterations in range(1, max_iter + 1):
         scaled = _scaled_eigh(J.T @ J)
         if scaled is None or (peak is not None and x_span * float(
-                np.abs(J[:, peak_cols]).max(axis=0).min()) <= y_floor):
+                abs(J[:, peak_cols]).max(axis=0).min()) <= y_floor):
             reason = REASON_DEGENERATE
             break
         N, evals, evecs = scaled
         g = J.T @ r
         # the cosine between r and each column of J: unchanged by rescaling y
         # or a parameter, unlike the raw gradient norm (which scales as y^2)
-        if float(np.max(np.abs(g) / N)) <= GRAD_TOL * float(np.linalg.norm(r)):
+        bound = GRAD_TOL * math.sqrt(rr)
+        if all(abs(gi) / ni <= bound for gi, ni in zip(g.tolist(), N.tolist())):
             reason = REASON_GRAD_TOL
             break
         W = evecs / N[:, None]
@@ -267,7 +306,8 @@ def lm_fit(
         for _ in range(60):
             cand = theta - W @ (Wg / (evals + lam))
             rc, Jc = evaluate(cand)
-            cc = 0.5 * float(rc @ rc)
+            rrc = float(rc @ rc)
+            cc = 0.5 * rrc
             if cc < cost and np.isfinite(Jc).all():
                 accepted = True
                 break
@@ -281,7 +321,7 @@ def lm_fit(
             reason = REASON_DAMPING_EXHAUSTED
             break
         rel_decrease = (cost - cc) / max(cost, 1e-300)
-        theta, r, J, cost = cand, rc, Jc, cc
+        theta, r, J, rr, cost, scaled = cand, rc, Jc, rrc, cc, None
         if peak is not None:
             width = abs(theta[width_i])
             if not (x_lo - x_span <= theta[center_i] <= x_hi + x_span and width <= 2.0 * x_span
@@ -297,8 +337,10 @@ def lm_fit(
     if reason == REASON_DEGENERATE:
         cov = np.full((p, p), np.inf)
     else:
-        cov = _covariance(J, ssr, n, p, absolute_weights=sw is not None)
-    rms = float(np.sqrt(ssr / n))
+        if scaled is None:  # J was accepted after the loop's last decomposition
+            scaled = _scaled_eigh(J.T @ J)
+        cov = _covariance(scaled, ssr, n, p, absolute_weights=sw is not None)
+    rms = math.sqrt(ssr / n)
     if names is None:
         names = [f"theta{i}" for i in range(p)]
     params = {str(k): float(v) for k, v in zip(names, theta)}
@@ -313,10 +355,18 @@ def lm_fit(
 # ---------------------------------------------------------------------------
 
 
+# Each model fills a (p, n) array row by row and returns its transpose, a
+# column-major (n, p) Jacobian as np.array(columns).T would give: a constant
+# column is then one assignment rather than an array of ones.
+
+
 def line_model(x, theta):
     """theta = (slope, intercept)."""
     x = np.asarray(x, dtype=float)
-    return theta[0] * x + theta[1], np.array([x, np.ones_like(x)]).T
+    jac = np.empty((2,) + x.shape)
+    jac[0] = x
+    jac[1] = 1.0
+    return theta[0] * x + theta[1], jac.T
 
 
 def gaussian_model(x, theta):
@@ -325,7 +375,12 @@ def gaussian_model(x, theta):
     u = (np.asarray(x, dtype=float) - c) / w
     e = np.exp(-0.5 * u**2)
     ae = a * e
-    return ae + b, np.array([e, ae * u / w, ae * u * u / w, np.ones_like(u)]).T
+    jac = np.empty((4,) + u.shape)
+    jac[0] = e
+    jac[1] = ae * u / w
+    jac[2] = ae * u * u / w
+    jac[3] = 1.0
+    return ae + b, jac.T
 
 
 def lorentzian_model(x, theta):
@@ -337,5 +392,9 @@ def lorentzian_model(x, theta):
     den = d**2 + hw2
     shape = hw2 / den
     slope = a * shape / den
-    return (a * hw2 / den + b,
-            np.array([shape, 2.0 * slope * d, slope * d * d / hw, np.ones_like(d)]).T)
+    jac = np.empty((4,) + d.shape)
+    jac[0] = shape
+    jac[1] = 2.0 * slope * d
+    jac[2] = slope * d * d / hw
+    jac[3] = 1.0
+    return a * hw2 / den + b, jac.T

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClippingError, DomainError, InsufficientDataError
-from .fitting import FitResult, gaussian_model, lm_fit, lorentzian_model
+from .fitting import FitResult, gaussian_model, lm_fit, lorentzian_model, scan_arrays
 from .series import TimeSeries
 
 KIND_FRACTIONAL = "fractional_frequency"
@@ -97,13 +97,12 @@ def lorentzian_linewidth_fit(freq_hz, power, weights=None) -> LinewidthFit:
     outside it, or FWHM above two band widths), or when the 1-sigma
     uncertainty on the width exceeds the width.
     """
-    f = np.asarray(freq_hz, dtype=float)
-    p = np.asarray(power, dtype=float)
+    f, p = scan_arrays(freq_hz, power, "linewidth fit")
     if f.size < 5:
         raise InsufficientDataError("linewidth fit needs at least 5 points")
     b0 = float(p.min())
-    a0 = float(p.max() - p.min()) or 1.0
-    f0 = float(f[np.argmax(p)])
+    a0 = (float(p.max()) - b0) or 1.0
+    f0 = float(f[p.argmax()])
     above = np.nonzero(p - b0 > 0.5 * a0)[0]
     g0 = float(f[above[-1]] - f[above[0]]) if above.size >= 2 else 0.0
     if g0 <= 0:
@@ -317,7 +316,7 @@ def gaussian_profile_fit(profile: ImageProfile, axis: str = AXIS_ROW,
     px = np.arange(counts.size, dtype=float)
     b0 = float(counts.min())
     a0 = float(counts.max() - counts.min()) or 1.0
-    c0 = float(np.argmax(counts))
+    c0 = float(counts.argmax())
     above = np.nonzero(counts - b0 > 0.5 * a0)[0]
     s0 = max(float(above[-1] - above[0]) / 2.355, 0.5) if above.size >= 2 else counts.size / 4.0
     res = lm_fit(gaussian_model, px, counts, np.array([a0, c0, s0, b0]), weights=weights,

@@ -183,10 +183,9 @@ def heating_rate_fit(wait_s, nbars, weights=None) -> FitResult:
     """Linear fit nbar(t) = intercept + rate * t; rate in phonons per second."""
     import numpy as np
 
-    from .fitting import line_model, lm_fit
+    from .fitting import line_model, lm_fit, scan_arrays
 
-    t = np.asarray(wait_s, dtype=float)
-    n = np.asarray(nbars, dtype=float)
+    t, n = scan_arrays(wait_s, nbars, "heating-rate fit")
     if t.size < 3:
         raise InsufficientDataError("heating-rate fit needs at least 3 points")
     slope0 = (n[-1] - n[0]) / (t[-1] - t[0]) if t[-1] != t[0] else 0.0
@@ -220,13 +219,12 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
     """
     import numpy as np
 
-    from .fitting import lm_fit
+    from .fitting import lm_fit, scan_arrays
 
-    t = np.asarray(wait_s, dtype=float)
-    c = np.asarray(contrasts, dtype=float)
+    t, c = scan_arrays(wait_s, contrasts, "Ramsey fit")
     if t.size < 4:
         raise InsufficientDataError("Ramsey fit needs at least 4 points")
-    if np.any((c < 0) | (c > 1)):
+    if ((c < 0) | (c > 1)).any():
         raise DomainError("contrast values must lie in [0, 1]")
     if shape not in (RAMSEY_GAUSSIAN, RAMSEY_EXPONENTIAL):
         raise DomainError(f"unknown Ramsey shape {shape!r}")
@@ -243,7 +241,8 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
             e = np.exp(-x / t1e)
             return c0 * e, np.array([e, c0 * e * (x / t1e) / t1e]).T
 
-    c0 = float(c.max()) if c.max() > 0 else 1.0
+    c_max = float(c.max())
+    c0 = c_max if c_max > 0 else 1.0
     below = np.nonzero(c < c0 / math.e)[0]
     span = float(t[-1] - t[0]) or 1.0
     t0 = float(t[below[0]]) if below.size and t[below[0]] > 0 else span
@@ -292,10 +291,9 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
     """
     import numpy as np
 
-    from .fitting import lm_fit
+    from .fitting import lm_fit, scan_arrays
 
-    x = np.asarray(positions_m, dtype=float)
-    om = np.asarray(rabi_rad_s, dtype=float)
+    x, om = scan_arrays(positions_m, rabi_rad_s, "waist scan")
     if x.size < 4:
         raise InsufficientDataError("waist scan needs at least 4 points")
 
@@ -306,7 +304,7 @@ def waist_from_rabi_scan(positions_m, rabi_rad_s, weights=None) -> WaistFit:
         slope = 2.0 * peak * e * u / waist
         return peak * e, np.array([e, slope, slope * u]).T
 
-    i0 = int(np.argmax(om))
+    i0 = int(om.argmax())
     span = float(x.max() - x.min()) or 1.0
     theta0 = np.array([float(om[i0]) or 1.0, float(x[i0]), span / 4.0])
     res = lm_fit(model, x, om, theta0, weights=weights,

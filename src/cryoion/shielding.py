@@ -188,7 +188,10 @@ def _contact_model(f, theta):
     import numpy as np
 
     decades = np.log10(f)
-    return theta[0] - 20.0 * theta[1] * decades, np.array([np.ones_like(f), -20.0 * decades]).T
+    jac = np.empty((2,) + decades.shape)
+    jac[0] = 1.0
+    jac[1] = -20.0 * decades
+    return theta[0] - 20.0 * theta[1] * decades, jac.T
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Least-squares engine: recovery, covariance semantics, Jacobians, error paths."""
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -356,6 +357,148 @@ def test_stopping_reasons():
     # starting exactly at the minimum of an exactly representable problem
     at_min = lm_fit(line_model, [0.0, 1.0, 2.0], [1.0, 3.0, 5.0], [2.0, 1.0])
     assert at_min.converged and at_min.reason == REASON_GRAD_TOL and at_min.iterations == 1
+
+
+def _recording(model):
+    """``model`` wrapped to keep the Jacobian it returns at each parameter vector."""
+    jacobians = {}
+
+    def wrapped(x, theta):
+        values, jac = model(x, theta)
+        jacobians[tuple(theta)] = np.array(values, dtype=float), np.array(jac, dtype=float)
+        return values, jac
+
+    return wrapped, jacobians
+
+
+def _fresh_covariance(res, jacobians, y, weights=None):
+    """``_covariance`` of a fresh decomposition of the final iterate's Jacobian."""
+    values, jac = jacobians[tuple(res.theta)]
+    r = values - y
+    if weights is not None:
+        sw = np.sqrt(weights)
+        r, jac = r * sw, jac * sw[:, None]
+    ssr = 2.0 * (0.5 * float(r @ r))
+    return fitting._covariance(fitting._scaled_eigh(jac.T @ jac), ssr, y.size, res.theta.size,
+                               weights is not None)
+
+
+def _flat(x, theta):
+    return theta[0] + theta[1] + 0.0 * x, np.ones((x.size, 2))
+
+
+_g = np.linspace(-3.0, 3.0, 60)
+_x = np.linspace(0.0, 4.0, 30)
+_noisy = line_model(_x, [1.3, -0.7])[0] + 0.05 * seeded_rng(1).standard_normal(_x.size)
+#: reason -> (model, x, y, theta0, keywords); the runs of test_stopping_reasons
+#: and friends, one per stop, some weighted
+_STOPS = {
+    REASON_COST_TOL: (line_model, _x, _noisy, [1.0, 0.0], {}),
+    "cost_tol weighted": (line_model, _x, _noisy, [1.0, 0.0],
+                          {"weights": np.linspace(1.0, 3.0, _x.size)}),
+    REASON_GRAD_TOL: (gaussian_model, _g, gaussian_model(_g, [950.0, 0.2, 0.8, 50.0])[0],
+                      [800.0, 0.0, 1.0, 40.0], {}),
+    "grad_tol at the start": (line_model, np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0]),
+                              [2.0, 1.0], {"weights": np.array([1.0, 2.0, 4.0])}),
+    REASON_DAMPING_EXHAUSTED: (gaussian_model, _g, gaussian_model(_g, [950.0, 0.2, 0.8, 50.0])[0],
+                               [807.5, 0.0, 1.0, 40.0], {}),
+    REASON_MAX_ITER: (gaussian_model, _g, gaussian_model(_g, [2.0, 0.3, 0.7, 0.1])[0],
+                      [1.5, 0.0, 1.0, 0.0], {"max_iter": 1}),
+    REASON_DEGENERATE: (_flat, np.arange(6.0), np.full(6, 2.0), [1.0, 1.0], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_covariance_is_a_fresh_covariance_of_the_final_jacobian(case):
+    # the engine reuses the loop's decomposition of the final Jacobian where
+    # it has one (grad_tol, damping_exhausted) and takes a new one otherwise;
+    # either way the covariance is bit for bit what a fresh one gives
+    model, x, y, theta0, keywords = _STOPS[case]
+    wrapped, jacobians = _recording(model)
+    res = lm_fit(wrapped, x, y, theta0, **keywords)
+    assert res.reason == case.split()[0]
+    expected = _fresh_covariance(res, jacobians, y, keywords.get("weights"))
+    assert res.covariance.tobytes() == expected.tobytes()
+
+
+def test_off_range_covariance_is_a_fresh_covariance_of_the_final_jacobian(monkeypatch):
+    # a degenerate stop of a vanished peak reports infinite sigmas by rule;
+    # the off_range stop keeps the covariance of its last iterate
+    wrapped, jacobians = _recording(lorentzian_model)
+    monkeypatch.setattr(metrology, "lorentzian_model", wrapped)
+    x, y = _nosignal_scan("linewidth", seeded_rng(47))
+    res = metrology.lorentzian_linewidth_fit(x, y).fit
+    assert res.reason == REASON_OFF_RANGE
+    assert res.covariance.tobytes() == _fresh_covariance(res, jacobians, y).tobytes()
+
+
+_not_positive_and_finite = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+                            | st.floats(max_value=0.0, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5), bad=_not_positive_and_finite)
+def test_scaled_eigh_is_none_for_a_diagonal_entry_not_positive_and_finite(data, p, bad):
+    entries = st.floats(min_value=-1e300, max_value=1e300)
+    A = np.array(data.draw(st.lists(st.lists(entries, min_size=p, max_size=p),
+                                    min_size=p, max_size=p)))
+    A = A + A.T
+    A[np.diag_indices(p)] = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=p, max_size=p))
+    A[(data.draw(st.integers(0, p - 1)),) * 2] = bad
+    assert fitting._scaled_eigh(A) is None
+
+
+def test_x_of_another_length_than_y_is_a_domain_error_before_the_model_runs():
+    model = mock.Mock(side_effect=line_model)
+    for x, rows in ((np.arange(4.0), "4"), (np.arange(6.0), "6"),
+                    (np.arange(12.0).reshape(6, 2), "6"), (3.0, "no")):
+        with pytest.raises(DomainError, match=f"x has {rows} rows but y has 5 values"):
+            lm_fit(model, x, np.arange(5.0), [1.0, 0.0])
+    model.assert_not_called()
+
+
+def test_no_parameters_is_a_domain_error_before_the_model_runs():
+    model = mock.Mock(side_effect=lambda x, th: (0.0 * x, np.zeros((x.size, 0))))
+    with pytest.raises(DomainError, match="theta0 holds no parameters"):
+        lm_fit(model, np.arange(3.0), np.arange(3.0), [])
+    model.assert_not_called()
+
+
+@pytest.mark.parametrize("weights", [[1.0] * 4, [1.0] * 6, [[1.0] * 5] * 2])
+def test_weights_of_another_length_than_y_are_a_domain_error_before_the_model_runs(weights):
+    model = mock.Mock(side_effect=line_model)
+    with pytest.raises(DomainError, match=f"{np.size(weights)} weights given for 5 values of y"):
+        lm_fit(model, np.arange(5.0), np.arange(5.0), [1.0, 0.0], weights=weights)
+    model.assert_not_called()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_stay_singular(bad):
+    x = np.arange(5.0)
+    with pytest.raises(SingularModelError, match="finite and non-negative"):
+        lm_fit(line_model, x, x, [1.0, 0.0], weights=[1.0, 1.0, bad, 1.0, 1.0])
+
+
+#: each public scan fit on (x, y)
+_SCAN_FITS = {
+    "heating": qubit.heating_rate_fit,
+    "ramsey": qubit.ramsey_contrast_fit,
+    "waist": qubit.waist_from_rabi_scan,
+    "linewidth": metrology.lorentzian_linewidth_fit,
+}
+
+
+@pytest.mark.parametrize("fit", list(_SCAN_FITS))
+@pytest.mark.parametrize("shapes", [((12,), (13,)), ((13,), (12,)), ((6, 2), (6, 2)),
+                                    ((12,), (6, 2)), ((6, 2), (12,)), ((), (12,))])
+def test_scan_fits_need_1d_x_and_y_of_equal_length(fit, shapes):
+    # more contrasts than wait times was an IndexError, 2-D heating data
+    # numpy's ambiguous truth value and other 2-D scans a TypeError
+    x_shape, y_shape = shapes
+    x = np.linspace(0.1, 1.0, int(np.prod(x_shape))).reshape(x_shape)
+    y = np.exp(-np.linspace(0.0, 2.0, int(np.prod(y_shape))) ** 2).reshape(y_shape)
+    with pytest.raises(DomainError, match="1-D x and y of equal length"):
+        _SCAN_FITS[fit](x, y)
 
 
 _moderate = st.floats(min_value=-50.0, max_value=50.0)
