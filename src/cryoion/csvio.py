@@ -55,29 +55,40 @@ def read_table(path, columns: Sequence[str]) -> dict[str, np.ndarray]:
         raise FileNotFoundError(f"cannot open {path}: {exc}") from exc
     with handle:
         try:
-            lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1)
-                     if (stripped := raw.strip()) and not stripped.startswith("#")]
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    # Lines end at \n, \r or \r\n only: str.splitlines would also split at
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 and move the line numbers.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.split("\n"), start=1)
+             if (stripped := raw.strip()) and not stripped.startswith("#")]
     if not lines:
         raise CsvFormatError(f"{path}: missing header row")
     header = _fields(lines[0][1])
     if header != list(columns):
         raise CsvFormatError(f"{path}: header {header} does not match expected {list(columns)}")
-    data = lines[1:]
+    data = [raw for _, raw in lines[1:]]
     if not data:
         raise InsufficientDataError(f"{path}: no data rows")
-    # One reader and one conversion for the whole table.  The fields need no
-    # strip: float() skips the whitespace str.strip() removes, except \x1c-\x1f,
-    # which fail here.  A quote left open merges lines and changes the shape.
-    # On any such failure the row-by-row parse decides and names the bad line.
-    try:
-        arr = np.array(list(csv.reader(raw for _, raw in data)), dtype=float)
-    except ValueError:
-        arr = None
-    if arr is None or arr.shape != (len(data), len(header)) or not np.isfinite(arr).all():
-        arr = np.array([_row(path, lineno, raw, len(header)) for lineno, raw in data])
-    return {name: arr[:, i].copy() for i, name in enumerate(columns)}
+    # One conversion for the whole table, once every line has width - 1
+    # commas.  The fields need no strip: float() skips the whitespace
+    # str.strip() removes, except \x1c-\x1f, which fail here, as do quoted
+    # fields.  On any such failure the row-by-row parse decides and names
+    # the bad line.
+    width = len(header)
+    arr = None
+    if all(raw.count(",") == width - 1 for raw in data):
+        try:
+            arr = np.array(list(map(float, ",".join(data).split(","))))
+        except ValueError:
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        arr = np.array([_row(path, lineno, raw, width) for lineno, raw in lines[1:]])
+    # one transposed copy: each column is a contiguous row of it
+    columns_first = arr.reshape(len(data), width).T.copy()
+    return dict(zip(columns, columns_first))
 
 
 def _fields(raw: str) -> list[str]:

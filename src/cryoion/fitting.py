@@ -41,6 +41,17 @@ this package shares one auditable engine:
   are relative to the span, the x step and y, so shifting or scaling x or
   scaling y leaves them unchanged
 
+A model that is linear in its parameters needs no search: its fit starts at
+the closed-form least-squares minimum (``line_lstsq`` for a line), so the
+first iteration's gradient test confirms it, with one model call and one
+decomposition, and the engine still reports the stop reason and covariance.
+(Data the model reproduces to rounding leave a residual of rounding noise,
+which no gradient test tells from a minimum; such a fit tries damped steps
+and ends on damping_exhausted.)
+
+Data must be finite: a NaN or an infinity in x or y is a DomainError naming
+its row, raised before the model is called.
+
 Weights are interpreted as absolute inverse variances (w_i = 1/sigma_i^2) when
 supplied, in which case the covariance is (J^T W J)^-1 and scaling all weights
 by c scales the covariance by 1/c.  Without weights the noise level is
@@ -167,7 +178,57 @@ def scan_arrays(x, y, what: str):
     if x.ndim != 1 or x.shape != y.shape:
         raise DomainError(f"{what} needs 1-D x and y of equal length, "
                           f"got shapes {x.shape} and {y.shape}")
+    _check_finite(x, y, what)
     return x, y
+
+
+def _check_finite(x: np.ndarray, y: np.ndarray, what: str) -> None:
+    """Raise DomainError, naming ``what`` and the first row of x or y that
+    holds a NaN or an infinity; x is indexed by its leading axis."""
+    if np.isfinite(x).all() and np.isfinite(y).all():
+        return
+    bad = ~np.isfinite(y)
+    bad |= ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+    i = int(bad.argmax())
+    raise DomainError(f"{what} needs finite data: row {i} holds x = {x[i]}, y = {y[i]}")
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as n floats; DomainError if there are not n of them,
+    SingularModelError if one is negative or non-finite."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size != n:
+        raise DomainError(f"{w.size} weights given for {n} values of y")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise SingularModelError("weights must be finite and non-negative")
+    return w
+
+
+def line_lstsq(x, y, weights=None) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through (x, y).
+
+    With ``weights`` the line minimises sum w_i r_i^2.  The slope is
+    Sxy / Sxx, sums of products of x and y centred on their (weighted)
+    means, which keeps the digits the raw normal equations lose when the
+    data sit far from the origin.  Where the minimum is not unique the tie
+    is broken without a numpy warning: weights that sum to zero give the
+    unweighted line, and x values that all coincide (Sxx = 0) slope 0
+    through the mean of y.  Raises as ``lm_fit`` does for bad weights.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = None if weights is None else _checked_weights(weights, y.size)
+    total = 0.0 if w is None else float(w.sum())
+    if total > 0:
+        xm, ym = float(w @ x) / total, float(w @ y) / total
+        dx = x - xm
+        wdx = w * dx
+    else:
+        xm, ym = float(x.sum()) / x.size, float(y.sum()) / y.size
+        wdx = dx = x - xm
+    sxx = float(wdx @ dx)
+    slope = float(wdx @ (y - ym)) / sxx if sxx > 0 else 0.0
+    return slope, ym - slope * xm
 
 
 def _smallest_step(x) -> float:
@@ -208,7 +269,8 @@ def lm_fit(
     Raises FitRankError if there are fewer observations than parameters,
     DomainError if theta0 is empty, ``names`` does not name every parameter,
     the leading length of x or the number of weights is not the length n of
-    y (all checked before the model is called), ``peak`` does not name two
+    y, or a row of x or y holds a NaN or an infinity (all checked before the
+    model is called), ``peak`` does not name two
     distinct parameter indices or the model does not return
     (values, jacobian) of shapes (n,) and (n, p), and SingularModelError if
     a weight is negative or non-finite or the model or its Jacobian is
@@ -228,14 +290,8 @@ def lm_fit(
         raise DomainError(f"{len(names)} names given for {p} parameters")
     if x.ndim == 0 or len(x) != n:
         raise DomainError(f"x has {len(x) if x.ndim else 'no'} rows but y has {n} values")
-    sw = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.size != n:
-            raise DomainError(f"{w.size} weights given for {n} values of y")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise SingularModelError("weights must be finite and non-negative")
-        sw = np.sqrt(w)
+    _check_finite(x, y, "lm_fit")
+    sw = None if weights is None else np.sqrt(_checked_weights(weights, n))
     if peak is not None:
         try:
             center_i, width_i = map(operator.index, peak)

@@ -180,17 +180,18 @@ def nbar_to_sideband_ratio(nbar: float) -> float:
 
 
 def heating_rate_fit(wait_s, nbars, weights=None) -> FitResult:
-    """Linear fit nbar(t) = intercept + rate * t; rate in phonons per second."""
-    import numpy as np
+    """Linear fit nbar(t) = intercept + rate * t; rate in phonons per second.
 
-    from .fitting import line_model, lm_fit, scan_arrays
+    The fit starts at the closed-form (weighted) least-squares line, so
+    ``lm_fit`` confirms that minimum in one iteration and reports its
+    covariance and stop reason.
+    """
+    from .fitting import line_lstsq, line_model, lm_fit, scan_arrays
 
     t, n = scan_arrays(wait_s, nbars, "heating-rate fit")
     if t.size < 3:
         raise InsufficientDataError("heating-rate fit needs at least 3 points")
-    slope0 = (n[-1] - n[0]) / (t[-1] - t[0]) if t[-1] != t[0] else 0.0
-    theta0 = np.array([slope0, n[0]])
-    return lm_fit(line_model, t, n, theta0, weights=weights,
+    return lm_fit(line_model, t, n, line_lstsq(t, n, weights), weights=weights,
                   names=("rate", "intercept"))
 
 

@@ -221,12 +221,14 @@ def fit_attenuation_regime(curve: AttenuationCurve, extrapolate_to_hz: float = 5
     Points at or below the measurement floor are censored (the sensor cannot
     resolve deeper attenuation); at least 3 points must survive.  The skin
     model is dB = -a*sqrt(f); the contact model is dB = b - 20*s*log10(f)
-    with the slope s left free.  The extrapolation frequency must be positive
-    and finite.
+    with the slope s left free.  Both are linear in their parameters, so each
+    fit starts at its closed-form least-squares minimum and ``lm_fit``
+    confirms it in one iteration and reports the covariance.  The
+    extrapolation frequency must be positive and finite.
     """
     import numpy as np
 
-    from .fitting import lm_fit
+    from .fitting import line_lstsq, lm_fit
 
     if not 0 < extrapolate_to_hz < math.inf:
         raise DomainError("extrapolation frequency must be positive and finite, "
@@ -241,10 +243,10 @@ def fit_attenuation_regime(curve: AttenuationCurve, extrapolate_to_hz: float = 5
             f"only {n_used} points above the {curve.floor_db} dB floor; need >= 3")
     fu, au = f[usable], a[usable]
 
-    a0 = max(-au[-1] / math.sqrt(fu[-1]), 1e-12)
-    skin = lm_fit(_skin_model, fu, au, [a0], names=["a"])
-    slope0, b0 = np.polyfit(np.log10(fu), au, 1)
-    contact = lm_fit(_contact_model, fu, au, [b0, -slope0 / 20.0], names=["b", "s"])
+    root = np.sqrt(fu)
+    skin = lm_fit(_skin_model, fu, au, [-float(root @ au) / float(root @ root)], names=["a"])
+    slope, b0 = line_lstsq(np.log10(fu), au)
+    contact = lm_fit(_contact_model, fu, au, [b0, -slope / 20.0], names=["b", "s"])
 
     at = np.array([extrapolate_to_hz], dtype=float)
     skin_db = float(_skin_model(at, skin.theta)[0][0])

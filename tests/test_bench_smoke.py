@@ -9,7 +9,6 @@ a spectrum that stops calling the null search through the module shows up
 as a layer with no calls.  Every distinct scan of the fit workload is also
 fitted once in process, where the suite turns warnings into errors.
 """
-import importlib.util
 import json
 import math
 import subprocess
@@ -68,15 +67,11 @@ SCAN_FITS = {
 }
 
 
-def test_every_seed_one_scan_fits_to_a_finite_estimate_without_warning(tmp_path, monkeypatch):
+def test_every_seed_one_scan_fits_to_a_finite_estimate_without_warning(tmp_path, bench_gen):
     # 1200 signal and 1500 no-signal scans; a fit that overflows, divides by
     # zero or takes 0 * inf warns, and the warning fails the test
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
-    spec.loader.exec_module(gen)
-    scans = {scan.path: scan for scan in gen.scans(1, str(tmp_path))}
-    assert len(scans) == gen.SIGNAL_SCANS + gen.NOSIGNAL_SCANS
+    scans = {scan.path: scan for scan in bench_gen.scans(1, str(tmp_path))}
+    assert len(scans) == bench_gen.SIGNAL_SCANS + bench_gen.NOSIGNAL_SCANS
     for scan in scans.values():
         fit, estimate = SCAN_FITS[scan.family]
         value = estimate(fit(csvio.read_table(scan.path, scan.columns)))

@@ -565,7 +565,7 @@ def test_qubit_fits_on_demo_data(capsys):
     code, out, _ = run(capsys, "qubit", "ramsey-fit", "--in", str(DEMO / "ramsey.csv"))
     assert code == 0 and "contrast 1/e time = 18.1 ms" in out
     code, out, _ = run(capsys, "qubit", "heating-fit", "--in", str(DEMO / "heating.csv"))
-    assert code == 0 and "heating rate = 2.17069139015 +/-" in out
+    assert code == 0 and "heating rate = 2.17069139017 +/-" in out
     code, out, _ = run(capsys, "qubit", "waist-fit", "--in", str(DEMO / "waist_scan.csv"))
     assert code == 0 and "beam waist = 3 µm" in out
 

@@ -64,6 +64,16 @@ def test_read_table_bad_row_names_its_line(tmp_path, text, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+def test_read_table_lines_end_only_at_cr_and_lf(tmp_path, sep):
+    # str.splitlines would break line 2 in two and move the error to line 4
+    path = _write(tmp_path, f"a,b\n1,2{sep}5,6\n7,x\n")
+    with pytest.raises(CsvFormatError) as info:
+        read_table(path, ["a", "b"])
+    assert str(info.value) == f"{path}: line 2: expected 2 fields, got 3"
+
+
 def test_read_table_header_only(tmp_path):
     path = _write(tmp_path, "# c\na,b\n\n")
     with pytest.raises(InsufficientDataError) as info:

@@ -30,3 +30,8 @@ def test_two_runs_write_the_same_bytes(tmp_path):
             assert len(fit["sigmas"]) == len(fit["params"])
             assert len(fit["covariance"]) == len(fit["params"]) ** 2
         assert ("regime" in record) + ("unconstrained" in record) <= 1
+        # the linear fits start at their closed-form minimum, which the first
+        # gradient test confirms
+        if "regime" in record or record["scan"].endswith("_heating.csv"):
+            for fit in fits:
+                assert (fit["reason"], fit["iterations"], fit["model_calls"]) == ("grad_tol", 1, 1)

@@ -823,6 +823,162 @@ def test_demo_waist_is_the_least_squares_minimum():
     assert fit.profile.center == pytest.approx(1e-6 * oracle.x[1], abs=1e-9 * np.ptp(x))
 
 
+# ---------------------------------------------------------------------------
+# linear fits: a closed-form start that lm_fit confirms in one iteration
+# ---------------------------------------------------------------------------
+
+
+def _bench_scan(gen, family, seed, signal):
+    """The columns of one scan of ``family`` as the benchmark draws it from ``seed``."""
+    rng = seeded_rng(seed)
+    rows = int(rng.integers(*gen.SCAN_ROWS[family], endpoint=True))
+    return gen._scan_data(rng, family, rows, signal)[0]
+
+
+def _regime_fit(columns):
+    return shielding.fit_attenuation_regime(shielding.AttenuationCurve(
+        tuple(columns["freq_hz"]), tuple(columns["atten_db"]), floor_db=-58.0))
+
+
+def _lstsq(design, y, weights=None):
+    """The weighted least-squares parameters from np.linalg.lstsq, the oracle."""
+    if weights is not None:
+        sw = np.sqrt(weights)
+        design, y = design * sw[:, None], y * sw
+    return np.linalg.lstsq(design, y, rcond=None)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("signal", [True, False])
+def test_heating_fit_is_the_lstsq_line(bench_gen, seed, signal):
+    columns = _bench_scan(bench_gen, "heating", seed, signal)
+    t, n = columns["wait_s"], columns["nbar"]
+    design = np.column_stack([t, np.ones_like(t)])
+    for weights in (None, np.linspace(1.0, 4.0, t.size)):
+        fit = qubit.heating_rate_fit(t, n, weights=weights)
+        np.testing.assert_allclose(fit.theta, _lstsq(design, n, weights), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("signal", [True, False])
+def test_skin_and_contact_fits_are_the_lstsq_minima(bench_gen, seed, signal):
+    columns = _bench_scan(bench_gen, "regime", seed, signal)
+    fit = _regime_fit(columns)
+    usable = columns["atten_db"] > -58.0
+    f, a = columns["freq_hz"][usable], columns["atten_db"][usable]
+    skin = _lstsq(-np.sqrt(f)[:, None], a)
+    contact = _lstsq(np.column_stack([np.ones_like(f), -20.0 * np.log10(f)]), a)
+    np.testing.assert_allclose(fit.skin_fit.theta, skin, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fit.contact_fit.theta, contact, rtol=1e-12, atol=0.0)
+
+
+def test_demo_heating_rate_is_the_least_squares_rate_to_thirty_digits():
+    table = csvio.read_table(DEMO / "heating.csv", ["wait_s", "nbar"])
+    t, n = table["wait_s"], table["nbar"]
+    with mpmath.workdps(30):
+        tm = [mpmath.mpf(float(v)) for v in t]
+        nm = [mpmath.mpf(float(v)) for v in n]
+        t_mean, n_mean = mpmath.fsum(tm) / len(tm), mpmath.fsum(nm) / len(nm)
+        rate = (mpmath.fsum((u - t_mean) * (v - n_mean) for u, v in zip(tm, nm))
+                / mpmath.fsum((u - t_mean) ** 2 for u in tm))
+        exact = float(rate)
+    fit = qubit.heating_rate_fit(t, n)
+    assert fit.params["rate"] == pytest.approx(exact, rel=1e-14)
+    assert "%.12g" % fit.params["rate"] == "2.17069139017"
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["heating", "regime"]), seed=st.integers(0, 2**32 - 1),
+       signal=st.booleans())
+def test_linear_fits_confirm_their_start_in_one_iteration(bench_gen, family, seed, signal):
+    columns = _bench_scan(bench_gen, family, seed, signal)
+    if family == "heating":
+        fits = [qubit.heating_rate_fit(columns["wait_s"], columns["nbar"])]
+    else:
+        regime = _regime_fit(columns)
+        fits = [regime.skin_fit, regime.contact_fit]
+    for fit in fits:
+        assert (fit.reason, fit.iterations, fit.model_calls) == (REASON_GRAD_TOL, 1, 1)
+
+
+@pytest.mark.parametrize("x,y,weights", [
+    ([1.0, 1.0, 1.0], [0.5, 0.7, 0.6], None),
+    ([0.0] * 4, [0.5, 0.7, 0.6, 0.2], None),
+    ([2.5] * 4, [0.5, 0.7, 0.6, 0.2], [1.0, 2.0, 0.0, 3.0]),
+    ([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [0.1, 0.5, 0.9, 1.3, 1.6, 2.2], [0.0] * 6),
+], ids=["equal_waits", "zero_waits", "equal_waits_weighted", "zero_weights"])
+def test_degenerate_heating_fit_starts_without_a_warning(x, y, weights):
+    with np.errstate(all="raise"):
+        slope, intercept = fitting.line_lstsq(x, y, weights)
+    fit = qubit.heating_rate_fit(x, y, weights=weights)
+    assert fit.reason == REASON_DEGENERATE and not fit.converged
+    assert np.isinf(fit.sigmas).all()
+    assert fit.params == {"rate": slope, "intercept": intercept}
+    if len(set(x)) == 1:
+        # every line through the weighted mean fits equally well: slope 0
+        w = np.ones(len(y)) if weights is None else np.asarray(weights)
+        assert (slope, intercept) == (0.0, pytest.approx(np.average(y, weights=w)))
+    else:
+        # no weight at all: the unweighted line
+        assert (slope, intercept) == pytest.approx(tuple(_lstsq(
+            np.column_stack([x, np.ones(len(x))]), np.asarray(y))), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 6), np.linspace(0.3, 7.0, 17)])
+def test_noise_free_heating_line_converges_on_the_line(t):
+    # the data reproduce the line to rounding, so the residual at the start
+    # is rounding noise and no gradient test can tell it from a minimum: LM
+    # tries steps and ends once none lowers the cost
+    with np.errstate(all="raise"):
+        fitting.line_lstsq(t, 0.1 + 2.14 * t)
+    fit = qubit.heating_rate_fit(t, 0.1 + 2.14 * t)
+    assert fit.converged
+    np.testing.assert_allclose(fit.theta, [2.14, 0.1], rtol=1e-14, atol=0.0)
+    assert (fit.sigmas < 1e-14).all()
+
+
+@pytest.mark.parametrize("weights,error,message", [
+    ([1.0, 1.0], DomainError, "2 weights given for 4 values of y"),
+    ([1.0, -1.0, 1.0, 1.0], SingularModelError, "finite and non-negative"),
+    ([1.0, math.inf, 1.0, 1.0], SingularModelError, "finite and non-negative"),
+    ([1.0, math.nan, 1.0, 1.0], SingularModelError, "finite and non-negative"),
+], ids=["length", "negative", "inf", "nan"])
+def test_heating_fit_checks_its_weights_before_the_start(weights, error, message):
+    with pytest.raises(error, match=message):
+        qubit.heating_rate_fit([0.0, 1.0, 2.0, 3.0], [0.1, 1.0, 2.0, 3.0], weights=weights)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_heating_data_is_a_domain_error_naming_the_row(bad):
+    with pytest.raises(DomainError, match=f"heating-rate fit needs finite data: row 1 .*{bad}"):
+        qubit.heating_rate_fit([0, 1, 2, 3], [0.1, bad, 2.0, 3.0])
+    with pytest.raises(DomainError, match=f"row 2 holds x = {bad}"):
+        qubit.heating_rate_fit([0, 1, bad, 3], [0.1, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("fit", list(_SCAN_FITS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scan_fits_name_the_first_non_finite_row(fit, bad):
+    x = np.linspace(0.1, 1.0, 12)
+    y = np.exp(-np.linspace(0.0, 2.0, 12) ** 2)
+    x[7], y[4] = bad, bad
+    with pytest.raises(DomainError, match="needs finite data: row 4 "):
+        _SCAN_FITS[fit](x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lm_fit_rejects_non_finite_data_before_the_model_runs(bad):
+    model = mock.Mock(side_effect=line_model)
+    y = np.arange(5.0)
+    with pytest.raises(DomainError, match="lm_fit needs finite data: row 3 "):
+        lm_fit(model, np.arange(5.0), np.where(y == 3.0, bad, y), [1.0, 0.0])
+    x = np.arange(10.0).reshape(5, 2)
+    x[2, 1] = bad
+    with pytest.raises(DomainError, match="lm_fit needs finite data: row 2 "):
+        lm_fit(model, x, y, [1.0, 0.0])
+    model.assert_not_called()
+
+
 def test_time_series_basics():
     ts = TimeSeries(t0=0.5, dt=0.25, samples=[1.0, 2.0, 4.0])
     assert len(ts) == 3
