@@ -306,7 +306,7 @@ def cmd_trap_solve(args):
     from . import trap
 
     layout, species = trap.load_layout(args.layout)
-    sol = trap.find_rf_null(layout, species)
+    sol = trap.find_rf_null(layout)
     return ({"null_x_m": sol.null_position[0], "height_m": sol.height,
              "species": species.label},
             ["rf null at x = {null_x_m:si:m}, height = {height_m:si:m} ({height_m} m)"])
@@ -514,7 +514,7 @@ def cmd_met_image_fit(args):
     table = read_table(args.infile, ["pixel", "counts"])
     profile = metrology.ImageProfile(pixel_counts=table["counts"], pixel_pitch=args.pitch,
                                      magnification=args.magnification)
-    res = metrology.gaussian_profile_fit(profile, axis=args.axis)
+    res = metrology.gaussian_profile_fit(profile)
     return _fit_report(res, {"width_m": res.width_m, "center_m": res.center_m,
                              "width_sigma_m": res.fit.sigma("sigma") * profile.object_plane_pitch},
                        "gaussian width = {width_m:si:m} ({width_m} m) at {center_m:si:m}")
@@ -722,8 +722,6 @@ def _build_met(ops) -> None:
     p.add_argument("--in", dest="infile", required=True, help="CSV with pixel,counts")
     add_quantity_flag(p, "--pitch", METER, "m", "camera pixel pitch", default=16e-6)
     p.add_argument("--magnification", type=_finite_float, default=15.0)
-    p.add_argument("--axis", choices=(metrology.AXIS_ROW, metrology.AXIS_COLUMN),
-                   default=metrology.AXIS_ROW)
 
 
 def _build_report(ops) -> None:

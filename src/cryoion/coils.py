@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularFieldError
+from .errors import DomainError, SingularFieldError, integer_at_least
 from .units import CONSTANTS
 
 _AGM_TOL = 1e-15  # c_n below this ends the iteration; K,E good to ~1e-12 or better
@@ -132,19 +132,17 @@ def helmholtz_center_field(pair: CoilPair) -> float:
 def coil_homogeneity(pair: CoilPair, extent: float, n_samples: int = 201) -> float:
     """Worst relative deviation of |B| from the center value on the axis.
 
-    Samples ``n_samples`` (>= 101) points on a centered axial segment of
-    length ``extent``; requires extent < radius/10 where the quartic term
-    dominates.
+    Samples ``n_samples`` (an integer >= 101) points on a centered axial
+    segment of length ``extent``; requires extent < radius/10 where the
+    quartic term dominates.  Anything else is a DomainError.
     """
     if not (0 < extent < pair.radius / 10.0):
         raise DomainError("extent must be positive and below radius/10")
-    if n_samples < 101:
-        raise DomainError("need at least 101 axial samples")
+    n = integer_at_least(n_samples, 101, "n_samples")
     b0 = math.hypot(*coil_field(pair, (0.0, 0.0, 0.0)))
     if b0 == 0.0:
         raise DomainError("zero field at center (zero current?)")
     # the nodes of np.linspace: lo + i*step, the last one exactly hi
-    n = int(n_samples)
     lo, hi = -0.5 * extent, 0.5 * extent
     step = (hi - lo) / (n - 1)
     worst = 0.0

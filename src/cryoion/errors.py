@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Everything raised on purpose derives from CryoionError so the CLI can map
 library failures to a single exit code.
 """
+import operator
 
 
 class CryoionError(Exception):
@@ -51,3 +52,15 @@ class NonUniformTimeError(CsvFormatError):
 
 class ConfigError(CryoionError, ValueError):
     """Malformed or inconsistent configuration file."""
+
+
+def integer_at_least(value, minimum: int, what: str) -> int:
+    """``value`` as an int, through ``operator.index`` so that no float is
+    truncated; anything else, or an integer below ``minimum``, is a DomainError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = minimum - 1
+    if n < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return n

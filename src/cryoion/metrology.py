@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClippingError, DomainError, InsufficientDataError
+from .errors import ClippingError, DomainError, InsufficientDataError, integer_at_least
 from .fitting import FitResult, gaussian_model, lm_fit, lorentzian_model, scan_arrays
 from .series import TimeSeries
 
@@ -28,6 +28,9 @@ WINDOW_HANN = "hann"
 AXIS_ROW = "row"
 AXIS_COLUMN = "column"
 
+#: largest fraction of fringe samples that may clip before inversion fails
+MAX_CLIPPED_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class FrequencyRecord:
@@ -35,13 +38,10 @@ class FrequencyRecord:
 
     kind: str
     series: TimeSeries
-    nominal_frequency_hz: float | None = None
 
     def __post_init__(self):
         if self.kind not in (KIND_FRACTIONAL, KIND_PHASE):
             raise DomainError(f"unknown record kind {self.kind!r}")
-        if self.nominal_frequency_hz is not None and not self.nominal_frequency_hz > 0:
-            raise DomainError("nominal frequency must be positive when given")
 
     def phase_seconds(self) -> np.ndarray:
         """Phase-time data x(t); fractional frequency is integrated, x(0)=0."""
@@ -138,23 +138,22 @@ class FringeInversion:
     clipped_fraction: float
 
 
-def fringe_to_displacement(signal: TimeSeries, cal: InterferometerCal,
-                           max_clipped_fraction: float = 0.01) -> FringeInversion:
+def fringe_to_displacement(signal: TimeSeries, cal: InterferometerCal) -> FringeInversion:
     """Invert fringe voltage to arm-length change near the quadrature point.
 
     x(t) = (wavelength / 4 pi) asin((V - offset) / volts_per_fringe); the 4 pi
     reflects the doubled path of a Michelson, so |x| <= wavelength/4 at the
     inversion bound.  Samples outside the fringe (|argument| > 1) are clamped
-    and flagged; more than ``max_clipped_fraction`` of them is a hard error.
+    and flagged; more than ``MAX_CLIPPED_FRACTION`` (1 %) of them is an error.
     No phase unwrapping is attempted: excursions must stay within one fringe.
     """
     arg = (signal.samples - cal.quadrature_offset) / cal.volts_per_fringe
     clipped = np.abs(arg) > 1.0
     fraction = float(clipped.mean())
-    if fraction > max_clipped_fraction:
+    if fraction > MAX_CLIPPED_FRACTION:
         raise ClippingError(
             f"{100 * fraction:.2f} % of samples clip the fringe "
-            f"(limit {100 * max_clipped_fraction:.2f} %)")
+            f"(limit {100 * MAX_CLIPPED_FRACTION:.2f} %)")
     x = (cal.wavelength / (4.0 * math.pi)) * np.arcsin(np.clip(arg, -1.0, 1.0))
     return FringeInversion(displacement=signal.with_samples(x), clipped=clipped,
                            clipped_fraction=fraction)
@@ -197,8 +196,10 @@ def peak_find(freqs, psd, count: int, min_separation: float = 0.0) -> np.ndarray
     A peak must exceed both immediate neighbours (endpoints never qualify),
     and accepted peaks are kept at least ``min_separation`` apart, scanning in
     descending power.  Returns the peak frequencies in descending power order.
-    A negative or non-finite ``min_separation`` is a DomainError.
+    A ``count`` that is not an integer >= 1, or a negative or non-finite
+    ``min_separation``, is a DomainError.
     """
+    n_peaks = integer_at_least(count, 1, "count")
     if not (min_separation >= 0 and math.isfinite(min_separation)):
         raise DomainError(f"min_separation must be finite and >= 0, got {min_separation:g}")
     f = np.asarray(freqs, dtype=float)
@@ -210,7 +211,7 @@ def peak_find(freqs, psd, count: int, min_separation: float = 0.0) -> np.ndarray
     order = local[np.argsort(p[local])[::-1]]
     kept: list[float] = []
     for idx in order:
-        if len(kept) >= count:
+        if len(kept) >= n_peaks:
             break
         if all(abs(f[idx] - fk) >= min_separation for fk in kept):
             kept.append(float(f[idx]))
@@ -233,15 +234,20 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
     ``max_abs`` is the worst half peak-to-peak over any sliding window of
     ``window_s`` — the tightest +/- band containing the signal on that time
     scale, insensitive to slow drift.  ``peak_to_peak`` is global and
-    ``drift`` is the signed last-minus-first sample difference.
+    ``drift`` is the signed last-minus-first sample difference.  The window
+    holds ``round(window_s / dt)`` samples, which must be at least 2 and at
+    most the record length; anything else is a DomainError.
     """
     x = displacement.samples
-    m = int(round(window_s / displacement.dt))
-    if window_s <= 0 or m < 1 or m > x.size:
-        raise DomainError("window must be positive and no longer than the record")
     if x.size < 2:
         raise DomainError("excursion statistics need at least 2 samples")
-    m = max(m, 2)
+    # a window that is not positive and finite counts as longer than any record
+    m = int(round(window_s / displacement.dt)) if 0 < window_s < math.inf else x.size + 1
+    if m > x.size:
+        raise DomainError("window must be positive and no longer than the record")
+    if m < 2:
+        raise DomainError(f"excursion window of {window_s:g} s spans {m} sample(s) "
+                          f"at dt = {displacement.dt:g} s; it needs at least 2 samples")
     windows = np.lib.stride_tricks.sliding_window_view(x, m)
     half_p2p = 0.5 * (windows.max(axis=1) - windows.min(axis=1))
     return ExcursionStats(max_abs=float(half_p2p.max()),
@@ -275,14 +281,13 @@ class ImageProfile:
         object.__setattr__(self, "pixel_counts", arr)
 
     def axis_profile(self, axis: str) -> np.ndarray:
-        """Row profile (summed across columns) or column profile; 1-d input as is."""
+        """Row profile (summed across columns) or column profile; 1-d input as
+        is, once the axis name is known."""
+        if axis not in (AXIS_ROW, AXIS_COLUMN):
+            raise DomainError(f"unknown axis {axis!r}")
         if self.pixel_counts.ndim == 1:
             return self.pixel_counts
-        if axis == AXIS_ROW:
-            return self.pixel_counts.sum(axis=1)
-        if axis == AXIS_COLUMN:
-            return self.pixel_counts.sum(axis=0)
-        raise DomainError(f"unknown axis {axis!r}")
+        return self.pixel_counts.sum(axis=1 if axis == AXIS_ROW else 0)
 
     @property
     def object_plane_pitch(self) -> float:

@@ -87,11 +87,10 @@ def thermal_distribution(state: PhononState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Laser drive: carrier Rabi frequency (rad/s), Lamb-Dicke parameter, detuning."""
+    """Resonant laser drive: carrier Rabi frequency (rad/s) and Lamb-Dicke parameter."""
 
     rabi_frequency: float
     lamb_dicke: float
-    detuning: float = 0.0
 
     def __post_init__(self):
         if self.rabi_frequency < 0:
@@ -136,14 +135,13 @@ def carrier_rabi_signal(state: PhononState, drive: DriveParams, times,
 
     P_e(t) = sum_n P(n) sin^2(Omega_n t / 2).  The default rate law is
     Omega_n = Omega (1 - eta^2 n); ``model="laguerre"`` uses the exact matrix
-    element Omega exp(-eta^2/2) L_n(eta^2) instead.  Requires zero detuning.
-    An out-of-regime Lamb-Dicke parameter does not raise; it clears the
-    ``lamb_dicke_valid`` flag on the result.
+    element Omega exp(-eta^2/2) L_n(eta^2) instead.  The drive is on
+    resonance: detuned flopping is not modeled.  An out-of-regime Lamb-Dicke
+    parameter does not raise; it clears the ``lamb_dicke_valid`` flag on the
+    result.
     """
     import numpy as np
 
-    if drive.detuning != 0.0:
-        raise DomainError("carrier signal is defined on resonance (detuning=0)")
     t = np.asarray(times, dtype=float)
     p = thermal_distribution(state)
     eta2 = drive.lamb_dicke**2

@@ -23,10 +23,7 @@ DB_PER_SKIN_DEPTH = 20.0 / math.log(10.0)  # 8.6859 dB of attenuation per t=delt
 ROOM_TEMPERATURE_K = 293.0
 LN2_TEMPERATURE_K = 77.0
 SATURATION_TEMPERATURE_K = 20.0
-DEFAULT_LN2_RATIO = 8.0  # typical OFHC conductivity gain at 77 K; configurable
-
-AXIS_ALONG = "along_quantization"
-AXIS_PERPENDICULAR = "perpendicular"
+DEFAULT_LN2_RATIO = 8.0  # typical OFHC conductivity gain at 77 K, used for every conductor
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class AttenuationCurve:
     freqs_hz: tuple
     atten_db: tuple
     floor_db: float
-    axis: str = AXIS_ALONG
 
     def __post_init__(self):
         f = tuple(float(v) for v in self.freqs_hz)
@@ -87,35 +83,32 @@ class AttenuationCurve:
             raise DomainError("attenuations must be <= 0 dB and finite")
         if not (math.isfinite(self.floor_db) and self.floor_db <= 0):
             raise DomainError("floor_db must be <= 0")
-        if self.axis not in (AXIS_ALONG, AXIS_PERPENDICULAR):
-            raise DomainError(f"unknown axis {self.axis!r}")
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "atten_db", a)
         object.__setattr__(self, "floor_db", float(self.floor_db))
 
 
-def conductivity_at(conductor: ConductorSpec, temperature: float,
-                    ln2_ratio: float = DEFAULT_LN2_RATIO) -> float:
+def conductivity_at(conductor: ConductorSpec, temperature: float) -> float:
     """Conductivity in S/m at a temperature, interpolating the cooldown gain.
 
     The gain over the room-temperature value is modeled log-log linearly
-    through (293 K, 1) and (77 K, ln2_ratio), continuing to (20 K, rrr); below
-    20 K phonon scattering is frozen out and the gain saturates at rrr.  The
-    gain is clamped to at most rrr everywhere and to 1 above 293 K.
+    through (293 K, 1) and (77 K, DEFAULT_LN2_RATIO), continuing to (20 K,
+    rrr); below 20 K phonon scattering is frozen out and the gain saturates
+    at rrr.  The gain is clamped to at most rrr everywhere and to 1 above
+    293 K.
     """
     T = float(temperature)
     if not (T > 0 and math.isfinite(T)):
         raise DomainError("temperature must be positive")
-    if ln2_ratio < 1.0:
-        raise DomainError("ln2_ratio must be >= 1")
     if T >= ROOM_TEMPERATURE_K:
         gain = 1.0
     elif T >= LN2_TEMPERATURE_K:
         frac = math.log(ROOM_TEMPERATURE_K / T) / math.log(ROOM_TEMPERATURE_K / LN2_TEMPERATURE_K)
-        gain = math.exp(frac * math.log(ln2_ratio))
+        gain = math.exp(frac * math.log(DEFAULT_LN2_RATIO))
     elif T > SATURATION_TEMPERATURE_K:
         frac = math.log(LN2_TEMPERATURE_K / T) / math.log(LN2_TEMPERATURE_K / SATURATION_TEMPERATURE_K)
-        gain = math.exp(math.log(ln2_ratio) + frac * (math.log(conductor.rrr) - math.log(ln2_ratio)))
+        ln2 = math.log(DEFAULT_LN2_RATIO)
+        gain = math.exp(ln2 + frac * (math.log(conductor.rrr) - ln2))
     else:
         gain = conductor.rrr
     return conductor.sigma_293k * min(conductor.rrr, gain)

@@ -30,14 +30,13 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoTrapError, UnitError
+from .errors import ConfigError, DomainError, NoTrapError, UnitError, integer_at_least
 from .species import (CA40, SPECIES, SR88, IonSpecies, resonance_frequency,
                       resonator_capacitance, two_ion_spacing)
 from .units import CONSTANTS, HERTZ, METER, VOLT, parse_si
@@ -66,7 +65,9 @@ _RAY_RING = np.arange(-1, _SCAN_RAYS + 1) % _SCAN_RAYS
 
 @dataclass(frozen=True)
 class Strip:
-    """Axis-aligned rectangular electrode [x_min,x_max] x [y_min,y_max] at z=0."""
+    """Axis-aligned rectangular electrode [x_min,x_max] x [y_min,y_max] at z=0.
+
+    Only DC strips take a ``dc_index``."""
 
     x_min: float
     x_max: float
@@ -84,6 +85,8 @@ class Strip:
             raise DomainError(f"unknown strip role {self.role!r}")
         if self.role == ROLE_DC and self.dc_index is None:
             raise DomainError("dc strips need a dc_index")
+        if self.role != ROLE_DC and self.dc_index is not None:
+            raise DomainError(f"only dc strips take a dc_index, not {self.role}")
 
 
 @dataclass(frozen=True)
@@ -456,7 +459,7 @@ def _damped_newton(frame, rf, step, x, z, first: bool = False):
     return x[converged], z[converged], values[converged]
 
 
-def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
+def find_rf_null(layout: ElectrodeLayout,
                  start_fractions: Sequence[float] = DEFAULT_START_FRACTIONS) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
@@ -464,7 +467,7 @@ def find_rf_null(layout: ElectrodeLayout, species: IonSpecies = CA40,
     (``_damped_newton``) with the closed-form field Jacobian, from starts at
     the ``start_fractions`` of the RF strips' x extent above their center, all
     at once, so that the search scales with the layout and neither the drive
-    nor the species enters it.  |E| alone is not a usable convergence test,
+    nor an ion species enters it.  |E| alone is not a usable convergence test,
     since the far field is small everywhere.  The search stops at the first
     iteration in which some start converges (converged starts agree to well
     below 1e-9 of the height); of those starts, the one with the smallest |E|
@@ -599,7 +602,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     that is zero or not finite raises DomainError.
     """
     dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
-    sol = find_rf_null(layout, species)
+    sol = find_rf_null(layout)
     f, g = _drive_factors(layout, species)
     null = sol.null_position
     rf = _corners(layout.rf_strips, 1.0)
@@ -640,7 +643,6 @@ class FiveWireGeometry:
     gap: float
     dc_width: float
     length: float
-    gaps_assigned: bool
 
     def ion_edge_distance(self, height: float) -> float:
         """Distance from a point at ``height`` above the axis to the nearest
@@ -652,33 +654,23 @@ def five_wire_layout(center_half_width: float, rail_width: float = 60e-6,
                      gap: float = 10e-6, dc_width: float = 200e-6,
                      length: float = 6e-3, rf_voltage: float = 120.0,
                      rf_omega: float = 2.0 * math.pi * 49.9e6,
-                     dc_segments: int = 1, assign_gaps: bool = True):
+                     dc_segments: int = 1):
     """Symmetric cross-section: DC | gap | RF | gap | center | gap | RF | gap | DC.
 
-    In the gapless model each gap is split half-half between its neighbours
-    (``assign_gaps=True``), so the modeled RF rail spans
-    [g + gap/2, g + 1.5*gap + rail_width] with g the center half width.
+    In the gapless model each gap is split half-half between its neighbours,
+    so the modeled RF rail spans [g + gap/2, g + 1.5*gap + rail_width] with
+    g the center half width.
     ``dc_segments`` DC strips run along each side; 0 leaves out the DC
     rails.  Returns (ElectrodeLayout, FiveWireGeometry).
     """
     g, wg, wr, wd = center_half_width, gap, rail_width, dc_width
     if min(g, wg, wr, wd, length) <= 0:
         raise DomainError("all five-wire dimensions must be positive")
-    try:
-        n_dc = operator.index(dc_segments)
-    except TypeError:
-        n_dc = -1
-    if n_dc < 0:
-        raise DomainError(f"dc_segments must be a non-negative integer, got {dc_segments!r}")
+    n_dc = integer_at_least(dc_segments, 0, "dc_segments")
     half_len = 0.5 * length
-    if assign_gaps:
-        center_edge = g + 0.5 * wg
-        rf_in, rf_out = g + 0.5 * wg, g + 1.5 * wg + wr
-        dc_in, dc_out = g + 1.5 * wg + wr, g + 2.0 * wg + wr + wd
-    else:
-        center_edge = g
-        rf_in, rf_out = g + wg, g + wg + wr
-        dc_in, dc_out = g + 2.0 * wg + wr, g + 2.0 * wg + wr + wd
+    center_edge = g + 0.5 * wg
+    rf_in, rf_out = g + 0.5 * wg, g + 1.5 * wg + wr
+    dc_in, dc_out = g + 1.5 * wg + wr, g + 2.0 * wg + wr + wd
     strips = [Strip(-center_edge, center_edge, -half_len, half_len, ROLE_CENTER),
               Strip(rf_in, rf_out, -half_len, half_len, ROLE_RF),
               Strip(-rf_out, -rf_in, -half_len, half_len, ROLE_RF)]
@@ -688,7 +680,7 @@ def five_wire_layout(center_half_width: float, rail_width: float = 60e-6,
         strips.append(Strip(-dc_out, -dc_in, edges[k], edges[k + 1], ROLE_DC, dc_index=n_dc + k))
     layout = ElectrodeLayout(strips=tuple(strips), rf_voltage=rf_voltage, rf_omega=rf_omega)
     geom = FiveWireGeometry(center_half_width=g, rail_width=wr, gap=wg, dc_width=wd,
-                            length=length, gaps_assigned=assign_gaps)
+                            length=length)
     return layout, geom
 
 

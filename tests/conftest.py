@@ -1,7 +1,9 @@
 """Hypothesis profiles: ``HYPOTHESIS_PROFILE=ci`` makes every property test
 draw the same examples on every run, so a CI result repeats; without it,
 local runs keep drawing new examples.  The ``bench_gen`` fixture serves the
-benchmark's input generator to the tests that fit its scans."""
+benchmark's input generator to the tests that fit its scans, and the
+``fit_records_script`` fixture the script whose ``FITS`` table fits them."""
+import contextlib
 import importlib.util
 import os
 import sys
@@ -16,14 +18,35 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+@contextlib.contextmanager
+def _module_from_file(name: str, relative_path: str):
+    """The file at ``relative_path`` under the repository root, imported as module ``name``.
+
+    The module stays in ``sys.modules`` while it is in use, since dataclasses
+    look their module up there; ``sys.path`` is restored once it has run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative_path)
+    module = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    sys.modules[spec.name] = module
+    try:
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.path[:] = path
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
 @pytest.fixture(scope="session")
 def bench_gen():
     """``bench/gen.py`` as a module, imported from its file."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look the module up
-    try:
-        spec.loader.exec_module(gen)
+    with _module_from_file("bench_gen", "bench/gen.py") as gen:
         yield gen
-    finally:
-        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="session")
+def fit_records_script():
+    """``scripts/fit_records.py`` as a module, imported from its file."""
+    with _module_from_file("fit_records", "scripts/fit_records.py") as script:
+        yield script

@@ -135,7 +135,7 @@ def test_criterion_04_helmholtz():
 @criterion(5, "five-wire trap solve, harmonicity, conformal scaling", budget_s=30.0)
 def test_criterion_05_trap_solve():
     layout, geom = trap.five_wire_layout(52.7e-6)
-    sol = trap.find_rf_null(layout, trap.CA40)
+    sol = trap.find_rf_null(layout)
     assert abs(sol.height - 100e-6) <= 0.15 * 100e-6
     assert abs(geom.ion_edge_distance(sol.height) - 113e-6) <= 0.15 * 113e-6
 
@@ -162,7 +162,7 @@ def test_criterion_05_trap_solve():
     # conformal scaling: doubling every length doubles the null height
     doubled, _ = trap.five_wire_layout(2 * 52.7e-6, rail_width=120e-6, gap=20e-6,
                                        dc_width=400e-6, length=12e-3)
-    assert trap.find_rf_null(doubled, trap.CA40).height == pytest.approx(
+    assert trap.find_rf_null(doubled).height == pytest.approx(
         2.0 * sol.height, rel=1e-6)
 
 

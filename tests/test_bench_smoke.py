@@ -15,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cryoion import csvio, metrology, qubit, shielding
+from cryoion import csvio
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,30 +49,25 @@ def test_traced_trap_design_run_is_correct_and_sees_the_solver():
         assert result["metrics"][f"{layer}.calls"]["value"] > 0, layer
 
 
-#: family -> (the public fit of a scan's columns, the estimate the benchmark checks)
-SCAN_FITS = {
-    "waist": (lambda t: qubit.waist_from_rabi_scan(t["position_m"], t["rabi_rad_s"]),
-              lambda r: r.profile.waist),
-    "ramsey": (lambda t: qubit.ramsey_contrast_fit(t["wait_s"], t["contrast"]),
-               lambda r: r.t_1e),
-    "heating": (lambda t: qubit.heating_rate_fit(t["wait_s"], t["nbar"]),
-                lambda r: r.params["rate"]),
-    "image": (lambda t: metrology.gaussian_profile_fit(
-        metrology.ImageProfile(pixel_counts=t["counts"])), lambda r: r.width_m),
-    "linewidth": (lambda t: metrology.lorentzian_linewidth_fit(t["freq_hz"], t["power"]),
-                  lambda r: r.fwhm_hz),
-    "regime": (lambda t: shielding.fit_attenuation_regime(shielding.AttenuationCurve(
-        freqs_hz=tuple(t["freq_hz"]), atten_db=tuple(t["atten_db"]), floor_db=-58.0)),
-               lambda r: r.extrapolated_db),
+#: family -> the estimate the benchmark checks; the fit of each family is
+#: ``FITS`` of ``scripts/fit_records.py``
+ESTIMATES = {
+    "waist": lambda r: r.profile.waist,
+    "ramsey": lambda r: r.t_1e,
+    "heating": lambda r: r.params["rate"],
+    "image": lambda r: r.width_m,
+    "linewidth": lambda r: r.fwhm_hz,
+    "regime": lambda r: r.extrapolated_db,
 }
 
 
-def test_every_seed_one_scan_fits_to_a_finite_estimate_without_warning(tmp_path, bench_gen):
+def test_every_seed_one_scan_fits_to_a_finite_estimate_without_warning(
+        tmp_path, bench_gen, fit_records_script):
     # 1200 signal and 1500 no-signal scans; a fit that overflows, divides by
     # zero or takes 0 * inf warns, and the warning fails the test
     scans = {scan.path: scan for scan in bench_gen.scans(1, str(tmp_path))}
     assert len(scans) == bench_gen.SIGNAL_SCANS + bench_gen.NOSIGNAL_SCANS
     for scan in scans.values():
-        fit, estimate = SCAN_FITS[scan.family]
+        fit, estimate = fit_records_script.FITS[scan.family], ESTIMATES[scan.family]
         value = estimate(fit(csvio.read_table(scan.path, scan.columns)))
         assert math.isfinite(value), scan.path

@@ -523,6 +523,16 @@ def test_trap_layout_non_integer_dc_index_names_section(capsys, tmp_path):
     assert "dc_index" in err
 
 
+def test_trap_layout_dc_index_on_the_rf_strip_names_section(capsys, tmp_path):
+    text = (DEMO / "trap_layout.cfg").read_text()
+    layout = tmp_path / "layout.cfg"
+    layout.write_text(text.replace("role = rf\n", "role = rf\ndc_index = 0\n", 1))
+    code, out, err = run(capsys, "trap", "solve", "--layout", str(layout))
+    assert code == 1
+    assert out == ""
+    assert err == "error: [strip rf_left]: only dc strips take a dc_index, not rf\n"
+
+
 def test_shield_fit_demo_curve(capsys):
     code, out, _ = run(capsys, "shield", "fit", "--in", str(DEMO / "attenuation_along.csv"))
     assert code == 0
@@ -547,6 +557,21 @@ def test_met_vib_demo_record(capsys):
     assert code == 0
     assert "peaks: 30 Hz, 45 Hz, 95 Hz" in out
     assert "clipped fraction = 0" in out
+
+
+def test_met_vib_window_of_one_sample_is_data_error(capsys):
+    # the demo record is sampled at 2 kHz, so 0.5 ms is one sample
+    code, out, err = run(capsys, *VIB, "--window", "0.5ms")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: excursion window of 0.0005 s spans 1 sample")
+
+
+def test_met_image_fit_has_no_axis_flag(capsys):
+    code, out, err = run(capsys, *IMAGE_FIT, "--axis", "row")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --axis row" in err
 
 
 def test_met_allan_demo_record(capsys):

@@ -157,6 +157,15 @@ def test_homogeneity_argument_guards():
         coil_homogeneity(CoilPair.helmholtz(RADIUS, current=0.0), 1.5e-3)
 
 
+@pytest.mark.parametrize("n_samples", [150.7, 201.0, "201", None, 100, -1])
+def test_homogeneity_requires_an_integer_sample_count(n_samples):
+    pair = CoilPair.helmholtz(RADIUS)
+    with pytest.raises(DomainError, match="n_samples must be an integer >= 101"):
+        coil_homogeneity(pair, 1.5e-3, n_samples=n_samples)
+    default = coil_homogeneity(pair, 1.5e-3)
+    assert coil_homogeneity(pair, 1.5e-3, n_samples=np.int64(201)) == default
+
+
 def test_coil_pair_validation():
     with pytest.raises(DomainError):
         CoilPair(radius=0.0, separation=0.1, turns=1, current=1.0)

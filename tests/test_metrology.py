@@ -101,8 +101,6 @@ def test_frequency_record_validation():
     ts = TimeSeries(0.0, 1.0, np.zeros(10) + 1e-15)
     with pytest.raises(DomainError):
         FrequencyRecord("wavelength", ts)
-    with pytest.raises(DomainError):
-        FrequencyRecord(KIND_FRACTIONAL, ts, nominal_frequency_hz=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +249,15 @@ def test_peak_find_rejects_negative_or_non_finite_separation(separation):
         peak_find(f, p, count=5, min_separation=separation)
 
 
+@pytest.mark.parametrize("count", [1.5, 2.0, -1, 0, "3", None])
+def test_peak_find_requires_a_positive_integer_count(count):
+    f = np.arange(10.0)
+    p = np.array([5.0, 1.0, 4.0, 1.0, 3.5, 1.0, 0.5, 0.2, 0.1, 9.0])
+    with pytest.raises(DomainError, match="count must be an integer >= 1"):
+        peak_find(f, p, count=count)
+    assert list(peak_find(f, p, count=np.int64(1))) == [2.0]
+
+
 # ---------------------------------------------------------------------------
 # excursion statistics
 # ---------------------------------------------------------------------------
@@ -297,6 +304,16 @@ def test_excursions_window_guards():
     assert ex.window_s == 0.099
     with pytest.raises(DomainError, match="at least 2 samples"):
         excursion_stats(TimeSeries(0.0, 1.0, [1.0]), 1.0)
+
+
+@pytest.mark.parametrize("window_s", [0.001, 0.0014])
+def test_excursions_reject_a_window_of_one_sample(window_s):
+    # a one-sample window was silently widened to two while window_s still
+    # reported the narrower request
+    ts = TimeSeries(0.0, 0.001, np.arange(100.0))
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        excursion_stats(ts, window_s)
+    assert excursion_stats(ts, 0.0015).max_abs == 0.5  # rounds to two samples
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +374,18 @@ def test_image_fit_guards():
     frame = ImageProfile(np.outer(make_profile(1.84e-6).pixel_counts, np.ones(5)))
     with pytest.raises(DomainError):
         gaussian_profile_fit(frame, axis="diagonal")
+
+
+def test_image_fit_rejects_unknown_axis_on_a_1d_profile():
+    profile = make_profile(1.84e-6)
+    assert profile.pixel_counts.ndim == 1
+    with pytest.raises(DomainError, match="unknown axis 'diagonal'"):
+        profile.axis_profile("diagonal")
+    with pytest.raises(DomainError, match="unknown axis 'diagonal'"):
+        gaussian_profile_fit(profile, axis="diagonal")
+    # both known names give the 1-d profile as it is
+    assert (gaussian_profile_fit(profile, axis=AXIS_COLUMN).width_m
+            == gaussian_profile_fit(profile, axis=AXIS_ROW).width_m)
 
 
 @pytest.mark.parametrize("pitch,mag", [(math.nan, 15.0), (16e-6, math.nan), (16e-6, 0.0),

@@ -7,7 +7,6 @@ import pytest
 from cryoion.errors import DomainError, InsufficientDataError
 from cryoion.series import seeded_rng
 from cryoion.shielding import (
-    AXIS_PERPENDICULAR,
     AttenuationCurve,
     COPPER,
     ConductorSpec,
@@ -156,11 +155,6 @@ def test_attenuation_curve_validation():
         AttenuationCurve((5.0, 10.0), (-1.0,), floor_db=-58.0)
     with pytest.raises(DomainError):
         AttenuationCurve((5.0, 10.0), (-1.0, -2.0), floor_db=1.0)
-    with pytest.raises(DomainError):
-        AttenuationCurve((5.0, 10.0), (-1.0, -2.0), floor_db=-58.0, axis="diagonal")
-    ok = AttenuationCurve((5.0, 10.0), (-1.0, -2.0), floor_db=-58.0,
-                          axis=AXIS_PERPENDICULAR)
-    assert ok.axis == AXIS_PERPENDICULAR
 
 
 def test_regime_fit_skin_with_censored_floor_points():

@@ -554,10 +554,10 @@ def test_multi_start_convergence_agrees(g, rail, gap, volts, freq):
     # the RF extent, lands on the same null
     layout, _ = five_wire_layout(g, rail_width=rail, gap=gap, rf_voltage=volts,
                                  rf_omega=2.0 * math.pi * freq)
-    positions = [find_rf_null(layout, CA40).null_position]
+    positions = [find_rf_null(layout).null_position]
     for fraction in DEFAULT_START_FRACTIONS:
         try:
-            positions.append(find_rf_null(layout, CA40, start_fractions=(fraction,)).null_position)
+            positions.append(find_rf_null(layout, start_fractions=(fraction,)).null_position)
         except NoTrapError:
             continue  # a start outside the basin is allowed to fail
     assert len(positions) >= 3
@@ -568,10 +568,10 @@ def test_multi_start_convergence_agrees(g, rail, gap, volts, freq):
 
 def test_null_height_scales_conformally(five_wire):
     layout, _ = five_wire
-    base = find_rf_null(layout, CA40).height
+    base = find_rf_null(layout).height
     doubled, _ = five_wire_layout(2 * 52.7e-6, rail_width=120e-6, gap=20e-6,
                                   dc_width=400e-6, length=12e-3)
-    assert find_rf_null(doubled, CA40).height == pytest.approx(2.0 * base, rel=1e-6)
+    assert find_rf_null(doubled).height == pytest.approx(2.0 * base, rel=1e-6)
 
 
 @pytest.mark.parametrize("g, rail, gap, dc_width", [(5e-6, 5e-6, 1e-6, 15e-6),
@@ -591,8 +591,8 @@ def test_null_does_not_depend_on_the_drive(five_wire, volts):
     # the search runs at unit drive, so any amplitude finds the null of 120 V
     layout, _ = five_wire
     other = ElectrodeLayout(strips=layout.strips, rf_voltage=volts, rf_omega=layout.rf_omega)
-    assert np.array_equal(find_rf_null(other, CA40).null_position,
-                          find_rf_null(layout, CA40).null_position)
+    assert np.array_equal(find_rf_null(other).null_position,
+                          find_rf_null(layout).null_position)
 
 
 def scaled_layout(layout, s):
@@ -631,14 +631,14 @@ def test_no_trap_for_single_strip():
         strips=(Strip(-50e-6, 50e-6, -3e-3, 3e-3, ROLE_RF),),
         rf_voltage=120.0, rf_omega=RF_OMEGA)
     with pytest.raises(NoTrapError):
-        find_rf_null(lonely, CA40)
+        find_rf_null(lonely)
 
 
 def test_no_trap_for_zero_drive(five_wire):
     layout, _ = five_wire
     dead = ElectrodeLayout(strips=layout.strips, rf_voltage=0.0, rf_omega=RF_OMEGA)
     with pytest.raises(NoTrapError):
-        find_rf_null(dead, CA40)
+        find_rf_null(dead)
 
 
 @pytest.mark.parametrize("fractions", [(-0.1, 0.3), (0.0, 0.3), [[0.1, 0.2]], ("x",), (),
@@ -650,13 +650,13 @@ def test_bad_start_fractions_are_domain_error(five_wire, fractions):
     # a start that cannot be used is an error, not a start silently left out
     layout, _ = five_wire
     with pytest.raises(DomainError, match="start_fractions"):
-        find_rf_null(layout, CA40, start_fractions=fractions)
+        find_rf_null(layout, start_fractions=fractions)
 
 
 def test_start_fractions_take_any_positive_sequence(five_wire, solved):
     layout, _ = five_wire
     for fractions in (list(DEFAULT_START_FRACTIONS), np.array(DEFAULT_START_FRACTIONS)):
-        sol = find_rf_null(layout, CA40, start_fractions=fractions)
+        sol = find_rf_null(layout, start_fractions=fractions)
         assert np.array_equal(sol.null_position, solved.null_position)
 
 
@@ -1060,6 +1060,22 @@ def test_strip_validation():
         Strip(-1e-5, 1e-5, -1e-4, 1e-4, "ground")
     with pytest.raises(DomainError):
         Strip(-1e-5, 1e-5, -1e-4, 1e-4, ROLE_DC)  # missing dc_index
+
+
+@pytest.mark.parametrize("role", [ROLE_RF, ROLE_CENTER])
+def test_strip_rejects_dc_index_on_a_non_dc_strip(role):
+    with pytest.raises(DomainError, match=f"only dc strips take a dc_index, not {role}"):
+        Strip(-1e-5, 1e-5, -1e-4, 1e-4, role, dc_index=0)
+
+
+def test_load_layout_rejects_dc_index_on_the_rf_strip(tmp_path):
+    text = DEMO_LAYOUT.read_text()
+    path = tmp_path / "layout.cfg"
+    path.write_text(text.replace("[strip rf_left]\nrole = rf\n",
+                                 "[strip rf_left]\nrole = rf\ndc_index = 0\n", 1))
+    assert path.read_text() != text
+    with pytest.raises(ConfigError, match=r"^\[strip rf_left\]: only dc strips take a dc_index"):
+        load_layout(path)
 
 
 @pytest.mark.parametrize("extents", [(0.0, math.inf, 0.0, 1e-4), (-math.inf, 0.0, 0.0, 1e-4),
