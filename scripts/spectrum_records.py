@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Write one JSON line per trap design of a benchmark seed's spectrum workload.
+
+Usage: ``python3 scripts/spectrum_records.py --seed N [--limit K] [--out FILE]``
+
+Each line holds every field of the ``TrapSolution`` that
+``trap.secular_spectrum`` returns for one design of ``bench/gen.py``'s
+``trap_designs(N, 128)``, built as the benchmark builds it: the null, the
+height, the secular frequencies and axes, the Mathieu q, the depth and the
+unstable axes.  Floats are written with ``repr`` and arrays through
+``tolist()``, so two outputs are byte-identical exactly when every solution
+is bit for bit the same.  Diffing the output of two checkouts therefore
+checks that a change to the trap solver leaves every result as it was; a
+design whose solve raises is recorded with its error.  ``--limit`` keeps the
+first K designs.
+
+``bench/gen.py`` is only imported, through ``fit_records.load_gen``; it
+writes no file for the designs.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from cryoion import trap  # noqa: E402
+from cryoion.errors import CryoionError  # noqa: E402
+from fit_records import load_gen, number  # noqa: E402  (this script's directory)
+
+#: designs per seed, as many as the benchmark's pool
+DESIGNS = 128
+
+
+def exact(value):
+    """A field value as JSON keeps it exactly: arrays through ``tolist()``,
+    tuples as lists and floats through ``number``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return number(value) if isinstance(value, float) else value
+
+
+def design_record(index: int, design) -> dict:
+    layout, _ = trap.five_wire_layout(design.center_half_width, rail_width=design.rail_width,
+                                      gap=design.gap, rf_voltage=design.rf_voltage,
+                                      rf_omega=design.rf_omega,
+                                      dc_segments=design.dc_segments)
+    record = {"design": index}
+    try:
+        sol = trap.secular_spectrum(layout, trap.CA40, dc_voltages=design.dc_voltages)
+    except CryoionError as exc:
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        return record
+    record.update((f.name, exact(getattr(sol, f.name))) for f in dataclasses.fields(sol))
+    return record
+
+
+def records(seed: int, limit: int | None = None):
+    """One record per design of ``seed``, in the workload's order."""
+    designs = load_gen().trap_designs(seed, DESIGNS)
+    for index, design in enumerate(designs[:limit]):
+        yield design_record(index, design)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--limit", type=int, default=None,
+                        help="keep only the first LIMIT designs")
+    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    args = parser.parse_args()
+    if args.limit is not None and args.limit < 0:
+        parser.error("--limit must be >= 0")
+    handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        for record in records(args.seed, args.limit):
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    finally:
+        if args.out:
+            handle.close()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -747,6 +747,18 @@ GROUPS = {
 }
 
 
+class _LeafParser(argparse.ArgumentParser):
+    """The parser of one ``GROUP OP`` leaf.  It reports an argument it does
+    not know itself, with its own usage, where argparse would leave it to the
+    top-level parser, whose usage names no flag of the leaf."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     """The ``cryoion`` parser with every group registered.
 
@@ -760,7 +772,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     for name, (help_text, build) in GROUPS.items():
         ops = groups.add_parser(name, help=help_text).add_subparsers(
-            dest="op", required=True, metavar="OP")
+            dest="op", required=True, metavar="OP", parser_class=_LeafParser)
         if group is None or group == name:
             build(ops)
     return parser

@@ -235,19 +235,24 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
     ``window_s`` — the tightest +/- band containing the signal on that time
     scale, insensitive to slow drift.  ``peak_to_peak`` is global and
     ``drift`` is the signed last-minus-first sample difference.  The window
-    holds ``round(window_s / dt)`` samples, which must be at least 2 and at
-    most the record length; anything else is a DomainError.
+    must be a whole number of samples, at least 2 and at most the record
+    length: window_s / dt within 1e-9 relative of an integer, the rule that
+    ``allan_deviation`` applies to tau; anything else is a DomainError.
     """
     x = displacement.samples
     if x.size < 2:
         raise DomainError("excursion statistics need at least 2 samples")
     # a window that is not positive and finite counts as longer than any record
-    m = int(round(window_s / displacement.dt)) if 0 < window_s < math.inf else x.size + 1
+    m_real = window_s / displacement.dt
+    m = int(round(m_real)) if 0 < window_s < math.inf else x.size + 1
     if m > x.size:
         raise DomainError("window must be positive and no longer than the record")
     if m < 2:
         raise DomainError(f"excursion window of {window_s:g} s spans {m} sample(s) "
                           f"at dt = {displacement.dt:g} s; it needs at least 2 samples")
+    if abs(m_real - m) > 1e-9 * m:
+        raise DomainError(f"excursion window of {window_s:g} s is {m_real:g} samples at "
+                          f"dt = {displacement.dt:g} s; it must be a whole number of samples")
     windows = np.lib.stride_tricks.sliding_window_view(x, m)
     half_p2p = 0.5 * (windows.max(axis=1) - windows.min(axis=1))
     return ExcursionStats(max_abs=float(half_p2p.max()),

@@ -52,9 +52,11 @@ DEFAULT_START_FRACTIONS = (1 / 12, 1 / 6, 1 / 3, 2 / 3)
 _MIN_Z = 4e-6
 #: coarse transverse ray scan that seeds the escape-saddle search (rays, and
 #: samples per ray), and the most Newton starts taken from it
-_SCAN_RAYS = 64
-_SCAN_SAMPLES = 16
+_SCAN_RAYS = 32
+_SCAN_SAMPLES = 12
 _SADDLE_STARTS = 4
+#: the scan's distances from the null along each ray, in heights
+_SCAN_DISTANCES = np.geomspace(1e-2, 30.0, _SCAN_SAMPLES)
 #: directions (cos, sin) of the scan's rays in the x-z plane, one row per ray
 _RAY_COS, _RAY_SIN = (f(np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False))[:, None]
                       for f in (np.cos, np.sin))
@@ -67,7 +69,7 @@ _RAY_RING = np.arange(-1, _SCAN_RAYS + 1) % _SCAN_RAYS
 class Strip:
     """Axis-aligned rectangular electrode [x_min,x_max] x [y_min,y_max] at z=0.
 
-    Only DC strips take a ``dc_index``."""
+    Only DC strips take a ``dc_index``, an integer >= 0, stored as an int."""
 
     x_min: float
     x_max: float
@@ -87,6 +89,8 @@ class Strip:
             raise DomainError("dc strips need a dc_index")
         if self.role != ROLE_DC and self.dc_index is not None:
             raise DomainError(f"only dc strips take a dc_index, not {self.role}")
+        if self.dc_index is not None:
+            object.__setattr__(self, "dc_index", integer_at_least(self.dc_index, 0, "dc_index"))
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,23 @@ class ElectrodeLayout:
     def rf_strips(self) -> tuple:
         # cached in the instance dict, outside the fields that eq, hash and repr see
         return tuple(s for s in self.strips if s.role == ROLE_RF)
+
+    @cached_property
+    def rf_corners(self) -> tuple:
+        """Corner table of the RF strips at unit drive (``_corners``), read-only."""
+        table = _corners(self.rf_strips, 1.0)
+        for a in table:
+            a.flags.writeable = False
+        return table
+
+    @cached_property
+    def search_frame(self) -> tuple:
+        """Center x0 and x extent L of the RF strips, the x span of all strips
+        and the axial center y: the frame and length scale of every
+        stationary-point search in x-z."""
+        xs = [s.x_min for s in self.rf_strips] + [s.x_max for s in self.rf_strips]
+        span = max(s.x_max for s in self.strips) - min(s.x_min for s in self.strips)
+        return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span, self.axial_center
 
     @property
     def axial_center(self) -> float:
@@ -274,19 +295,20 @@ def _derivatives(corners, points, order: int = 2):
     A batch of more than ``_BLOCK_PAIRS`` corner-point pairs is evaluated in
     consecutive blocks of points through one kernel body, and the blocks'
     outputs are stacked, so that the peak memory of a call is set by the
-    block size and not by the batch: in one piece, the escape-saddle ray scan
-    (about 841 points x 8 corners) would allocate about 0.9 MB of
-    temporaries, which the allocator may give back to the system after each
-    scan and fault in again on the next.  A block holds ``_BLOCK_PAIRS // C``
-    points rounded down to a multiple of ``_BLOCK_ALIGN`` (at least
-    ``_BLOCK_ALIGN``), and a remainder shorter than ``_BLOCK_ALIGN`` joins
-    the last block.  The bits do not change with the block size: each corner
-    sum is one row of a BLAS matrix-vector product over the points, whose
-    rounding (OpenBLAS) depends on the row's place in the product's groups of
-    rows and on whether the product has fewer than four rows, and whole
-    multiples of 16 points keep every row where one single-threaded product
-    over the batch has it.  Small batches, such as the solve's order-2 and
-    order-3 steps, are one block and pay no extra copy.
+    block size and not by the batch: in one piece, a batch of 841 points x 8
+    corners (a ray scan of 64 rays x 16 distances over the demo layout)
+    would allocate about 0.9 MB of temporaries, which the allocator may give
+    back to the system after each call and fault in again on the next.  A
+    block holds ``_BLOCK_PAIRS // C`` points rounded down to a multiple of
+    ``_BLOCK_ALIGN`` (at least ``_BLOCK_ALIGN``), and a remainder shorter
+    than ``_BLOCK_ALIGN`` joins the last block.  The bits do not change with
+    the block size: each corner sum is one row of a BLAS matrix-vector
+    product over the points, whose rounding (OpenBLAS) depends on the row's
+    place in the product's groups of rows and on whether the product has
+    fewer than four rows, and whole multiples of 16 points keep every row
+    where one single-threaded product over the batch has it.  Small batches,
+    such as the solve's order-2 and order-3 steps and, on a layout of up to
+    two RF strips, its ray scan, are one block and pay no extra copy.
     """
     c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -396,67 +418,65 @@ def _null_step(rf, pts):
     return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
 
 
-def _search_frame(layout):
-    """Center x0 and x extent L of the RF strips, the x span of all strips and
-    the axial center y: the frame and length scale of every stationary-point
-    search in x-z."""
-    xs = [s.x_min for s in layout.rf_strips] + [s.x_max for s in layout.rf_strips]
-    span = max(s.x_max for s in layout.strips) - min(s.x_min for s in layout.strips)
-    return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span, layout.axial_center
-
-
 def _damped_newton(frame, rf, step, x, z, first: bool = False):
     """Converged end points of damped Newton in the x-z plane at the axial
-    center, as (x, z, value); ``frame`` is the layout's ``_search_frame``.
+    center, as (x, z, value); ``frame`` is the layout's ``search_frame``.
 
     ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
-    unit drive (``_corners``), returns the Newton corrections (dx, dz) at a
-    batch of points and one value per point; all starts are stepped as one
-    batch.  A step is capped at half the current height, and a start is
-    dropped once it leaves the domain (z at or below ``_MIN_Z`` L, above 4
-    spans, or more than 2 spans off x0; see ``_search_frame``).  A start
-    counts as converged when the Newton correction at its end point is below
-    1e-9 of the height and its last step stays inside the domain; ``value``
-    is the step's value at that point, recorded in the iteration in which the
-    start converges.  Each end point is one Newton step past its converged
-    point, whose value it carries, so that no further evaluation is needed.
-    With ``first``, the search stops at the first iteration in which some
-    start converges and returns the starts that did.
+    unit drive (``ElectrodeLayout.rf_corners``), returns the Newton
+    corrections (dx, dz) at a batch of points and one value per point; all
+    starts that are still stepping are one batch, in start order, held in
+    compact arrays that shrink as starts finish.  A step is capped at half
+    the current height, and a start is dropped once it leaves the domain (z
+    at or below ``_MIN_Z`` L, above 4 spans, or more than 2 spans off x0; see
+    ``ElectrodeLayout.search_frame``).  A start counts as converged when the
+    Newton correction at its end point is below 1e-9 of the height and its
+    last step stays inside the domain; ``value`` is the step's value at that
+    point, recorded in the iteration in which the start converges.  Each end
+    point is one Newton step past its converged point, whose value it
+    carries, so that no further evaluation is needed.  The converged starts
+    are returned in start order.  With ``first``, the search stops at the
+    first iteration in which some start converges and returns the starts
+    that did.
     """
     x0, rf_extent, span, y = frame
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
     z_min, z_cap = _MIN_Z * rf_extent, 4.0 * span
-
-    def at(i):
-        pts = np.empty((i.size, 3))
-        pts[:, 0], pts[:, 1], pts[:, 2] = x[i], y, z[i]
-        return step(rf, pts)
-
-    stepping = np.ones(z.shape, dtype=bool)
-    converged = np.zeros(z.shape, dtype=bool)
-    values = np.empty(z.shape)
+    # the stepping starts' points, stepped in place: x and z are views of them
+    pts = np.empty((z.size, 3))
+    pts[:, 0], pts[:, 1], pts[:, 2] = x, y, z
+    start = np.arange(z.size)  # the start of each stepping point
+    ends = []  # (starts, x, z, values) of the starts that converged, per iteration
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(60):
-            i = np.flatnonzero(stepping)
-            if i.size == 0:
+            if not start.size:
                 break
-            dx, dz, value = at(i)
-            zi = z[i]
+            dx, dz, value = step(rf, pts)
+            x, z = pts[:, 0], pts[:, 2]
             norm = np.hypot(dx, dz)
-            scale = np.minimum(1.0, 0.5 * zi / norm)
-            done = norm <= 1e-9 * zi
-            xi = x[i] + scale * dx
-            zi = zi + scale * dz
-            x[i], z[i] = xi, zi
-            ok = (zi > z_min) & (zi <= z_cap) & (np.abs(xi - x0) <= 2.0 * span)
-            stepping[i] = ok & ~done
-            converged[i] = hit = ok & done
-            values[i[hit]] = value[hit]
-            if first and hit.any():
-                break
-    return x[converged], z[converged], values[converged]
+            scale = np.minimum(1.0, 0.5 * z / norm)
+            done = norm <= 1e-9 * z
+            x += scale * dx
+            z += scale * dz
+            ok = (z > z_min) & (z <= z_cap) & (np.abs(x - x0) <= 2.0 * span)
+            going = ok & ~done
+            if going.all():
+                continue
+            hit = ok & done
+            if hit.any():
+                ends.append((start[hit], x[hit], z[hit], value[hit]))
+                if first:
+                    break
+            start, pts = start[going], pts[going]
+    if len(ends) == 1:
+        return ends[0][1:]
+    if not ends:
+        return np.empty(0), np.empty(0), np.empty(0)
+    start, x, z, value = (np.concatenate(parts) for parts in zip(*ends))
+    order = np.argsort(start)
+    return x[order], z[order], value[order]
 
 
 def find_rf_null(layout: ElectrodeLayout,
@@ -485,11 +505,11 @@ def find_rf_null(layout: ElectrodeLayout,
                           f"finite numbers, got {start_fractions!r}")
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    frame = _search_frame(layout)
+    frame = layout.search_frame
     x0, rf_extent, _, y = frame
     z = rf_extent * fractions.astype(float)
-    x, z, e = _damped_newton(frame, _corners(layout.rf_strips, 1.0), _null_step,
-                             np.full(z.shape, x0), z, first=True)
+    x, z, e = _damped_newton(frame, layout.rf_corners, _null_step, np.full(z.shape, x0), z,
+                             first=True)
     if not e.size:
         raise NoTrapError("no interior RF null found from any start height")
     k = np.argmin(e)
@@ -546,18 +566,20 @@ def _escape_saddle(layout, rf, null, height):
     (point, |E|^2 there at unit drive), or None when no transverse ray escapes;
     ``rf`` is the corner table of the RF strips at unit drive.
 
-    A coarse scan samples ``_SCAN_RAYS`` rays from the null out to 30
-    heights; a ray whose maximum sits at the end of its range (still climbing,
-    e.g. toward the chip plane) offers no escape path.  Over the ray angle the
-    escape rays' maxima form valleys, one per saddle they pass near; the
-    maximum sample of the lowest ray of each of the ``_SADDLE_STARTS`` lowest
-    valleys starts damped Newton on grad psi = 0 (``_damped_newton``).  A
-    converged point counts only where the Hessian of psi has exactly one
-    negative eigenvalue; escape rays with no such saddle raise ``NoTrapError``,
-    so the depth is never a sampled value.
+    A coarse scan samples ``_SCAN_RAYS`` rays from the null at the
+    ``_SCAN_SAMPLES`` distances of ``_SCAN_DISTANCES``, 0.01 to 30 heights;
+    its values only choose Newton's starts.  A ray whose maximum sits at the
+    end of its range (still climbing, e.g. toward the chip plane) offers no
+    escape path.  Over the ray angle the escape rays' maxima form valleys,
+    one per saddle they pass near; the maximum sample of the lowest ray of
+    each of the ``_SADDLE_STARTS`` lowest valleys starts damped Newton on
+    grad psi = 0 (``_damped_newton``).  A converged point counts only where
+    the Hessian of psi has exactly one negative eigenvalue; escape rays with
+    no such saddle raise ``NoTrapError``, so the depth is never a sampled
+    value.
     """
-    frame = _search_frame(layout)
-    s = np.geomspace(1e-2 * height, 30.0 * height, _SCAN_SAMPLES)
+    frame = layout.search_frame
+    s = height * _SCAN_DISTANCES
     px = null[0] + _RAY_COS * s
     pz = null[2] + _RAY_SIN * s
     ok = pz > 10.0 * _MIN_Z * frame[1]  # per ray a prefix: pz is monotonic
@@ -605,7 +627,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     sol = find_rf_null(layout)
     f, g = _drive_factors(layout, species)
     null = sol.null_position
-    rf = _corners(layout.rf_strips, 1.0)
+    rf = layout.rf_corners
     (e,), (jac,) = _derivatives(rf, null)
     m = species.mass_kg
     with np.errstate(over="ignore", invalid="ignore"):

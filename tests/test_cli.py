@@ -774,6 +774,16 @@ def test_every_leaf_reports_in_text_and_strict_json(capsys, leaf):
     assert keys <= set(json.loads(out, parse_constant=_no_constants))
 
 
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_unknown_flag_gets_the_leaf_usage(capsys, leaf):
+    # the leaf's own parser reports it, so the usage shows the flags it takes
+    prog = "cryoion " + " ".join(leaf)
+    code, out, err = run(capsys, *leaf, *LEAVES[leaf][0], "--bogus", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: --bogus 1\n")
+
+
 # ---------------------------------------------------------------------------
 # contract sweep: extreme values on every quantity flag of the scalar leaves
 # ---------------------------------------------------------------------------

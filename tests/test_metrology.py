@@ -1,5 +1,6 @@
 """Allan deviation, linewidth, fringe inversion, spectra, excursions, images."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,7 +314,20 @@ def test_excursions_reject_a_window_of_one_sample(window_s):
     ts = TimeSeries(0.0, 0.001, np.arange(100.0))
     with pytest.raises(DomainError, match="at least 2 samples"):
         excursion_stats(ts, window_s)
-    assert excursion_stats(ts, 0.0015).max_abs == 0.5  # rounds to two samples
+    assert excursion_stats(ts, 0.002).max_abs == 0.5
+
+
+@pytest.mark.parametrize("window_s, samples", [(0.0015, "1.5"), (0.0025001, "2.5001")])
+def test_excursion_window_is_a_whole_number_of_samples(window_s, samples):
+    # a 1.5 ms window on a 1 ms record slid 2-sample (2 ms) windows while
+    # window_s reported 1.5 ms; tau of allan_deviation follows the same rule
+    ts = TimeSeries(0.0, 0.001, np.arange(100.0))
+    with pytest.raises(DomainError, match=re.escape(
+            f"excursion window of {window_s:g} s is {samples} samples at dt = 0.001 s")):
+        excursion_stats(ts, window_s)
+    # within 1e-9 of a whole number, as 0.003 / 0.001 is
+    assert excursion_stats(ts, 0.003).window_s == 0.003
+    assert excursion_stats(ts, 0.003 * (1.0 + 5e-10)).max_abs == 1.0
 
 
 # ---------------------------------------------------------------------------

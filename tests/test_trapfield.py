@@ -702,10 +702,10 @@ def test_trap_depth_positive_and_sub_ev(solved):
 
 
 def test_demo_spectrum_kernel_evaluations(monkeypatch):
-    # one demo-layout spectrum evaluates the kernel 11 times: the null search
+    # one demo-layout spectrum evaluates the kernel 10 times: the null search
     # stops at its first converged start (4 order-2 batches), one order-2
     # evaluation at the null gives both J and the field behind psi(null), the
-    # ray scan is one order-1 batch and the saddle search takes 5 order-3
+    # ray scan is one order-1 batch and the saddle search takes 4 order-3
     # batches, each start's value recorded in the iteration where it
     # converges; without DC voltages no DC evaluation runs
     layout, species = load_layout(DEMO_LAYOUT)
@@ -718,10 +718,10 @@ def test_demo_spectrum_kernel_evaluations(monkeypatch):
 
     monkeypatch.setattr(trap, "_derivatives", counted)
     secular_spectrum(layout, species)
-    assert counts == {1: 1, 2: 5, 3: 5}
+    assert counts == {1: 1, 2: 5, 3: 4}
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
-    assert counts == {1: 1, 2: 6, 3: 5}
+    assert counts == {1: 1, 2: 6, 3: 4}
 
 
 def _traced_peak(call):
@@ -735,28 +735,24 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_ray_scan_memory_is_set_by_the_block_not_the_batch(monkeypatch):
-    # the demo spectrum's ray scan, 841 points x 8 corners, would peak at
-    # 944 188 B with the temporaries of all points at once; in blocks of 512
-    # points it peaks at about 0.58 MB, and eight times the points add only
-    # their stacked outputs, where one piece would need eight times the memory
-    layout, species = load_layout(DEMO_LAYOUT)
-    scans = []
-    kernel = trap._derivatives
-
-    def spy(corners, points, order=2):
-        if order == 1:
-            scans.append((corners, np.array(points)))
-        return kernel(corners, points, order)
-
-    monkeypatch.setattr(trap, "_derivatives", spy)
-    secular_spectrum(layout, species)
-    ((corners, pts),) = scans
+def test_ray_scan_memory_is_set_by_the_block_not_the_batch():
+    # a ray scan of 64 rays x 16 distances over the demo layout, 841 points x
+    # 8 corners, would peak at 944 188 B with the temporaries of all points at
+    # once; in blocks of 512 points it peaks at about 0.58 MB, and eight times
+    # the points add only their stacked outputs, where one piece would need
+    # eight times the memory.  (The solve's own scan, 317 points, is one block.)
+    layout, _ = load_layout(DEMO_LAYOUT)
+    sol = find_rf_null(layout)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
+    s = sol.height * np.geomspace(1e-2, 30.0, 16)
+    x, z = sol.null_position[0] + np.cos(theta) * s, sol.null_position[2] + np.sin(theta) * s
+    keep = z > 10.0 * trap._MIN_Z * layout.search_frame[1]
+    pts = np.column_stack([x[keep], np.full(keep.sum(), sol.null_position[1]), z[keep]])
     assert pts.shape == (841, 3)
     peaks = []
     for k in (1, 8):
         batch = np.tile(pts, (k, 1))
-        peaks.append(_traced_peak(lambda: kernel(corners, batch, order=1)))
+        peaks.append(_traced_peak(lambda: trap._derivatives(layout.rf_corners, batch, order=1)))
     assert peaks[0] < 640 * 1024
     assert peaks[1] < 2 * peaks[0]
 
@@ -959,17 +955,22 @@ def test_escape_rays_without_a_saddle_raise(monkeypatch, five_wire):
         secular_spectrum(layout, CA40)
 
 
-def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000):
+def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000,
+                    polish_angle=False):
     """Lowest escape-ray barrier of psi above the null, in eV, by a dense march.
 
     Each transverse ray is sampled at ``n_samples`` distances out to 30
     heights; a ray whose highest sample is its last one does not escape.  The
     maximum of each escape ray is then polished by golden-section search
     between the samples beside it, so that every ray barrier is exact and, as
-    the top of an escape path, no lower than the escape saddle.
+    the top of an escape path, no lower than the escape saddle.  With
+    ``polish_angle``, the barrier of each ray no higher than its two
+    neighbours is also minimized over the angle between them, by golden
+    section, so that a saddle between two rays is met too.
     """
     rf, volts = layout.rf_strips, -layout.rf_voltage
     s = np.geomspace(1e-2 * height, 30.0 * height, n_samples)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
 
     def e2(theta, dist):
         pts = np.column_stack([null[0] + np.cos(theta) * dist, np.full(dist.size, null[1]),
@@ -977,21 +978,39 @@ def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000):
         (e,) = _grad_hess(rf, volts, pts, order=1)
         return np.einsum("ij,ij->i", e, e)
 
-    theta, lo, hi = [], [], []
-    for th in np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False):
-        ray = s[null[2] + math.sin(th) * s > 1e-8]
-        k = int(np.argmax(e2(np.full(ray.size, th), ray)))
-        if 0 < k < ray.size - 1:
-            theta.append(th)
-            lo.append(ray[k - 1])
-            hi.append(ray[k + 1])
-    theta, lo, hi = np.array(theta), np.array(lo), np.array(hi)
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(80):
-        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
-        left = e2(theta, a) > e2(theta, b)
-        hi, lo = np.where(left, b, hi), np.where(left, lo, a)
-    top = float(e2(theta, 0.5 * (lo + hi)).min())
+    def barriers(thetas):
+        """The polished barrier of each ray, inf where it does not escape."""
+        rays, theta, lo, hi = [], [], [], []
+        for r, th in enumerate(thetas):
+            ray = s[null[2] + math.sin(th) * s > 1e-8]
+            k = int(np.argmax(e2(np.full(ray.size, th), ray)))
+            if 0 < k < ray.size - 1:
+                rays.append(r)
+                theta.append(th)
+                lo.append(ray[k - 1])
+                hi.append(ray[k + 1])
+        theta, lo, hi = np.array(theta), np.array(lo), np.array(hi)
+        for _ in range(80):
+            a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            left = e2(theta, a) > e2(theta, b)
+            hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+        out = np.full(len(thetas), np.inf)
+        out[rays] = e2(theta, 0.5 * (lo + hi))
+        return out
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
+    tops = barriers(thetas)
+    top = float(tops.min())
+    if polish_angle:
+        ring = np.concatenate([tops[-1:], tops, tops[:1]])
+        valley = thetas[np.isfinite(tops) & (tops <= ring[:-2]) & (tops <= ring[2:])]
+        lo, hi = valley - 2.0 * math.pi / n_rays, valley + 2.0 * math.pi / n_rays
+        for _ in range(30):
+            a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            f = barriers(np.concatenate([a, b]))
+            left = f[:a.size] < f[a.size:]
+            hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+        top = min(top, float(barriers(0.5 * (lo + hi)).min()))
     psi = species.charge_c**2 * top / (4.0 * species.mass_kg * layout.rf_omega**2)
     return (psi - pseudopotential(layout, species, null)) / CONSTANTS.elementary_charge
 
@@ -1007,6 +1026,40 @@ def test_five_wire_depth_matches_dense_ray_march(g, rail, gap, volts, freq):
     sol = secular_spectrum(layout, CA40)
     march = ray_march_depth(layout, CA40, sol.null_position, sol.height)
     assert math.isfinite(sol.trap_depth_ev) and sol.trap_depth_ev > 0.0
+    assert sol.trap_depth_ev <= march * (1.0 + 1e-9)
+    assert sol.trap_depth_ev == pytest.approx(march, rel=1e-6)
+
+
+@st.composite
+def rail_layouts(draw):
+    """One or two RF rails on each side of a grounded center strip off x = 0,
+    each rail of its own width, gap to its inner neighbour and length."""
+    um = 1e-6
+    center, half = draw(st.floats(-200.0, 200.0)) * um, draw(st.floats(20.0, 150.0)) * um
+    strips = [Strip(center - half, center + half, -3e-3, 3e-3, ROLE_CENTER)]
+    for side in (-1.0, 1.0):
+        edge = half
+        for _ in range(draw(st.integers(1, 2))):
+            inner = edge + draw(st.floats(5.0, 15.0)) * um
+            edge = inner + draw(st.floats(40.0, 120.0)) * um
+            x_min, x_max = sorted((center + side * inner, center + side * edge))
+            length = draw(st.floats(2e-3, 8e-3))
+            strips.append(Strip(x_min, x_max, -0.5 * length, 0.5 * length, ROLE_RF))
+    return ElectrodeLayout(strips=tuple(strips), rf_voltage=120.0, rf_omega=RF_OMEGA)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rail_layouts())
+def test_escape_saddle_off_the_vertical_matches_dense_ray_march(layout):
+    # 2-4 rails of unequal width, gap and length tilt the escape saddle off
+    # the vertical and between any fixed rays, so the march is also polished
+    # over the angle; a layout either traps nothing or has its exact saddle
+    try:
+        sol = secular_spectrum(layout, CA40)
+    except NoTrapError:
+        return
+    march = ray_march_depth(layout, CA40, sol.null_position, sol.height, n_samples=400,
+                            polish_angle=True)
     assert sol.trap_depth_ev <= march * (1.0 + 1e-9)
     assert sol.trap_depth_ev == pytest.approx(march, rel=1e-6)
 
@@ -1066,6 +1119,15 @@ def test_strip_validation():
 def test_strip_rejects_dc_index_on_a_non_dc_strip(role):
     with pytest.raises(DomainError, match=f"only dc strips take a dc_index, not {role}"):
         Strip(-1e-5, 1e-5, -1e-4, 1e-4, role, dc_index=0)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, -1, "0"])
+def test_strip_dc_index_is_an_integer_at_least_zero(index):
+    # a float index would set a voltage through a float key of dc_voltages
+    with pytest.raises(DomainError, match=r"dc_index must be an integer >= 0, got "):
+        Strip(-1e-5, 1e-5, -1e-4, 1e-4, ROLE_DC, dc_index=index)
+    strip = Strip(-1e-5, 1e-5, -1e-4, 1e-4, ROLE_DC, dc_index=np.int64(2))
+    assert type(strip.dc_index) is int and strip.dc_index == 2
 
 
 def test_load_layout_rejects_dc_index_on_the_rf_strip(tmp_path):
