@@ -172,7 +172,7 @@ def rect_potential(strip: Strip, point) -> float:
 
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     """Sum of RF strip basis potentials (dimensionless, unit drive)."""
-    return float(_grad_hess(layout.rf_strips, 1.0, _field_point(point), order=0)[0])
+    return float(_derivatives(layout.rf_corners, _field_point(point), order=0)[0])
 
 
 def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
@@ -240,10 +240,8 @@ _ROW_MAPS = {order: _row_map(order) for order in (2, 3)}
 
 #: ``_derivatives`` evaluates a batch of more corner-point pairs than this in
 #: blocks of about this many pairs, which keeps every order-1 temporary below
-#: 128 KiB, where the allocator switches to mapping memory from the system ...
+#: 128 KiB, where the allocator switches to mapping memory from the system
 _BLOCK_PAIRS = 4096
-#: ... and of a whole multiple of this many points
-_BLOCK_ALIGN = 16
 
 
 def _corners(strips: Sequence[Strip], weights):
@@ -275,8 +273,8 @@ def _derivatives(corners, points, order: int = 2):
     P(w) = 2 R^2 + a - 4 w^2 - w^2 (8 R^2/a + 3 a/R^2); F is symmetric in u
     and v, so each v term is its u term with u, a and v, b swapped, and
     d/dx = -d/du, d/dy = -d/dv.  The u and v versions of a term are one
-    stacked (2, C, N) array, and every term is summed over the corners in
-    one contraction, into the 15 rows of ``_SUMMED``: -grad, the 5 Hessian
+    stacked (2, C, N) array, and each point's terms are summed over the
+    corners in one contraction, into the 15 rows of ``_SUMMED``: -grad, the 5 Hessian
     entries xx, yy, xy, xz, yz and the 7 independent third derivatives.  A
     weighted sum of rectangle potentials is harmonic, so the zz entry of the
     Hessian is -(xx + yy), and the third derivatives with two z indices follow
@@ -293,32 +291,24 @@ def _derivatives(corners, points, order: int = 2):
     (-100, 0, 5) um, d_yyy is off by 2.8e-6 relative, the tensor by 2.7e-9.
 
     A batch of more than ``_BLOCK_PAIRS`` corner-point pairs is evaluated in
-    consecutive blocks of points through one kernel body, and the blocks'
-    outputs are stacked, so that the peak memory of a call is set by the
-    block size and not by the batch: in one piece, a batch of 841 points x 8
-    corners (a ray scan of 64 rays x 16 distances over the demo layout)
-    would allocate about 0.9 MB of temporaries, which the allocator may give
-    back to the system after each call and fault in again on the next.  A
-    block holds ``_BLOCK_PAIRS // C`` points rounded down to a multiple of
-    ``_BLOCK_ALIGN`` (at least ``_BLOCK_ALIGN``), and a remainder shorter
-    than ``_BLOCK_ALIGN`` joins the last block.  The bits do not change with
-    the block size: each corner sum is one row of a BLAS matrix-vector
-    product over the points, whose rounding (OpenBLAS) depends on the row's
-    place in the product's groups of rows and on whether the product has
-    fewer than four rows, and whole multiples of 16 points keep every row
-    where one single-threaded product over the batch has it.  Small batches,
-    such as the solve's order-2 and order-3 steps and, on a layout of up to
-    two RF strips, its ray scan, are one block and pay no extra copy.
+    consecutive blocks of ``_BLOCK_PAIRS // C`` points (at least one) through
+    one kernel body, and the blocks' outputs are stacked, so that the peak
+    memory of a call is set by the block size and not by the batch: in one
+    piece, a batch of 841 points x 8 corners would allocate about 0.9 MB of
+    temporaries, which the allocator may give back to the system after each
+    call and fault in again on the next.
+
+    A point's bits are its own, whatever its batch or block: each point's
+    corner terms are contracted with the weights in one small (rows x C)
+    matrix-vector product of its own, so that no point's sum depends on the
+    points beside it.
     """
     c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
-    size = max(_BLOCK_ALIGN, _BLOCK_PAIRS // max(c.size, 1) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    size = max(1, _BLOCK_PAIRS // max(c.size, 1))
     if len(p) <= size:
         return _corner_sums(c, xy, p, order)
-    # a product of one to three rows is rounded unlike the same rows at the
-    # end of a longer one, so a short remainder joins the block before it
-    edges = [*range(0, len(p) - _BLOCK_ALIGN, size), len(p)]
-    blocks = [_corner_sums(c, xy, p[i:j], order) for i, j in zip(edges, edges[1:])]
+    blocks = [_corner_sums(c, xy, p[i:i + size], order) for i in range(0, len(p), size)]
     if order == 0:
         return np.concatenate(blocks)
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -338,11 +328,12 @@ def _corner_sums(c, xy, p, order):
     r = np.sqrt(r2)
     uv = s[0] * s[1]
     if order == 0:
-        return c @ np.arctan(uv / (z * r))
-    t = s[::-1]
-    ar = a * r
-    # the rows of the sum, in the order of _SUMMED
-    parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
+        parts = [np.arctan(uv / (z * r))[None]]
+    else:
+        t = s[::-1]
+        ar = a * r
+        # the rows of the sum, in the order of _SUMMED
+        parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
     if order > 1:
         ir2 = 1.0 / r2
         parts += [-(uv * z) * (2.0 / a + ir2) / ar, (z * ir2 / r)[None],
@@ -356,11 +347,17 @@ def _corner_sums(c, xy, p, order):
         zs = z * s
         parts += [zs[::-1] * (m - ss * k) * d, uv * (z2 * k - m) * d, 3.0 * zs * ir5,
                   ((r2 - 3.0 * z2) * ir5)[None]]
-    out = c @ np.concatenate(parts)
+    # the terms go straight into a points-first buffer, so that the product
+    # below is one (rows x C) matrix-vector product per point
+    buf = np.empty((n, sum(len(q) for q in parts), c.size))
+    np.concatenate(parts, out=buf.transpose(1, 2, 0))
+    out = buf @ c
+    if order == 0:
+        return out[:, 0]
     if order == 1:
-        return (-out.T,)
+        return (-out,)
     row_map, signs = _ROW_MAPS[order]
-    res = (out.T @ row_map) * signs
+    res = (out @ row_map) * signs
     grad, hess = res[:, :3], res[:, 3:12].reshape(n, 3, 3)
     if order == 2:
         return grad, hess
@@ -382,7 +379,7 @@ def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
 
 def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> float:
     """Time-averaged RF confinement energy q^2 |E|^2 / (4 m Omega^2), in J."""
-    (e,) = _grad_hess(layout.rf_strips, 1.0, _field_point(point, "field"), order=1)
+    (e,) = _derivatives(layout.rf_corners, _field_point(point, "field"), order=1)
     return 0.25 * _drive_factors(layout, species)[0] * float(e[0] @ e[0])
 
 

@@ -738,7 +738,7 @@ def _traced_peak(call):
 def test_ray_scan_memory_is_set_by_the_block_not_the_batch():
     # a ray scan of 64 rays x 16 distances over the demo layout, 841 points x
     # 8 corners, would peak at 944 188 B with the temporaries of all points at
-    # once; in blocks of 512 points it peaks at about 0.58 MB, and eight times
+    # once; in blocks of 512 points it peaks at about 0.59 MB, and eight times
     # the points add only their stacked outputs, where one piece would need
     # eight times the memory.  (The solve's own scan, 317 points, is one block.)
     layout, _ = load_layout(DEMO_LAYOUT)
@@ -757,59 +757,96 @@ def test_ray_scan_memory_is_set_by_the_block_not_the_batch():
     assert peaks[1] < 2 * peaks[0]
 
 
-#: RF layouts of 2 and 26 strips side by side: 8 and 104 corners
+#: RF layouts of 1, 2 and 26 strips side by side: 4, 8 and 104 corners
 _BLOCK_LAYOUTS = {n: [Strip(k * 30e-6, k * 30e-6 + (10 + k % 7) * 1e-6, -(1 + k % 3) * 1e-3,
                             (1 + k % 5) * 1e-3, ROLE_RF) for k in range(n)]
-                  for n in (2, 26)}
+                  for n in (1, 2, 26)}
 
 
 @st.composite
-def block_cases(draw):
+def kernel_cases(draw):
     """A layout of ``_BLOCK_LAYOUTS``, a number of points (up to three default
-    blocks and a remainder), a seed for the points, a block size in
-    corner-point pairs and the cuts of a split, in multiples of 16 points."""
+    blocks and more), a seed for the weights and points, a block size in
+    corner-point pairs, the cuts of a split at any points and the points to
+    evaluate alone."""
     n_strips = draw(st.sampled_from(sorted(_BLOCK_LAYOUTS)))
-    n = (draw(st.integers(0, 3)) * (trap._BLOCK_PAIRS // (4 * n_strips) // 16 * 16)
-         + draw(st.integers(0, 40)))
-    cuts = draw(st.sets(st.integers(1, (n - 16) // 16), max_size=4)) if n >= 32 else ()
-    return (n_strips, n, draw(st.integers(0, 2**32 - 1)),
-            draw(st.integers(16 * 4 * n_strips, 7000)), tuple(sorted(cuts)))
+    n = draw(st.integers(0, 3)) * (trap._BLOCK_PAIRS // (4 * n_strips)) + draw(st.integers(0, 40))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else ()
+    alone = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)) if n else ()
+    return (n_strips, n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 7000)),
+            tuple(sorted(cuts)), tuple(sorted(alone)))
 
 
 @settings(max_examples=50, deadline=None)
-@given(block_cases())
-@example((2, 0, 0, 7000, ()))
-@example((2, 1, 0, 7000, ()))
-@example((2, 515, 0, 7000, (1,)))
-@example((26, 33, 0, 7000, (1,)))
-def test_kernel_bits_do_not_change_with_the_block_size(case):
-    # each point's corner sum is a row of a BLAS matrix-vector product whose
-    # rounding depends on the row's place in groups of 16 rows and on a
-    # product of fewer than four rows (see _derivatives), so the bits hold
-    # for blocks and splits of whole multiples of 16 points; every product
-    # here stays below the 9216 pairs from which OpenBLAS splits a
-    # matrix-vector product between threads.  515 points, a default block of
-    # 512 with a remainder of 3 joined to it, are one block at 7000 pairs too
-    n_strips, n, seed, pairs, cuts = case
+@given(kernel_cases())
+@example((2, 0, 0, 7000, (), ()))
+@example((2, 1, 0, 7000, (), (0,)))
+@example((2, 515, 0, 7000, (3,), (0, 513, 514)))
+@example((26, 33, 0, 1, (1, 17), (0, 16, 32)))
+def test_kernel_bits_belong_to_the_point(case):
+    # a point's outputs at orders 0-3 are the same bits alone, in any batch,
+    # in any piece of a split and in blocks of any size, and the public
+    # helpers that read the layout's RF corner table give that point's row
+    n_strips, n, seed, pairs, cuts, alone = case
     strips = _BLOCK_LAYOUTS[n_strips]
     rng = np.random.default_rng(seed)
     corners = trap._corners(strips, rng.uniform(-2.0, 2.0, n_strips))
     x0, x1 = strips[0].x_min, strips[-1].x_max
     pts = np.column_stack([rng.uniform(2 * x0 - x1, 2 * x1 - x0, n), rng.uniform(-2e-3, 2e-3, n),
                            rng.uniform(1e-6, 3e-4, n)])
-    edges = [0, *(16 * c for c in cuts), n]
+    edges = [0, *cuts, n]
+
+    def kernel(table, points, order):
+        out = trap._derivatives(table, points, order)
+        return (out,) if order == 0 else out
+
     for order in range(4):
-        whole = trap._derivatives(corners, pts, order)
-        with mock.patch.object(trap, "_BLOCK_PAIRS", pairs):
-            resized = trap._derivatives(corners, pts, order)
-        pieces = [trap._derivatives(corners, pts[i:j], order) for i, j in zip(edges, edges[1:])]
-        if order == 0:
-            whole, resized, pieces = (whole,), (resized,), [(p,) for p in pieces]
+        whole = kernel(corners, pts, order)
         shapes = [(n,)] if order == 0 else [(n,) + (3,) * k for k in range(1, order + 1)]
         assert [w.shape for w in whole] == shapes
+        with mock.patch.object(trap, "_BLOCK_PAIRS", pairs):
+            resized = kernel(corners, pts, order)
+        pieces = [kernel(corners, pts[i:j], order) for i, j in zip(edges, edges[1:])]
         for k, w in enumerate(whole):
             assert w.tobytes() == resized[k].tobytes()
             assert w.tobytes() == np.concatenate([p[k] for p in pieces]).tobytes()
+        for i in alone:
+            assert [w[i:i + 1].tobytes() for w in whole] == [
+                one.tobytes() for one in kernel(corners, pts[i:i + 1], order)]
+
+    layout = ElectrodeLayout(strips=tuple(strips), rf_voltage=120.0, rf_omega=RF_OMEGA)
+    phi = trap._derivatives(layout.rf_corners, pts, order=0)
+    (e,) = trap._derivatives(layout.rf_corners, pts, order=1)
+    f = trap._drive_factors(layout, CA40)[0]
+    for i in alone:
+        assert rf_basis_potential(layout, pts[i]) == phi[i]
+        assert pseudopotential(layout, CA40, pts[i]) == 0.25 * f * float(e[i] @ e[i])
+
+
+def test_null_search_starts_end_alone_as_beside_the_others():
+    # each start of the demo null search ends on the same bits alone as in
+    # the joint run, so the null that find_rf_null picks is its start's alone
+    layout, _ = load_layout(DEMO_LAYOUT)
+    frame = layout.search_frame
+
+    def ends(fractions):
+        z = frame[1] * np.array(fractions)
+        return trap._damped_newton(frame, layout.rf_corners, trap._null_step,
+                                   np.full(z.shape, frame[0]), z, first=False)
+
+    # a start that leaves the domain ends nowhere, alone or beside the others
+    alone = [ends([f]) for f in DEFAULT_START_FRACTIONS]
+    joint = ends(DEFAULT_START_FRACTIONS)
+    assert joint[0].size >= 2
+    for j, parts in zip(joint, zip(*alone)):
+        assert j.tobytes() == np.concatenate(parts).tobytes()
+    sol = find_rf_null(layout)
+    picked = [f for f, (x, z, _) in zip(DEFAULT_START_FRACTIONS, alone)
+              if (x.tolist(), z.tolist()) == ([sol.null_position[0]], [sol.height])]
+    assert picked
+    own = find_rf_null(layout, picked[:1])
+    assert own.null_position.tobytes() == sol.null_position.tobytes()
+    assert own.height == sol.height
 
 
 def test_spectrum_invariant_under_translation(five_wire, solved):
