@@ -2,6 +2,7 @@
 """Write one JSON line per trap design of a benchmark seed's spectrum workload.
 
 Usage: ``python3 scripts/spectrum_records.py --seed N [--limit K] [--out FILE]``
+or ``python3 scripts/spectrum_records.py --seed N [--limit K] --compare OLD.jsonl``
 
 Each line holds every field of the ``TrapSolution`` that
 ``trap.secular_spectrum`` returns for one design of ``bench/gen.py``'s
@@ -14,6 +15,14 @@ checks that a change to the trap solver leaves every result as it was; a
 design whose solve raises is recorded with its error.  ``--limit`` keeps the
 first K designs.
 
+``--compare OLD.jsonl`` solves the designs of an earlier output (by default
+as many as it holds) and prints, for each field, the largest relative
+difference |new - old| / |old| over the designs and over the numbers in the
+field: 0.0 where every value is equal, and inf where a value appears,
+changes shape or changes from 0 or from a non-number.  It shows which
+fields a solver change moved, and by how much; only a byte diff tells 0.0
+from -0.0.
+
 ``bench/gen.py`` is only imported, through ``fit_records.load_gen``; it
 writes no file for the designs.
 """
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -70,15 +80,58 @@ def records(seed: int, limit: int | None = None):
         yield design_record(index, design)
 
 
+def relative_difference(old, new) -> float:
+    """Largest |new - old| / |old| over the numbers of two values of a field:
+    0.0 where they are equal, inf where their shapes or non-numbers differ
+    or an old 0 became another number."""
+    if old == new:
+        return 0.0
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max(map(relative_difference, old, new))
+    numbers = (int, float)
+    if isinstance(old, numbers) and isinstance(new, numbers) and old != 0:
+        return abs(new - old) / abs(old)
+    return math.inf
+
+
+def compare(old: list, new: list) -> dict:
+    """Field -> largest ``relative_difference`` over two lists of records of
+    the same designs."""
+    if [r["design"] for r in old] != [r["design"] for r in new]:
+        raise ValueError("the two outputs hold different designs")
+    worst = {}
+    for a, b in zip(old, new):
+        for key in (a.keys() | b.keys()) - {"design"}:
+            worst[key] = max(worst.get(key, 0.0), relative_difference(a.get(key), b.get(key)))
+    return worst
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--limit", type=int, default=None,
                         help="keep only the first LIMIT designs")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("--out", default=None, help="output file (default: stdout)")
+    target.add_argument("--compare", metavar="OLD", default=None,
+                        help="print the largest relative difference per field "
+                             "against an earlier output")
     args = parser.parse_args()
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be >= 0")
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as handle:
+            old = [json.loads(line) for line in handle]
+        limit = len(old) if args.limit is None else args.limit
+        try:
+            worst = compare(old, list(records(args.seed, limit)))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(f"designs = {len(old)}")
+        for key in sorted(worst):
+            print(f"{key} = {worst[key]!r}")
+        return 0
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for record in records(args.seed, args.limit):

@@ -1,10 +1,11 @@
 """Magnetic field of circular coil pairs (Helmholtz bias coils).
 
-The field of a circular current loop is evaluated in closed form with complete
-elliptic integrals K and E; those are computed by the arithmetic-geometric
-mean, which converges quadratically and needs no special-function library.
-Fields are plain float triples and everything here is scalar ``math``, so
-the coil commands answer without loading numpy.
+The field of a circular current loop is evaluated in closed form with
+Bulirsch's general complete elliptic integral cel (Bulirsch, Numer. Math. 13,
+305 (1969); used for coil fields by Derby & Olbert, Am. J. Phys. 78, 229
+(2010)), whose Gauss transformation converges quadratically and needs no
+special-function library.  Fields are plain float triples and everything here
+is scalar ``math``, so the coil commands answer without loading numpy.
 """
 from __future__ import annotations
 
@@ -14,44 +15,71 @@ from dataclasses import dataclass
 from .errors import DomainError, SingularFieldError, integer_at_least
 from .units import CONSTANTS
 
-_AGM_TOL = 1e-15  # c_n below this ends the iteration; K,E good to ~1e-12 or better
-
-
-def _agm(m: float) -> tuple[float, float]:
-    """(K(m), S) with E(m) = K * (1 - S), so K - E = K * S without cancellation.
-
-    AGM iteration: a <- (a+b)/2, b <- sqrt(ab), c_(n+1) = (a_n-b_n)/2;
-    K = pi/(2*a_inf) and S = sum 2^(n-1) c_n^2 with c_0 = sqrt(m).
-    """
-    if not (0.0 <= m < 1.0):
-        raise DomainError(f"elliptic parameter m must be in [0, 1), got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    c = math.sqrt(m)
-    csum = 0.5 * c * c
-    power = 0.5
-    for _ in range(64):
-        if abs(c) < _AGM_TOL:
-            break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        power *= 2.0
-        csum += power * c * c
-    return math.pi / (2.0 * a), csum
+#: relative gap between the arithmetic and geometric means below which cel's
+#: Gauss transformation stops; it converges quadratically, so its error is
+#: about the square of this, which is rounding
+_CEL_TOL = math.sqrt(2.0**-52)
 
 
 def elliptic_ke(m: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(m), E(m)) for parameter m = k^2 in [0, 1)."""
-    k_val, csum = _agm(m)
-    return k_val, k_val * (1.0 - csum)
+    """Complete elliptic integrals (K(m), E(m)) for parameter m = k^2 in [0, 1):
+    cel(kc, 1, 1, 1) and cel(kc, 1, 1, kc^2) with kc^2 = 1 - m."""
+    if not (0.0 <= m < 1.0):
+        raise DomainError(f"elliptic parameter m must be in [0, 1), got {m}")
+    kc = math.sqrt(1.0 - m)
+    return _cel(kc, 1.0, 1.0), _cel(kc, 1.0, 1.0 - m)
+
+
+def _cel(kc: float, a: float, b: float) -> float:
+    """Bulirsch's cel(kc, 1, a, b), the integral over [0, pi/2] of
+    (a cos^2 t + b sin^2 t) / sqrt(cos^2 t + kc^2 sin^2 t) dt, for kc > 0.
+
+    This is Bulirsch's algorithm at p = 1, the only p used here: repeated
+    Gauss transformations, each an arithmetic-geometric mean step of the
+    moduli.  It is linear in (a, b), and with a, b >= 0 every step adds
+    positive terms, so the result keeps full relative precision.
+    """
+    k = kc
+    em, pp, cc, ss, kk = 1.0, 1.0, a, b, kc
+    for _ in range(64):
+        f = cc
+        cc += ss / pp
+        g = kk / pp
+        ss = 2.0 * (ss + f * g)
+        pp += g
+        g, em = em, em + k
+        if abs(g - k) <= g * _CEL_TOL:
+            break
+        k = 2.0 * math.sqrt(kk)
+        kk = k * em
+    return 0.5 * math.pi * (ss + cc * em) / (em * (em + pp))
 
 
 def loop_field(radius: float, z0: float, amp_turns: float, point) -> tuple[float, float, float]:
     """B (T) of a circular loop of given radius centered on the z axis at z=z0.
 
-    ``amp_turns`` is N*I.  Uses the standard elliptic-integral solution in
-    cylindrical coordinates, evaluated in units of the radius (rho/R, dz/R,
-    prefactor mu0*N*I/R), so B scales exactly as 1/R and neither a tiny nor
-    a huge coil over- or underflows on the way.  Raises SingularFieldError
-    on the filament itself, and DomainError where B is beyond the float range.
+    ``amp_turns`` is N*I.  Uses the elliptic-integral solution in cylindrical
+    coordinates, evaluated in units of the radius (rho/R, dz/R, prefactor
+    mu0*N*I/R), so B scales exactly as 1/R and neither a tiny nor a huge coil
+    over- or underflows on the way.  Raises SingularFieldError on the
+    filament itself, and DomainError where B is beyond the float range.
+
+    Biot-Savart with the angle around the loop substituted gives
+    B_rho = pref dz cel(kc, kc^2, -1, 1) and
+    B_z = pref cel(kc, kc^2, 1 + rho, 1 - rho), with pref = mu0 N I / (pi R
+    far^3), far and near the distances to the far and near side of the loop,
+    k^2 = 4 rho / far^2 and kc = near / far.  Both integrals cancel where the
+    field is small against its terms: B_rho's everywhere far from the loop,
+    where its terms are O(1) and their sum O(k^2), and B_z's far off in the
+    loop's plane.  One Gauss transformation, done here in closed form, turns
+    cel(kc, kc^2, a, b) into cel(kc1, 1, a + b / kc^2,
+    2 (b + a kc) / (kc (1 + kc))) / (1 + kc) with kc1 = 2 sqrt(kc) / (1 + kc),
+    and its cancelling sums have closed forms: a + b / kc^2 is k^2 / kc^2 for
+    B_rho and 2 (1 - rho^2 + dz^2) / near^2 for B_z; b + a kc is
+    (1 - kc) = k^2 / (1 + kc) for B_rho, and for B_z beyond rho = 1 it is
+    k^2 dz^2 / ((1 + rho) kc + rho - 1).  Then B_rho's arguments are positive,
+    and B_z's are each at most a few times |B| over the prefactor, so both
+    components are exact to a few rounding errors of |B| at any distance.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError("loop radius must be positive and finite")
@@ -71,14 +99,17 @@ def loop_field(radius: float, z0: float, amp_turns: float, point) -> tuple[float
     m = 4.0 * rho / far / far
     if m > 1.0 - 1e-12 or near < 1e-12:
         raise SingularFieldError("field point is on (or numerically at) the coil filament")
-    K, csum = _agm(m)
-    E, k_minus_e = K * (1.0 - csum), K * csum
-    # bz = pref*(K + E*(1 - rho^2 - dz^2)/near^2) and
-    # brho = pref*(dz/rho)*(-K + E*(1 + rho^2 + dz^2)/near^2), rewritten with
-    # K - E so that neither cancels near the axis
-    pref = scale / (2.0 * math.pi * far)
-    bz = pref * (k_minus_e + 2.0 * E * (1.0 - rho) / near / near)
-    brho = pref * dz * (2.0 * E / near / near - k_minus_e / rho)
+    kc = near / far
+    kc1 = 2.0 * math.sqrt(kc) / (1.0 + kc)
+    # b + a kc of B_z, a sum of positive terms inside rho = 1 and its closed
+    # form outside, where its two terms cancel
+    bz_sum = ((1.0 - rho) + (1.0 + rho) * kc if rho <= 1.0
+              else 4.0 * rho * (dz / far) ** 2 / ((1.0 + rho) * kc + rho - 1.0))
+    # mu0 N I / (pi R far^3), with the Gauss step's 1 / (1 + kc)
+    pref = scale / (math.pi * far * (1.0 + kc)) / far / far
+    brho = pref * dz * _cel(kc1, m / kc / kc, 2.0 * m / (kc * (1.0 + kc) ** 2))
+    bz = pref * _cel(kc1, 2.0 * ((1.0 - rho) / near * ((1.0 + rho) / near) + (dz / near) ** 2),
+                     2.0 * bz_sum / (kc * (1.0 + kc)))
     return _finite_field((brho * x / rho_m, brho * y / rho_m, bz))
 
 

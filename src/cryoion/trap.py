@@ -50,6 +50,13 @@ DEFAULT_START_FRACTIONS = (1 / 12, 1 / 6, 1 / 3, 2 / 3)
 
 #: lowest height of a search point, as a fraction of L (1 nm on the demo layout)
 _MIN_Z = 4e-6
+#: Newton correction, as a fraction of the height, below which a search has
+#: converged.  The null's position and Jacobian are outputs, so its search
+#: runs to 1e-9.  The saddle search reports the quadratic model's value at
+#: the Newton end point, whose error at a stationary point is O((|step|/z)^3),
+#: so a step of eps^(1/3) z (about 6.1e-6 z) already leaves it exact to rounding
+_NULL_TOL = 1e-9
+_SADDLE_TOL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 #: coarse transverse ray scan that seeds the escape-saddle search (rays, and
 #: samples per ray), and the most Newton starts taken from it
 _SCAN_RAYS = 32
@@ -415,19 +422,19 @@ def _null_step(rf, pts):
     return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
 
 
-def _damped_newton(frame, rf, step, x, z, first: bool = False):
+def _damped_newton(frame, rf, step, x, z, first: bool = False, tol: float = _NULL_TOL):
     """Converged end points of damped Newton in the x-z plane at the axial
     center, as (x, z, value); ``frame`` is the layout's ``search_frame``.
 
     ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
     unit drive (``ElectrodeLayout.rf_corners``), returns the Newton
     corrections (dx, dz) at a batch of points and one value per point; all
-    starts that are still stepping are one batch, in start order, held in
-    compact arrays that shrink as starts finish.  A step is capped at half
-    the current height, and a start is dropped once it leaves the domain (z
-    at or below ``_MIN_Z`` L, above 4 spans, or more than 2 spans off x0; see
-    ``ElectrodeLayout.search_frame``).  A start counts as converged when the
-    Newton correction at its end point is below 1e-9 of the height and its
+    starts that are still stepping are one batch, in start order.  A step is
+    capped at half the current height, and a start is dropped once it leaves
+    the domain (z at or below ``_MIN_Z`` L, above 4 spans, or more than 2
+    spans off x0; see ``ElectrodeLayout.search_frame``), which a non-finite
+    step always does.  A start counts as converged when the Newton
+    correction at its end point is at most ``tol`` of the height and its
     last step stays inside the domain; ``value`` is the step's value at that
     point, recorded in the iteration in which the start converges.  Each end
     point is one Newton step past its converged point, whose value it
@@ -435,45 +442,43 @@ def _damped_newton(frame, rf, step, x, z, first: bool = False):
     are returned in start order.  With ``first``, the search stops at the
     first iteration in which some start converges and returns the starts
     that did.
+
+    Only the kernel batch is numpy: the norms of the steps are one
+    ``np.hypot`` over it, and the rest of each start's step is plain float
+    arithmetic, the same IEEE operations on at most a few starts without
+    numpy's per-call cost.
     """
     x0, rf_extent, span, y = frame
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
-    z_min, z_cap = _MIN_Z * rf_extent, 4.0 * span
-    # the stepping starts' points, stepped in place: x and z are views of them
-    pts = np.empty((z.size, 3))
-    pts[:, 0], pts[:, 1], pts[:, 2] = x, y, z
-    start = np.arange(z.size)  # the start of each stepping point
-    ends = []  # (starts, x, z, values) of the starts that converged, per iteration
+    z_min, z_cap, x_off = _MIN_Z * rf_extent, 4.0 * span, 2.0 * span
+    live = list(zip(range(len(z)), x.tolist(), z.tolist()))  # (start, x, z) still stepping
+    ends = []  # (start, x, z, value) of the starts that converged
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(60):
-            if not start.size:
+            if not live or (first and ends):
                 break
-            dx, dz, value = step(rf, pts)
-            x, z = pts[:, 0], pts[:, 2]
-            norm = np.hypot(dx, dz)
-            scale = np.minimum(1.0, 0.5 * z / norm)
-            done = norm <= 1e-9 * z
-            x += scale * dx
-            z += scale * dz
-            ok = (z > z_min) & (z <= z_cap) & (np.abs(x - x0) <= 2.0 * span)
-            going = ok & ~done
-            if going.all():
-                continue
-            hit = ok & done
-            if hit.any():
-                ends.append((start[hit], x[hit], z[hit], value[hit]))
-                if first:
-                    break
-            start, pts = start[going], pts[going]
-    if len(ends) == 1:
-        return ends[0][1:]
-    if not ends:
-        return np.empty(0), np.empty(0), np.empty(0)
-    start, x, z, value = (np.concatenate(parts) for parts in zip(*ends))
-    order = np.argsort(start)
-    return x[order], z[order], value[order]
+            dx, dz, value = step(rf, np.array([(px, y, pz) for _, px, pz in live]))
+            going = []
+            for (k, px, pz), sx, sz, norm, v in zip(live, dx.tolist(), dz.tolist(),
+                                                    np.hypot(dx, dz).tolist(), value.tolist()):
+                # a zero step is taken whole, as numpy's 0.5 z / 0 = inf would;
+                # a NaN or infinite step leaves a NaN coordinate, which the
+                # domain test drops
+                scale = min(1.0, 0.5 * pz / norm) if norm else 1.0
+                done = norm <= tol * pz
+                px += scale * sx
+                pz += scale * sz
+                if z_min < pz <= z_cap and abs(px - x0) <= x_off:
+                    if done:
+                        ends.append((k, px, pz, v))
+                    else:
+                        going.append((k, px, pz))
+            live = going
+    ends.sort()  # start order
+    _, x, z, value = zip(*ends) if ends else ((),) * 4
+    return np.array(x, dtype=float), np.array(z, dtype=float), np.array(value, dtype=float)
 
 
 def find_rf_null(layout: ElectrodeLayout,
@@ -538,13 +543,18 @@ class TrapSolution:
 
 def _saddle_step(rf, pts):
     """Newton steps toward grad psi = 0 in the x-z plane at the points, and
-    |E|^2 there, or inf where the 2x2 Hessian of psi does not have exactly one
-    negative eigenvalue.
+    the quadratic model's |E|^2 at each step's end point, or inf where the
+    2x2 Hessian of psi does not have exactly one negative eigenvalue.
 
     With psi proportional to |E|^2 and J the field Jacobian, grad psi is
-    proportional to J^T E and the Hessian to J^T J + sum_i E_i grad(J_i), in
-    closed form from the kernel's third derivatives; the factors of psi
-    cancel from the step, so the field is that of unit drive.
+    proportional to g = J^T E (x-z columns) and the Hessian to
+    h = J^T J + sum_i E_i grad(J_i), in closed form from the kernel's third
+    derivatives; the factors of psi cancel from the step, so the field is that
+    of unit drive.  The Newton step is delta = -h^-1 g, and the model of |E|^2
+    at the point plus delta is |E|^2 + 2 g.delta + delta.h.delta =
+    |E|^2 + g.delta.  Near a stationary point its error is O(|delta/z|^3) of
+    |E|^2, so a step of eps^(1/3) z (``_SADDLE_TOL``) leaves it exact to
+    rounding.
     """
     e, jac, d3 = _derivatives(rf, pts, order=3)
     n = len(pts)
@@ -554,8 +564,10 @@ def _saddle_step(rf, pts):
     h = jxz.transpose(0, 2, 1) @ jxz + (row @ d3[:, :, ::2, ::2].reshape(n, 3, 4)).reshape(n, 2, 2)
     hxx, hxz, hzz = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
     det = hxx * hzz - hxz * hxz
-    return ((hxz * g[:, 1] - hzz * g[:, 0]) / det, (hxz * g[:, 0] - hxx * g[:, 1]) / det,
-            np.where(det < 0.0, (row @ e[:, :, None])[:, 0, 0], np.inf))
+    dx = (hxz * g[:, 1] - hzz * g[:, 0]) / det
+    dz = (hxz * g[:, 0] - hxx * g[:, 1]) / det
+    e2 = (row @ e[:, :, None])[:, 0, 0]
+    return dx, dz, np.where(det < 0.0, e2 + g[:, 0] * dx + g[:, 1] * dz, np.inf)
 
 
 def _escape_saddle(layout, rf, null, height):
@@ -570,10 +582,14 @@ def _escape_saddle(layout, rf, null, height):
     escape path.  Over the ray angle the escape rays' maxima form valleys,
     one per saddle they pass near; the maximum sample of the lowest ray of
     each of the ``_SADDLE_STARTS`` lowest valleys starts damped Newton on
-    grad psi = 0 (``_damped_newton``).  A converged point counts only where
-    the Hessian of psi has exactly one negative eigenvalue; escape rays with
-    no such saddle raise ``NoTrapError``, so the depth is never a sampled
-    value.
+    grad psi = 0 (``_damped_newton``), which stops a start once its Newton
+    step is at most ``_SADDLE_TOL`` (eps^(1/3), about 6.1e-6) of the height.
+    The point is that step's end, and |E|^2 is the quadratic model's value
+    there (``_saddle_step``), exact to O(eps) of |E|^2, though the point
+    itself is only within about eps^(2/3) z (4e-11 z) of the saddle.  A
+    converged point counts only where the Hessian of psi has exactly one
+    negative eigenvalue; escape rays with no such saddle raise
+    ``NoTrapError``, so the depth is never a sampled value.
     """
     frame = layout.search_frame
     s = height * _SCAN_DISTANCES
@@ -594,7 +610,7 @@ def _escape_saddle(layout, rf, null, height):
     valley = np.flatnonzero((barrier < ring[:-2]) & (barrier <= ring[2:]))
     rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
     x, z, e2_end = _damped_newton(frame, rf, _saddle_step, px[rays, imax[rays]],
-                                  pz[rays, imax[rays]])
+                                  pz[rays, imax[rays]], tol=_SADDLE_TOL)
     if not np.isfinite(e2_end).any():
         raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
     k = np.argmin(e2_end)
@@ -614,11 +630,13 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     is 2 |qV| sigma_i / (m Omega^2), from the singular values of J, which keep
     the small axial q to full relative precision; the eigenvalues of J^T J,
     with its condition number squared, would not.  The depth, in eV, is
-    (qV)^2 (|E_saddle|^2 - |E_null|^2) / (4 m Omega^2 e), with the saddle of
-    ``_escape_saddle``; it is inf when no transverse ray from the null
-    escapes, and the DC strips do not enter it.  A DC index that names no DC
-    strip, a DC voltage or curvature that is not finite, or a drive factor
-    that is zero or not finite raises DomainError.
+    (qV)^2 (|E_saddle|^2 - |E_null|^2) / (4 m Omega^2 e), with |E_saddle|^2
+    the quadratic-model value of ``_escape_saddle`` (its search stops at a
+    coarser step than the null's, since only the null's position and J are
+    outputs); it is inf when no transverse ray from the null escapes, and
+    the DC strips do not enter it.  A DC index that names no DC strip, a DC
+    voltage or curvature that is not finite, or a drive factor that is zero
+    or not finite raises DomainError.
     """
     dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
     sol = find_rf_null(layout)

@@ -93,6 +93,26 @@ def test_loop_near_axis_against_mpmath(exponent):
     assert math.hypot(b[0] - b_rho, b[2] - b_z) <= 1e-14 * abs(b_z)
 
 
+def test_loop_field_against_mpmath_near_and_far():
+    # B keeps its digits relative to |B| from 1 % of a radius off the
+    # filament out to 1e6 radii, where the closed form's B_rho cancels two
+    # terms of order 1/d^2 to a field of order 1/d^3 and its B_z cancels
+    # likewise in the loop's plane
+    rng = np.random.default_rng(41)
+    points = []
+    for _ in range(150):
+        d, angle = 10.0 ** rng.uniform(-2.0, 0.0), rng.uniform(0.0, 2.0 * math.pi)
+        points.append((RADIUS * (1.0 + d * math.cos(angle)), RADIUS * d * math.sin(angle)))
+    for _ in range(300):
+        d, angle = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+        points.append((RADIUS * d * math.cos(angle), RADIUS * d * math.sin(angle)))
+    for rho, z in points:
+        b = loop_field(RADIUS, 0.0, 2.5, (rho, 0.0, z))
+        b_rho, b_z = mp_loop(RADIUS, 0.0, 2.5, rho, z)
+        assert b[1] == 0.0
+        assert math.hypot(b[0] - b_rho, b[2] - b_z) <= 1e-13 * math.hypot(b_rho, b_z)
+
+
 def test_loop_field_is_divergence_free():
     pair = CoilPair.helmholtz(RADIUS)
     rng = np.random.default_rng(99)

@@ -1,9 +1,12 @@
 """scripts/spectrum_records.py: one reproducible JSON line per benchmark trap design."""
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cryoion.trap import TrapSolution
 
@@ -32,3 +35,28 @@ def test_two_runs_write_the_same_bytes(tmp_path):
         assert len(record["secular_freqs_hz"]) == len(record["q_params"]) == 3
         assert [len(row) for row in record["axes"]] == [3, 3, 3]
         assert record["height"] == record["null_position"][2]
+
+
+def test_compare_prints_the_largest_relative_difference_per_field(tmp_path):
+    lines = spectrum_records("--seed", "1", "--limit", "3").decode().splitlines()
+    records = [json.loads(line) for line in lines]
+    fields = {f.name for f in dataclasses.fields(TrapSolution)}
+
+    def compared(recs):
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+        out = spectrum_records("--seed", "1", "--compare", str(old)).decode().splitlines()
+        assert out[0] == f"designs = {len(recs)}"
+        return {key: float(value) for key, value in (line.split(" = ") for line in out[1:])}
+
+    # the same checkout solves the same bits
+    assert compared(records) == dict.fromkeys(fields, 0.0)
+    records[1]["trap_depth_ev"] *= 1.0 + 1e-9
+    records[2]["axes"][0][1] = 2.0 * records[2]["axes"][0][1] + 1.0
+    records[0]["unstable_axes"] = records[0]["unstable_axes"] + [7]
+    worst = compared(records)
+    assert worst["trap_depth_ev"] == pytest.approx(1e-9, rel=1e-6)
+    assert worst["axes"] > 0.1
+    assert worst["unstable_axes"] == math.inf
+    assert {k for k, v in worst.items() if v == 0.0} == fields - {"trap_depth_ev", "axes",
+                                                                   "unstable_axes"}

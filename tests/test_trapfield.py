@@ -702,12 +702,13 @@ def test_trap_depth_positive_and_sub_ev(solved):
 
 
 def test_demo_spectrum_kernel_evaluations(monkeypatch):
-    # one demo-layout spectrum evaluates the kernel 10 times: the null search
+    # one demo-layout spectrum evaluates the kernel 9 times: the null search
     # stops at its first converged start (4 order-2 batches), one order-2
     # evaluation at the null gives both J and the field behind psi(null), the
-    # ray scan is one order-1 batch and the saddle search takes 4 order-3
-    # batches, each start's value recorded in the iteration where it
-    # converges; without DC voltages no DC evaluation runs
+    # ray scan is one order-1 batch and the saddle search takes 3 order-3
+    # batches, each start's model value recorded in the iteration where its
+    # step falls below eps^(1/3) of the height; without DC voltages no DC
+    # evaluation runs
     layout, species = load_layout(DEMO_LAYOUT)
     counts = collections.Counter()
     kernel = trap._derivatives
@@ -718,10 +719,10 @@ def test_demo_spectrum_kernel_evaluations(monkeypatch):
 
     monkeypatch.setattr(trap, "_derivatives", counted)
     secular_spectrum(layout, species)
-    assert counts == {1: 1, 2: 5, 3: 4}
+    assert counts == {1: 1, 2: 5, 3: 3}
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
-    assert counts == {1: 1, 2: 6, 3: 4}
+    assert counts == {1: 1, 2: 6, 3: 3}
 
 
 def _traced_peak(call):
@@ -949,7 +950,7 @@ def test_trap_depth_matches_mpmath_barrier(five_wire, solved):
         z_saddle = mp.findroot(dpsi_dz, mp.mpf(float(z_top)) * _UM)
         barrier = mp_psi(layout, CA40, x, y, z_saddle) - mp_psi(layout, CA40, x, y, z0)
         oracle = float(barrier / mp.mpf(CONSTANTS.elementary_charge))
-    assert solved.trap_depth_ev == pytest.approx(oracle, rel=1e-11)
+    assert solved.trap_depth_ev == pytest.approx(oracle, rel=1e-13)
 
 
 def test_asymmetric_trap_depth_is_its_escape_saddle():
@@ -969,18 +970,26 @@ def test_asymmetric_trap_depth_is_its_escape_saddle():
     def phi(*c):
         return mp_phi(layout.rf_strips, *c)
 
-    # grad psi, proportional to sum_i d_i(phi) d_i d_j(phi), vanishes in x and z
-    with mp.workdps(30):
-        p = [mp.mpf(float(c)) * _UM for c in saddle]
+    def grad_xz(p):
+        """The terms of grad psi's x and z components, proportional to
+        sum_i d_i(phi) d_i d_j(phi)."""
         g = [mp.diff(phi, p, o) for o in _FIRST]
-        for j in (0, 2):
-            terms = [g[i] * mp.diff(phi, p, tuple(a + b for a, b in zip(_FIRST[i], _FIRST[j])))
-                     for i in range(3)]
+        return [[g[i] * mp.diff(phi, p, tuple(a + b for a, b in zip(_FIRST[i], _FIRST[j])))
+                 for i in range(3)] for j in (0, 2)]
+
+    with mp.workdps(30):
+        # the float saddle's gradient vanishes to rounding in x and z
+        p = [mp.mpf(float(c)) * _UM for c in saddle]
+        for terms in grad_xz(p):
             assert abs(sum(terms)) <= 1e-10 * sum(abs(t) for t in terms)
+        # the oracle is that saddle polished to 30 digits
+        y = p[1]
+        x, z = mp.findroot(lambda x, z: [sum(terms) for terms in grad_xz((x, y, z))],
+                           (p[0], p[2]))
         null = [mp.mpf(float(c)) * _UM for c in sol.null_position]
-        barrier = mp_psi(layout, CA40, *p) - mp_psi(layout, CA40, *null)
+        barrier = mp_psi(layout, CA40, x, y, z) - mp_psi(layout, CA40, *null)
         oracle = float(barrier / mp.mpf(CONSTANTS.elementary_charge))
-    assert sol.trap_depth_ev == pytest.approx(oracle, rel=1e-10)
+    assert sol.trap_depth_ev == pytest.approx(oracle, rel=1e-13)
 
 
 def test_escape_rays_without_a_saddle_raise(monkeypatch, five_wire):
@@ -1099,6 +1108,41 @@ def test_escape_saddle_off_the_vertical_matches_dense_ray_march(layout):
                             polish_angle=True)
     assert sol.trap_depth_ev <= march * (1.0 + 1e-9)
     assert sol.trap_depth_ev == pytest.approx(march, rel=1e-6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rail_layouts())
+def test_saddle_search_stops_early_without_losing_digits(layout):
+    # the saddle search stops once its step is below eps^(1/3) of the height
+    # and reports the quadratic model's |E|^2 at the step's end; the same
+    # starts run on to 1e-9, as the null search does, end on the same value
+    # to 1e-14 and never in fewer order-3 batches
+    try:
+        sol = find_rf_null(layout)
+    except NoTrapError:
+        return
+    kernel = trap._derivatives
+    runs = []
+    for tol in (trap._SADDLE_TOL, 1e-9):
+        batches = collections.Counter()
+
+        def counted(corners, points, order=2):
+            batches[order] += 1
+            return kernel(corners, points, order)
+
+        with mock.patch.object(trap, "_SADDLE_TOL", tol), \
+                mock.patch.object(trap, "_derivatives", counted):
+            try:
+                saddle = _escape_saddle(layout, layout.rf_corners, sol.null_position, sol.height)
+            except NoTrapError as exc:
+                saddle = str(exc)
+        runs.append((saddle, batches[3]))
+    (early, early_batches), (late, late_batches) = runs
+    assert early_batches <= late_batches
+    if not isinstance(late, tuple):
+        assert early == late
+        return
+    assert early[1] == pytest.approx(late[1], rel=1e-14, abs=0.0)
 
 
 def test_axial_q_matches_mpmath_curvature(five_wire, solved):
