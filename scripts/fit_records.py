@@ -2,6 +2,7 @@
 """Write one JSON line per distinct scan of a benchmark seed's fit workload.
 
 Usage: ``python3 scripts/fit_records.py --seed N [--limit K] [--out FILE]``
+or ``python3 scripts/fit_records.py --seed N [--limit K] --compare OLD.jsonl``
 
 Each line holds what the fit reports for one scan of ``bench/gen.py``'s
 ``scans(N)``: the parameters, their sigmas, the covariance, the stop reason,
@@ -12,6 +13,16 @@ for bit the same.  Diffing the output of two checkouts therefore checks
 that a change to the fitting engine leaves every result, stop reason and
 flag as it was.  Scans are listed in the order the workload first meets
 them; ``--limit`` keeps the first K.
+
+``--compare OLD.jsonl`` fits the scans of an earlier output (by default as
+many as it holds) and prints, for each field, the largest relative
+difference |new - old| / |old| over the scans and over the numbers in the
+field (``compare``): 0.0 where every value is equal, and inf where a value
+appears, changes shape, changes from 0 or from a non-number, or a flag or
+stop reason changes.  A field of a nested record is named ``outer.inner``,
+such as ``params.waist`` or ``skin.sigmas``.  So a change that should move
+only the sigmas, the covariance and the ``unconstrained`` flags shows 0.0
+on every other field; only a byte diff tells 0.0 from -0.0.
 
 ``bench/gen.py`` is only imported: it writes the scans into a temporary
 directory that is removed afterwards.
@@ -90,15 +101,77 @@ def records(seed: int, limit: int | None = None):
             yield scan_record(scan, FITS[scan.family](table))
 
 
+def relative_difference(old, new) -> float:
+    """Largest |new - old| / |old| over the numbers of two values of a field:
+    0.0 where they are equal, inf where their shapes or non-numbers differ,
+    a flag changed or an old 0 became another number."""
+    if old == new:
+        return 0.0
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max(map(relative_difference, old, new))
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
+    if all(numbers) and old != 0:
+        return abs(new - old) / abs(old)
+    return math.inf
+
+
+def fields(record: dict, prefix: str = ""):
+    """(name, value) of each field of a record; the fields of a nested
+    record are named ``outer.inner``."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def compare(old: list, new: list, key: str) -> dict:
+    """Field -> largest ``relative_difference`` over two lists of records
+    that hold the same ``key`` values in the same order; a field that only
+    one of two records holds differs by inf."""
+    if [r[key] for r in old] != [r[key] for r in new]:
+        raise ValueError(f"the two outputs hold different {key}s")
+    worst = {}
+    for a, b in zip(old, new):
+        a, b = dict(fields(a)), dict(fields(b))
+        for name in (a.keys() | b.keys()) - {key}:
+            worst[name] = max(worst.get(name, 0.0), relative_difference(a.get(name), b.get(name)))
+    return worst
+
+
+def print_comparison(path: str, solve, key: str, limit: int | None) -> int:
+    """Print ``compare`` of the records in ``path`` with ``solve(n)``, the
+    first n records of this checkout (n = ``limit``, by default as many as
+    ``path`` holds), one ``field = difference`` line per field; an exit code."""
+    with open(path, encoding="utf-8") as handle:
+        old = [json.loads(line) for line in handle]
+    try:
+        worst = compare(old, list(solve(len(old) if limit is None else limit)), key)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"{key}s = {len(old)}")
+    for name in sorted(worst):
+        print(f"{name} = {worst[name]!r}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--limit", type=int, default=None,
                         help="keep only the first LIMIT distinct scans")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("--out", default=None, help="output file (default: stdout)")
+    target.add_argument("--compare", metavar="OLD", default=None,
+                        help="print the largest relative difference per field "
+                             "against an earlier output")
     args = parser.parse_args()
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be >= 0")
+    if args.compare:
+        return print_comparison(args.compare, lambda limit: records(args.seed, limit),
+                                "scan", args.limit)
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for record in records(args.seed, args.limit):

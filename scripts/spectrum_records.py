@@ -18,10 +18,10 @@ first K designs.
 ``--compare OLD.jsonl`` solves the designs of an earlier output (by default
 as many as it holds) and prints, for each field, the largest relative
 difference |new - old| / |old| over the designs and over the numbers in the
-field: 0.0 where every value is equal, and inf where a value appears,
-changes shape or changes from 0 or from a non-number.  It shows which
-fields a solver change moved, and by how much; only a byte diff tells 0.0
-from -0.0.
+field (``fit_records.compare``): 0.0 where every value is equal, and inf
+where a value appears, changes shape or changes from 0 or from a
+non-number.  It shows which fields a solver change moved, and by how much;
+only a byte diff tells 0.0 from -0.0.
 
 ``bench/gen.py`` is only imported, through ``fit_records.load_gen``; it
 writes no file for the designs.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -42,7 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from cryoion import trap  # noqa: E402
 from cryoion.errors import CryoionError  # noqa: E402
-from fit_records import load_gen, number  # noqa: E402  (this script's directory)
+from fit_records import load_gen, number, print_comparison  # noqa: E402  (this script's directory)
 
 #: designs per seed, as many as the benchmark's pool
 DESIGNS = 128
@@ -80,32 +79,6 @@ def records(seed: int, limit: int | None = None):
         yield design_record(index, design)
 
 
-def relative_difference(old, new) -> float:
-    """Largest |new - old| / |old| over the numbers of two values of a field:
-    0.0 where they are equal, inf where their shapes or non-numbers differ
-    or an old 0 became another number."""
-    if old == new:
-        return 0.0
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return max(map(relative_difference, old, new))
-    numbers = (int, float)
-    if isinstance(old, numbers) and isinstance(new, numbers) and old != 0:
-        return abs(new - old) / abs(old)
-    return math.inf
-
-
-def compare(old: list, new: list) -> dict:
-    """Field -> largest ``relative_difference`` over two lists of records of
-    the same designs."""
-    if [r["design"] for r in old] != [r["design"] for r in new]:
-        raise ValueError("the two outputs hold different designs")
-    worst = {}
-    for a, b in zip(old, new):
-        for key in (a.keys() | b.keys()) - {"design"}:
-            worst[key] = max(worst.get(key, 0.0), relative_difference(a.get(key), b.get(key)))
-    return worst
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -120,18 +93,8 @@ def main() -> int:
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be >= 0")
     if args.compare:
-        with open(args.compare, encoding="utf-8") as handle:
-            old = [json.loads(line) for line in handle]
-        limit = len(old) if args.limit is None else args.limit
-        try:
-            worst = compare(old, list(records(args.seed, limit)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"designs = {len(old)}")
-        for key in sorted(worst):
-            print(f"{key} = {worst[key]!r}")
-        return 0
+        return print_comparison(args.compare, lambda limit: records(args.seed, limit),
+                                "design", args.limit)
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for record in records(args.seed, args.limit):

@@ -34,10 +34,11 @@ _EXPORTS = {
     "coils": ("CoilPair", "coil_field", "coil_homogeneity", "helmholtz_center_field"),
     "thermal": ("CoolantSpec", "LIQUID_HELIUM", "LIQUID_NITROGEN", "SupportSpec",
                 "boiloff_power", "conduction_load", "ss316_conductivity"),
-    "trap": ("CA40", "SR88", "ElectrodeLayout", "FiveWireGeometry", "IonSpecies", "Strip",
-             "TrapSolution", "find_rf_null", "five_wire_layout", "load_layout",
-             "pseudopotential", "rect_potential", "resonator_capacitance",
-             "resonance_frequency", "secular_spectrum", "two_ion_spacing"),
+    "species": ("CA40", "SR88", "IonSpecies", "resonance_frequency", "resonator_capacitance",
+                "two_ion_spacing"),
+    "trap": ("ElectrodeLayout", "FiveWireGeometry", "Strip", "TrapSolution", "find_rf_null",
+             "five_wire_layout", "load_layout", "pseudopotential", "rect_potential",
+             "secular_spectrum"),
     "qubit": ("BeamProfile", "DriveParams", "PhononState", "carrier_rabi_signal",
               "collection_efficiency", "diffraction_limited_waist", "heating_rate_fit",
               "ramsey_contrast_fit", "sideband_ratio_to_nbar", "thermal_distribution",
@@ -48,9 +49,11 @@ _EXPORTS = {
                   "power_spectrum"),
 }
 
-#: public name -> defining submodule; a submodule name maps to itself
+#: public name -> defining submodule; a public submodule name maps to itself.
+#: ``species`` serves its names (also ``cryoion.trap`` names) without numpy,
+#: but is not itself a package name
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULE_OF.update({module: module for module in _EXPORTS})
+_MODULE_OF.update({module: module for module in _EXPORTS if module != "species"})
 
 __all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_MODULE_OF))
 

@@ -127,8 +127,9 @@ class InterferometerCal:
     quadrature_offset: float = 0.0
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.volts_per_fringe <= 0:
-            raise DomainError("wavelength and volts_per_fringe must be positive")
+        if not (0 < self.wavelength < math.inf and 0 < self.volts_per_fringe < math.inf):
+            raise DomainError("wavelength and volts_per_fringe must be finite and positive, "
+                              f"got {self.wavelength!r} and {self.volts_per_fringe!r}")
 
 
 @dataclass(frozen=True)

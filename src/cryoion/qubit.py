@@ -41,23 +41,20 @@ def _default_n_max(nbar: float) -> int:
 
 @dataclass(frozen=True)
 class PhononState:
-    """Thermal motional state with mean occupation ``nbar``.
-
-    ``n_max`` is the Fock-space truncation; the default keeps at least
-    20 + 10*nbar levels and extends until the neglected geometric tail is
-    below 1e-8, so the truncated distribution always covers >= 1 - 1e-6.
-    """
+    """Thermal motional state with mean occupation ``nbar``."""
 
     nbar: float
-    n_max: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (math.isfinite(self.nbar) and self.nbar >= 0):
             raise DomainError("nbar must be finite and >= 0")
-        if self.n_max is None:
-            object.__setattr__(self, "n_max", _default_n_max(self.nbar))
-        elif self.n_max < 20.0 + 10.0 * self.nbar:
-            raise DomainError("n_max below the documented truncation rule 20 + 10*nbar")
+
+    @property
+    def n_max(self) -> int:
+        """The Fock-space truncation, set by ``nbar``: at least 20 + 10*nbar
+        levels, extended until the neglected geometric tail is below 1e-8, so
+        the truncated distribution always covers >= 1 - 1e-6."""
+        return _default_n_max(self.nbar)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -93,10 +90,11 @@ class DriveParams:
     lamb_dicke: float
 
     def __post_init__(self):
-        if self.rabi_frequency < 0:
-            raise DomainError("rabi_frequency must be >= 0")
-        if not (self.lamb_dicke >= 0):
-            raise DomainError("lamb_dicke must be >= 0")
+        if not 0 <= self.rabi_frequency < math.inf:
+            raise DomainError(f"rabi_frequency must be finite and >= 0, "
+                              f"got {self.rabi_frequency!r}")
+        if not 0 <= self.lamb_dicke < math.inf:
+            raise DomainError(f"lamb_dicke must be finite and >= 0, got {self.lamb_dicke!r}")
 
     @property
     def lamb_dicke_valid(self) -> bool:
@@ -172,8 +170,8 @@ def sideband_ratio_to_nbar(ratio: float) -> float:
 
 def nbar_to_sideband_ratio(nbar: float) -> float:
     """Forward map r = nbar / (1 + nbar); exact inverse of the ratio inversion."""
-    if nbar < 0:
-        raise DomainError("nbar must be >= 0")
+    if not 0 <= nbar < math.inf:
+        raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
     return nbar / (1.0 + nbar)
 
 
@@ -267,8 +265,8 @@ class BeamProfile:
     peak_rabi: float
 
     def __post_init__(self):
-        if self.waist <= 0:
-            raise DomainError("waist must be positive")
+        if not self.waist > 0:  # inf stands for a fit that found no waist
+            raise DomainError(f"waist must be positive, got {self.waist!r}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +326,6 @@ def diffraction_limited_waist(wavelength_m: float, numerical_aperture: float) ->
     na = float(numerical_aperture)
     if not (0.0 < na <= 1.0):
         raise DomainError("numerical aperture must lie in (0, 1]")
-    if wavelength_m <= 0:
-        raise DomainError("wavelength must be positive")
+    if not 0 < wavelength_m < math.inf:
+        raise DomainError(f"wavelength must be finite and positive, got {wavelength_m!r}")
     return wavelength_m / (math.pi * na)

@@ -126,8 +126,9 @@ def skin_depth(frequency: float, conductor: ConductorSpec, temperature: float) -
 
 def skin_attenuation_db(thickness: float, delta: float) -> float:
     """Attenuation in dB (<= 0) of a wall of given thickness at skin depth delta."""
-    if thickness < 0 or delta <= 0:
-        raise DomainError("thickness must be >= 0 and skin depth > 0")
+    if not (0 <= thickness < math.inf and 0 < delta < math.inf):
+        raise DomainError("thickness must be finite and >= 0 and skin depth finite and > 0, "
+                          f"got {thickness!r} and {delta!r}")
     return 0.0 - DB_PER_SKIN_DEPTH * thickness / delta  # 0.0, not -0.0, for a bare wall
 
 
@@ -156,8 +157,10 @@ def field_noise_budget(sensitivity_hz_per_t: float, linewidth_hz: float,
 
     b_max = linewidth / sensitivity; relative_stability = b_max / bias field.
     """
-    if sensitivity_hz_per_t <= 0 or linewidth_hz <= 0 or quantization_field_t <= 0:
-        raise DomainError("sensitivity, linewidth and field must be positive")
+    values = (sensitivity_hz_per_t, linewidth_hz, quantization_field_t)
+    if not all(0 < v < math.inf for v in values):
+        raise DomainError("sensitivity, linewidth and field must be finite and positive, "
+                          f"got {values!r}")
     b_max = linewidth_hz / sensitivity_hz_per_t
     return NoiseBudget(b_max_t=b_max, relative_stability=b_max / quantization_field_t)
 

@@ -47,16 +47,18 @@ def _quotient(num: float, den: float, what: str) -> float:
 
 def resonator_capacitance(inductance_h: float, resonance_hz: float) -> float:
     """Load capacitance of an LC resonator: C = 1/(L*(2*pi*f0)^2)."""
-    if inductance_h <= 0 or resonance_hz <= 0:
-        raise DomainError("inductance and resonance frequency must be positive")
+    if not (inductance_h > 0 and resonance_hz > 0):
+        raise DomainError("inductance and resonance frequency must be positive, "
+                          f"got {inductance_h!r} and {resonance_hz!r}")
     return _quotient(1.0, inductance_h * _square(2.0 * math.pi * resonance_hz),
                      "load capacitance")
 
 
 def resonance_frequency(inductance_h: float, capacitance_f: float) -> float:
     """f0 = 1/(2*pi*sqrt(L*C))."""
-    if inductance_h <= 0 or capacitance_f <= 0:
-        raise DomainError("inductance and capacitance must be positive")
+    if not (inductance_h > 0 and capacitance_f > 0):
+        raise DomainError("inductance and capacitance must be positive, "
+                          f"got {inductance_h!r} and {capacitance_f!r}")
     return _quotient(1.0, 2.0 * math.pi * math.sqrt(inductance_h * capacitance_f),
                      "resonance frequency")
 
@@ -68,8 +70,8 @@ def two_ion_spacing(species: IonSpecies, secular_frequency_hz: float) -> float:
     s = (q^2 / (2*pi*eps0*m*omega^2))^(1/3).
     """
     f = float(secular_frequency_hz)
-    if f <= 0:
-        raise DomainError("secular frequency must be positive")
+    if not f > 0:
+        raise DomainError(f"secular frequency must be positive, got {f!r}")
     omega = 2.0 * math.pi * f
     s3 = _quotient(species.charge_c**2,
                    2.0 * math.pi * CONSTANTS.eps0 * species.mass_kg * _square(omega),

@@ -174,7 +174,7 @@ def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
 
 def rect_potential(strip: Strip, point) -> float:
     """Basis potential of one rectangle at a single point with z > 0."""
-    return float(_grad_hess([strip], 1.0, _field_point(point), order=0)[0])
+    return float(_derivatives(_corners([strip], 1.0), _field_point(point), order=0)[0])
 
 
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
@@ -182,8 +182,11 @@ def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     return float(_derivatives(layout.rf_corners, _field_point(point), order=0)[0])
 
 
-def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
-    """The DC strips that ``voltages`` sets, in layout order, and their voltages.
+def _dc_corners(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
+    """Corner table (``_corners``) of the DC strips that ``voltages`` sets, in
+    layout order, each weighted by its voltage: the one DC table of a call,
+    built once and read at every point the call evaluates; None where
+    ``voltages`` sets no strip.
 
     An index that names no DC strip of the layout raises rather than being
     skipped, so a mistyped index cannot leave the result silently unchanged.
@@ -198,12 +201,15 @@ def _dc_strips(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
     volts = [float(voltages[s.dc_index]) for s in strips]
     if not all(map(math.isfinite, volts)):
         raise DomainError(f"DC voltages must be finite, got {dict(voltages)}")
-    return strips, volts
+    return _corners(strips, volts) if strips else None
 
 
 def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, point) -> float:
-    """Static potential in V from the DC strips at their set voltages."""
-    return float(_grad_hess(*_dc_strips(layout, voltages), _field_point(point), order=0)[0])
+    """Static potential in V from the DC strips at their set voltages, summed
+    over the voltage set's corner table (``_dc_corners``); 0 where it sets none."""
+    dc = _dc_corners(layout, voltages)
+    point = _field_point(point)
+    return 0.0 if dc is None else float(_derivatives(dc, point, order=0)[0])
 
 
 #: signs of the four corner arctangents of a rectangle, over 2*pi, for the
@@ -371,16 +377,11 @@ def _corner_sums(c, xy, p, order):
     return grad, hess, res[:, 12:].reshape(n, 3, 3, 3)
 
 
-def _grad_hess(strips: Sequence[Strip], weights, points, order: int = 2):
-    """``_derivatives`` of the weighted ``strips`` at ``points``, for one
-    evaluation; a solve builds its corner table once with ``_corners``."""
-    return _derivatives(_corners(strips, weights), points, order)
-
-
 def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
-    """Peak RF field vector -V grad(phi_rf) (V/m) at a point, in closed form."""
-    (e,) = _grad_hess(layout.rf_strips, -layout.rf_voltage, _field_point(point, "field"),
-                      order=1)
+    """Peak RF field vector -V grad(phi_rf) (V/m) at a point, in closed form,
+    from the layout's unit-drive corner table with -V folded into its weights."""
+    c, xy = layout.rf_corners
+    (e,) = _derivatives((-layout.rf_voltage * c, xy), _field_point(point, "field"), order=1)
     return e[0]
 
 
@@ -412,22 +413,29 @@ def _drive_factors(layout, species):
 # ---------------------------------------------------------------------------
 
 
+def _newton_2x2(hxx, hxz, hzz, gx, gz):
+    """The Newton step -h^-1 g, as (dx, dz), for the symmetric 2x2 matrix
+    h = [[hxx, hxz], [hxz, hzz]] and the vector g = (gx, gz), elementwise
+    over arrays, and det h; a singular h gives a non-finite step."""
+    det = hxx * hzz - hxz * hxz
+    return (hxz * gz - hzz * gx) / det, (hxz * gx - hxx * gz) / det, det
+
+
 def _null_step(rf, pts):
     """Newton steps toward E_x = E_z = 0 at the points, and |(E_x, E_z)|
     there; a singular Jacobian gives a non-finite step."""
     e, jac = _derivatives(rf, pts)
     ex, ez = e[:, 0], e[:, 2]
-    jxx, jxz, jzz = jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2]
-    det = jxx * jzz - jxz * jxz
-    return (jxz * ez - jzz * ex) / det, (jxz * ex - jxx * ez) / det, np.hypot(ex, ez)
+    dx, dz, _ = _newton_2x2(jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2], ex, ez)
+    return dx, dz, np.hypot(ex, ez)
 
 
-def _damped_newton(frame, rf, step, x, z, first: bool = False, tol: float = _NULL_TOL):
-    """Converged end points of damped Newton in the x-z plane at the axial
-    center, as (x, z, value); ``frame`` is the layout's ``search_frame``.
+def _damped_newton(layout, step, x, z, first: bool = False, tol: float = _NULL_TOL):
+    """Converged end points of damped Newton in the x-z plane at the layout's
+    axial center, as (x, z, value), in its ``search_frame``.
 
-    ``step(rf, points)``, with ``rf`` the corner table of the RF strips at
-    unit drive (``ElectrodeLayout.rf_corners``), returns the Newton
+    ``step(rf, points)``, with ``rf`` the layout's corner table of the RF
+    strips at unit drive (``ElectrodeLayout.rf_corners``), returns the Newton
     corrections (dx, dz) at a batch of points and one value per point; all
     starts that are still stepping are one batch, in start order.  A step is
     capped at half the current height, and a start is dropped once it leaves
@@ -448,7 +456,8 @@ def _damped_newton(frame, rf, step, x, z, first: bool = False, tol: float = _NUL
     arithmetic, the same IEEE operations on at most a few starts without
     numpy's per-call cost.
     """
-    x0, rf_extent, span, y = frame
+    x0, rf_extent, span, y = layout.search_frame
+    rf = layout.rf_corners
     # a planar-trap stationary point sits within a few electrode spans of the
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
@@ -481,37 +490,24 @@ def _damped_newton(frame, rf, step, x, z, first: bool = False, tol: float = _NUL
     return np.array(x, dtype=float), np.array(z, dtype=float), np.array(value, dtype=float)
 
 
-def find_rf_null(layout: ElectrodeLayout,
-                 start_fractions: Sequence[float] = DEFAULT_START_FRACTIONS) -> "TrapSolution":
+def find_rf_null(layout: ElectrodeLayout) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
     Solves E_x = E_z = 0 at unit drive by damped Newton steps
     (``_damped_newton``) with the closed-form field Jacobian, from starts at
-    the ``start_fractions`` of the RF strips' x extent above their center, all
-    at once, so that the search scales with the layout and neither the drive
-    nor an ion species enters it.  |E| alone is not a usable convergence test,
-    since the far field is small everywhere.  The search stops at the first
-    iteration in which some start converges (converged starts agree to well
-    below 1e-9 of the height); of those starts, the one with the smallest |E|
-    is returned.  ``start_fractions`` is a non-empty 1-D sequence of
-    positive, finite numbers; anything else is a DomainError, so that no
-    start is silently left out.
+    the ``DEFAULT_START_FRACTIONS`` of the RF strips' x extent above their
+    center, all at once, so that the search scales with the layout and
+    neither the drive nor an ion species enters it.  |E| alone is not a
+    usable convergence test, since the far field is small everywhere.  The
+    search stops at the first iteration in which some start converges
+    (converged starts agree to well below 1e-9 of the height); of those
+    starts, the one with the smallest |E| is returned.
     """
-    try:
-        fractions = np.asarray(start_fractions)
-    except ValueError:  # a ragged nesting
-        fractions = np.array(())
-    if (fractions.dtype.kind not in "iuf" or fractions.ndim != 1 or not fractions.size
-            or not ((fractions > 0) & (fractions < math.inf)).all()):
-        raise DomainError("start_fractions must be a non-empty 1-D sequence of positive, "
-                          f"finite numbers, got {start_fractions!r}")
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    frame = layout.search_frame
-    x0, rf_extent, _, y = frame
-    z = rf_extent * fractions.astype(float)
-    x, z, e = _damped_newton(frame, layout.rf_corners, _null_step, np.full(z.shape, x0), z,
-                             first=True)
+    x0, rf_extent, _, y = layout.search_frame
+    z = rf_extent * np.array(DEFAULT_START_FRACTIONS, dtype=float)
+    x, z, e = _damped_newton(layout, _null_step, np.full(z.shape, x0), z, first=True)
     if not e.size:
         raise NoTrapError("no interior RF null found from any start height")
     k = np.argmin(e)
@@ -562,18 +558,15 @@ def _saddle_step(rf, pts):
     jxz = jac[:, :, ::2]
     g = (row @ jxz)[:, 0]
     h = jxz.transpose(0, 2, 1) @ jxz + (row @ d3[:, :, ::2, ::2].reshape(n, 3, 4)).reshape(n, 2, 2)
-    hxx, hxz, hzz = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-    det = hxx * hzz - hxz * hxz
-    dx = (hxz * g[:, 1] - hzz * g[:, 0]) / det
-    dz = (hxz * g[:, 0] - hxx * g[:, 1]) / det
+    dx, dz, det = _newton_2x2(h[:, 0, 0], h[:, 0, 1], h[:, 1, 1], g[:, 0], g[:, 1])
     e2 = (row @ e[:, :, None])[:, 0, 0]
     return dx, dz, np.where(det < 0.0, e2 + g[:, 0] * dx + g[:, 1] * dz, np.inf)
 
 
-def _escape_saddle(layout, rf, null, height):
+def _escape_saddle(layout, null, height):
     """The lowest index-1 saddle of psi in the x-z plane through the null, as
     (point, |E|^2 there at unit drive), or None when no transverse ray escapes;
-    ``rf`` is the corner table of the RF strips at unit drive.
+    |E| is that of the layout's unit-drive ``rf_corners``.
 
     A coarse scan samples ``_SCAN_RAYS`` rays from the null at the
     ``_SCAN_SAMPLES`` distances of ``_SCAN_DISTANCES``, 0.01 to 30 heights;
@@ -597,7 +590,7 @@ def _escape_saddle(layout, rf, null, height):
     pz = null[2] + _RAY_SIN * s
     ok = pz > 10.0 * _MIN_Z * frame[1]  # per ray a prefix: pz is monotonic
     pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    (e,) = _derivatives(rf, pts, order=1)
+    (e,) = _derivatives(layout.rf_corners, pts, order=1)
     e2 = np.full(px.shape, -np.inf)
     e2[ok] = np.einsum("ij,ij->i", e, e)
     n_ok = ok.sum(axis=1)
@@ -609,7 +602,7 @@ def _escape_saddle(layout, rf, null, height):
     ring = barrier[_RAY_RING]
     valley = np.flatnonzero((barrier < ring[:-2]) & (barrier <= ring[2:]))
     rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
-    x, z, e2_end = _damped_newton(frame, rf, _saddle_step, px[rays, imax[rays]],
+    x, z, e2_end = _damped_newton(layout, _saddle_step, px[rays, imax[rays]],
                                   pz[rays, imax[rays]], tol=_SADDLE_TOL)
     if not np.isfinite(e2_end).any():
         raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
@@ -624,7 +617,8 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     The null and the escape saddle are found at unit drive; V, Omega, m and q
     enter once, through ``_drive_factors``.  At the null E = 0, so the Hessian
     of psi is exactly (qV)^2 J^T J / (2 m Omega^2), to which the DC strips add
-    q * sum_k V_k Hess(phi_k); its eigen-decomposition over m gives the
+    q * sum_k V_k Hess(phi_k), summed over the voltage set's one corner table
+    (``_dc_corners``); its eigen-decomposition over m gives the
     frequencies and axes.  A negative eigenvalue marks the axis unstable
     (frequency reported as 0) rather than raising.  The Mathieu q of each axis
     is 2 |qV| sigma_i / (m Omega^2), from the singular values of J, which keep
@@ -638,17 +632,16 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     voltage or curvature that is not finite, or a drive factor that is zero
     or not finite raises DomainError.
     """
-    dc_strips, dc_volts = _dc_strips(layout, dc_voltages)
+    dc = _dc_corners(layout, dc_voltages)
     sol = find_rf_null(layout)
     f, g = _drive_factors(layout, species)
     null = sol.null_position
-    rf = layout.rf_corners
-    (e,), (jac,) = _derivatives(rf, null)
+    (e,), (jac,) = _derivatives(layout.rf_corners, null)
     m = species.mass_kg
     with np.errstate(over="ignore", invalid="ignore"):
         k = 0.5 * f / m * (jac.T @ jac)  # H / m, whose eigenvalues are omega^2
-        if dc_strips:
-            k = k + species.charge_c / m * _grad_hess(dc_strips, dc_volts, null)[1][0]
+        if dc is not None:
+            k = k + species.charge_c / m * _derivatives(dc, null)[1][0]
         scale = float(np.linalg.norm(k))
     if not math.isfinite(scale):
         raise DomainError("the curvature at the RF null is not finite; "
@@ -658,7 +651,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     freqs = tuple(math.sqrt(max(float(ev), 0.0)) / (2.0 * math.pi) for ev in evals)
     q_params = tuple(float(q) for q in g * np.linalg.svd(jac, compute_uv=False)[::-1])
 
-    saddle = _escape_saddle(layout, rf, null, sol.height)
+    saddle = _escape_saddle(layout, null, sol.height)
     depth = math.inf if saddle is None else (
         0.25 * f * (saddle[1] - float(e @ e)) / CONSTANTS.elementary_charge)
     return TrapSolution(null_position=null, height=sol.height,

@@ -7,7 +7,9 @@ import pytest
 from scipy.special import eval_laguerre
 
 from cryoion.errors import DomainError, InsufficientDataError
+from cryoion.metrology import InterferometerCal
 from cryoion.qubit import (
+    BeamProfile,
     DriveParams,
     PhononState,
     RABI_LAGUERRE,
@@ -26,6 +28,8 @@ from cryoion.qubit import (
     _laguerre_upto,
 )
 from cryoion.series import seeded_rng
+from cryoion.shielding import field_noise_budget, skin_attenuation_db
+from cryoion.species import CA40, resonance_frequency, resonator_capacitance, two_ion_spacing
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +66,6 @@ def test_truncation_rule_and_tail():
     assert state.n_max >= 20 + 10 * 1.7
     r = 1.7 / 2.7
     assert r ** (state.n_max + 1) < 1e-6  # neglected geometric tail
-    with pytest.raises(DomainError):
-        PhononState(1.7, n_max=10)
     with pytest.raises(DomainError):
         PhononState(-0.5)
 
@@ -327,3 +329,35 @@ def test_diffraction_limited_waist_values():
 def test_drive_rejects_negative_or_nan_lamb_dicke(eta):
     with pytest.raises(DomainError, match="lamb_dicke"):
         DriveParams(1e5, eta)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: DriveParams(NAN, 0.1), "nan"),
+    (lambda: DriveParams(INF, 0.1), "inf"),
+    (lambda: DriveParams(1e5, INF), "inf"),
+    (lambda: BeamProfile(waist=NAN, center=0.0, peak_rabi=1e5), "nan"),
+    (lambda: InterferometerCal(wavelength=NAN, volts_per_fringe=1.0), "nan"),
+    (lambda: InterferometerCal(wavelength=633e-9, volts_per_fringe=NAN), "nan"),
+    (lambda: field_noise_budget(NAN, 0.14, 3e-4), "nan"),
+    (lambda: field_noise_budget(39e9, NAN, 3e-4), "nan"),
+    (lambda: field_noise_budget(39e9, 0.14, NAN), "nan"),
+    (lambda: diffraction_limited_waist(NAN, 0.23), "nan"),
+    (lambda: nbar_to_sideband_ratio(NAN), "nan"),
+    (lambda: skin_attenuation_db(NAN, 1e-3), "nan"),
+    (lambda: skin_attenuation_db(0.02, NAN), "nan"),
+    (lambda: two_ion_spacing(CA40, NAN), "nan"),
+    (lambda: resonator_capacitance(NAN, 50e6), "nan"),
+    (lambda: resonance_frequency(1e-6, NAN), "nan"),
+], ids=["rabi_nan", "rabi_inf", "eta_inf", "waist_nan", "wavelength_nan", "fringe_nan",
+        "sensitivity_nan", "linewidth_nan", "field_nan", "optics_wavelength_nan",
+        "nbar_nan", "thickness_nan", "skin_depth_nan", "spacing_nan", "inductance_nan",
+        "capacitance_nan"])
+def test_non_finite_scalars_are_domain_errors_naming_the_value(call, bad):
+    # a comparison with NaN is false, so a validator written as "raise if
+    # x <= 0" lets NaN through to a NaN result
+    with pytest.raises(DomainError, match=rf"\b{bad}\b") as exc:
+        call()
+    assert "float range" not in str(exc.value)

@@ -137,6 +137,21 @@ def test_import_cryoion_leaves_numpy_out():
     assert proc.stdout == f"False {cryoion.__version__}\n"
 
 
+def test_species_names_load_no_solver():
+    # the species and the trap's scalar closed forms come from the math-only
+    # module, and are the objects that cryoion.trap serves
+    names = ("CA40", "SR88", "IonSpecies", "resonator_capacitance", "resonance_frequency",
+             "two_ion_spacing")
+    code = ("import sys, cryoion; "
+            f"values = [getattr(cryoion, n) for n in {names!r}]; "
+            "print(sorted({'numpy', 'cryoion.trap'} & set(sys.modules))); "
+            "from cryoion import trap; "
+            f"print(all(v is getattr(trap, n) for n, v in zip({names!r}, values)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\nTrue\n"
+
+
 def test_public_names_are_unchanged_and_resolve():
     assert sorted(cryoion.__all__) == PUBLIC_NAMES
     for name in cryoion.__all__:

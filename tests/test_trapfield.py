@@ -28,7 +28,6 @@ from cryoion.trap import (
     dc_potential,
     find_rf_null,
     _escape_saddle,
-    _grad_hess,
     five_wire_layout,
     load_layout,
     pseudopotential,
@@ -44,6 +43,12 @@ from cryoion.units import CONSTANTS
 
 RF_OMEGA = 2.0 * math.pi * 49.9e6
 DEMO_LAYOUT = Path(__file__).resolve().parent.parent / "demo" / "trap_layout.cfg"
+
+
+def strip_derivatives(strips, weights, points, order=2):
+    """The kernel's sums (``trap._derivatives``) over the corner table of the
+    weighted ``strips``."""
+    return trap._derivatives(trap._corners(strips, weights), points, order)
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +279,7 @@ def test_kernel_derivatives_match_mpmath():
                       ROLE_RF)
         pts = np.column_stack([rng.uniform(-300e-6, 300e-6, 3), rng.uniform(-300e-6, 300e-6, 3),
                                rng.uniform(5e-6, 300e-6, 3)])
-        grad, hess, third = _grad_hess([strip], 1.0, pts, order=3)
+        grad, hess, third = strip_derivatives([strip], 1.0, pts, order=3)
         for p, g, h, t in zip(pts, grad, hess, third):
             assert np.allclose(g, mp_grad([strip], p), rtol=1e-10, atol=0.0)
             assert np.allclose(h, mp_hess([strip], p), rtol=1e-10, atol=0.0)
@@ -300,7 +305,7 @@ def seeded_strips_and_points():
 def test_kernel_potential_matches_mpmath():
     # order 0 of the kernel: the corner sum of the arctangents themselves
     for strip, pts in seeded_strips_and_points():
-        phi = _grad_hess([strip], 1.0, pts, order=0)
+        phi = strip_derivatives([strip], 1.0, pts, order=0)
         assert phi.shape == (len(pts),)
         for p, got in zip(pts, phi):
             with mp.workdps(30):
@@ -315,10 +320,10 @@ def test_kernel_third_derivatives_match_mpmath_normwise():
     # 2.7e-9 of its norm, so an entry-wise bound fails there
     *seeded, (narrow, point) = seeded_strips_and_points()
     for strip, pts in seeded:
-        for p, t in zip(pts, _grad_hess([strip], 1.0, pts, order=3)[2]):
+        for p, t in zip(pts, strip_derivatives([strip], 1.0, pts, order=3)[2]):
             oracle = mp_third([strip], p)
             assert np.linalg.norm(t - oracle) <= 1e-13 * np.linalg.norm(oracle)
-    (t,) = _grad_hess([narrow], 1.0, point, order=3)[2]
+    (t,) = strip_derivatives([narrow], 1.0, point, order=3)[2]
     oracle = mp_third([narrow], point[0])
     assert np.linalg.norm(t - oracle) <= 1e-8 * np.linalg.norm(oracle)
     assert not np.allclose(t, oracle, rtol=1e-6, atol=0.0)
@@ -331,7 +336,7 @@ def test_analytic_hessians_are_traceless(five_wire):
                            rng.uniform(20e-6, 200e-6, 8)])
     dc = [s for s in layout.strips if s.role == ROLE_DC]
     for strips, weights in ((layout.rf_strips, 1.0), (dc, [1.0, -0.7])):
-        _, hess = _grad_hess(strips, weights, pts)
+        _, hess = strip_derivatives(strips, weights, pts)
         for h in hess:
             assert abs(np.trace(h)) <= 1e-12 * np.linalg.norm(h)
 
@@ -400,7 +405,7 @@ def test_kernel_derivatives_are_harmonic_and_consistent(case):
     # there a central difference of the float Hessian is off by 1e-6 of the
     # tensor's norm while the kernel itself is good to 1e-8 of it
     strip, pts = case
-    _, hess, third = _grad_hess([strip], 1.0, pts, order=3)
+    _, hess, third = strip_derivatives([strip], 1.0, pts, order=3)
     for p, h, t in zip(pts, hess, third):
         assert abs(np.trace(h)) <= 1e-12 * np.linalg.norm(h)
         assert np.all(np.abs(np.einsum("iik->k", t)) <= 1e-12 * np.linalg.norm(t))
@@ -442,8 +447,8 @@ def test_abutting_strips_equal_their_union(case, cut, along_x):
         mid = strip.y_min + cut * (strip.y_max - strip.y_min)
         parts = [Strip(strip.x_min, strip.x_max, strip.y_min, mid, ROLE_RF),
                  Strip(strip.x_min, strip.x_max, mid, strip.y_max, ROLE_RF)]
-    whole = _grad_hess([strip], 1.0, pts, order=3)
-    split = _grad_hess(parts, 1.0, pts, order=3)
+    whole = strip_derivatives([strip], 1.0, pts, order=3)
+    split = strip_derivatives(parts, 1.0, pts, order=3)
     for n, (a, b) in enumerate(zip(split, whole), start=1):
         # the halves carry the shared edge's corner terms with opposite
         # signs; an n-th derivative corner term is of order z^-n
@@ -459,8 +464,8 @@ def test_kernel_derivatives_scale_conformally(case, lam):
     strip, pts = case
     scaled = Strip(lam * strip.x_min, lam * strip.x_max, lam * strip.y_min, lam * strip.y_max,
                    ROLE_RF)
-    base = _grad_hess([strip], 1.0, pts, order=3)
-    big = _grad_hess([scaled], 1.0, lam * pts, order=3)
+    base = strip_derivatives([strip], 1.0, pts, order=3)
+    big = strip_derivatives([scaled], 1.0, lam * pts, order=3)
     for n, (b, d) in enumerate(zip(base, big), start=1):
         # rounding is set by the corner terms, of order z^-n (see above)
         err = np.abs(d * lam**n - b).reshape(len(pts), -1).max(axis=1)
@@ -557,7 +562,8 @@ def test_multi_start_convergence_agrees(g, rail, gap, volts, freq):
     positions = [find_rf_null(layout).null_position]
     for fraction in DEFAULT_START_FRACTIONS:
         try:
-            positions.append(find_rf_null(layout, start_fractions=(fraction,)).null_position)
+            with mock.patch.object(trap, "DEFAULT_START_FRACTIONS", (fraction,)):
+                positions.append(find_rf_null(layout).null_position)
         except NoTrapError:
             continue  # a start outside the basin is allowed to fail
     assert len(positions) >= 3
@@ -641,25 +647,6 @@ def test_no_trap_for_zero_drive(five_wire):
         find_rf_null(dead)
 
 
-@pytest.mark.parametrize("fractions", [(-0.1, 0.3), (0.0, 0.3), [[0.1, 0.2]], ("x",), (),
-                                       (math.nan,), (math.inf,), (0.1, math.nan), 0.3, ("0.1",),
-                                       (0.1, None), (True,), (0.1j,)],
-                         ids=["negative", "zero", "nested", "text", "empty", "nan", "inf",
-                              "one_nan", "scalar", "text_number", "none", "bool", "complex"])
-def test_bad_start_fractions_are_domain_error(five_wire, fractions):
-    # a start that cannot be used is an error, not a start silently left out
-    layout, _ = five_wire
-    with pytest.raises(DomainError, match="start_fractions"):
-        find_rf_null(layout, start_fractions=fractions)
-
-
-def test_start_fractions_take_any_positive_sequence(five_wire, solved):
-    layout, _ = five_wire
-    for fractions in (list(DEFAULT_START_FRACTIONS), np.array(DEFAULT_START_FRACTIONS)):
-        sol = find_rf_null(layout, start_fractions=fractions)
-        assert np.array_equal(sol.null_position, solved.null_position)
-
-
 # ---------------------------------------------------------------------------
 # secular spectrum
 # ---------------------------------------------------------------------------
@@ -723,6 +710,26 @@ def test_demo_spectrum_kernel_evaluations(monkeypatch):
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
     assert counts == {1: 1, 2: 6, 3: 3}
+
+
+def test_rf_evaluations_build_the_rf_corner_table_once(monkeypatch):
+    # every RF evaluation reads the layout's cached unit-drive table; the
+    # field folds the drive into its weights rather than building its own
+    layout, species = load_layout(DEMO_LAYOUT)
+    builds = []
+    corners = trap._corners
+
+    def counted(strips, weights):
+        builds.append(len(strips))
+        return corners(strips, weights)
+
+    monkeypatch.setattr(trap, "_corners", counted)
+    point = (0.0, 0.0, 50e-6)
+    rf_field(layout, point)
+    rf_field(layout, point)
+    pseudopotential(layout, species, point)
+    secular_spectrum(layout, species)
+    assert builds == [len(layout.rf_strips)]
 
 
 def _traced_peak(call):
@@ -832,8 +839,8 @@ def test_null_search_starts_end_alone_as_beside_the_others():
 
     def ends(fractions):
         z = frame[1] * np.array(fractions)
-        return trap._damped_newton(frame, layout.rf_corners, trap._null_step,
-                                   np.full(z.shape, frame[0]), z, first=False)
+        return trap._damped_newton(layout, trap._null_step, np.full(z.shape, frame[0]), z,
+                                   first=False)
 
     # a start that leaves the domain ends nowhere, alone or beside the others
     alone = [ends([f]) for f in DEFAULT_START_FRACTIONS]
@@ -845,7 +852,8 @@ def test_null_search_starts_end_alone_as_beside_the_others():
     picked = [f for f, (x, z, _) in zip(DEFAULT_START_FRACTIONS, alone)
               if (x.tolist(), z.tolist()) == ([sol.null_position[0]], [sol.height])]
     assert picked
-    own = find_rf_null(layout, picked[:1])
+    with mock.patch.object(trap, "DEFAULT_START_FRACTIONS", tuple(picked[:1])):
+        own = find_rf_null(layout)
     assert own.null_position.tobytes() == sol.null_position.tobytes()
     assert own.height == sol.height
 
@@ -873,8 +881,7 @@ def test_dc_only_hessian_is_traceless(five_wire, solved):
 
     H = hessian_3pt(phi, solved.null_position, step=solved.height * 1e-2)
     assert abs(np.trace(H)) < 1e-6 * np.linalg.norm(H)
-    dc = [s for s in layout.strips if s.role == ROLE_DC]
-    _, exact = _grad_hess(dc, [volts[s.dc_index] for s in dc], solved.null_position)
+    _, exact = trap._derivatives(trap._dc_corners(layout, volts), solved.null_position)
     assert np.allclose(H, exact[0], rtol=0.0, atol=1e-6 * np.linalg.norm(exact[0]))
 
 
@@ -963,8 +970,7 @@ def test_asymmetric_trap_depth_is_its_escape_saddle():
                              rf_voltage=120.0, rf_omega=RF_OMEGA)
     sol = secular_spectrum(layout, CA40)
     assert 0.0 < sol.trap_depth_ev <= 0.0578887
-    saddle, _ = _escape_saddle(layout, trap._corners(layout.rf_strips, 1.0), sol.null_position,
-                               sol.height)
+    saddle, _ = _escape_saddle(layout, sol.null_position, sol.height)
     assert abs(saddle[0] - sol.null_position[0]) > 1e-6  # off the vertical
 
     def phi(*c):
@@ -1021,7 +1027,7 @@ def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000,
     def e2(theta, dist):
         pts = np.column_stack([null[0] + np.cos(theta) * dist, np.full(dist.size, null[1]),
                                null[2] + np.sin(theta) * dist])
-        (e,) = _grad_hess(rf, volts, pts, order=1)
+        (e,) = strip_derivatives(rf, volts, pts, order=1)
         return np.einsum("ij,ij->i", e, e)
 
     def barriers(thetas):
@@ -1133,7 +1139,7 @@ def test_saddle_search_stops_early_without_losing_digits(layout):
         with mock.patch.object(trap, "_SADDLE_TOL", tol), \
                 mock.patch.object(trap, "_derivatives", counted):
             try:
-                saddle = _escape_saddle(layout, layout.rf_corners, sol.null_position, sol.height)
+                saddle = _escape_saddle(layout, sol.null_position, sol.height)
             except NoTrapError as exc:
                 saddle = str(exc)
         runs.append((saddle, batches[3]))
