@@ -134,7 +134,7 @@ def measured_50hz() -> None:
 
 
 def k_table() -> None:
-    """A constant-conductivity reference table for the custom-material path."""
+    """A constant-conductivity reference table for ``cryo load --k-table``."""
     temps = np.array([4.0, 20.0, 80.0, 150.0, 300.0])
     k = np.full(temps.size, 0.25)
     write_table(os.path.join(DEMO, "constant_ktable.csv"),

@@ -269,14 +269,12 @@ def cmd_cryo_load(args):
     from . import thermal
 
     k_table = None
-    material = thermal.MATERIAL_SS316
     if args.k_table is not None:
         tab = read_table(args.k_table, ["temperature_k", "k_w_per_m_k"])
         k_table = (tab["temperature_k"], tab["k_w_per_m_k"])
-        material = thermal.MATERIAL_CUSTOM
     support = thermal.SupportSpec.thin_cylinder(
         diameter_m=args.diameter, wall_m=args.wall, length_m=args.length,
-        t_cold_k=args.t_cold, t_hot_k=args.t_hot, material=material, k_table=k_table)
+        t_cold_k=args.t_cold, t_hot_k=args.t_hot, k_table=k_table)
     return ({"load_w": thermal.conduction_load(support),
              "cross_section_m2": support.cross_section_m2,
              "t_cold_k": support.t_cold_k, "t_hot_k": support.t_hot_k},

@@ -21,15 +21,6 @@ from .units import CONSTANTS
 _CEL_TOL = math.sqrt(2.0**-52)
 
 
-def elliptic_ke(m: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(m), E(m)) for parameter m = k^2 in [0, 1):
-    cel(kc, 1, 1, 1) and cel(kc, 1, 1, kc^2) with kc^2 = 1 - m."""
-    if not (0.0 <= m < 1.0):
-        raise DomainError(f"elliptic parameter m must be in [0, 1), got {m}")
-    kc = math.sqrt(1.0 - m)
-    return _cel(kc, 1.0, 1.0), _cel(kc, 1.0, 1.0 - m)
-
-
 def _cel(kc: float, a: float, b: float) -> float:
     """Bulirsch's cel(kc, 1, a, b), the integral over [0, pi/2] of
     (a cos^2 t + b sin^2 t) / sqrt(cos^2 t + kc^2 sin^2 t) dt, for kc > 0.

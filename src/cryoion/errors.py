@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, its one integer check and its
+one float-range check.
 
 Everything raised on purpose derives from CryoionError so the CLI can map
 library failures to a single exit code.
 """
+import math
 import operator
 
 
@@ -64,3 +66,11 @@ def integer_at_least(value, minimum: int, what: str) -> int:
     if n < minimum:
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return n
+
+
+def in_float_range(value: float, what: str) -> float:
+    """``value``, the result of positive finite inputs, checked: one that
+    overflowed to inf or underflowed to 0 is a DomainError naming ``what``."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} is beyond the float range")
+    return value

@@ -130,6 +130,8 @@ class InterferometerCal:
         if not (0 < self.wavelength < math.inf and 0 < self.volts_per_fringe < math.inf):
             raise DomainError("wavelength and volts_per_fringe must be finite and positive, "
                               f"got {self.wavelength!r} and {self.volts_per_fringe!r}")
+        if not math.isfinite(self.quadrature_offset):
+            raise DomainError(f"quadrature_offset must be finite, got {self.quadrature_offset!r}")
 
 
 @dataclass(frozen=True)

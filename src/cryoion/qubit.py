@@ -317,7 +317,7 @@ def collection_efficiency(numerical_aperture: float) -> float:
     """Fraction of 4 pi collected by a lens of given NA (isotropic emitter)."""
     na = float(numerical_aperture)
     if not (0.0 <= na <= 1.0):
-        raise DomainError("numerical aperture must lie in [0, 1]")
+        raise DomainError(f"numerical aperture must lie in [0, 1], got {na!r}")
     return 0.5 * (1.0 - math.sqrt(1.0 - na * na))
 
 
@@ -325,7 +325,7 @@ def diffraction_limited_waist(wavelength_m: float, numerical_aperture: float) ->
     """Smallest Gaussian 1/e^2 waist a lens can address: w0 = lambda/(pi*NA)."""
     na = float(numerical_aperture)
     if not (0.0 < na <= 1.0):
-        raise DomainError("numerical aperture must lie in (0, 1]")
+        raise DomainError(f"numerical aperture must lie in (0, 1], got {na!r}")
     if not 0 < wavelength_m < math.inf:
         raise DomainError(f"wavelength must be finite and positive, got {wavelength_m!r}")
     return wavelength_m / (math.pi * na)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, in_float_range
 from .units import CONSTANTS
 
 
@@ -38,11 +38,8 @@ def _square(x: float) -> float:
 
 
 def _quotient(num: float, den: float, what: str) -> float:
-    """num/den for num > 0; a result that overflows or underflows to 0 is a DomainError."""
-    value = num / den if 0.0 < den < math.inf else math.nan
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what} is beyond the float range")
-    return value
+    """num/den for num > 0, checked by ``in_float_range``."""
+    return in_float_range(num / den if 0.0 < den < math.inf else math.nan, what)
 
 
 def resonator_capacitance(inductance_h: float, resonance_hz: float) -> float:

@@ -251,12 +251,6 @@ def _row_map(order):
 
 _ROW_MAPS = {order: _row_map(order) for order in (2, 3)}
 
-#: ``_derivatives`` evaluates a batch of more corner-point pairs than this in
-#: blocks of about this many pairs, which keeps every order-1 temporary below
-#: 128 KiB, where the allocator switches to mapping memory from the system
-_BLOCK_PAIRS = 4096
-
-
 def _corners(strips: Sequence[Strip], weights):
     """Corner table of weighted strips for ``_derivatives``: the weight of
     every corner arctangent, shape (C,) for the C = 4 * len(strips) corners,
@@ -303,32 +297,13 @@ def _derivatives(corners, points, order: int = 2):
     can lose most of its digits.  At strip x 170-177 um, y 0-5 um and point
     (-100, 0, 5) um, d_yyy is off by 2.8e-6 relative, the tensor by 2.7e-9.
 
-    A batch of more than ``_BLOCK_PAIRS`` corner-point pairs is evaluated in
-    consecutive blocks of ``_BLOCK_PAIRS // C`` points (at least one) through
-    one kernel body, and the blocks' outputs are stacked, so that the peak
-    memory of a call is set by the block size and not by the batch: in one
-    piece, a batch of 841 points x 8 corners would allocate about 0.9 MB of
-    temporaries, which the allocator may give back to the system after each
-    call and fault in again on the next.
-
-    A point's bits are its own, whatever its batch or block: each point's
-    corner terms are contracted with the weights in one small (rows x C)
+    A point's bits are its own, whatever its batch: each point's corner
+    terms are contracted with the weights in one small (rows x C)
     matrix-vector product of its own, so that no point's sum depends on the
     points beside it.
     """
     c, xy = corners
     p = np.asarray(points, dtype=float).reshape(-1, 3)
-    size = max(1, _BLOCK_PAIRS // max(c.size, 1))
-    if len(p) <= size:
-        return _corner_sums(c, xy, p, order)
-    blocks = [_corner_sums(c, xy, p[i:i + size], order) for i in range(0, len(p), size)]
-    if order == 0:
-        return np.concatenate(blocks)
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _corner_sums(c, xy, p, order):
-    """The kernel body of ``_derivatives`` for one block of points ``p``, (n, 3)."""
     n = len(p)
     # axes: u or v, then the corners, then the points (small dense arrays,
     # since numpy's per-call overhead dominates at the small batches of a solve)

@@ -182,6 +182,18 @@ def test_closed_form_beyond_the_float_range_is_data_error(capsys, argv, what):
     assert err == f"error: {what} is beyond the float range\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv,what", [
+    (["cryo", "load", "--diameter", "1e200m", "--wall", "1e199m"], "A/L"),
+    (["cryo", "load", "--length", "1e-320m"], "A/L"),
+    (["cryo", "boiloff", "--rate", "1e308l/h"], "boil-off power"),
+], ids=["wide_tube", "short_tube", "boiloff"])
+def test_heat_load_beyond_the_float_range_is_data_error(capsys, argv, what, json_flag):
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} is beyond the float range\n"
+
+
 def _coil_json(capsys, *argv):
     code, out, err = run(capsys, "coil", *argv, "--json")
     assert (code, err) == (0, "")

@@ -11,9 +11,9 @@ from scipy.special import ellipe, ellipk
 from cryoion.errors import DomainError, SingularFieldError
 from cryoion.coils import (
     CoilPair,
+    _cel,
     coil_field,
     coil_homogeneity,
-    elliptic_ke,
     helmholtz_center_field,
     loop_field,
 )
@@ -35,23 +35,17 @@ def bs_loop(radius, z0, amp_turns, point, n=4096):
 
 
 def test_elliptic_reference_point():
-    K, E = elliptic_ke(0.5)
-    assert K == pytest.approx(1.8540746773013719, abs=1e-14)
-    assert E == pytest.approx(1.3506438810476755, abs=1e-14)
+    # K(m) = cel(kc, 1, 1, 1) and E(m) = cel(kc, 1, 1, kc^2) with kc^2 = 1 - m
+    kc = math.sqrt(0.5)
+    assert _cel(kc, 1.0, 1.0) == pytest.approx(1.8540746773013719, abs=1e-14)
+    assert _cel(kc, 1.0, 0.5) == pytest.approx(1.3506438810476755, abs=1e-14)
 
 
 def test_elliptic_against_scipy_grid():
     for m in np.linspace(0.0, 0.999999, 501):
-        K, E = elliptic_ke(float(m))
-        assert K == pytest.approx(float(ellipk(m)), abs=1e-12)
-        assert E == pytest.approx(float(ellipe(m)), abs=1e-12)
-
-
-def test_elliptic_domain():
-    with pytest.raises(DomainError):
-        elliptic_ke(1.0)
-    with pytest.raises(DomainError):
-        elliptic_ke(-0.1)
+        kc = math.sqrt(1.0 - float(m))
+        assert _cel(kc, 1.0, 1.0) == pytest.approx(float(ellipk(m)), abs=1e-12)
+        assert _cel(kc, 1.0, 1.0 - float(m)) == pytest.approx(float(ellipe(m)), abs=1e-12)
 
 
 def test_loop_on_axis_closed_form():

@@ -341,10 +341,14 @@ NAN, INF = math.nan, math.inf
     (lambda: BeamProfile(waist=NAN, center=0.0, peak_rabi=1e5), "nan"),
     (lambda: InterferometerCal(wavelength=NAN, volts_per_fringe=1.0), "nan"),
     (lambda: InterferometerCal(wavelength=633e-9, volts_per_fringe=NAN), "nan"),
+    (lambda: InterferometerCal(633e-9, 1.0, quadrature_offset=NAN), "nan"),
+    (lambda: InterferometerCal(633e-9, 1.0, quadrature_offset=-INF), "inf"),
     (lambda: field_noise_budget(NAN, 0.14, 3e-4), "nan"),
     (lambda: field_noise_budget(39e9, NAN, 3e-4), "nan"),
     (lambda: field_noise_budget(39e9, 0.14, NAN), "nan"),
     (lambda: diffraction_limited_waist(NAN, 0.23), "nan"),
+    (lambda: diffraction_limited_waist(729e-9, NAN), "nan"),
+    (lambda: collection_efficiency(NAN), "nan"),
     (lambda: nbar_to_sideband_ratio(NAN), "nan"),
     (lambda: skin_attenuation_db(NAN, 1e-3), "nan"),
     (lambda: skin_attenuation_db(0.02, NAN), "nan"),
@@ -352,9 +356,9 @@ NAN, INF = math.nan, math.inf
     (lambda: resonator_capacitance(NAN, 50e6), "nan"),
     (lambda: resonance_frequency(1e-6, NAN), "nan"),
 ], ids=["rabi_nan", "rabi_inf", "eta_inf", "waist_nan", "wavelength_nan", "fringe_nan",
-        "sensitivity_nan", "linewidth_nan", "field_nan", "optics_wavelength_nan",
-        "nbar_nan", "thickness_nan", "skin_depth_nan", "spacing_nan", "inductance_nan",
-        "capacitance_nan"])
+        "offset_nan", "offset_inf", "sensitivity_nan", "linewidth_nan", "field_nan",
+        "optics_wavelength_nan", "optics_na_nan", "collection_na_nan", "nbar_nan",
+        "thickness_nan", "skin_depth_nan", "spacing_nan", "inductance_nan", "capacitance_nan"])
 def test_non_finite_scalars_are_domain_errors_naming_the_value(call, bad):
     # a comparison with NaN is false, so a validator written as "raise if
     # x <= 0" lets NaN through to a NaN result

@@ -10,7 +10,6 @@ from cryoion.errors import DomainError
 from cryoion.thermal import (
     LIQUID_HELIUM,
     LIQUID_NITROGEN,
-    MATERIAL_CUSTOM,
     CoolantSpec,
     SupportSpec,
     boiloff_power,
@@ -31,12 +30,8 @@ def test_ss316_point_values():
 
 def test_ss316_vectorized_and_monotone():
     T = np.linspace(4.0, 300.0, 149)
-    k = ss316_conductivity(T)
-    assert k.shape == T.shape
+    k = [ss316_conductivity(t) for t in T.tolist()]
     assert np.all(np.diff(k) > 0)  # monotone increasing over the full range
-    # one evaluation: each array entry is the scalar value, bit for bit
-    assert k.tolist() == [ss316_conductivity(t) for t in T.tolist()]
-    assert ss316_conductivity(T.reshape(1, -1, 1)).shape == (1, T.size, 1)
 
 
 def test_ss316_range_limits():
@@ -44,8 +39,8 @@ def test_ss316_range_limits():
         ss316_conductivity(3.0)
     with pytest.raises(DomainError):
         ss316_conductivity(301.0)
-    with pytest.raises(DomainError):
-        ss316_conductivity(np.array([10.0, 350.0]))
+    with pytest.raises(DomainError, match="one number"):
+        ss316_conductivity(np.array([10.0, 20.0]))
 
 
 def test_conduction_load_against_quadrature_oracle():
@@ -94,14 +89,14 @@ def test_short_wide_cylinder_load():
 
 def test_constant_conductivity_is_exact():
     table = (np.array([1.0, 500.0]), np.array([0.25, 0.25]))
-    s = SupportSpec(2e-5, 0.3, 15.0, 115.0, material=MATERIAL_CUSTOM, k_table=table)
+    s = SupportSpec(2e-5, 0.3, 15.0, 115.0, k_table=table)
     assert conduction_load(s) == pytest.approx(2e-5 / 0.3 * 0.25 * 100.0, rel=1e-12)
 
 
 def test_linear_custom_table_is_exact():
     # trapezoid integrates a piecewise-linear k(T) exactly on aligned grids
     table = (np.array([0.0, 400.0]), np.array([1.0, 9.0]))
-    s = SupportSpec(1e-4, 0.5, 100.0, 300.0, material=MATERIAL_CUSTOM, k_table=table)
+    s = SupportSpec(1e-4, 0.5, 100.0, 300.0, k_table=table)
     k100, k300 = 3.0, 7.0
     assert conduction_load(s) == pytest.approx(1e-4 / 0.5 * 0.5 * (k100 + k300) * 200.0,
                                                rel=1e-12)
@@ -128,23 +123,61 @@ def test_support_validation():
     with pytest.raises(DomainError):
         SupportSpec(1e-4, 0.1, 80.0, 20.0)  # cold end must be colder
     with pytest.raises(DomainError):
-        SupportSpec(1e-4, 0.1, 20.0, 80.0, material="unobtainium")
-    with pytest.raises(DomainError):
-        SupportSpec(1e-4, 0.1, 20.0, 80.0, material=MATERIAL_CUSTOM)  # no table
-    with pytest.raises(DomainError):
-        SupportSpec(1e-4, 0.1, 20.0, 80.0, material=MATERIAL_CUSTOM,
-                    k_table=([300.0, 4.0], [1.0, 2.0]))  # descending T
+        SupportSpec(1e-4, 0.1, 20.0, 80.0, k_table=([300.0, 4.0], [1.0, 2.0]))  # descending T
     with pytest.raises(DomainError):
         SupportSpec.thin_cylinder(0.040, 0.030, 0.1, 20.0, 80.0)  # wall too thick
 
 
 def test_custom_table_range_enforced():
     table = (np.array([10.0, 100.0]), np.array([1.0, 2.0]))
-    s = SupportSpec(1e-4, 0.1, 15.0, 90.0, material=MATERIAL_CUSTOM, k_table=table)
+    s = SupportSpec(1e-4, 0.1, 15.0, 90.0, k_table=table)
     assert conduction_load(s) > 0
-    outside = SupportSpec(1e-4, 0.1, 5.0, 90.0, material=MATERIAL_CUSTOM, k_table=table)
+    outside = SupportSpec(1e-4, 0.1, 5.0, 90.0, k_table=table)
     with pytest.raises(DomainError):
         conduction_load(outside)
+
+
+@pytest.mark.parametrize("temperature", [np.array([10.0, 20.0]), [20.0], "20", None])
+@pytest.mark.parametrize("k_table", [None, ([1.0, 500.0], [0.25, 0.25])], ids=["ss316", "table"])
+def test_conductivity_takes_one_number(k_table, temperature):
+    support = SupportSpec(1e-4, 0.1, 20.0, 80.0, k_table=k_table)
+    with pytest.raises(DomainError, match="one number"):
+        support.conductivity(temperature)
+    with pytest.raises(DomainError, match="one number"):
+        SupportSpec(1e-4, 0.1, temperature, 80.0, k_table=k_table)
+
+
+@pytest.mark.parametrize("k_table", [
+    ([10.0, math.nan, 100.0], [1.0, 1.0, 1.0]),
+    ([10.0, 100.0], [1.0, math.nan]),
+    ([10.0, 100.0], [1.0, 2.0], [3.0]),
+    (["a", "b"], [1.0, 2.0]),
+    ([[10.0, 20.0], [30.0, 40.0]], [[1.0, 1.0], [1.0, 1.0]]),
+    5.0,
+], ids=["nan_T", "nan_k", "three_rows", "text", "two_dimensional", "number"])
+def test_k_table_that_is_not_two_rows_of_numbers_is_domain_error(k_table):
+    with pytest.raises(DomainError, match="k_table"):
+        SupportSpec(1e-4, 0.1, 20.0, 80.0, k_table=k_table)
+
+
+@pytest.mark.parametrize("support, what", [
+    (SupportSpec(math.pi * 1e200 * 1e199, 0.12, 20.0, 80.0), "A/L"),
+    (SupportSpec(6.3e-5, 1e-320, 20.0, 80.0), "A/L"),
+    (SupportSpec(1e-4, 0.1, 20.0, 80.0, k_table=([1.0, 500.0], [1e307, 1e307])),
+     "conduction load"),
+    (SupportSpec(1e-4, 0.1, 20.0, 80.0, k_table=([1.0, 500.0], [1e308, 1e308])),
+     "conduction load"),
+    (SupportSpec(5e-324, 1.0, 4.0, 4.5), "conduction load"),
+], ids=["huge_area", "tiny_length", "partial_sum_overflow", "huge_k", "underflow"])
+def test_load_beyond_the_float_range_is_domain_error(support, what):
+    with pytest.raises(DomainError, match=f"^{what} is beyond the float range"):
+        conduction_load(support)
+
+
+def test_boiloff_beyond_the_float_range_is_domain_error():
+    with pytest.raises(DomainError, match="^boil-off power is beyond the float range"):
+        boiloff_power(1e308)
+    assert boiloff_power(5e-324, LIQUID_NITROGEN) > 0.0
 
 
 def test_boiloff_headline_value():
