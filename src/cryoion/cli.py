@@ -1,12 +1,12 @@
 """Command-line frontend.
 
-Every numeric flag accepts a unit suffix ("--freq 50Hz", "--radius 19.5cm");
-the same unit can be given separately ("--freq 50 --freq-unit Hz"), and bare
-numbers are read as SI base units; a negative value may follow its flag
-("--x -1cm").  ``main`` turns every such flag into an SI
-float before the handler runs.  Exit codes: 0 success, 1 computation or
-input-data error, 2 usage error (unknown flags, malformed units, or a unit of
-the wrong dimension, "%" and "dB" included).
+Every numeric flag accepts a unit, joined to or spaced from its number inside
+one argument ("--freq 50Hz", "--radius '19.5 cm'"); bare numbers are read as
+SI base units; a negative value may follow its flag ("--x -1cm").  argparse
+turns each value into an SI float, so a malformed one is a usage error printed
+with the leaf's usage.  Exit codes: 0 success, 1 computation or input-data
+error, 2 usage error (unknown flags, malformed units, or a unit of the wrong
+dimension, "%" and "dB" included).
 
 Reports are deterministic: no timestamps, numbers rendered with %.12g, and
 file outputs carry ``#`` provenance comments (tool version, input hashes).
@@ -18,6 +18,7 @@ a command that needs only scalars starts without numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -43,21 +44,24 @@ DEFAULT_MOUNT = {"diameter": 40e-3, "wall": 0.5e-3, "length": 120e-3,
 # ---------------------------------------------------------------------------
 
 
+def _si_value(flag: str, dims, unit_label: str, text: str) -> float:
+    """argparse type of a quantity flag: ``text`` as an SI float; a failure
+    is a usage error with ``parse_si``'s reason."""
+    try:
+        return parse_si(text, dims, flag, unit_label)
+    except UnitError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{flag}: ")) from None
+
+
 def add_quantity_flag(parser, flag: str, dims, unit_label: str, help_text: str,
                       default: float | None = None, required: bool = False) -> None:
-    """Register ``--flag`` plus a hidden ``--flag-unit`` companion.
-
-    The expected dimension and the SI default travel through the parser
-    defaults, so the same flag name may carry different meanings on
-    different subcommands; ``main`` turns the flag into its SI float before
-    the handler runs.
-    """
-    parser.add_argument(flag, default=None, required=required, metavar="VALUE",
+    """Register ``--flag``, whose value argparse turns into an SI float of
+    ``dims``; the default is already SI.  The same flag name may carry
+    different dimensions on different subcommands."""
+    parser.add_argument(flag, type=functools.partial(_si_value, flag, dims, unit_label),
+                        default=default, required=required, metavar="VALUE",
                         help=f"{help_text} [{unit_label}]"
                              + (f" (default {default:g})" if default is not None else ""))
-    parser.add_argument(flag + "-unit", default=None, help=argparse.SUPPRESS)
-    dest = flag.lstrip("-").replace("-", "_")
-    parser.set_defaults(**{dest + "_spec": (dims, unit_label, default)})
 
 
 #: a token that starts like a negative number ("-1cm", "-0.1V", "-1e-3"): no
@@ -81,22 +85,6 @@ def _join_negative_values(argv: list[str]) -> list[str]:
         else:
             out.append(token)
     return out
-
-
-def _resolve_quantity_flags(args) -> None:
-    """Replace each registered flag's string, or its default, by an SI float."""
-    for spec in [key for key in vars(args) if key.endswith("_spec")]:
-        dest = spec[:-len("_spec")]
-        dims, unit_label, default = getattr(args, spec)
-        raw, unit = getattr(args, dest), getattr(args, dest + "_unit")
-        flag = "--" + dest.replace("_", "-")
-        if raw is not None and unit is not None:
-            try:
-                float(raw)
-            except ValueError as exc:
-                raise UnitError(f"{flag}: with {flag}-unit the value must be a bare number") from exc
-            raw = f"{raw} {unit}"
-        setattr(args, dest, default if raw is None else parse_si(raw, dims, flag, unit_label))
 
 
 class _Text:
@@ -457,13 +445,10 @@ def cmd_met_allan(args):
 
     from . import metrology
 
-    taus = None
-    if args.taus is not None:
-        taus = np.array([parse_si(tok, SECOND, "--taus", "s") for tok in args.taus.split(",")])
     series = read_timeseries(args.infile, "t_s", "y")
     record = metrology.FrequencyRecord(kind=args.kind, series=series)
-    if taus is None:
-        taus = _default_taus(series.dt, record.phase_seconds().size)
+    taus = (_default_taus(series.dt, record.phase_seconds().size) if args.taus is None
+            else np.array(args.taus))
     taus, sigmas = metrology.allan_deviation(record, taus)
     comments = provenance_lines(__version__, [args.infile]) + [
         f"overlapping allan deviation, kind={args.kind}"]
@@ -699,7 +684,8 @@ def _build_met(ops) -> None:
     p.add_argument("--in", dest="infile", required=True, help="CSV with t_s,y")
     p.add_argument("--kind", choices=(metrology.KIND_FRACTIONAL, metrology.KIND_PHASE),
                    default=metrology.KIND_FRACTIONAL)
-    p.add_argument("--taus", default=None,
+    p.add_argument("--taus", type=lambda text: [_si_value("--taus", SECOND, "s", token)
+                                                for token in text.split(",")],
                    help="comma list of averaging times (default: powers of two)")
     p.add_argument("--out", default=None, help="write tau_s,sigma_y CSV here")
     p = _leaf(ops, "linewidth", cmd_met_linewidth, "Lorentzian beat-note linewidth")
@@ -784,7 +770,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _resolve_quantity_flags(args)
         _render(args, *args.func(args))
         return 0
     except UnitError as exc:

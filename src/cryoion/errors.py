@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its one integer check and its
-one float-range check.
+"""Exception types shared across the package, its one integer check, its one
+real-number check and its one float-range check.
 
 Everything raised on purpose derives from CryoionError so the CLI can map
 library failures to a single exit code.
@@ -66,6 +66,17 @@ def integer_at_least(value, minimum: int, what: str) -> int:
     if n < minimum:
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return n
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float; anything but one real number, a string or an
+    array included, is a DomainError naming ``what``."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, OverflowError):
+            pass
+    raise DomainError(f"{what} must be one number, got {value!r}")
 
 
 def in_float_range(value: float, what: str) -> float:

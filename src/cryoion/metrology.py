@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClippingError, DomainError, InsufficientDataError, integer_at_least
+from .errors import (ClippingError, DomainError, InsufficientDataError, integer_at_least,
+                     real_number)
 from .fitting import FitResult, gaussian_model, lm_fit, lorentzian_model, scan_arrays
 from .series import TimeSeries
 
@@ -127,6 +128,8 @@ class InterferometerCal:
     quadrature_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("wavelength", "volts_per_fringe", "quadrature_offset"):
+            real_number(getattr(self, name), name)
         if not (0 < self.wavelength < math.inf and 0 < self.volts_per_fringe < math.inf):
             raise DomainError("wavelength and volts_per_fringe must be finite and positive, "
                               f"got {self.wavelength!r} and {self.volts_per_fringe!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, in_float_range
+from .errors import DomainError, in_float_range, real_number
 
 # NIST cryogenic material properties fit for 316 stainless:
 # log10(k / (W/m/K)) = sum_i a_i * (log10 T)^i, 4 K <= T <= 300 K.
@@ -23,20 +23,9 @@ _SS316_LOG10_COEFFS = (-1.4087, 1.3982, 0.2543, -0.6260, 0.2334, 0.4256, -0.4658
 _SS316_RANGE_K = (4.0, 300.0)
 
 
-def _kelvin(temperature_k) -> float:
-    """One temperature as a float; anything but one real number, a string or
-    an array included, is a DomainError."""
-    if not isinstance(temperature_k, (str, bytes)):
-        try:
-            return float(temperature_k)
-        except (TypeError, OverflowError):
-            pass
-    raise DomainError(f"a temperature must be one number, got {temperature_k!r}")
-
-
 def ss316_conductivity(temperature_k: float) -> float:
     """Thermal conductivity of 316 stainless in W/(m K) at one temperature, 4-300 K."""
-    t = _kelvin(temperature_k)
+    t = real_number(temperature_k, "a temperature")
     if not _SS316_RANGE_K[0] <= t <= _SS316_RANGE_K[1]:
         raise DomainError(f"SS316 table covers {_SS316_RANGE_K[0]}-{_SS316_RANGE_K[1]} K")
     L = math.log10(t)
@@ -61,9 +50,10 @@ class SupportSpec:
     k_table: tuple | None = None
 
     def __post_init__(self):
-        if not (self.cross_section_m2 > 0 and self.length_m > 0):
+        if not (real_number(self.cross_section_m2, "cross_section_m2") > 0
+                and real_number(self.length_m, "length_m") > 0):
             raise DomainError("cross section and length must be positive")
-        if not (0 < _kelvin(self.t_cold_k) < _kelvin(self.t_hot_k)):
+        if not (0 < real_number(self.t_cold_k, "t_cold_k") < real_number(self.t_hot_k, "t_hot_k")):
             raise DomainError("need 0 < t_cold < t_hot")
         if self.k_table is not None:
             import numpy as np
@@ -81,6 +71,7 @@ class SupportSpec:
     def thin_cylinder(cls, diameter_m: float, wall_m: float, length_m: float,
                       t_cold_k: float, t_hot_k: float, k_table=None) -> "SupportSpec":
         """Thin-walled tube: cross section = pi * diameter * wall."""
+        diameter_m, wall_m = real_number(diameter_m, "diameter_m"), real_number(wall_m, "wall_m")
         if not (diameter_m > 0 and 0 < wall_m < diameter_m / 2):
             raise DomainError("need a thin wall: 0 < wall < diameter/2")
         return cls(cross_section_m2=math.pi * diameter_m * wall_m, length_m=length_m,
@@ -92,7 +83,7 @@ class SupportSpec:
             return ss316_conductivity(temperature_k)
         import numpy as np
 
-        t = _kelvin(temperature_k)
+        t = real_number(temperature_k, "a temperature")
         T_tab, k_tab = self.k_table
         if not T_tab[0] <= t <= T_tab[-1]:
             raise DomainError("temperature outside the custom k table range")
@@ -100,18 +91,28 @@ class SupportSpec:
 
 
 def conduction_load(support: SupportSpec) -> float:
-    """Heat leak in W: (A/L) * integral k(T) dT, trapezoid on a <= 1 K grid.
+    """Heat leak in W: (A/L) * integral k(T) dT.
 
-    An A/L or a load beyond the float range is a DomainError."""
+    A k table's linear interpolant is integrated exactly, by a trapezoid over
+    the two ends and the table nodes strictly between them.  SS316 takes a
+    trapezoid on a <= 1 K grid.  An A/L or a load beyond the float range is a
+    DomainError."""
     lo, hi = support.t_cold_k, support.t_hot_k
     k_lo, k_hi = support.conductivity(lo), support.conductivity(hi)  # range checks first
-    n = max(2, int(math.ceil(hi - lo)) + 1)
-    # the nodes of np.linspace: lo + i*step, the last one exactly hi
-    step = (hi - lo) / (n - 1)
-    T = [lo + i * step for i in range(n - 1)] + [hi]
-    k = [k_lo] + [support.conductivity(t) for t in T[1:-1]] + [k_hi]
+    if support.k_table is None:
+        n = max(2, int(math.ceil(hi - lo)) + 1)
+        # the inner nodes of np.linspace: lo + i*step
+        step = (hi - lo) / (n - 1)
+        inner = [lo + i * step for i in range(1, n - 1)]
+        k_inner = [ss316_conductivity(t) for t in inner]
+    else:
+        T_tab, k_tab = support.k_table
+        inside = (T_tab > lo) & (T_tab < hi)
+        inner, k_inner = T_tab[inside].tolist(), k_tab[inside].tolist()
+    T, k = [lo, *inner, hi], [k_lo, *k_inner, k_hi]
     try:
-        integral = math.fsum(0.5 * (k[i + 1] + k[i]) * (T[i + 1] - T[i]) for i in range(n - 1))
+        integral = math.fsum(0.5 * (k[i + 1] + k[i]) * (T[i + 1] - T[i])
+                             for i in range(len(T) - 1))
     except OverflowError:  # a partial sum beyond the float range
         integral = math.inf
     area_per_length = in_float_range(support.cross_section_m2 / support.length_m, "A/L")

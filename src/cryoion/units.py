@@ -107,12 +107,16 @@ def _resolve_token(token: str) -> tuple[Dims, float]:
         raise UnitError(f"unknown unit {token!r}")
     if exp != 1:
         dims = tuple(x * exp for x in dims)
-        scale = scale ** exp
+        try:
+            scale = scale ** exp
+        except OverflowError:
+            scale = math.inf
     return dims, scale
 
 
 def resolve_unit(symbol: str) -> tuple[Dims, float]:
-    """Dims and SI scale for a unit expression like "mm", "GHz/T" or "m2"."""
+    """Dims and SI scale for a unit expression like "mm", "GHz/T" or "m2"; a
+    scale that over- or underflows ("Pm999") is a UnitError."""
     symbol = symbol.strip()
     if not symbol:
         return DIMENSIONLESS, 1.0
@@ -121,7 +125,9 @@ def resolve_unit(symbol: str) -> tuple[Dims, float]:
     for den in parts[1:]:
         d, s = _resolve_token(den)
         dims = tuple(x - y for x, y in zip(dims, d))
-        scale = scale / s
+        scale = scale / s if s else math.inf
+    if not 0.0 < scale < math.inf:
+        raise UnitError(f"unit {symbol!r} is beyond the float range")
     return dims, scale
 
 

@@ -1,5 +1,8 @@
 """End-to-end command-line tests: output text, exit codes, determinism."""
+import argparse
+import functools
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -30,11 +33,16 @@ def test_skin_depth_headline(capsys):
     assert out == "skin depth = 9.2 mm (0.0092195983095 m)\n"
 
 
-def test_unit_suffix_matches_separate_unit_flag(capsys):
+def test_unit_joined_or_spaced_reads_the_same(capsys):
     _, a, _ = run(capsys, "shield", "skin-depth", "--freq", "50Hz")
-    _, b, _ = run(capsys, "shield", "skin-depth", "--freq", "50", "--freq-unit", "Hz")
+    _, b, _ = run(capsys, "shield", "skin-depth", "--freq", "50 Hz")
     _, c, _ = run(capsys, "shield", "skin-depth", "--freq", "50")  # bare => SI
     assert a == b == c
+    # a unit has no flag of its own
+    code, out, err = run(capsys, "shield", "skin-depth", "--freq", "50", "--freq-unit", "Hz")
+    assert (code, out) == (2, "")
+    assert err.endswith("cryoion shield skin-depth: error: unrecognized arguments: "
+                        "--freq-unit Hz\n")
 
 
 def test_optics_headline(capsys):
@@ -86,34 +94,46 @@ def test_wrong_dimension_is_usage_error(capsys):
     assert "expected a quantity in Hz" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["shield", "skin-depth", "--freq", "100%"],
-    ["shield", "skin-depth", "--freq", "50dB"],
-    ["met", "allan", "--in", str(DEMO / "beat_fractional.csv"), "--taus", "0.01Hz"],
+def assert_usage_error(result, leaf, flag: str, reason: str) -> None:
+    """A per-flag usage error: the leaf's usage, then one line naming the flag once."""
+    code, out, err = result
+    prog = "cryoion " + " ".join(leaf)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} ")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"{prog}: error: argument {flag}: {reason}"), err
+    assert last.count(flag) == 1
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["shield", "skin-depth", "--freq", "100%"], "expected a quantity in Hz, got '100%'"),
+    (["shield", "skin-depth", "--freq", "50dB"], "expected a quantity in Hz, got '50dB'"),
+    (["met", "allan", "--in", str(DEMO / "beat_fractional.csv"), "--taus", "0.01Hz"],
+     "expected a quantity in s, got '0.01Hz'"),
     # the flag is checked before the (missing) input file is opened
-    ["met", "vib", "--in", "/nonexistent/fringe.csv", "--window", "2Hz"],
-], ids=["freq_percent", "freq_db", "taus_hz", "window_hz_before_missing_file"])
-def test_dimensionless_or_wrong_unit_is_usage_error_naming_the_flag(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    flag = argv[-2]
-    assert err.startswith(f"error: {flag}: expected a quantity in ")
+    (["met", "vib", "--in", "/nonexistent/fringe.csv", "--window", "2Hz"],
+     "expected a quantity in s, got '2Hz'"),
+    # a plain float flag and --set report theirs in the same form
+    (["shield", "skin-depth", "--freq", "50Hz", "--rrr", "nan"], "must be finite, got 'nan'"),
+    (["trap", "spectrum", "--layout", str(DEMO / "trap_layout.cfg"), "--set", "0=5dB"],
+     "expected IDX=VOLTS, got '0=5dB'"),
+], ids=["freq_percent", "freq_db", "taus_hz", "window_hz_before_missing_file", "rrr_nan",
+        "set_db"])
+def test_dimensionless_or_wrong_unit_is_usage_error_naming_the_flag(capsys, argv, reason):
+    assert_usage_error(run(capsys, *argv), argv[:2], argv[-2], reason)
 
 
 @pytest.mark.parametrize("value", ["1e999Hz", "1e999", "1e306GHz"])
 def test_overflowing_value_is_usage_error_naming_the_flag(capsys, value):
-    code, out, err = run(capsys, "shield", "skin-depth", "--freq", value)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --freq: ")
-    assert len(err.splitlines()) == 1
+    assert_usage_error(run(capsys, "shield", "skin-depth", "--freq", value),
+                       ["shield", "skin-depth"], "--freq", f"'{value}' is beyond the float range")
 
 
 def test_unknown_unit_names_the_flag(capsys):
-    code, _, err = run(capsys, "shield", "skin-depth", "--freq", "50xyz")
-    assert code == 2
-    assert err == "error: --freq: unknown unit 'xyz'\n"
+    result = run(capsys, "shield", "skin-depth", "--freq", "50xyz")
+    assert_usage_error(result, ["shield", "skin-depth"], "--freq", "unknown unit 'xyz'")
+    assert result[2].endswith(
+        "\ncryoion shield skin-depth: error: argument --freq: unknown unit 'xyz'\n")
 
 
 def test_dimensionless_flag_takes_db_or_a_bare_number(capsys):
@@ -796,6 +816,17 @@ def test_unknown_flag_gets_the_leaf_usage(capsys, leaf):
     assert err.endswith(f"\n{prog}: error: unrecognized arguments: --bogus 1\n")
 
 
+@pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+def test_every_option_of_a_leaf_is_in_its_help(leaf):
+    # no hidden option: each one a leaf takes is one its --help shows
+    parser = _leaf_parser(leaf)
+    shown = parser.format_help()
+    options = [option for action in parser._actions for option in action.option_strings]
+    assert "--json" in options
+    assert [option for option in options
+            if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", shown)] == []
+
+
 # ---------------------------------------------------------------------------
 # contract sweep: extreme values on every quantity flag of the scalar leaves
 # ---------------------------------------------------------------------------
@@ -805,13 +836,25 @@ SCALAR_LEAVES = sorted({tuple(command.split()[:2]) for command in SCALAR_COMMAND
 SWEEP_VALUES = ("0", "-1", "1e150", "1e-150", "1e300", "1e-300")
 
 
-def _quantity_flags(leaf) -> list[tuple[str, str]]:
-    """(flag, unit label) of every unit-suffixed flag of one leaf."""
+def _leaf_parser(leaf):
     from cryoion import cli
 
-    args = cli.build_parser(leaf[0]).parse_args([*leaf, *LEAVES[leaf][0]])
-    return [("--" + key[:-len("_spec")].replace("_", "-"), spec[1])
-            for key, spec in sorted(vars(args).items()) if key.endswith("_spec")]
+    parser = cli.build_parser(leaf[0])
+    for name in leaf:
+        subparsers, = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        parser = subparsers.choices[name]
+    return parser
+
+
+def _quantity_flags(leaf) -> list[tuple[str, str]]:
+    """(flag, unit label) of every unit-suffixed flag of one leaf: the options
+    whose argparse type is the quantity converter."""
+    from cryoion import cli
+
+    return [(action.option_strings[0], action.type.args[2])
+            for action in sorted(_leaf_parser(leaf)._actions, key=lambda action: action.dest)
+            if isinstance(action.type, functools.partial) and action.type.func is cli._si_value]
 
 
 def _with_flag(argv: list[str], flag: str, value: str) -> list[str]:

@@ -30,6 +30,7 @@ from cryoion.qubit import (
 from cryoion.series import seeded_rng
 from cryoion.shielding import field_noise_budget, skin_attenuation_db
 from cryoion.species import CA40, resonance_frequency, resonator_capacitance, two_ion_spacing
+from cryoion.thermal import SupportSpec
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +366,20 @@ def test_non_finite_scalars_are_domain_errors_naming_the_value(call, bad):
     with pytest.raises(DomainError, match=rf"\b{bad}\b") as exc:
         call()
     assert "float range" not in str(exc.value)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: SupportSpec("1e-4", 0.1, 20.0, 80.0), "cross_section_m2"),
+    (lambda: SupportSpec(1e-4, None, 20.0, 80.0), "length_m"),
+    (lambda: SupportSpec(1e-4, 0.1, 20.0, [80.0]), "t_hot_k"),
+    (lambda: SupportSpec.thin_cylinder("40mm", 0.5e-3, 0.12, 20.0, 80.0), "diameter_m"),
+    (lambda: SupportSpec.thin_cylinder(0.04, None, 0.12, 20.0, 80.0), "wall_m"),
+    (lambda: InterferometerCal("x", 1.0), "wavelength"),
+    (lambda: InterferometerCal(633e-9, b"1"), "volts_per_fringe"),
+    (lambda: InterferometerCal(633e-9, 1.0, "a"), "quadrature_offset"),
+], ids=["cross_section", "length", "t_hot", "diameter", "wall", "wavelength", "fringe",
+        "offset"])
+def test_field_that_is_not_a_number_is_domain_error_naming_it(call, what):
+    # a comparison of text with a number is a raw TypeError without the check
+    with pytest.raises(DomainError, match=f"^{what} must be one number, got "):
+        call()

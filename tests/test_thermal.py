@@ -1,5 +1,6 @@
 """Conductive heat leaks through supports and cryogen boil-off."""
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -115,6 +116,31 @@ def test_load_linear_in_cross_section_inverse_in_length():
         0.5 * base, rel=1e-12)
     assert conduction_load(SupportSpec(1e-4, 0.2, 20.0, 80.0)) == pytest.approx(
         0.5 * base, rel=1e-12)
+
+
+def test_long_span_k_table_costs_its_rows_not_its_kelvins():
+    # a k table is integrated over its own nodes, not on a 1 K grid
+    support = SupportSpec(1e-4, 0.1, 4.0, 1e9, k_table=([0.0, 1e10], [0.25, 0.25]))
+    start = time.perf_counter()
+    load = conduction_load(support)
+    assert time.perf_counter() - start < 0.1
+    assert load == pytest.approx(1e-4 / 0.1 * 0.25 * (1e9 - 4.0), rel=1e-15)
+
+
+def test_k_table_load_is_the_exact_integral_of_its_interpolant():
+    T = [4.5, 10.25, 33.3, 61.7, 100.0]
+    k = [0.31, 0.92, 2.71, 5.13, 7.94]
+    support = SupportSpec(1e-4, 0.1, 5.0, 90.0, k_table=(T, k))
+
+    def k_of(t):  # the linear interpolant at 30 digits
+        j = max(i for i in range(len(T) - 1) if T[i] <= t)
+        return k[j] + (mpmath.mpf(k[j + 1]) - k[j]) * (t - T[j]) / (mpmath.mpf(T[j + 1]) - T[j])
+
+    with mpmath.workdps(30):
+        # Gauss-Legendre is exact on each linear piece
+        integral = mpmath.quad(k_of, [5.0, 10.25, 33.3, 61.7, 90.0])
+        expected = mpmath.mpf(1e-4) / 0.1 * integral
+        assert abs(conduction_load(support) - expected) <= 1e-13 * expected
 
 
 def test_support_validation():

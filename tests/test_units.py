@@ -78,6 +78,15 @@ def test_resolve_unit_exponent():
     assert scale == pytest.approx(1e-6, rel=1e-15)
 
 
+@pytest.mark.parametrize("symbol", ["PHz999", "Hz/ys20", "Hz/Ps99", "ym99"])
+def test_unit_scale_beyond_the_float_range_is_unit_error(symbol):
+    # such a power raised OverflowError, or its quotient ZeroDivisionError
+    with pytest.raises(UnitError, match=f"^unit '{symbol}' is beyond the float range$"):
+        resolve_unit(symbol)
+    with pytest.raises(UnitError, match=f"^--freq: unit '{symbol}' is beyond the float range$"):
+        parse_si("1" + symbol, HERTZ, "--freq", "Hz")
+
+
 def test_resolve_unit_empty_is_dimensionless():
     assert resolve_unit("") == (DIMENSIONLESS, 1.0)
 
