@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularFieldError, integer_at_least
+from .errors import DomainError, SingularFieldError, integer_at_least, real_number
 from .units import CONSTANTS
 
 #: relative gap between the arithmetic and geometric means below which cel's
@@ -123,6 +123,8 @@ class CoilPair:
     current: float
 
     def __post_init__(self):
+        for name in ("radius", "separation", "current"):
+            real_number(getattr(self, name), name)
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise DomainError("radius must be positive")
         if not (self.separation > 0 and math.isfinite(self.separation)):

@@ -286,6 +286,8 @@ class ImageProfile:
             raise DomainError("pixel_counts must be a non-empty 1-d or 2-d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("pixel counts must be finite")
+        for name in ("pixel_pitch", "magnification"):
+            real_number(getattr(self, name), name)
         if not (self.pixel_pitch > 0 and self.magnification > 0):
             raise DomainError("pixel pitch and magnification must be positive")
         arr.flags.writeable = False

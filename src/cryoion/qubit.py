@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, real_number
 
 RABI_LINEAR = "linear"      # Omega_n = Omega * (1 - eta^2 * n)
 RABI_LAGUERRE = "laguerre"  # Omega_n = Omega * exp(-eta^2/2) * L_n(eta^2)
@@ -46,6 +46,7 @@ class PhononState:
     nbar: float
 
     def __post_init__(self):
+        real_number(self.nbar, "nbar")
         if not (math.isfinite(self.nbar) and self.nbar >= 0):
             raise DomainError("nbar must be finite and >= 0")
 
@@ -90,6 +91,8 @@ class DriveParams:
     lamb_dicke: float
 
     def __post_init__(self):
+        for name in ("rabi_frequency", "lamb_dicke"):
+            real_number(getattr(self, name), name)
         if not 0 <= self.rabi_frequency < math.inf:
             raise DomainError(f"rabi_frequency must be finite and >= 0, "
                               f"got {self.rabi_frequency!r}")

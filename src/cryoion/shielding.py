@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, real_number
 from .units import CONSTANTS
 
 DB_PER_SKIN_DEPTH = 20.0 / math.log(10.0)  # 8.6859 dB of attenuation per t=delta
@@ -35,6 +35,8 @@ class ConductorSpec:
     mu_r: float = 1.0
 
     def __post_init__(self):
+        for name in ("sigma_293k", "rrr", "mu_r"):
+            real_number(getattr(self, name), name)
         if not (self.sigma_293k > 0 and math.isfinite(self.sigma_293k)):
             raise DomainError("sigma_293k must be positive")
         if not (self.rrr >= 1.0 and math.isfinite(self.rrr)):
@@ -56,6 +58,8 @@ class ShieldLayer:
     temperature: float
 
     def __post_init__(self):
+        for name in ("thickness", "temperature"):
+            real_number(getattr(self, name), name)
         if not (self.thickness >= 0 and math.isfinite(self.thickness)):
             raise DomainError("thickness must be >= 0")
         if not (self.temperature > 0 and math.isfinite(self.temperature)):

@@ -128,6 +128,8 @@ class CoolantSpec:
     latent_heat_j_per_g: float
 
     def __post_init__(self):
+        for name in ("density_kg_per_l", "latent_heat_j_per_g"):
+            real_number(getattr(self, name), name)
         if not (self.density_kg_per_l > 0 and self.latent_heat_j_per_g > 0):
             raise DomainError("density and latent heat must be positive")
 

@@ -221,6 +221,8 @@ _CORNER_SIGN = np.array([1.0, -1.0, -1.0, 1.0]) / (2.0 * math.pi)
 #: Hessian entries; then third derivatives.  The rest follow from these.
 _SUMMED = ("x", "y", "z", "xx", "yy", "xy", "xz", "yz",
            "xxx", "yyy", "xxz", "yyz", "xxy", "xyy", "xyz")
+#: rows the kernel sums at each order 0 to 3: phi alone, then _SUMMED's up to it
+_ROWS = (1,) + tuple(sum(len(name) <= order for name in _SUMMED) for order in (1, 2, 3))
 
 
 def _row_map(order):
@@ -337,7 +339,7 @@ def _derivatives(corners, points, order: int = 2):
                   ((r2 - 3.0 * z2) * ir5)[None]]
     # the terms go straight into a points-first buffer, so that the product
     # below is one (rows x C) matrix-vector product per point
-    buf = np.empty((n, sum(len(q) for q in parts), c.size))
+    buf = np.empty((n, _ROWS[order], c.size))
     np.concatenate(parts, out=buf.transpose(1, 2, 0))
     out = buf @ c
     if order == 0:
@@ -390,29 +392,38 @@ def _drive_factors(layout, species):
 
 def _newton_2x2(hxx, hxz, hzz, gx, gz):
     """The Newton step -h^-1 g, as (dx, dz), for the symmetric 2x2 matrix
-    h = [[hxx, hxz], [hxz, hzz]] and the vector g = (gx, gz), elementwise
-    over arrays, and det h; a singular h gives a non-finite step."""
+    h = [[hxx, hxz], [hxz, hzz]] and the vector g = (gx, gz), in floats, and
+    det h.  A singular h (det exactly 0) gives a NaN step, which
+    ``_damped_newton`` drops like any non-finite step."""
     det = hxx * hzz - hxz * hxz
+    if not det:
+        return math.nan, math.nan, det
     return (hxz * gz - hzz * gx) / det, (hxz * gx - hxx * gz) / det, det
 
 
 def _null_step(rf, pts):
     """Newton steps toward E_x = E_z = 0 at the points, and |(E_x, E_z)|
-    there; a singular Jacobian gives a non-finite step."""
+    there, as one (dx, dz, value) of floats per point; a singular Jacobian
+    gives a non-finite step."""
     e, jac = _derivatives(rf, pts)
-    ex, ez = e[:, 0], e[:, 2]
-    dx, dz, _ = _newton_2x2(jac[:, 0, 0], jac[:, 0, 2], jac[:, 2, 2], ex, ez)
-    return dx, dz, np.hypot(ex, ez)
+    steps = []
+    for (ex, _, ez), ((jxx, _, jxz), _, (_, _, jzz)) in zip(e.tolist(), jac.tolist()):
+        dx, dz, _ = _newton_2x2(jxx, jxz, jzz, ex, ez)
+        steps.append((dx, dz, math.hypot(ex, ez)))
+    return steps
 
 
 def _damped_newton(layout, step, x, z, first: bool = False, tol: float = _NULL_TOL):
     """Converged end points of damped Newton in the x-z plane at the layout's
-    axial center, as (x, z, value), in its ``search_frame``.
+    axial center, as one (x, z, value) of floats per converged start, in
+    start order, in its ``search_frame``; ``x`` and ``z`` are the starts'
+    coordinates, floats.
 
     ``step(rf, points)``, with ``rf`` the layout's corner table of the RF
-    strips at unit drive (``ElectrodeLayout.rf_corners``), returns the Newton
-    corrections (dx, dz) at a batch of points and one value per point; all
-    starts that are still stepping are one batch, in start order.  A step is
+    strips at unit drive (``ElectrodeLayout.rf_corners``), returns one
+    (dx, dz, value) of floats per point of a batch: the Newton correction
+    and the point's value.  All starts that are still stepping are one
+    batch, in start order.  A step is
     capped at half the current height, and a start is dropped once it leaves
     the domain (z at or below ``_MIN_Z`` L, above 4 spans, or more than 2
     spans off x0; see ``ElectrodeLayout.search_frame``), which a non-finite
@@ -421,15 +432,13 @@ def _damped_newton(layout, step, x, z, first: bool = False, tol: float = _NULL_T
     last step stays inside the domain; ``value`` is the step's value at that
     point, recorded in the iteration in which the start converges.  Each end
     point is one Newton step past its converged point, whose value it
-    carries, so that no further evaluation is needed.  The converged starts
-    are returned in start order.  With ``first``, the search stops at the
-    first iteration in which some start converges and returns the starts
-    that did.
+    carries, so that no further evaluation is needed.  With ``first``, the
+    search stops at the first iteration in which some start converges and
+    returns the starts that did.
 
-    Only the kernel batch is numpy: the norms of the steps are one
-    ``np.hypot`` over it, and the rest of each start's step is plain float
-    arithmetic, the same IEEE operations on at most a few starts without
-    numpy's per-call cost.
+    Only the kernel batch inside ``step`` is numpy; the steps come back as
+    floats, and the loop below is plain float arithmetic, the same IEEE
+    operations without numpy's per-call cost on batches of a few points.
     """
     x0, rf_extent, span, y = layout.search_frame
     rf = layout.rf_corners
@@ -437,32 +446,29 @@ def _damped_newton(layout, step, x, z, first: bool = False, tol: float = _NULL_T
     # metal; beyond that the far field decays monotonically (and eventually
     # underflows), which a solver would mistake for convergence
     z_min, z_cap, x_off = _MIN_Z * rf_extent, 4.0 * span, 2.0 * span
-    live = list(zip(range(len(z)), x.tolist(), z.tolist()))  # (start, x, z) still stepping
+    live = list(zip(itertools.count(), x, z))  # (start, x, z) still stepping
     ends = []  # (start, x, z, value) of the starts that converged
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(60):
-            if not live or (first and ends):
-                break
-            dx, dz, value = step(rf, np.array([(px, y, pz) for _, px, pz in live]))
-            going = []
-            for (k, px, pz), sx, sz, norm, v in zip(live, dx.tolist(), dz.tolist(),
-                                                    np.hypot(dx, dz).tolist(), value.tolist()):
-                # a zero step is taken whole, as numpy's 0.5 z / 0 = inf would;
-                # a NaN or infinite step leaves a NaN coordinate, which the
-                # domain test drops
-                scale = min(1.0, 0.5 * pz / norm) if norm else 1.0
-                done = norm <= tol * pz
-                px += scale * sx
-                pz += scale * sz
-                if z_min < pz <= z_cap and abs(px - x0) <= x_off:
-                    if done:
-                        ends.append((k, px, pz, v))
-                    else:
-                        going.append((k, px, pz))
-            live = going
+    for _ in range(60):
+        if not live or (first and ends):
+            break
+        steps = step(rf, np.array([(px, y, pz) for _, px, pz in live]))
+        going = []
+        for (k, px, pz), (sx, sz, v) in zip(live, steps):
+            norm = math.hypot(sx, sz)
+            # a zero step is taken whole; a NaN or infinite step leaves
+            # a NaN coordinate, which the domain test drops
+            scale = min(1.0, 0.5 * pz / norm) if norm else 1.0
+            done = norm <= tol * pz
+            px += scale * sx
+            pz += scale * sz
+            if z_min < pz <= z_cap and abs(px - x0) <= x_off:
+                if done:
+                    ends.append((k, px, pz, v))
+                else:
+                    going.append((k, px, pz))
+        live = going
     ends.sort()  # start order
-    _, x, z, value = zip(*ends) if ends else ((),) * 4
-    return np.array(x, dtype=float), np.array(z, dtype=float), np.array(value, dtype=float)
+    return [end[1:] for end in ends]
 
 
 def find_rf_null(layout: ElectrodeLayout) -> "TrapSolution":
@@ -476,18 +482,18 @@ def find_rf_null(layout: ElectrodeLayout) -> "TrapSolution":
     usable convergence test, since the far field is small everywhere.  The
     search stops at the first iteration in which some start converges
     (converged starts agree to well below 1e-9 of the height); of those
-    starts, the one with the smallest |E| is returned.
+    starts, the one with the smallest |(E_x, E_z)| (``_null_step``'s value)
+    is returned, the earlier start on a tie.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
     x0, rf_extent, _, y = layout.search_frame
-    z = rf_extent * np.array(DEFAULT_START_FRACTIONS, dtype=float)
-    x, z, e = _damped_newton(layout, _null_step, np.full(z.shape, x0), z, first=True)
-    if not e.size:
+    heights = [rf_extent * f for f in DEFAULT_START_FRACTIONS]
+    ends = _damped_newton(layout, _null_step, [x0] * len(heights), heights, first=True)
+    if not ends:
         raise NoTrapError("no interior RF null found from any start height")
-    k = np.argmin(e)
-    return TrapSolution(null_position=np.array([x[k], y, z[k]]),
-                        height=float(z[k]))
+    x, z, _ = min(ends, key=lambda end: end[2])
+    return TrapSolution(null_position=np.array([x, y, z]), height=z)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +521,8 @@ class TrapSolution:
 def _saddle_step(rf, pts):
     """Newton steps toward grad psi = 0 in the x-z plane at the points, and
     the quadratic model's |E|^2 at each step's end point, or inf where the
-    2x2 Hessian of psi does not have exactly one negative eigenvalue.
+    2x2 Hessian of psi does not have exactly one negative eigenvalue, as one
+    (dx, dz, value) of floats per point.
 
     With psi proportional to |E|^2 and J the field Jacobian, grad psi is
     proportional to g = J^T E (x-z columns) and the Hessian to
@@ -525,17 +532,26 @@ def _saddle_step(rf, pts):
     at the point plus delta is |E|^2 + 2 g.delta + delta.h.delta =
     |E|^2 + g.delta.  Near a stationary point its error is O(|delta/z|^3) of
     |E|^2, so a step of eps^(1/3) z (``_SADDLE_TOL``) leaves it exact to
-    rounding.
+    rounding.  Each sum over i runs over the three components left to right,
+    and h is J^T J plus sum_i E_i grad(J_i), each summed on its own.
     """
     e, jac, d3 = _derivatives(rf, pts, order=3)
-    n = len(pts)
-    row = e[:, None]  # E as a 1x3 matrix per point
-    jxz = jac[:, :, ::2]
-    g = (row @ jxz)[:, 0]
-    h = jxz.transpose(0, 2, 1) @ jxz + (row @ d3[:, :, ::2, ::2].reshape(n, 3, 4)).reshape(n, 2, 2)
-    dx, dz, det = _newton_2x2(h[:, 0, 0], h[:, 0, 1], h[:, 1, 1], g[:, 0], g[:, 1])
-    e2 = (row @ e[:, :, None])[:, 0, 0]
-    return dx, dz, np.where(det < 0.0, e2 + g[:, 0] * dx + g[:, 1] * dz, np.inf)
+    steps = []
+    for (ex, ey, ez), ((jxx, _, jxz), (jyx, _, jyz), (jzx, _, jzz)), (tx, ty, tz) in zip(
+            e.tolist(), jac.tolist(), d3.tolist()):
+        # the x-z entries of each grad(J_i)
+        (txxx, _, txxz), _, (_, _, txzz) = tx
+        (tyxx, _, tyxz), _, (_, _, tyzz) = ty
+        (tzxx, _, tzxz), _, (_, _, tzzz) = tz
+        gx = ex * jxx + ey * jyx + ez * jzx
+        gz = ex * jxz + ey * jyz + ez * jzz
+        hxx = (jxx * jxx + jyx * jyx + jzx * jzx) + (ex * txxx + ey * tyxx + ez * tzxx)
+        hxz = (jxx * jxz + jyx * jyz + jzx * jzz) + (ex * txxz + ey * tyxz + ez * tzxz)
+        hzz = (jxz * jxz + jyz * jyz + jzz * jzz) + (ex * txzz + ey * tyzz + ez * tzzz)
+        dx, dz, det = _newton_2x2(hxx, hxz, hzz, gx, gz)
+        value = ex * ex + ey * ey + ez * ez + gx * dx + gz * dz if det < 0.0 else math.inf
+        steps.append((dx, dz, value))
+    return steps
 
 
 def _escape_saddle(layout, null, height):
@@ -556,8 +572,9 @@ def _escape_saddle(layout, null, height):
     there (``_saddle_step``), exact to O(eps) of |E|^2, though the point
     itself is only within about eps^(2/3) z (4e-11 z) of the saddle.  A
     converged point counts only where the Hessian of psi has exactly one
-    negative eigenvalue; escape rays with no such saddle raise
-    ``NoTrapError``, so the depth is never a sampled value.
+    negative eigenvalue, and the lowest of those is returned, the earlier
+    start on a tie; escape rays with no such saddle raise ``NoTrapError``,
+    so the depth is never a sampled value.
     """
     frame = layout.search_frame
     s = height * _SCAN_DISTANCES
@@ -577,12 +594,13 @@ def _escape_saddle(layout, null, height):
     ring = barrier[_RAY_RING]
     valley = np.flatnonzero((barrier < ring[:-2]) & (barrier <= ring[2:]))
     rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
-    x, z, e2_end = _damped_newton(layout, _saddle_step, px[rays, imax[rays]],
-                                  pz[rays, imax[rays]], tol=_SADDLE_TOL)
-    if not np.isfinite(e2_end).any():
+    ends = [end for end in _damped_newton(layout, _saddle_step, px[rays, imax[rays]].tolist(),
+                                          pz[rays, imax[rays]].tolist(), tol=_SADDLE_TOL)
+            if end[2] < math.inf]  # the index-1 saddles
+    if not ends:
         raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
-    k = np.argmin(e2_end)
-    return np.array([x[k], frame[3], z[k]]), float(e2_end[k])
+    x, z, e2_end = min(ends, key=lambda end: end[2])
+    return np.array([x, frame[3], z]), e2_end
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+from cryoion.coils import CoilPair
 from cryoion.errors import DomainError, InsufficientDataError
-from cryoion.metrology import InterferometerCal
+from cryoion.metrology import ImageProfile, InterferometerCal
 from cryoion.qubit import (
     BeamProfile,
     DriveParams,
@@ -28,9 +29,9 @@ from cryoion.qubit import (
     _laguerre_upto,
 )
 from cryoion.series import seeded_rng
-from cryoion.shielding import field_noise_budget, skin_attenuation_db
+from cryoion.shielding import COPPER, ConductorSpec, ShieldLayer, field_noise_budget, skin_attenuation_db
 from cryoion.species import CA40, resonance_frequency, resonator_capacitance, two_ion_spacing
-from cryoion.thermal import SupportSpec
+from cryoion.thermal import CoolantSpec, SupportSpec
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +384,26 @@ def test_field_that_is_not_a_number_is_domain_error_naming_it(call, what):
     # a comparison of text with a number is a raw TypeError without the check
     with pytest.raises(DomainError, match=f"^{what} must be one number, got "):
         call()
+
+
+#: a valid construction of each library dataclass, and its numeric fields
+VALID_SPECS = [
+    (ConductorSpec, dict(sigma_293k=5.96e7, rrr=100.0, mu_r=1.0)),
+    (ShieldLayer, dict(thickness=1e-3, conductor=COPPER, temperature=4.0)),
+    (CoilPair, dict(radius=0.05, separation=0.05, turns=10, current=1.0)),
+    (PhononState, dict(nbar=1.0)),
+    (DriveParams, dict(rabi_frequency=1e5, lamb_dicke=0.1)),
+    (ImageProfile, dict(pixel_counts=[1.0, 2.0], pixel_pitch=16e-6, magnification=15.0)),
+    (CoolantSpec, dict(name="LHe", density_kg_per_l=0.125, latent_heat_j_per_g=20.8)),
+]
+NUMERIC_FIELDS = [(cls, kwargs, name) for cls, kwargs in VALID_SPECS
+                  for name, value in kwargs.items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("bad", ["x", None], ids=["text", "none"])
+@pytest.mark.parametrize("cls, kwargs, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in NUMERIC_FIELDS])
+def test_dataclass_field_that_is_not_a_number_is_domain_error_naming_it(cls, kwargs, name, bad):
+    cls(**kwargs)
+    with pytest.raises(DomainError, match=f"^{name} must be one number, got {bad!r}$"):
+        cls(**{**kwargs, name: bad})

@@ -805,24 +805,146 @@ def test_null_search_starts_end_alone_as_beside_the_others():
     frame = layout.search_frame
 
     def ends(fractions):
-        z = frame[1] * np.array(fractions)
-        return trap._damped_newton(layout, trap._null_step, np.full(z.shape, frame[0]), z,
+        z = [frame[1] * f for f in fractions]
+        return trap._damped_newton(layout, trap._null_step, [frame[0]] * len(z), z,
                                    first=False)
 
-    # a start that leaves the domain ends nowhere, alone or beside the others
+    # a start that leaves the domain ends nowhere, alone or beside the others;
+    # the repr of a float holds all of its bits, the sign of zero included
     alone = [ends([f]) for f in DEFAULT_START_FRACTIONS]
     joint = ends(DEFAULT_START_FRACTIONS)
-    assert joint[0].size >= 2
-    for j, parts in zip(joint, zip(*alone)):
-        assert j.tobytes() == np.concatenate(parts).tobytes()
+    assert len(joint) >= 2
+    assert repr(joint) == repr([end for one in alone for end in one])
     sol = find_rf_null(layout)
-    picked = [f for f, (x, z, _) in zip(DEFAULT_START_FRACTIONS, alone)
-              if (x.tolist(), z.tolist()) == ([sol.null_position[0]], [sol.height])]
+    picked = [f for f, one in zip(DEFAULT_START_FRACTIONS, alone)
+              if [(x, z) for x, z, _ in one] == [(sol.null_position[0], sol.height)]]
     assert picked
     with mock.patch.object(trap, "DEFAULT_START_FRACTIONS", tuple(picked[:1])):
         own = find_rf_null(layout)
     assert own.null_position.tobytes() == sol.null_position.tobytes()
     assert own.height == sol.height
+
+
+def test_newton_2x2_singular_matrix_gives_a_non_finite_step():
+    # a det of exactly 0, of either sign, is a NaN step and never a
+    # ZeroDivisionError; the det is returned as computed
+    for h in ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (-2.0, 2.0, -2.0), (0.0, -0.0, 3.0)):
+        dx, dz, det = trap._newton_2x2(*h, 1.0, 2.0)
+        assert det == 0.0
+        assert not (math.isfinite(dx) or math.isfinite(dz))
+    assert trap._newton_2x2(2.0, 0.0, 4.0, 2.0, -4.0) == (-1.0, 1.0, 8.0)
+
+
+def test_damped_newton_drops_non_finite_steps_and_takes_a_zero_step_whole():
+    # a patched step answers each batch in turn: starts 0-2 step NaN,
+    # singular and infinite, and are dropped at once; start 3 steps by zero,
+    # which is taken whole and converges where it stands; start 4 steps 1e-6
+    # of its height and converges in the next batch, which holds it alone
+    layout, _ = load_layout(DEMO_LAYOUT)
+    x0, extent, _, y = layout.search_frame
+    z = [extent * f for f in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    z4 = z[4] + 1e-6 * z[4]
+    singular = trap._newton_2x2(1.0, 1.0, 1.0, 1.0, 1.0)[:2]
+    answers = iter([[(math.nan, 0.0, 0.0), (*singular, 1.0), (math.inf, 0.0, 2.0),
+                     (0.0, 0.0, 3.0), (0.0, 1e-6 * z[4], 4.0)],
+                    [(0.0, 0.0, 5.0)]])
+    batches = []
+
+    def step(rf, pts):
+        batches.append(pts.tolist())
+        return next(answers)
+
+    assert trap._damped_newton(layout, step, [x0] * 5, z) == [(x0, z[3], 3.0), (x0, z4, 5.0)]
+    assert batches == [[[x0, y, zk] for zk in z], [[x0, y, z4]]]
+
+
+def test_start_choice_prefers_finite_values_and_the_earlier_start_on_a_tie(monkeypatch):
+    # find_rf_null and _escape_saddle take the smallest value with min, the
+    # earlier start on a tie as np.argmin did; an inf saddle value (a point
+    # that is not an index-1 saddle) never beats a finite one, and only inf
+    # values raise
+    layout, _ = load_layout(DEMO_LAYOUT)
+    sol = find_rf_null(layout)
+    frame = layout.search_frame
+
+    def converge_with(*values):
+        # start k converges at (1e-6 k, 1e-4 (k + 1)) with values[k]
+        monkeypatch.setattr(trap, "_damped_newton", lambda *args, **kwargs: [
+            (1e-6 * k, 1e-4 * (k + 1), v) for k, v in enumerate(values)])
+
+    converge_with(2.0, 1.0, 1.0, 3.0)
+    assert find_rf_null(layout).null_position.tolist() == [1e-6, frame[3], 2e-4]
+    for values, k in (((math.inf, 5.0, 5.0), 1), ((math.inf, 1e300), 1), ((7.0, math.inf), 0)):
+        converge_with(*values)
+        saddle, e2 = _escape_saddle(layout, sol.null_position, sol.height)
+        assert (saddle.tolist(), e2) == ([1e-6 * k, frame[3], 1e-4 * (k + 1)], values[k])
+    for values in ((math.inf, math.inf), ()):
+        converge_with(*values)
+        with pytest.raises(NoTrapError, match="no escape saddle"):
+            _escape_saddle(layout, sol.null_position, sol.height)
+
+
+#: norm-wise accuracy of the kernel's derivatives against mpmath on ordinary
+#: strips (``test_kernel_third_derivatives_match_mpmath_normwise``)
+_KERNEL_TOL = 1e-13
+
+
+def newton_oracles(strips, point):
+    """The null and saddle Newton steps at ``point`` from the mpmath
+    derivatives, each with its value and first-order bounds on their errors
+    that the kernel's accuracy allows, all in the x-z plane:
+    ((-J^-1 E, |(E_x, E_z)|, bounds), (-h^-1 g, |E|^2 + g.delta, bounds, det h))."""
+    xz = [0, 2]
+    e, jac, d3 = mp_grad(strips, point), mp_hess(strips, point), mp_third(strips, point)
+    # error allowed in E, J and grad J: the tolerance times each one's norm,
+    # plus z times the next one's for E and J, which cancel from that size
+    # at the null (E) and at the saddle (J)
+    n_e, n_j, n_t = np.linalg.norm(e), np.linalg.norm(jac), np.linalg.norm(d3)
+    z = point[2]
+    err_e, err_j, err_t = (_KERNEL_TOL * n for n in (n_e + z * n_j, n_j + z * n_t, n_t))
+    a = jac[np.ix_(xz, xz)]
+    null = -np.linalg.solve(a, e[xz])
+    null_bound = np.linalg.norm(np.linalg.inv(a), 2) * (err_e + err_j * np.linalg.norm(null))
+    g = e @ jac[:, xz]
+    h = jac[:, xz].T @ jac[:, xz] + np.einsum("i,iab->ab", e, d3[:, xz][:, :, xz])
+    saddle = -np.linalg.solve(h, g)
+    err_g = n_e * err_j + n_j * err_e
+    err_h = 2.0 * n_j * err_j + n_e * err_t + n_t * err_e
+    saddle_bound = np.linalg.norm(np.linalg.inv(h), 2) * (err_g + err_h * np.linalg.norm(saddle))
+    value_bound = (2.0 * n_e * err_e + np.linalg.norm(g) * saddle_bound
+                   + np.linalg.norm(saddle) * err_g)
+    return ((null, math.hypot(*e[xz]), (null_bound, err_e)),
+            (saddle, e @ e + g @ saddle, (saddle_bound, value_bound), np.linalg.det(h)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(at_saddle=st.booleans(), dx=st.floats(-0.2, 0.2), dz=st.floats(-0.1, 0.1))
+@example(at_saddle=False, dx=0.1, dz=0.05)
+@example(at_saddle=True, dx=-0.1, dz=0.05)
+def test_float_steps_match_mpmath_newton_steps(at_saddle, dx, dz):
+    # near the demo null and its escape saddle, each float step is the
+    # Newton step of the mpmath derivatives to the kernel's accuracy; the
+    # steps agree to within 1/250 of the bound.  A sign flip of h_xz, which
+    # vanishes on the symmetry axis x = 0, misses by more than 3e10 times
+    # the bound at |dx| >= 0.05 heights; an x/z column swapped fails too
+    layout, _ = load_layout(DEMO_LAYOUT)
+    sol = find_rf_null(layout)
+    center = (_escape_saddle(layout, sol.null_position, sol.height)[0] if at_saddle
+              else sol.null_position)
+    point = center + sol.height * np.array([dx, 0.0, dz])
+    (null, e_xz, (null_bound, e_bound)), (saddle, e2, (step_bound, value_bound), det) = (
+        newton_oracles(layout.rf_strips, point))
+    ((nx, nz, nv),) = trap._null_step(layout.rf_corners, point[None])
+    assert math.hypot(nx - null[0], nz - null[1]) <= null_bound
+    assert abs(nv - e_xz) <= e_bound
+    ((sx, sz, sv),) = trap._saddle_step(layout.rf_corners, point[None])
+    assert math.hypot(sx - saddle[0], sz - saddle[1]) <= step_bound
+    # the value is the model's where h has one negative eigenvalue, else inf
+    assert (det < 0.0) == at_saddle
+    if at_saddle:
+        assert abs(sv - e2) <= value_bound
+    else:
+        assert sv == math.inf
 
 
 def test_spectrum_invariant_under_translation(five_wire, solved):
