@@ -125,28 +125,32 @@ def fields(record: dict, prefix: str = ""):
             yield prefix + key, value
 
 
-def compare(old: list, new: list, key: str) -> dict:
+def compare(old: list, new: list, key: str, measures=None) -> dict:
     """Field -> largest ``relative_difference`` over two lists of records
     that hold the same ``key`` values in the same order; a field that only
-    one of two records holds differs by inf."""
+    one of two records holds differs by inf.  ``measures`` maps a field to
+    its own difference instead, a function of the old and the new record."""
     if [r[key] for r in old] != [r[key] for r in new]:
         raise ValueError(f"the two outputs hold different {key}s")
+    measures = measures or {}
     worst = {}
     for a, b in zip(old, new):
         a, b = dict(fields(a)), dict(fields(b))
         for name in (a.keys() | b.keys()) - {key}:
-            worst[name] = max(worst.get(name, 0.0), relative_difference(a.get(name), b.get(name)))
+            diff = (measures[name](a, b) if name in measures
+                    else relative_difference(a.get(name), b.get(name)))
+            worst[name] = max(worst.get(name, 0.0), diff)
     return worst
 
 
-def print_comparison(path: str, solve, key: str, limit: int | None) -> int:
+def print_comparison(path: str, solve, key: str, limit: int | None, measures=None) -> int:
     """Print ``compare`` of the records in ``path`` with ``solve(n)``, the
     first n records of this checkout (n = ``limit``, by default as many as
     ``path`` holds), one ``field = difference`` line per field; an exit code."""
     with open(path, encoding="utf-8") as handle:
         old = [json.loads(line) for line in handle]
     try:
-        worst = compare(old, list(solve(len(old) if limit is None else limit)), key)
+        worst = compare(old, list(solve(len(old) if limit is None else limit)), key, measures)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

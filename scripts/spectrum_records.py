@@ -20,8 +20,11 @@ as many as it holds) and prints, for each field, the largest relative
 difference |new - old| / |old| over the designs and over the numbers in the
 field (``fit_records.compare``): 0.0 where every value is equal, and inf
 where a value appears, changes shape or changes from 0 or from a
-non-number.  It shows which fields a solver change moved, and by how much;
-only a byte diff tells 0.0 from -0.0.
+non-number.  Two fields are measured on their own scale instead, so that
+rounding does not read as inf: ``axes`` column by column up to sign
+(``axes_difference``), and ``null_position`` as |new - old| over the old
+height (``null_difference``).  It shows which fields a solver change moved,
+and by how much; only a byte diff tells 0.0 from -0.0.
 
 ``bench/gen.py`` is only imported, through ``fit_records.load_gen``; it
 writes no file for the designs.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -41,7 +45,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from cryoion import trap  # noqa: E402
 from cryoion.errors import CryoionError  # noqa: E402
-from fit_records import load_gen, number, print_comparison  # noqa: E402  (this script's directory)
+from fit_records import (load_gen, number, print_comparison,  # noqa: E402  (this script's dir)
+                         relative_difference)
 
 #: designs per seed, as many as the benchmark's pool
 DESIGNS = 128
@@ -72,6 +77,41 @@ def design_record(index: int, design) -> dict:
     return record
 
 
+def _arrays(old: dict, new: dict, *names):
+    """The fields ``names`` of two records as float arrays, or None where a
+    record lacks one (a design whose solve raised)."""
+    try:
+        return [np.array(r[name], dtype=float) for name in names for r in (old, new)]
+    except KeyError:
+        return None
+
+
+def axes_difference(old: dict, new: dict) -> float:
+    """Largest entry difference between the old and the new unit column of
+    each secular axis, the smaller of the two over the column's sign, since
+    an eigenvector's sign is arbitrary; inf where the shapes differ."""
+    arrays = _arrays(old, new, "axes")
+    if arrays is None:
+        return relative_difference(old.get("axes"), new.get("axes"))
+    a, b = arrays
+    if a.shape != b.shape:
+        return math.inf
+    return float(np.minimum(abs(b - a).max(axis=0), abs(b + a).max(axis=0)).max(initial=0.0))
+
+
+def null_difference(old: dict, new: dict) -> float:
+    """Largest |new - old| of the null's coordinates over the old height, so
+    that a rounding-level x (about 0, of either sign) moving by 1e-20 m
+    reads as rounding; inf where the shapes differ."""
+    arrays = _arrays(old, new, "null_position", "height")
+    if arrays is None:
+        return relative_difference(old.get("null_position"), new.get("null_position"))
+    a, b, height, _ = arrays
+    if a.shape != b.shape:
+        return math.inf
+    return float(abs(b - a).max(initial=0.0) / height)
+
+
 def records(seed: int, limit: int | None = None):
     """One record per design of ``seed``, in the workload's order."""
     designs = load_gen().trap_designs(seed, DESIGNS)
@@ -94,7 +134,8 @@ def main() -> int:
         parser.error("--limit must be >= 0")
     if args.compare:
         return print_comparison(args.compare, lambda limit: records(args.seed, limit),
-                                "design", args.limit)
+                                "design", args.limit,
+                                {"axes": axes_difference, "null_position": null_difference})
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for record in records(args.seed, args.limit):

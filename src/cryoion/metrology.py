@@ -45,11 +45,12 @@ class FrequencyRecord:
             raise DomainError(f"unknown record kind {self.kind!r}")
 
     def phase_seconds(self) -> np.ndarray:
-        """Phase-time data x(t); fractional frequency is integrated, x(0)=0."""
+        """Phase-time data x(t); fractional frequency is integrated about its
+        mean, x(0)=0, since an offset would cost the Allan variance digits."""
         if self.kind == KIND_PHASE:
             return self.series.samples
         y = self.series.samples
-        return np.concatenate(([0.0], np.cumsum(y) * self.series.dt))
+        return np.concatenate(([0.0], np.cumsum(y - y.mean()) * self.series.dt))
 
 
 def allan_deviation(record: FrequencyRecord, taus) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,8 @@ derivatives up to third order over all strips for a batch of points
 
 The solve is scale-free: it runs on the RF strips at unit drive, and each of
 its lengths is a fixed fraction of the RF strips' x extent or of the height.
-Damped Newton steps with exact derivatives find the RF null (E = 0, with the
-field Jacobian J) and the escape saddle of |E|^2 in the x-z plane through it.
+From the cross-section's roots, damped Newton steps with exact derivatives
+find the RF null (E = 0, with the field Jacobian J) and the escape saddle.
 V, Omega, m and q enter once, at the end: psi = (qV)^2 |E|^2 / (4 m Omega^2)
 has the Hessian (qV)^2 J^T J / (2 m Omega^2) at the null, which with the DC
 curvature gives the secular spectrum; the Mathieu q_i = 2 |qV| sigma_i /
@@ -45,9 +45,6 @@ ROLE_RF = "rf"
 ROLE_DC = "dc"
 ROLE_CENTER = "center"  # grounded: a covered slot or ground plane strip
 
-#: start heights of the null search, as fractions of the RF strips' x extent L
-DEFAULT_START_FRACTIONS = (1 / 12, 1 / 6, 1 / 3, 2 / 3)
-
 #: lowest height of a search point, as a fraction of L (1 nm on the demo layout)
 _MIN_Z = 4e-6
 #: Newton correction, as a fraction of the height, below which a search has
@@ -57,19 +54,6 @@ _MIN_Z = 4e-6
 #: so a step of eps^(1/3) z (about 6.1e-6 z) already leaves it exact to rounding
 _NULL_TOL = 1e-9
 _SADDLE_TOL = float(np.finfo(float).eps) ** (1.0 / 3.0)
-#: coarse transverse ray scan that seeds the escape-saddle search (rays, and
-#: samples per ray), and the most Newton starts taken from it
-_SCAN_RAYS = 32
-_SCAN_SAMPLES = 12
-_SADDLE_STARTS = 4
-#: the scan's distances from the null along each ray, in heights
-_SCAN_DISTANCES = np.geomspace(1e-2, 30.0, _SCAN_SAMPLES)
-#: directions (cos, sin) of the scan's rays in the x-z plane, one row per ray
-_RAY_COS, _RAY_SIN = (f(np.linspace(0.0, 2.0 * math.pi, _SCAN_RAYS, endpoint=False))[:, None]
-                      for f in (np.cos, np.sin))
-#: the rays in order with one wrapped neighbour at each end: ring[:-2] is each
-#: ray's neighbour before it on the circle, ring[2:] the one after
-_RAY_RING = np.arange(-1, _SCAN_RAYS + 1) % _SCAN_RAYS
 
 
 @dataclass(frozen=True)
@@ -137,16 +121,62 @@ class ElectrodeLayout:
     @cached_property
     def search_frame(self) -> tuple:
         """Center x0 and x extent L of the RF strips, the x span of all strips
-        and the axial center y: the frame and length scale of every
-        stationary-point search in x-z."""
+        and the axial center y of the RF strips: the frame and length scale
+        of every stationary-point search in x-z."""
         xs = [s.x_min for s in self.rf_strips] + [s.x_max for s in self.rf_strips]
-        span = max(s.x_max for s in self.strips) - min(s.x_min for s in self.strips)
-        return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span, self.axial_center
-
-    @property
-    def axial_center(self) -> float:
         ys = [s.y_min for s in self.rf_strips] + [s.y_max for s in self.rf_strips]
-        return 0.5 * (min(ys) + max(ys))
+        span = max(s.x_max for s in self.strips) - min(s.x_min for s in self.strips)
+        return 0.5 * (min(xs) + max(xs)), max(xs) - min(xs), span, 0.5 * (min(ys) + max(ys))
+
+    @cached_property
+    def section_roots(self) -> tuple:
+        """(nulls, saddles) of |E|^2 at the axial center, each a tuple of (x, z)
+        in ``_search_domain``, with the RF strips across it infinitely long and
+        abutting ones merged: E_x - i E_z is then proportional to F = N / D =
+        sum_k [1/(w - b_k) - 1/(w - a_k)] of w = x + iz.  The nulls are the
+        roots of N, and |F|^2 is stationary only where F or F' is 0, so the
+        saddles are the roots of N'D - ND'; float coefficients in the frame."""
+        x0, extent, _, y = self.search_frame
+        spans = []
+        for s in sorted(self.rf_strips, key=lambda s: s.x_min):
+            if s.y_min < y < s.y_max:
+                if spans and spans[-1][1] == s.x_min:
+                    spans[-1][1] = s.x_max
+                else:
+                    spans.append([s.x_min, s.x_max])
+        if not spans:
+            return (), ()
+        (a, b), *rest = [((lo - x0) / extent, (hi - x0) / extent) for lo, hi in spans]
+        num, den = [b - a], [1.0, -(a + b), a * b]
+        for a, b in rest:
+            # N/D + (b - a)/((w - a)(w - b)) over the common denominator
+            factor = [1.0, -(a + b), a * b]
+            num = [p + (b - a) * q for p, q in zip(_poly_product(num, factor), den)]
+            den = _poly_product(den, factor)
+        d_num, d_den = ([c * k for c, k in zip(p, range(len(p) - 1, 0, -1))] for p in (num, den))
+        slope = [p - q for p, q in zip(_poly_product(d_num, den), _poly_product(num, d_den))]
+        z_min, z_cap, x_off = _search_domain(self.search_frame)
+        return tuple(tuple(point for point in ((x0 + extent * w.real, extent * w.imag)
+                                               for w in np.roots(p).tolist())
+                           if z_min < point[1] <= z_cap and abs(point[0] - x0) <= x_off)
+                     for p in (num, slope))
+
+
+def _search_domain(frame):
+    """(z_min, z_cap, x_off): a search point stays while z_min < z <= z_cap and
+    |x - x0| <= x_off.  Beyond a few electrode spans, where no stationary
+    point is, the far field decays (and underflows) like a converged search."""
+    _, rf_extent, span, _ = frame
+    return _MIN_Z * rf_extent, 4.0 * span, 2.0 * span
+
+
+def _poly_product(p, q):
+    """Coefficients of the product of two polynomials, highest power first."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,43 +443,35 @@ def _null_step(rf, pts):
     return steps
 
 
-def _damped_newton(layout, step, x, z, first: bool = False, tol: float = _NULL_TOL):
+def _damped_newton(layout, step, x, z, tol: float = _NULL_TOL):
     """Converged end points of damped Newton in the x-z plane at the layout's
-    axial center, as one (x, z, value) of floats per converged start, in
-    start order, in its ``search_frame``; ``x`` and ``z`` are the starts'
-    coordinates, floats.
+    axial center, one (x, z, value) of floats per converged start, in start
+    order; ``x`` and ``z`` are the starts' coordinates, floats.
 
     ``step(rf, points)``, with ``rf`` the layout's corner table of the RF
     strips at unit drive (``ElectrodeLayout.rf_corners``), returns one
     (dx, dz, value) of floats per point of a batch: the Newton correction
     and the point's value.  All starts that are still stepping are one
-    batch, in start order.  A step is
-    capped at half the current height, and a start is dropped once it leaves
-    the domain (z at or below ``_MIN_Z`` L, above 4 spans, or more than 2
-    spans off x0; see ``ElectrodeLayout.search_frame``), which a non-finite
-    step always does.  A start counts as converged when the Newton
-    correction at its end point is at most ``tol`` of the height and its
-    last step stays inside the domain; ``value`` is the step's value at that
-    point, recorded in the iteration in which the start converges.  Each end
-    point is one Newton step past its converged point, whose value it
-    carries, so that no further evaluation is needed.  With ``first``, the
-    search stops at the first iteration in which some start converges and
-    returns the starts that did.
+    batch, in start order.  A step is capped at half the current height,
+    and a start is dropped once it leaves the ``_search_domain``, which a
+    non-finite step always does.  A start counts as converged
+    when the Newton correction at its end point is at most ``tol`` of the
+    height and its last step stays inside the domain; ``value`` is the
+    step's value at that point, recorded in the iteration in which the
+    start converges.  Each end point is one Newton step past its converged
+    point, whose value it carries, so that no further evaluation is needed.
 
     Only the kernel batch inside ``step`` is numpy; the steps come back as
     floats, and the loop below is plain float arithmetic, the same IEEE
     operations without numpy's per-call cost on batches of a few points.
     """
-    x0, rf_extent, span, y = layout.search_frame
+    x0, _, _, y = layout.search_frame
     rf = layout.rf_corners
-    # a planar-trap stationary point sits within a few electrode spans of the
-    # metal; beyond that the far field decays monotonically (and eventually
-    # underflows), which a solver would mistake for convergence
-    z_min, z_cap, x_off = _MIN_Z * rf_extent, 4.0 * span, 2.0 * span
+    z_min, z_cap, x_off = _search_domain(layout.search_frame)
     live = list(zip(itertools.count(), x, z))  # (start, x, z) still stepping
     ends = []  # (start, x, z, value) of the starts that converged
     for _ in range(60):
-        if not live or (first and ends):
+        if not live:
             break
         steps = step(rf, np.array([(px, y, pz) for _, px, pz in live]))
         going = []
@@ -475,25 +497,20 @@ def find_rf_null(layout: ElectrodeLayout) -> "TrapSolution":
     """Locate the RF field null in the x-z plane at the axial center.
 
     Solves E_x = E_z = 0 at unit drive by damped Newton steps
-    (``_damped_newton``) with the closed-form field Jacobian, from starts at
-    the ``DEFAULT_START_FRACTIONS`` of the RF strips' x extent above their
-    center, all at once, so that the search scales with the layout and
-    neither the drive nor an ion species enters it.  |E| alone is not a
-    usable convergence test, since the far field is small everywhere.  The
-    search stops at the first iteration in which some start converges
-    (converged starts agree to well below 1e-9 of the height); of those
-    starts, the one with the smallest |(E_x, E_z)| (``_null_step``'s value)
-    is returned, the earlier start on a tie.
+    (``_damped_newton``) with the closed-form field Jacobian, from every
+    null of the cross-section (``ElectrodeLayout.section_roots``) in one
+    batch; |E| alone is no convergence test, being small everywhere far out.
+    Of several nulls (n RF strips side by side have up to n - 1) the highest
+    converged one is returned, the earlier start on a tie; none is a NoTrapError.
     """
     if layout.rf_voltage == 0:
         raise NoTrapError("zero RF amplitude traps nothing")
-    x0, rf_extent, _, y = layout.search_frame
-    heights = [rf_extent * f for f in DEFAULT_START_FRACTIONS]
-    ends = _damped_newton(layout, _null_step, [x0] * len(heights), heights, first=True)
+    nulls = layout.section_roots[0]
+    ends = _damped_newton(layout, _null_step, [x for x, _ in nulls], [z for _, z in nulls])
     if not ends:
-        raise NoTrapError("no interior RF null found from any start height")
-    x, z, _ = min(ends, key=lambda end: end[2])
-    return TrapSolution(null_position=np.array([x, y, z]), height=z)
+        raise NoTrapError("no interior RF null found from the cross-section's nulls")
+    x, z, _ = max(ends, key=lambda end: end[1])
+    return TrapSolution(null_position=np.array([x, layout.search_frame[3], z]), height=z)
 
 
 # ---------------------------------------------------------------------------
@@ -556,51 +573,33 @@ def _saddle_step(rf, pts):
 
 def _escape_saddle(layout, null, height):
     """The lowest index-1 saddle of psi in the x-z plane through the null, as
-    (point, |E|^2 there at unit drive), or None when no transverse ray escapes;
-    |E| is that of the layout's unit-drive ``rf_corners``.
+    (point, |E|^2 there at the unit drive of ``rf_corners``), or None when
+    the layout's cross-section has no saddle.
 
-    A coarse scan samples ``_SCAN_RAYS`` rays from the null at the
-    ``_SCAN_SAMPLES`` distances of ``_SCAN_DISTANCES``, 0.01 to 30 heights;
-    its values only choose Newton's starts.  A ray whose maximum sits at the
-    end of its range (still climbing, e.g. toward the chip plane) offers no
-    escape path.  Over the ray angle the escape rays' maxima form valleys,
-    one per saddle they pass near; the maximum sample of the lowest ray of
-    each of the ``_SADDLE_STARTS`` lowest valleys starts damped Newton on
-    grad psi = 0 (``_damped_newton``), which stops a start once its Newton
-    step is at most ``_SADDLE_TOL`` (eps^(1/3), about 6.1e-6) of the height.
-    The point is that step's end, and |E|^2 is the quadratic model's value
-    there (``_saddle_step``), exact to O(eps) of |E|^2, though the point
-    itself is only within about eps^(2/3) z (4e-11 z) of the saddle.  A
-    converged point counts only where the Hessian of psi has exactly one
-    negative eigenvalue, and the lowest of those is returned, the earlier
-    start on a tie; escape rays with no such saddle raise ``NoTrapError``,
-    so the depth is never a sampled value.
+    Damped Newton on grad psi = 0 (``_damped_newton``) starts at every saddle
+    of the cross-section (``ElectrodeLayout.section_roots``), rescaled about
+    the chip plane by r = height / z_2 over its highest null (x_2, z_2):
+    x -> null_x + r (x - x_2), z -> r z, since strips a few heights long
+    hold null and saddle well below their infinite-strip heights.  A start
+    stops once its step is at most ``_SADDLE_TOL`` (eps^(1/3)) of the
+    height, its point within about eps^(2/3) z of the saddle and its |E|^2
+    the quadratic model's (``_saddle_step``), exact to O(eps).  The lowest
+    point where psi's Hessian has one negative eigenvalue is returned, the
+    earlier start on a tie; none is a NoTrapError: the depth is never sampled.
     """
-    frame = layout.search_frame
-    s = height * _SCAN_DISTANCES
-    px = null[0] + _RAY_COS * s
-    pz = null[2] + _RAY_SIN * s
-    ok = pz > 10.0 * _MIN_Z * frame[1]  # per ray a prefix: pz is monotonic
-    pts = np.column_stack([px[ok], np.full(np.count_nonzero(ok), null[1]), pz[ok]])
-    (e,) = _derivatives(layout.rf_corners, pts, order=1)
-    e2 = np.full(px.shape, -np.inf)
-    e2[ok] = np.einsum("ij,ij->i", e, e)
-    n_ok = ok.sum(axis=1)
-    imax = np.argmax(e2, axis=1)
-    escape = (n_ok >= 4) & (imax < n_ok - 1)
-    if not escape.any():
+    nulls, saddles = layout.section_roots
+    if not saddles:
         return None
-    barrier = np.where(escape, e2.max(axis=1), np.inf)
-    ring = barrier[_RAY_RING]
-    valley = np.flatnonzero((barrier < ring[:-2]) & (barrier <= ring[2:]))
-    rays = valley[np.argsort(barrier[valley])[:_SADDLE_STARTS]]
-    ends = [end for end in _damped_newton(layout, _saddle_step, px[rays, imax[rays]].tolist(),
-                                          pz[rays, imax[rays]].tolist(), tol=_SADDLE_TOL)
+    x_2, z_2 = max(nulls, key=lambda point: point[1])
+    r = height / z_2
+    ends = [end for end in _damped_newton(layout, _saddle_step,
+                                          [null[0] + r * (x - x_2) for x, _ in saddles],
+                                          [r * z for _, z in saddles], tol=_SADDLE_TOL)
             if end[2] < math.inf]  # the index-1 saddles
     if not ends:
-        raise NoTrapError("the pseudopotential has escape paths but no escape saddle")
+        raise NoTrapError("the cross-section's saddles polish to no escape saddle")
     x, z, e2_end = min(ends, key=lambda end: end[2])
-    return np.array([x, frame[3], z]), e2_end
+    return np.array([x, layout.search_frame[3], z]), e2_end
 
 
 def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
@@ -618,12 +617,10 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     the small axial q to full relative precision; the eigenvalues of J^T J,
     with its condition number squared, would not.  The depth, in eV, is
     (qV)^2 (|E_saddle|^2 - |E_null|^2) / (4 m Omega^2 e), with |E_saddle|^2
-    the quadratic-model value of ``_escape_saddle`` (its search stops at a
-    coarser step than the null's, since only the null's position and J are
-    outputs); it is inf when no transverse ray from the null escapes, and
-    the DC strips do not enter it.  A DC index that names no DC strip, a DC
-    voltage or curvature that is not finite, or a drive factor that is zero
-    or not finite raises DomainError.
+    the quadratic-model value of ``_escape_saddle``; it is inf when the
+    layout's cross-section has no saddle, and the DC strips do not enter it.
+    A DC index that names no DC strip, a DC voltage or curvature that is not
+    finite, or a drive factor that is zero or not finite raises DomainError.
     """
     dc = _dc_corners(layout, dc_voltages)
     sol = find_rf_null(layout)

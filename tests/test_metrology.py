@@ -1,6 +1,7 @@
 """Allan deviation, linewidth, fringe inversion, spectra, excursions, images."""
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,15 +63,37 @@ def test_allan_white_fm_level_and_slope():
 
 
 def test_allan_accepts_equivalent_phase_record():
+    # a frequency record is integrated about its mean, so the phase record
+    # integrated the same way gives the same bits, and the plain integral,
+    # a linear ramp away from it, the same deviation to rounding
     dt = 0.01
     y = 1e-15 * seeded_rng(5).standard_normal(5000)
     from_freq = FrequencyRecord(KIND_FRACTIONAL, TimeSeries(0.0, dt, y))
-    x = np.concatenate(([0.0], np.cumsum(y) * dt))
-    from_phase = FrequencyRecord(KIND_PHASE, TimeSeries(0.0, dt, x))
     taus = dt * np.array([1.0, 4.0, 16.0])
     _, s1 = allan_deviation(from_freq, taus)
-    _, s2 = allan_deviation(from_phase, taus)
-    assert np.array_equal(s1, s2)
+    for x, rtol in ((np.cumsum(y - y.mean()) * dt, 0.0), (np.cumsum(y) * dt, 1e-12)):
+        from_phase = FrequencyRecord(KIND_PHASE, TimeSeries(0.0, dt, np.concatenate(([0.0], x))))
+        _, s2 = allan_deviation(from_phase, taus)
+        assert np.allclose(s2, s1, rtol=rtol, atol=0.0)
+
+
+def test_allan_of_an_offset_record_matches_exact_arithmetic():
+    # y = y0 + white noise 1e-15 with y0 = 1e-9: the offset drops out of the
+    # Allan variance exactly, and the deviation matches the one computed
+    # in exact rational arithmetic from the same float samples.  Integrated
+    # as it stands, the record's phase ramp cost it up to 1.6e-10 relative
+    dt = 0.5
+    y = 1e-9 + 1e-15 * seeded_rng(3).standard_normal(64)
+    taus = dt * np.array([1.0, 2.0, 5.0, 21.0])
+    _, sigma = allan_deviation(FrequencyRecord(KIND_FRACTIONAL, TimeSeries(0.0, dt, y)), taus)
+    x = [Fraction(0)]
+    for v in y.tolist():
+        x.append(x[-1] + Fraction(v) * Fraction(dt))
+    for tau, got in zip(taus.tolist(), sigma.tolist()):
+        m = round(tau / dt)
+        d2 = sum((x[i + 2 * m] - 2 * x[i + m] + x[i]) ** 2 for i in range(len(x) - 2 * m))
+        exact = d2 / (2 * (len(x) - 2 * m) * Fraction(tau) ** 2)
+        assert got == pytest.approx(math.sqrt(exact), rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -60,3 +60,27 @@ def test_compare_prints_the_largest_relative_difference_per_field(tmp_path):
     assert worst["unstable_axes"] == math.inf
     assert {k for k, v in worst.items() if v == 0.0} == fields - {"trap_depth_ev", "axes",
                                                                    "unstable_axes"}
+
+
+def test_compare_reads_axes_up_to_sign_and_the_null_against_the_height(tmp_path):
+    # an eigenvector's sign is arbitrary and the symmetric trap's null x is
+    # rounding about 0, so neither reads as inf: each axis is compared up
+    # to sign, and the null's move is measured in heights
+    records = [json.loads(line) for line in
+               spectrum_records("--seed", "1", "--limit", "2").decode().splitlines()]
+    records[0]["axes"] = [[-v if j == 1 else v for j, v in enumerate(row)]
+                          for row in records[0]["axes"]]
+    records[0]["null_position"][0] = 1e-20 if records[0]["null_position"][0] <= 0 else -1e-20
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    out = spectrum_records("--seed", "1", "--compare", str(old)).decode().splitlines()
+    worst = {key: float(value) for key, value in (line.split(" = ") for line in out[1:])}
+    assert worst["axes"] == 0.0
+    assert 0.0 < worst["null_position"] <= 2e-20 / records[0]["height"] < 1e-14
+    records[1]["axes"][2][0] += 1e-9
+    records[1]["null_position"][2] += 1e-6 * records[1]["height"]
+    old.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    out = spectrum_records("--seed", "1", "--compare", str(old)).decode().splitlines()
+    worst = {key: float(value) for key, value in (line.split(" = ") for line in out[1:])}
+    assert worst["axes"] == pytest.approx(1e-9, rel=1e-6)
+    assert worst["null_position"] == pytest.approx(1e-6, rel=1e-6)
