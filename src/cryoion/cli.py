@@ -26,8 +26,8 @@ import sys
 from . import __version__
 from .csvio import fmt, provenance_lines, read_table, read_timeseries, render_table, write_table
 from .errors import CryoionError, DomainError, UnitError
-from .units import (CONSTANTS, DIMENSIONLESS, HENRY, HERTZ, HZ_PER_TESLA, KELVIN,
-                    LITER_PER_HOUR, METER, SECOND, SIEMENS_PER_METER, TESLA, VOLT,
+from .units import (AMPERE, CONSTANTS, DIMENSIONLESS, FARAD, HENRY, HERTZ, HZ_PER_TESLA,
+                    KELVIN, LITER_PER_HOUR, METER, SECOND, SIEMENS_PER_METER, TESLA, VOLT,
                     format_si, parse_si)
 
 #: documented mount geometry for the default conduction-load report: the thin
@@ -242,7 +242,7 @@ def cmd_coil_homogeneity(args):
 
     pair = _pair_from(args)
     return ({"center_field_t": math.hypot(*coils.coil_field(pair, (0.0, 0.0, 0.0))),
-             "max_relative_deviation": coils.coil_homogeneity(pair, args.extent, args.samples)},
+             "max_relative_deviation": coils.coil_homogeneity(pair, args.extent)},
             ["center field = {center_field_t:si:T} ({center_field_t} T)",
              "max relative deviation over {extent:si:m} axial extent = "
              "{max_relative_deviation}"])
@@ -600,7 +600,7 @@ def _build_coil(ops) -> None:
         add_quantity_flag(p, "--separation", METER, "m",
                           "loop separation (default: radius, Helmholtz)")
         p.add_argument("--turns", type=int, default=1, help="turns per loop (default 1)")
-        add_quantity_flag(p, "--current", (0, 0, 0, 1, 0), "A", "loop current", default=1.0)
+        add_quantity_flag(p, "--current", AMPERE, "A", "loop current", default=1.0)
         if name == "field":
             add_quantity_flag(p, "--x", METER, "m", "field point x", default=0.0)
             add_quantity_flag(p, "--y", METER, "m", "field point y", default=0.0)
@@ -608,8 +608,6 @@ def _build_coil(ops) -> None:
         else:
             add_quantity_flag(p, "--extent", METER, "m", "axial segment length",
                               required=True)
-            p.add_argument("--samples", type=int, default=201,
-                           help="axial sample count (default 201)")
 
 
 def _build_cryo(ops) -> None:
@@ -640,7 +638,7 @@ def _build_trap(ops) -> None:
                    help="DC electrode voltage, repeatable")
     p = _leaf(ops, "resonator", cmd_trap_resonator, "LC resonator arithmetic")
     add_quantity_flag(p, "--inductance", HENRY, "H", "coil inductance", required=True)
-    add_quantity_flag(p, "--capacitance", (-2, -1, 4, 2, 0), "F", "load capacitance")
+    add_quantity_flag(p, "--capacitance", FARAD, "F", "load capacitance")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "resonance frequency")
     p = _leaf(ops, "spacing", cmd_trap_spacing, "two-ion equilibrium spacing")
     add_quantity_flag(p, "--freq", HERTZ, "Hz", "axial secular frequency", required=True)

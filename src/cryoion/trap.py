@@ -324,10 +324,12 @@ def _derivatives(corners, points, order: int = 2):
     views of its result, so that equal entries are one value and the
     symmetries and identities hold bit for bit.
 
-    Third derivatives are accurate norm-wise, not entry-wise: where the corner
-    terms cancel (a narrow strip seen from far away at low height) one entry
-    can lose most of its digits.  At strip x 170-177 um, y 0-5 um and point
-    (-100, 0, 5) um, d_yyy is off by 2.8e-6 relative, the tensor by 2.7e-9.
+    phi is accurate to a few ulps of the unit potential, not relatively, and
+    third derivatives norm-wise, not entry-wise: where the corner terms cancel
+    (a narrow strip seen from far away at low height) a small value can lose
+    most of its digits.  At strip x 170-177 um, y 0-5 um and point
+    (-100, 0, 5) um, phi = 1.36e-6 is off by 1.5e-17 (1.1e-11 relative),
+    d_yyy by 2.8e-6 relative and the tensor by 2.7e-9 of its norm.
 
     A point's bits are its own, whatever its batch: each point's corner
     terms are contracted with the weights in one small (rows x C)

@@ -1,6 +1,7 @@
 """Hypothesis profiles: ``HYPOTHESIS_PROFILE=ci`` makes every property test
 draw the same examples on every run, so a CI result repeats; without it,
-local runs keep drawing new examples.  The ``bench_gen`` fixture serves the
+local runs keep drawing new examples.  ``pytest.approx`` given ``rel`` and no
+``abs`` checks the relative bound alone.  The ``bench_gen`` fixture serves the
 benchmark's input generator to the tests that fit its scans, and the
 ``fit_records_script`` fixture the script whose ``FITS`` table fits them."""
 import contextlib
@@ -16,6 +17,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+_approx = pytest.approx
+
+
+def _relative_approx(expected, rel=None, abs=None, nan_ok=False):
+    """``pytest.approx`` with ``abs=0.0`` where only ``rel`` is given: its
+    default ``abs=1e-12`` would pass any value below 1e-12, whatever ``rel``."""
+    if rel is not None and abs is None:
+        abs = 0.0
+    return _approx(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+
+
+pytest.approx = _relative_approx
 
 
 @contextlib.contextmanager

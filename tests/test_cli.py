@@ -235,7 +235,25 @@ def test_tiny_coil_homogeneity_is_scale_free(capsys):
     tiny = _coil_json(capsys, "homogeneity", "--radius", "1e-300m", "--extent", "1e-302m")
     assert tiny["center_field_t"] == pytest.approx(unit["center_field_t"] * 1e300, rel=1e-12)
     assert tiny["max_relative_deviation"] == pytest.approx(unit["max_relative_deviation"],
-                                                           rel=1e-6)
+                                                           rel=1e-15)
+
+
+@pytest.mark.parametrize("separation,exact", [("50.05mm", 7.9939746245484727508e-07),
+                                              ("5cm", 2.9439551362534684387e-06)])
+def test_coil_homogeneity_is_the_exact_worst_deviation(capsys, separation, exact):
+    # 40-digit maxima over the segment: 50.05 mm peaks inside it, at z = 1.44 mm
+    argv = ["--radius", "5cm", "--separation", separation, "--extent", "4mm"]
+    got = _coil_json(capsys, "homogeneity", *argv)
+    assert got["max_relative_deviation"] == pytest.approx(exact, rel=1e-13)
+    code, out, _ = run(capsys, "coil", "homogeneity", *argv)
+    assert code == 0 and out.endswith(f"extent = {exact:.12g}\n")
+
+
+def test_coil_homogeneity_takes_no_sample_count(capsys):
+    code, out, err = run(capsys, "coil", "homogeneity", "--radius", "19.5cm", "--extent", "1cm",
+                         "--samples", "201")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --samples 201" in err
 
 
 def test_large_current_gives_a_finite_magnitude(capsys):

@@ -79,7 +79,7 @@ SCALAR_COMMANDS = {
         b"|B| = 231 \xc2\xb5T (0.000230556190291 T)\n",
     "coil homogeneity --radius 19.5cm --extent 1cm":
         b"center field = 4.61 \xc2\xb5T (4.61116043884e-06 T)\n"
-        b"max relative deviation over 10 mm axial extent = 4.97601076759e-07\n",
+        b"max relative deviation over 10 mm axial extent = 4.97601076761e-07\n",
     "cryo load":
         b"assumed geometry: tube diameter 40 mm, wall 500 \xc2\xb5m, length 120 mm, "
         b"material SS316\n"

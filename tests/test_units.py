@@ -183,6 +183,8 @@ def test_format_parse_round_trip(magnitude, negative, symbol, sig):
 def test_constants_sanity():
     assert CONSTANTS.mu0 == pytest.approx(4e-7 * math.pi, rel=1e-15)
     assert CONSTANTS.m_ca40 == pytest.approx(6.6359438e-26, rel=1e-6)
-    assert CONSTANTS.m_sr88 == pytest.approx(1.4597124e-25, rel=1e-6)
+    # AME2020 (Wang et al., Chin. Phys. C 45, 030003 (2021)): 87.9056122571 u
+    assert CONSTANTS.m_sr88 == pytest.approx(87.9056122571 * 1.66053906660e-27, rel=1e-6,
+                                             abs=0.0)
     assert CONSTANTS.wavelength_qubit_ca == 729e-9
     assert CONSTANTS.elementary_charge == 1.602176634e-19
