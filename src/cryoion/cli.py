@@ -361,6 +361,7 @@ def cmd_qubit_rabi(args):
     if not args.tmax > 0:
         raise DomainError(f"--tmax must be positive, got {args.tmax:g} s")
     state = qubit.PhononState(nbar=args.nbar)
+    qubit._fock_levels(state, args.points)  # before the times are built
     drive = qubit.DriveParams(rabi_frequency=2.0 * math.pi * args.rabi, lamb_dicke=args.eta)
     times = np.linspace(0.0, args.tmax, args.points)
     signal = qubit.carrier_rabi_signal(state, drive, times, model=args.model)

@@ -235,6 +235,24 @@ class ExcursionStats:
     window_s: float
 
 
+def _window_max(x: np.ndarray, m: int) -> np.ndarray:
+    """Maximum of each window of ``m`` consecutive samples of ``x``, for the
+    len(x) - m + 1 windows in order, in O(len(x)) whatever ``m``: the van
+    Herk / Gil-Werman running maximum (van Herk, Pattern Recognit. Lett. 13,
+    517 (1992); Gil & Werman, IEEE TPAMI 15, 504 (1993)).  Cut x into blocks
+    of m; the window from i ends in the block after i's or in i's own, so its
+    maximum is that of the running maximum from i to its block's end and of
+    the one from the next block's start to i + m - 1.  A maximum is exact,
+    so each window's value is the direct one's."""
+    n = x.size
+    blocks = np.full(-(-n // m) * m, -np.inf)
+    blocks[:n] = x
+    blocks = blocks.reshape(-1, m)
+    ahead = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    behind = np.maximum.accumulate(blocks, axis=1).ravel()
+    return np.maximum(ahead[:n - m + 1], behind[m - 1:n])
+
+
 def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats:
     """Excursion statistics of a displacement record.
 
@@ -260,9 +278,10 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
     if abs(m_real - m) > 1e-9 * m:
         raise DomainError(f"excursion window of {window_s:g} s is {m_real:g} samples at "
                           f"dt = {displacement.dt:g} s; it must be a whole number of samples")
-    windows = np.lib.stride_tricks.sliding_window_view(x, m)
-    half_p2p = 0.5 * (windows.max(axis=1) - windows.min(axis=1))
-    return ExcursionStats(max_abs=float(half_p2p.max()),
+    # max - min is max + max(-x), exactly; + 0.0 makes a zero +0.0 whatever
+    # sign the tied zeros of a constant record leave
+    half_p2p = 0.5 * (_window_max(x, m) + _window_max(-x, m))
+    return ExcursionStats(max_abs=float(half_p2p.max()) + 0.0,
                           peak_to_peak=float(x.max() - x.min()),
                           drift=float(x[-1] - x[0]),
                           window_s=window_s)

@@ -27,6 +27,10 @@ RAMSEY_GAUSSIAN = "gaussian"
 RAMSEY_EXPONENTIAL = "exponential"
 
 _TAIL_CUTOFF = 1e-8
+#: largest number of times x Fock levels that one thermal signal may hold:
+#: 10^7 float64 terms are 80 MB per array, and nbar = 1000 over 500 times
+#: (18,430 levels) still fits
+_MAX_FOCK_TERMS = 10**7
 
 
 def _default_n_max(nbar: float) -> int:
@@ -35,6 +39,8 @@ def _default_n_max(nbar: float) -> int:
         return floor
     # geometric tail (nbar/(1+nbar))^(N+1) <= cutoff
     ratio = nbar / (1.0 + nbar)
+    if ratio == 1.0:
+        raise DomainError(f"nbar = {nbar:g} has no finite Fock truncation")
     tail = math.ceil(math.log(_TAIL_CUTOFF) / math.log(ratio)) - 1
     return max(floor, tail)
 
@@ -69,11 +75,27 @@ class PhononState:
         return float(np.arange(p.size) @ p)
 
 
+def _fock_levels(state: PhononState, n_times: int = 1) -> int:
+    """n_max + 1, the Fock levels of ``state``, once ``n_times`` times that
+    is known to be at most ``_MAX_FOCK_TERMS``; above it, a DomainError
+    naming nbar.  The levels are at least 21 + 10 nbar, which decides the
+    check for a large nbar before n_max is computed."""
+    levels = 21.0 + 10.0 * state.nbar
+    if n_times * levels <= _MAX_FOCK_TERMS:
+        levels = state.n_max + 1
+        if n_times * levels <= _MAX_FOCK_TERMS:
+            return levels
+    raise DomainError(f"nbar = {state.nbar:g} over {n_times} time(s) needs at least {n_times} x "
+                      f"{levels:.6g} Fock-level terms, above the {_MAX_FOCK_TERMS:.0e} that "
+                      f"one signal may hold; lower nbar or the number of times")
+
+
 def thermal_distribution(state: PhononState) -> np.ndarray:
-    """P(n) = nbar^n / (1+nbar)^(n+1) for n = 0..n_max, renormalized."""
+    """P(n) = nbar^n / (1+nbar)^(n+1) for n = 0..n_max, renormalized; an
+    n_max + 1 above 10^7 levels (``_fock_levels``) is a DomainError."""
     import numpy as np
 
-    n = np.arange(state.n_max + 1, dtype=float)
+    n = np.arange(_fock_levels(state), dtype=float)
     if state.nbar == 0:
         p = np.zeros(n.size)
         p[0] = 1.0
@@ -139,11 +161,15 @@ def carrier_rabi_signal(state: PhononState, drive: DriveParams, times,
     element Omega exp(-eta^2/2) L_n(eta^2) instead.  The drive is on
     resonance: detuned flopping is not modeled.  An out-of-regime Lamb-Dicke
     parameter does not raise; it clears the ``lamb_dicke_valid`` flag on the
-    result.
+    result.  The sum is one (times x Fock levels) table, so the number of
+    times times n_max + 1 is bounded: above 10^7 (``_MAX_FOCK_TERMS``, 80 MB
+    a table) it is a DomainError naming nbar, raised before the table or
+    the distribution is built.
     """
     import numpy as np
 
     t = np.asarray(times, dtype=float)
+    _fock_levels(state, t.size)
     p = thermal_distribution(state)
     eta2 = drive.lamb_dicke**2
     if model == RABI_LINEAR:

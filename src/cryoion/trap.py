@@ -4,9 +4,12 @@ Every electrode is a rectangle in the z=0 plane; the rest of the plane is
 grounded.  The basis potential of a rectangle held at unit voltage is the
 solid angle it subtends at the field point divided by 2*pi (a sum of four
 arctangents), which is harmonic, bounded in [0, 1] and exact for the gapless
-model.  One numpy kernel sums those arctangents and their closed-form
-derivatives up to third order over all strips for a batch of points
-(Wesenberg, PRA 78, 063410 (2008); House, PRA 78, 033402 (2008)).
+model.  One kernel on Python floats sums those arctangents and their
+closed-form derivatives up to third order over a table of weighted strip
+corners, one point at a time (Wesenberg, PRA 78, 063410 (2008); House, PRA
+78, 033402 (2008)), so that every number the solve reports from it, the
+height, the null and the depth, is the same bits on any host: no BLAS
+product enters it.
 
 The solve is scale-free: it runs on the RF strips at unit drive, and each of
 its lengths is a fixed fraction of the RF strips' x extent or of the height.
@@ -112,11 +115,8 @@ class ElectrodeLayout:
 
     @cached_property
     def rf_corners(self) -> tuple:
-        """Corner table of the RF strips at unit drive (``_corners``), read-only."""
-        table = _corners(self.rf_strips, 1.0)
-        for a in table:
-            a.flags.writeable = False
-        return table
+        """Corner table of the RF strips at unit drive (``_corners``)."""
+        return _corners(self.rf_strips, 1.0)
 
     @cached_property
     def search_frame(self) -> tuple:
@@ -204,12 +204,12 @@ def _field_point(point, what: str = "potential") -> tuple[float, float, float]:
 
 def rect_potential(strip: Strip, point) -> float:
     """Basis potential of one rectangle at a single point with z > 0."""
-    return float(_derivatives(_corners([strip], 1.0), _field_point(point), order=0)[0])
+    return _derivatives(_corners([strip], 1.0), _field_point(point), order=0)
 
 
 def rf_basis_potential(layout: ElectrodeLayout, point) -> float:
     """Sum of RF strip basis potentials (dimensionless, unit drive)."""
-    return float(_derivatives(layout.rf_corners, _field_point(point), order=0)[0])
+    return _derivatives(layout.rf_corners, _field_point(point), order=0)
 
 
 def _dc_corners(layout: ElectrodeLayout, voltages: Mapping[int, float] | None):
@@ -239,69 +239,37 @@ def dc_potential(layout: ElectrodeLayout, voltages: Mapping[int, float] | None, 
     over the voltage set's corner table (``_dc_corners``); 0 where it sets none."""
     dc = _dc_corners(layout, voltages)
     point = _field_point(point)
-    return 0.0 if dc is None else float(_derivatives(dc, point, order=0)[0])
+    return 0.0 if dc is None else _derivatives(dc, point, order=0)
 
 
-#: signs of the four corner arctangents of a rectangle, over 2*pi, for the
-#: corners (x, y) = (min, min), (min, max), (max, min), (max, max)
-_CORNER_SIGN = np.array([1.0, -1.0, -1.0, 1.0]) / (2.0 * math.pi)
+#: weight of a corner arctangent of a rectangle at unit voltage: +-1/(2 pi)
+_TURN = 1.0 / (2.0 * math.pi)
 
-
-#: the rows that the kernel sums over the corners, in order: -grad; then
-#: Hessian entries; then third derivatives.  The rest follow from these.
-_SUMMED = ("x", "y", "z", "xx", "yy", "xy", "xz", "yz",
-           "xxx", "yyy", "xxz", "yyz", "xxy", "xyy", "xyz")
-#: rows the kernel sums at each order 0 to 3: phi alone, then _SUMMED's up to it
-_ROWS = (1,) + tuple(sum(len(name) <= order for name in _SUMMED) for order in (1, 2, 3))
-
-
-def _row_map(order):
-    """The 0/1 map from the kernel's summed rows at ``order`` (2 or 3) to the
-    entries of grad and of the derivative tensors up to ``order``, each
-    flattened in C order, and the sign of each entry.
-
-    An entry with two z indices is minus the sum of its x-x and y-y
-    partners, by the trace identity sum_i d_iik phi = 0 (harmonicity), and a
-    gradient entry is minus its row, which sums -grad.  The signs are applied
-    after the sums, so that every entry is exactly plus or minus its sum,
-    zeros included, as a negation gives: a matmul never returns -0.0.
-    """
-    rows = [name for name in _SUMMED if len(name) <= order]
-    entries = ["".join(sorted(ijk)) for n in range(1, order + 1)
-               for ijk in itertools.product("xyz", repeat=n)]
-    ones, signs = [], []
-    for col, name in enumerate(entries):
-        by_trace = name.endswith("zz")
-        summed = (["".join(sorted(name[:-2] + pair)) for pair in ("xx", "yy")] if by_trace
-                  else [name])
-        ones += [(rows.index(r), col) for r in summed]
-        signs.append(-1.0 if by_trace or len(name) == 1 else 1.0)
-    row_map = np.zeros((len(rows), len(entries)))
-    row_map[tuple(zip(*ones))] = 1.0
-    return row_map, np.array(signs)
-
-
-_ROW_MAPS = {order: _row_map(order) for order in (2, 3)}
 
 def _corners(strips: Sequence[Strip], weights):
-    """Corner table of weighted strips for ``_derivatives``: the weight of
-    every corner arctangent, shape (C,) for the C = 4 * len(strips) corners,
-    and the corner coordinates, shape (2, C, 1) for x and y.  ``weights`` is
-    one number per strip or one for all."""
-    w = np.empty((len(strips), 1))
-    w[:, 0] = weights
-    xy = np.array([((s.x_min, s.x_min, s.x_max, s.x_max), (s.y_min, s.y_max, s.y_min, s.y_max))
-                   for s in strips], dtype=float).reshape(-1, 2, 4)
-    return (w * _CORNER_SIGN).ravel(), xy.transpose(1, 0, 2).reshape(2, -1, 1)
+    """Corner table of weighted strips for ``_derivatives``: one (x, y, w)
+    triple of floats per corner, four per strip in the order (x, y) =
+    (min, min), (min, max), (max, min), (max, max), where w is the strip's
+    weight times +1/(2 pi), -1/(2 pi), -1/(2 pi) and +1/(2 pi), the signs of
+    the corner arctangents.  ``weights`` is one number per strip or one for all."""
+    if isinstance(weights, (int, float)):
+        weights = [weights] * len(strips)
+    table = []
+    for s, weight in zip(strips, weights, strict=True):
+        c = float(weight) * _TURN
+        x0, x1, y0, y1 = float(s.x_min), float(s.x_max), float(s.y_min), float(s.y_max)
+        table += [(x0, y0, c), (x0, y1, -c), (x1, y0, -c), (x1, y1, c)]
+    return tuple(table)
 
 
-def _derivatives(corners, points, order: int = 2):
-    """Weighted corner sums of phi and its derivatives up to ``order`` (0 to 3).
+def _derivatives(corners, point, order: int = 2):
+    """Weighted corner sums of phi and its derivatives up to ``order`` (0 to 3)
+    at one point, in Python floats.
 
-    ``corners`` is a table from ``_corners``; ``points`` is (N, 3) with z > 0.
-    Order 0 returns phi, shape (N,); otherwise a tuple of ``order`` arrays:
-    grad(phi), shape (N, 3), its Hessian, (N, 3, 3), and the third
-    derivatives, (N, 3, 3, 3).  Each corner term
+    ``corners`` is a table from ``_corners``; ``point`` is three floats
+    (x, y, z) with z > 0.  Order 0 returns phi, a float; otherwise a tuple of
+    ``order`` nested tuples of floats: grad(phi), (3,), its Hessian, (3, 3),
+    and the third derivatives, (3, 3, 3).  Each corner term
     F = atan(u v / (z R)), with u, v the corner offsets from the point,
     R^2 = u^2 + v^2 + z^2, a = u^2 + z^2 and b = v^2 + z^2, has closed-form
     derivatives F_u = v z / (a R), F_z = -u v (1/a + 1/b) / R, F_uv = z / R^3,
@@ -311,93 +279,126 @@ def _derivatives(corners, points, order: int = 2):
     F_uuz = -u v P(z) / (a^2 R^3) with
     P(w) = 2 R^2 + a - 4 w^2 - w^2 (8 R^2/a + 3 a/R^2); F is symmetric in u
     and v, so each v term is its u term with u, a and v, b swapped, and
-    d/dx = -d/du, d/dy = -d/dv.  The u and v versions of a term are one
-    stacked (2, C, N) array, and each point's terms are summed over the
-    corners in one contraction, into the 15 rows of ``_SUMMED``: -grad, the 5 Hessian
-    entries xx, yy, xy, xz, yz and the 7 independent third derivatives.  A
-    weighted sum of rectangle potentials is harmonic, so the zz entry of the
-    Hessian is -(xx + yy), and the third derivatives with two z indices follow
-    from the trace identities sum_i d_iik phi = 0.  One constant map
-    (``_row_map``) takes the summed rows to all 39 entries of the gradient,
-    Hessian and third derivatives, with those identities built in; it is one
-    small matmul and a sign per entry, and the three outputs are reshaped
-    views of its result, so that equal entries are one value and the
-    symmetries and identities hold bit for bit.
+    d/dx = -d/du, d/dy = -d/dv.  The corner terms are summed into 15 rows:
+    -grad, the Hessian entries xx, yy, xy, xz, yz and the third derivatives
+    xxx, yyy, xxz, yyz, xxy, xyy, xyz, each row in one accumulator, over the
+    corners left to right.  A weighted sum of rectangle potentials is
+    harmonic, so the zz entry of the Hessian is -(xx + yy), and the third
+    derivatives with two z indices follow from the trace identities
+    sum_i d_iik phi = 0: xzz = -(xxx + xyy), yzz = -(xxy + yyy) and
+    zzz = -(xxz + yyz).  Equal entries of the outputs are one float, so the
+    symmetries and identities hold bit for bit, and a point's bits are its
+    own: no sum reads another point, and no library routine (such as a BLAS
+    product, whose order and fused multiply-adds vary with the host) enters.
 
     phi is accurate to a few ulps of the unit potential, not relatively, and
     third derivatives norm-wise, not entry-wise: where the corner terms cancel
     (a narrow strip seen from far away at low height) a small value can lose
     most of its digits.  At strip x 170-177 um, y 0-5 um and point
-    (-100, 0, 5) um, phi = 1.36e-6 is off by 1.5e-17 (1.1e-11 relative),
-    d_yyy by 2.8e-6 relative and the tensor by 2.7e-9 of its norm.
+    (-100, 0, 5) um, against mpmath at 30 digits, phi = 1.36e-6 is off by
+    1.9e-17 (1.4e-11 relative), d_yyy by 5.9e-6 relative and the tensor by
+    4.4e-9 of its norm.
 
-    A point's bits are its own, whatever its batch: each point's corner
-    terms are contracted with the weights in one small (rows x C)
-    matrix-vector product of its own, so that no point's sum depends on the
-    points beside it.
+    The cost is one pass over the table per point, linear in the corners:
+    on a 2-core Xeon, about 0.7 us (order 2) and 1.3 us (order 3) per
+    corner, 6-8 us and 11-15 us for the 8 corners of two RF strips.  A numpy
+    batch kernel costs about 30 and 50 us per call at any table up to 26
+    strips, all per-call overhead at one point, so it would win only from
+    about 10 strips (order 2) and 7 strips (order 3) in one table; the
+    paper's trap, the demo and every bench design have 2 RF strips, and a
+    DC table is read once per spectrum.
     """
-    c, xy = corners
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(p)
-    # axes: u or v, then the corners, then the points (small dense arrays,
-    # since numpy's per-call overhead dominates at the small batches of a solve)
-    s = xy - p[:, :2].T[:, None]
-    z = p[:, 2]
+    x, y, z = point
     z2 = z * z
-    ss = s * s
-    a = ss + z2
-    r2 = a[0] + ss[1]
-    r = np.sqrt(r2)
-    uv = s[0] * s[1]
+    sqrt = math.sqrt
     if order == 0:
-        parts = [np.arctan(uv / (z * r))[None]]
-    else:
-        t = s[::-1]
-        ar = a * r
-        # the rows of the sum, in the order of _SUMMED
-        parts = [t * z / ar, (uv * (1.0 / a[0] + 1.0 / a[1]) / r)[None]]
-    if order > 1:
-        ir2 = 1.0 / r2
-        parts += [-(uv * z) * (2.0 / a + ir2) / ar, (z * ir2 / r)[None],
-                  -t * (1.0 - 2.0 * z2 / a - z2 * ir2) / ar]
-    if order > 2:
-        ir3 = ir2 / r
-        ir5 = ir3 * ir2
-        k = 4.0 + 8.0 * r2 / a + 3.0 * a * ir2
-        m = 2.0 * r2 + a
-        d = ir3 / (a * a)
-        zs = z * s
-        parts += [zs[::-1] * (m - ss * k) * d, uv * (z2 * k - m) * d, 3.0 * zs * ir5,
-                  ((r2 - 3.0 * z2) * ir5)[None]]
-    # the terms go straight into a points-first buffer, so that the product
-    # below is one (rows x C) matrix-vector product per point
-    buf = np.empty((n, _ROWS[order], c.size))
-    np.concatenate(parts, out=buf.transpose(1, 2, 0))
-    out = buf @ c
-    if order == 0:
-        return out[:, 0]
+        phi = 0.0
+        for cx, cy, w in corners:
+            u = cx - x
+            v = cy - y
+            phi += w * math.atan(u * v / (z * sqrt((u * u + z2) + v * v)))
+        return phi
+    z2_2 = 2.0 * z2
+    z2_3 = 3.0 * z2
+    ex = ey = ez = xx = yy = xy = xz = yz = 0.0
+    xxx = yyy = xxz = yyz = xxy = xyy = xyz = 0.0
+    for cx, cy, w in corners:
+        u = cx - x
+        v = cy - y
+        uu = u * u
+        vv = v * v
+        au = uu + z2
+        av = vv + z2
+        r2 = au + vv
+        r = sqrt(r2)
+        uv = u * v
+        aur = au * r
+        avr = av * r
+        # the rows of the sum: -grad, then the Hessian, then third derivatives
+        ex += w * (v * z / aur)
+        ey += w * (u * z / avr)
+        iau = 1.0 / au
+        iav = 1.0 / av
+        ez += w * (uv * (iau + iav) / r)
+        if order > 1:
+            # 2/a and 8 r^2/a are 2 (1/a) and 8 (r^2/a) to the bit
+            ir2 = 1.0 / r2
+            uvz = uv * z
+            z2ir2 = z2 * ir2
+            xx -= w * (uvz * (2.0 * iau + ir2) / aur)
+            yy -= w * (uvz * (2.0 * iav + ir2) / avr)
+            xy += w * (z * ir2 / r)
+            xz -= w * (v * (1.0 - z2_2 / au - z2ir2) / aur)
+            yz -= w * (u * (1.0 - z2_2 / av - z2ir2) / avr)
+            if order > 2:
+                ir3 = ir2 / r
+                ir5 = ir3 * ir2
+                r2_2 = 2.0 * r2
+                r2_8 = 4.0 * r2_2
+                ku = 4.0 + r2_8 / au + 3.0 * au * ir2
+                kv = 4.0 + r2_8 / av + 3.0 * av * ir2
+                mu = r2_2 + au
+                mv = r2_2 + av
+                du = ir3 / (au * au)
+                dv = ir3 / (av * av)
+                zu = z * u
+                zv = z * v
+                xxx += w * (zv * (mu - uu * ku) * du)
+                yyy += w * (zu * (mv - vv * kv) * dv)
+                xxz += w * (uv * (z2 * ku - mu) * du)
+                yyz += w * (uv * (z2 * kv - mv) * dv)
+                xxy += w * (3.0 * zu * ir5)
+                xyy += w * (3.0 * zv * ir5)
+                xyz += w * ((r2 - z2_3) * ir5)
+    grad = (-ex, -ey, -ez)
     if order == 1:
-        return (-out,)
-    row_map, signs = _ROW_MAPS[order]
-    res = (out @ row_map) * signs
-    grad, hess = res[:, :3], res[:, 3:12].reshape(n, 3, 3)
+        return (grad,)
+    zz = -(xx + yy)
+    hess = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
     if order == 2:
         return grad, hess
-    return grad, hess, res[:, 12:].reshape(n, 3, 3, 3)
+    xzz = -(xxx + xyy)
+    yzz = -(xxy + yyy)
+    zzz = -(xxz + yyz)
+    third = (((xxx, xxy, xxz), (xxy, xyy, xyz), (xxz, xyz, xzz)),
+             ((xxy, xyy, xyz), (xyy, yyy, yyz), (xyz, yyz, yzz)),
+             ((xxz, xyz, xzz), (xyz, yyz, yzz), (xzz, yzz, zzz)))
+    return grad, hess, third
 
 
 def rf_field(layout: ElectrodeLayout, point) -> np.ndarray:
     """Peak RF field vector -V grad(phi_rf) (V/m) at a point, in closed form,
     from the layout's unit-drive corner table with -V folded into its weights."""
-    c, xy = layout.rf_corners
-    (e,) = _derivatives((-layout.rf_voltage * c, xy), _field_point(point, "field"), order=1)
-    return e[0]
+    v = -layout.rf_voltage
+    corners = [(cx, cy, v * w) for cx, cy, w in layout.rf_corners]
+    (e,) = _derivatives(corners, _field_point(point, "field"), order=1)
+    return np.array(e)
 
 
 def pseudopotential(layout: ElectrodeLayout, species: IonSpecies, point) -> float:
     """Time-averaged RF confinement energy q^2 |E|^2 / (4 m Omega^2), in J."""
-    (e,) = _derivatives(layout.rf_corners, _field_point(point, "field"), order=1)
-    return 0.25 * _drive_factors(layout, species)[0] * float(e[0] @ e[0])
+    ((ex, ey, ez),) = _derivatives(layout.rf_corners, _field_point(point, "field"), order=1)
+    return 0.25 * _drive_factors(layout, species)[0] * (ex * ex + ey * ey + ez * ez)
 
 
 def _drive_factors(layout, species):
@@ -434,12 +435,12 @@ def _newton_2x2(hxx, hxz, hzz, gx, gz):
 
 
 def _null_step(rf, pts):
-    """Newton steps toward E_x = E_z = 0 at the points, and |(E_x, E_z)|
-    there, as one (dx, dz, value) of floats per point; a singular Jacobian
-    gives a non-finite step."""
-    e, jac = _derivatives(rf, pts)
+    """Newton steps toward E_x = E_z = 0 at the points, (x, y, z) floats,
+    and |(E_x, E_z)| there, as one (dx, dz, value) of floats per point; a
+    singular Jacobian gives a non-finite step."""
     steps = []
-    for (ex, _, ez), ((jxx, _, jxz), _, (_, _, jzz)) in zip(e.tolist(), jac.tolist()):
+    for point in pts:
+        (ex, _, ez), ((jxx, _, jxz), _, (_, _, jzz)) = _derivatives(rf, point)
         dx, dz, _ = _newton_2x2(jxx, jxz, jzz, ex, ez)
         steps.append((dx, dz, math.hypot(ex, ez)))
     return steps
@@ -451,10 +452,10 @@ def _damped_newton(layout, step, x, z, tol: float = _NULL_TOL):
     order; ``x`` and ``z`` are the starts' coordinates, floats.
 
     ``step(rf, points)``, with ``rf`` the layout's corner table of the RF
-    strips at unit drive (``ElectrodeLayout.rf_corners``), returns one
-    (dx, dz, value) of floats per point of a batch: the Newton correction
-    and the point's value.  All starts that are still stepping are one
-    batch, in start order.  A step is capped at half the current height,
+    strips at unit drive (``ElectrodeLayout.rf_corners``), and ``points``
+    a list of (x, y, z) floats, returns one (dx, dz, value) of floats per
+    point: the Newton correction and the point's value.  All starts that are
+    still stepping are one batch, in start order.  A step is capped at half the current height,
     and a start is dropped once it leaves the ``_search_domain``, which a
     non-finite step always does.  A start counts as converged
     when the Newton correction at its end point is at most ``tol`` of the
@@ -462,10 +463,8 @@ def _damped_newton(layout, step, x, z, tol: float = _NULL_TOL):
     step's value at that point, recorded in the iteration in which the
     start converges.  Each end point is one Newton step past its converged
     point, whose value it carries, so that no further evaluation is needed.
-
-    Only the kernel batch inside ``step`` is numpy; the steps come back as
-    floats, and the loop below is plain float arithmetic, the same IEEE
-    operations without numpy's per-call cost on batches of a few points.
+    The search is plain float arithmetic, kernel included (``_derivatives``),
+    so no point's end depends on the others in its batch.
     """
     x0, _, _, y = layout.search_frame
     rf = layout.rf_corners
@@ -475,7 +474,7 @@ def _damped_newton(layout, step, x, z, tol: float = _NULL_TOL):
     for _ in range(60):
         if not live:
             break
-        steps = step(rf, np.array([(px, y, pz) for _, px, pz in live]))
+        steps = step(rf, [(px, y, pz) for _, px, pz in live])
         going = []
         for (k, px, pz), (sx, sz, v) in zip(live, steps):
             norm = math.hypot(sx, sz)
@@ -554,10 +553,10 @@ def _saddle_step(rf, pts):
     rounding.  Each sum over i runs over the three components left to right,
     and h is J^T J plus sum_i E_i grad(J_i), each summed on its own.
     """
-    e, jac, d3 = _derivatives(rf, pts, order=3)
     steps = []
-    for (ex, ey, ez), ((jxx, _, jxz), (jyx, _, jyz), (jzx, _, jzz)), (tx, ty, tz) in zip(
-            e.tolist(), jac.tolist(), d3.tolist()):
+    for point in pts:
+        ((ex, ey, ez), ((jxx, _, jxz), (jyx, _, jyz), (jzx, _, jzz)),
+         (tx, ty, tz)) = _derivatives(rf, point, order=3)
         # the x-z entries of each grad(J_i)
         (txxx, _, txxz), _, (_, _, txzz) = tx
         (tyxx, _, tyxz), _, (_, _, tyzz) = ty
@@ -628,12 +627,14 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
     sol = find_rf_null(layout)
     f, g = _drive_factors(layout, species)
     null = sol.null_position
-    (e,), (jac,) = _derivatives(layout.rf_corners, null)
+    point = tuple(null.tolist())
+    (ex, ey, ez), jac = _derivatives(layout.rf_corners, point)
+    jac = np.array(jac)
     m = species.mass_kg
     with np.errstate(over="ignore", invalid="ignore"):
         k = 0.5 * f / m * (jac.T @ jac)  # H / m, whose eigenvalues are omega^2
         if dc is not None:
-            k = k + species.charge_c / m * _derivatives(dc, null)[1][0]
+            k = k + species.charge_c / m * np.array(_derivatives(dc, point)[1])
         scale = float(np.linalg.norm(k))
     if not math.isfinite(scale):
         raise DomainError("the curvature at the RF null is not finite; "
@@ -645,7 +646,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
 
     saddle = _escape_saddle(layout, null, sol.height)
     depth = math.inf if saddle is None else (
-        0.25 * f * (saddle[1] - float(e @ e)) / CONSTANTS.elementary_charge)
+        0.25 * f * (saddle[1] - (ex * ex + ey * ey + ez * ez)) / CONSTANTS.elementary_charge)
     return TrapSolution(null_position=null, height=sol.height,
                         secular_freqs_hz=freqs, axes=axes, q_params=q_params,
                         trap_depth_ev=depth, unstable_axes=unstable)

@@ -695,6 +695,23 @@ def test_qubit_rabi_writes_table(tmp_path, capsys):
     assert "t_s,p_excited" in out
 
 
+def test_qubit_rabi_beyond_the_fock_bound_is_one_error_line():
+    # --nbar 1e5 at the default 500 points would be a 7.4 GB table; under a
+    # 1 GiB address-space limit the command still answers, with one error
+    # line naming nbar and exit 1, before any array is built
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "cryoion", "qubit", "rabi", "--nbar", "1e5",
+                           "--rabi", "100kHz", "--tmax", "50us"],
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: nbar = 100000 over 500 time(s) needs at least 500 x ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_met_allan_out_file_has_provenance(tmp_path, capsys):
     out_csv = tmp_path / "adev.csv"
     code, out, _ = run(capsys, "met", "allan", "--in", str(DEMO / "beat_fractional.csv"),

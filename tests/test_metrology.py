@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryoion.errors import ClippingError, DomainError, InsufficientDataError
@@ -26,6 +26,7 @@ from cryoion.metrology import (
     lorentzian_linewidth_fit,
     peak_find,
     power_spectrum,
+    _window_max,
 )
 from cryoion.series import TimeSeries, seeded_rng
 
@@ -313,6 +314,30 @@ def test_excursions_sine_band():
     assert ex.max_abs == pytest.approx(amp, rel=1e-3)
     assert ex.peak_to_peak == pytest.approx(2 * amp, rel=1e-3)
     assert abs(ex.drift) < 1e-18
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+                | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                min_size=2, max_size=60), st.data())
+@example([0.0, -0.0, 0.0, -0.0, -0.0], None)
+@example([-0.0, 0.0], None)
+def test_excursion_windows_match_the_direct_windows(values, data):
+    # the O(N) running maximum gives every window's maximum and minimum of
+    # the direct O(N m) windows, ties and zeros of either sign included,
+    # and excursion_stats the direct result to the bit, at m = 2, m = N
+    # and between
+    x = np.array(values)
+    n = x.size
+    m = data.draw(st.sampled_from([2, n]) | st.integers(2, n)) if data else 2
+    windows = np.lib.stride_tricks.sliding_window_view(x, m)
+    assert np.array_equal(_window_max(x, m), windows.max(axis=1))
+    assert np.array_equal(-_window_max(-x, m), windows.min(axis=1))
+    direct = float((0.5 * (windows.max(axis=1) - windows.min(axis=1))).max())
+    ex = excursion_stats(TimeSeries(0.0, 1.0, x), float(m))
+    assert repr(ex.max_abs) == repr(direct)
+    assert (repr(ex.peak_to_peak), repr(ex.drift)) == (repr(float(x.max() - x.min())),
+                                                      repr(float(x[-1] - x[0])))
 
 
 def test_excursions_window_guards():

@@ -72,6 +72,28 @@ def test_truncation_rule_and_tail():
         PhononState(-0.5)
 
 
+def test_fock_truncation_is_bounded():
+    # one signal holds at most 10^7 (times x Fock levels) terms: nbar = 1000
+    # over 500 times (18,430 levels) fits, nbar = 1500 (27,641 levels) is a
+    # DomainError naming nbar, and so is an nbar whose nbar/(1 + nbar)
+    # rounds to 1, which has no finite truncation at all.  The CLI's 7.4 GB
+    # case runs under an address-space limit in test_cli.py
+    drive = DriveParams(rabi_frequency=2 * np.pi * 1e5, lamb_dicke=0.05)
+    times = np.linspace(0.0, 5e-5, 500)
+    assert carrier_rabi_signal(PhononState(1000.0), drive, times).excitation.shape == (500,)
+    with pytest.raises(DomainError, match=r"^nbar = 1500 over 500 time\(s\)"):
+        carrier_rabi_signal(PhononState(1500.0), drive, times)
+    for huge in (1e17, 1e300):
+        with pytest.raises(DomainError, match="nbar = "):
+            thermal_distribution(PhononState(huge))
+        with pytest.raises(DomainError, match="no finite Fock truncation"):
+            PhononState(huge).n_max
+    # the bound is on the product: 102 levels over 98,040 times exceed it
+    state = PhononState(5.0)
+    with pytest.raises(DomainError, match="nbar = 5 over 98040 time"):
+        carrier_rabi_signal(state, drive, np.zeros(10**7 // (state.n_max + 1) + 1))
+
+
 def test_distribution_against_geometric_sampler():
     # 1e6 geometric draws (support shifted to n=0) as an independent oracle
     nbar = 1.7

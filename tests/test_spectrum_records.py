@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,41 @@ def test_compare_reads_axes_up_to_sign_and_the_null_against_the_height(tmp_path)
     worst = {key: float(value) for key, value in (line.split(" = ") for line in out[1:])}
     assert worst["axes"] == pytest.approx(1e-9, rel=1e-6)
     assert worst["null_position"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_trap_bits_do_not_depend_on_the_host_blas():
+    """The height, the null and the depth are the same bits whichever BLAS
+    core numpy runs on: the kernel, the Newton searches and the depth are
+    sums of Python floats, so no library product enters them.  Each output
+    is made twice, in subprocesses with and without OPENBLAS_CORETYPE=Prescott,
+    which makes OpenBLAS use its oldest x86-64 kernels.
+
+    - Where numpy's BLAS ignores the variable (another BLAS, or a host whose
+      core already is Prescott to OpenBLAS), the test passes trivially.
+    - q, the frequencies and the axes still go through LAPACK's 3x3 ``eigh``
+      and ``svd``, and 30 of the 128 seed-1 records differ there between the
+      two cores, so they are not compared (ROADMAP item 9).
+    """
+    def outputs(prescott):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if prescott:
+            env["OPENBLAS_CORETYPE"] = "Prescott"
+        layout = str(ROOT / "demo" / "trap_layout.cfg")
+        runs = [[sys.executable, "-m", "cryoion", "trap", command, "--layout", layout, "--json"]
+                for command in ("spectrum", "solve")]
+        runs.append([sys.executable, "scripts/spectrum_records.py", "--seed", "1",
+                     "--limit", "16"])
+        out = []
+        for argv in runs:
+            proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            out.append([json.loads(line) for line in proc.stdout.decode().splitlines()])
+        (spectrum,), (solve,), records = out
+        return ([repr(spectrum[k]) for k in ("height_m", "trap_depth_ev")]
+                + [repr(solve[k]) for k in ("height_m", "null_x_m")]
+                + [[repr(r[k]) for k in ("height", "null_position", "trap_depth_ev")]
+                   for r in records])
+
+    native, prescott = outputs(False), outputs(True)
+    assert len(native) == 4 + 16
+    assert native == prescott

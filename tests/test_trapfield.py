@@ -45,10 +45,22 @@ RF_OMEGA = 2.0 * math.pi * 49.9e6
 DEMO_LAYOUT = Path(__file__).resolve().parent.parent / "demo" / "trap_layout.cfg"
 
 
+def stacked(corners, points, order=2):
+    """The kernel's sums (``trap._derivatives``) over a corner table at each
+    of ``points``, (N, 3) or one point, as arrays over the points: phi, (N,),
+    at order 0, else grad (N, 3), Hessian (N, 3, 3) and third derivatives
+    (N, 3, 3, 3) up to ``order``."""
+    out = [trap._derivatives(corners, tuple(p), order)
+           for p in np.asarray(points, dtype=float).reshape(-1, 3).tolist()]
+    if order == 0:
+        return np.array(out, dtype=float)
+    return tuple(np.array([o[k] for o in out], dtype=float).reshape((len(out),) + (3,) * (k + 1))
+                 for k in range(order))
+
+
 def strip_derivatives(strips, weights, points, order=2):
-    """The kernel's sums (``trap._derivatives``) over the corner table of the
-    weighted ``strips``."""
-    return trap._derivatives(trap._corners(strips, weights), points, order)
+    """``stacked`` over the corner table of the weighted ``strips``."""
+    return stacked(trap._corners(strips, weights), points, order)
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +318,7 @@ def test_kernel_potential_matches_mpmath():
     # order 0 of the kernel: the corner sum of the arctangents themselves.  It
     # is good to a few ulps of the unit potential, not relatively: for the
     # narrow strip the corner arctangents cancel to phi = 1.36e-6, which is
-    # 1.5e-17 (1.1e-11 relative) off
+    # 1.9e-17 (1.4e-11 relative) off
     for strip, pts in seeded_strips_and_points():
         phi = strip_derivatives([strip], 1.0, pts, order=0)
         assert phi.shape == (len(pts),)
@@ -319,8 +331,8 @@ def test_kernel_potential_matches_mpmath():
 def test_kernel_third_derivatives_match_mpmath_normwise():
     # the kernel's contract for third derivatives is norm-wise: on the seeded
     # strips it is good to 1e-14 of the tensor's norm; for the narrow strip the
-    # corner terms cancel, d_yyy is off by 2.8e-6 relative, and the tensor by
-    # 2.7e-9 of its norm, so an entry-wise bound fails there
+    # corner terms cancel, d_yyy is off by 5.9e-6 relative, and the tensor by
+    # 4.4e-9 of its norm, so an entry-wise bound fails there
     *seeded, (narrow, point) = seeded_strips_and_points()
     for strip, pts in seeded:
         for p, t in zip(pts, strip_derivatives([strip], 1.0, pts, order=3)[2]):
@@ -422,20 +434,52 @@ def test_kernel_derivatives_are_harmonic_and_consistent(case):
        st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
 def test_kernel_symmetries_and_trace_identities_hold_bit_for_bit(cases, weights):
     # the kernel assembles its Hessian and third derivatives from 15 summed
-    # rows by one constant map, so equal entries are one value and the
+    # rows, so equal entries are one value and the
     # entries with two z indices are exactly minus the sum of their x-x and
     # y-y partners
     strips = [strip for strip, _ in cases]
     pts = np.concatenate([p for _, p in cases])
     corners = trap._corners(strips, weights[:len(strips)])
-    _, hess2 = trap._derivatives(corners, pts, order=2)
-    _, hess3, t = trap._derivatives(corners, pts, order=3)
+    _, hess2 = stacked(corners, pts, order=2)
+    _, hess3, t = stacked(corners, pts, order=3)
     for h in (hess2, hess3):
         assert np.array_equal(h, h.transpose(0, 2, 1))
         assert np.array_equal(h[:, 2, 2], -(h[:, 0, 0] + h[:, 1, 1]))
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(t, t.transpose(0, *(1 + i for i in perm)))
     assert np.array_equal(t[:, :, 2, 2], -(t[:, :, 0, 0] + t[:, :, 1, 1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(strips_and_points(n_points=1), min_size=2, max_size=3),
+       st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3))
+@example([(Strip(-60e-6, -20e-6, -3e-3, 3e-3, ROLE_RF), np.array([[15e-6, 40e-6, 90e-6]])),
+          (Strip(170e-6, 177e-6, 0.0, 5e-6, ROLE_RF), np.array([[0.0, 0.0, 5e-6]])),
+          (Strip(20e-6, 80e-6, -1e-3, 2e-3, ROLE_RF), np.array([[0.0, 0.0, 5e-6]]))],
+         [1.0, 1.0, 1.0])
+def test_weighted_table_matches_mpmath(cases, magnitudes):
+    # a table of 2-3 strips with unequal weights, one of them negative,
+    # against the weighted sum of each strip's 30-digit mpmath derivatives
+    # at the first case's point: phi to a few ulps of the summed |weights|,
+    # and each derivative order norm-wise within 1e-8 of the summed
+    # |w_k| |D_k|, above the documented worst case (4.4e-9 of the norm, for a
+    # narrow strip seen from far away and low down); a dropped weight or a
+    # swapped u/v term misses by O(1)
+    strips = [strip for strip, _ in cases]
+    weights = [m * f for m, f in zip(magnitudes, (1.0, -1.7, 0.6))][:len(strips)]
+    point = cases[0][1][0]
+    table = trap._corners(strips, weights)
+    with mp.workdps(30):
+        q = [mp.mpf(float(c)) * _UM for c in point]
+        phi = [float(mp_phi([s], *q)) for s in strips]
+    assert abs(trap._derivatives(table, tuple(point.tolist()), order=0)
+               - sum(w * p for w, p in zip(weights, phi))) <= 1e-15 * sum(map(abs, weights))
+    got = [d[0] for d in stacked(table, point, order=3)]
+    for d, oracle_of in zip(got, (mp_grad, mp_hess, mp_third)):
+        parts = [oracle_of([s], point) for s in strips]
+        oracle = sum(w * p for w, p in zip(weights, parts))
+        scale = sum(abs(w) * np.linalg.norm(p) for w, p in zip(weights, parts))
+        assert np.linalg.norm(d - oracle) <= 1e-8 * scale
 
 
 @settings(max_examples=50, deadline=None)
@@ -768,26 +812,28 @@ def test_trap_depth_positive_and_sub_ev(solved):
 
 
 def test_demo_spectrum_kernel_evaluations(monkeypatch):
-    # one demo-layout spectrum evaluates the kernel 6 times: the null search
-    # from the cross-section's null takes 3 order-2 batches, one order-2
-    # evaluation at the null gives both J and the field behind psi(null),
-    # and the saddle search from the cross-section's saddle takes 2 order-3
-    # batches, its model value recorded in the iteration where its step falls
-    # below eps^(1/3) of the height; without DC voltages no DC evaluation runs
+    # one demo-layout spectrum evaluates the kernel at 6 points of the RF
+    # table: the null search from the cross-section's null steps from 3
+    # points at order 2, one order-2 evaluation at the null gives both J and
+    # the field behind psi(null), and the saddle search from the
+    # cross-section's saddle steps from 2 points at order 3, its model value
+    # recorded in the iteration where its step falls below eps^(1/3) of the
+    # height; without DC voltages no DC evaluation runs, and with them the
+    # DC table is read once, at order 2 at the null
     layout, species = load_layout(DEMO_LAYOUT)
     counts = collections.Counter()
     kernel = trap._derivatives
 
-    def counted(corners, points, order=2):
-        counts[order] += 1
-        return kernel(corners, points, order)
+    def counted(corners, point, order=2):
+        counts["rf" if corners is layout.rf_corners else "dc", order] += 1
+        return kernel(corners, point, order)
 
     monkeypatch.setattr(trap, "_derivatives", counted)
     secular_spectrum(layout, species)
-    assert counts == {2: 4, 3: 2}
+    assert counts == {("rf", 2): 4, ("rf", 3): 2}
     counts.clear()
     secular_spectrum(layout, species, dc_voltages={0: 1.5, 1: 1.5})
-    assert counts == {2: 5, 3: 2}
+    assert counts == {("rf", 2): 4, ("rf", 3): 2, ("dc", 2): 1}
 
 
 def test_rf_evaluations_build_the_rf_corner_table_once(monkeypatch):
@@ -815,23 +861,25 @@ _KERNEL_LAYOUTS = {n: [Strip(k * 30e-6, k * 30e-6 + (10 + k % 7) * 1e-6, -(1 + k
                              (1 + k % 5) * 1e-3, ROLE_RF) for k in range(n)]
                    for n in (1, 2, 26)}
 
-#: corner-point pairs in a unit of the batch sizes drawn below: batches run to
-#: three units and more, well past the largest batch of a trap solve
-_BATCH_PAIRS = 4096
-
-
 @st.composite
 def kernel_cases(draw):
-    """A layout of ``_KERNEL_LAYOUTS``, a number of points (up to three times
-    ``_BATCH_PAIRS`` corner-point pairs and more), a seed for the weights and
-    points, the cuts of a split at any points and the points to evaluate
-    alone."""
+    """A layout of ``_KERNEL_LAYOUTS``, a number of points, a seed for the
+    weights and points, the cuts of a split at any points and the points to
+    evaluate alone."""
     n_strips = draw(st.sampled_from(sorted(_KERNEL_LAYOUTS)))
-    n = draw(st.integers(0, 3)) * (_BATCH_PAIRS // (4 * n_strips)) + draw(st.integers(0, 40))
+    n = draw(st.integers(0, 200))
     cuts = draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else ()
     alone = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)) if n else ()
     return (n_strips, n, draw(st.integers(0, 2**32 - 1)), tuple(sorted(cuts)),
             tuple(sorted(alone)))
+
+
+def floats_of(value):
+    """The leaves of a float or of nested tuples of them, in order."""
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in floats_of(part)]
+    assert type(value) is float
+    return [value]
 
 
 @settings(max_examples=50, deadline=None)
@@ -841,40 +889,47 @@ def kernel_cases(draw):
 @example((2, 515, 0, (3,), (0, 513, 514)))
 @example((26, 33, 0, (1, 17), (0, 16, 32)))
 def test_kernel_bits_belong_to_the_point(case):
-    # a point's outputs at orders 0-3 are the same bits alone, in any batch
-    # and in any piece of a split, and the public helpers that read the
-    # layout's RF corner table give that point's row
+    # the kernel gives a point's outputs at orders 0-3 as floats in nested
+    # tuples of the documented shapes; the Newton steps of a point are the
+    # same bits alone, in any batch and in any piece of a split; and the
+    # public helpers that read the layout's RF corner table give that
+    # point's kernel bits
     n_strips, n, seed, cuts, alone = case
     strips = _KERNEL_LAYOUTS[n_strips]
     rng = np.random.default_rng(seed)
     corners = trap._corners(strips, rng.uniform(-2.0, 2.0, n_strips))
     x0, x1 = strips[0].x_min, strips[-1].x_max
-    pts = np.column_stack([rng.uniform(2 * x0 - x1, 2 * x1 - x0, n), rng.uniform(-2e-3, 2e-3, n),
-                           rng.uniform(1e-6, 3e-4, n)])
+    pts = [tuple(p) for p in np.column_stack([
+        rng.uniform(2 * x0 - x1, 2 * x1 - x0, n), rng.uniform(-2e-3, 2e-3, n),
+        rng.uniform(1e-6, 3e-4, n)]).tolist()]
     edges = [0, *cuts, n]
 
-    def kernel(table, points, order):
-        out = trap._derivatives(table, points, order)
-        return (out,) if order == 0 else out
-
-    for order in range(4):
-        whole = kernel(corners, pts, order)
-        shapes = [(n,)] if order == 0 else [(n,) + (3,) * k for k in range(1, order + 1)]
-        assert [w.shape for w in whole] == shapes
-        pieces = [kernel(corners, pts[i:j], order) for i, j in zip(edges, edges[1:])]
-        for k, w in enumerate(whole):
-            assert w.tobytes() == np.concatenate([p[k] for p in pieces]).tobytes()
+    for i in alone:
+        assert type(trap._derivatives(corners, pts[i], order=0)) is float
+        for order in (1, 2, 3):
+            out = trap._derivatives(corners, pts[i], order)
+            assert [np.shape(part) for part in out] == [(3,) * k for k in range(1, order + 1)]
+            assert len(floats_of(out)) == sum(3**k for k in range(1, order + 1))
+    for step in (trap._null_step, trap._saddle_step):
+        whole = step(corners, pts)
+        assert len(whole) == n
+        pieces = [s for i, j in zip(edges, edges[1:]) for s in step(corners, pts[i:j])]
+        # the repr of a float holds all of its bits, the sign of zero included
+        assert repr(pieces) == repr(whole)
         for i in alone:
-            assert [w[i:i + 1].tobytes() for w in whole] == [
-                one.tobytes() for one in kernel(corners, pts[i:i + 1], order)]
+            assert repr(step(corners, [pts[i]])) == repr(whole[i:i + 1])
 
     layout = ElectrodeLayout(strips=tuple(strips), rf_voltage=120.0, rf_omega=RF_OMEGA)
-    phi = trap._derivatives(layout.rf_corners, pts, order=0)
-    (e,) = trap._derivatives(layout.rf_corners, pts, order=1)
     f = trap._drive_factors(layout, CA40)[0]
+    # rf_field folds -V into the weights of the unit-drive table
+    driven = [(cx, cy, -120.0 * w) for cx, cy, w in layout.rf_corners]
     for i in alone:
-        assert rf_basis_potential(layout, pts[i]) == phi[i]
-        assert pseudopotential(layout, CA40, pts[i]) == 0.25 * f * float(e[i] @ e[i])
+        assert rf_basis_potential(layout, pts[i]) == trap._derivatives(layout.rf_corners,
+                                                                       pts[i], order=0)
+        ((ex, ey, ez),) = trap._derivatives(layout.rf_corners, pts[i], order=1)
+        assert pseudopotential(layout, CA40, pts[i]) == 0.25 * f * (ex * ex + ey * ey + ez * ez)
+        (e,) = trap._derivatives(driven, pts[i], order=1)
+        assert repr(rf_field(layout, pts[i]).tolist()) == repr(list(e))
 
 
 def test_null_search_starts_end_alone_as_beside_the_others():
@@ -937,11 +992,14 @@ def test_damped_newton_drops_non_finite_steps_and_takes_a_zero_step_whole():
     batches = []
 
     def step(rf, pts):
-        batches.append(pts.tolist())
+        assert rf is layout.rf_corners
+        batches.append(pts)
         return next(answers)
 
     assert trap._damped_newton(layout, step, [x0] * 5, z) == [(x0, z[3], 3.0), (x0, z4, 5.0)]
-    assert batches == [[[x0, y, zk] for zk in z], [[x0, y, z4]]]
+    assert batches == [[(x0, y, zk) for zk in z], [(x0, y, z4)]]
+    # the points are tuples of Python floats, which the float kernel reads
+    assert {type(c) for batch in batches for p in batch for c in (p, *p)} == {tuple, float}
 
 
 def test_start_choice_prefers_finite_values_and_the_earlier_start_on_a_tie(monkeypatch):
@@ -1022,10 +1080,10 @@ def test_float_steps_match_mpmath_newton_steps(at_saddle, dx, dz):
     point = center + sol.height * np.array([dx, 0.0, dz])
     (null, e_xz, (null_bound, e_bound)), (saddle, e2, (step_bound, value_bound), det) = (
         newton_oracles(layout.rf_strips, point))
-    ((nx, nz, nv),) = trap._null_step(layout.rf_corners, point[None])
+    ((nx, nz, nv),) = trap._null_step(layout.rf_corners, [tuple(point.tolist())])
     assert math.hypot(nx - null[0], nz - null[1]) <= null_bound
     assert abs(nv - e_xz) <= e_bound
-    ((sx, sz, sv),) = trap._saddle_step(layout.rf_corners, point[None])
+    ((sx, sz, sv),) = trap._saddle_step(layout.rf_corners, [tuple(point.tolist())])
     assert math.hypot(sx - saddle[0], sz - saddle[1]) <= step_bound
     # the value is the model's where h has one negative eigenvalue, else inf
     assert (det < 0.0) == at_saddle
@@ -1058,7 +1116,7 @@ def test_dc_only_hessian_is_traceless(five_wire, solved):
 
     H = hessian_3pt(phi, solved.null_position, step=solved.height * 1e-2)
     assert abs(np.trace(H)) < 1e-6 * np.linalg.norm(H)
-    _, exact = trap._derivatives(trap._dc_corners(layout, volts), solved.null_position)
+    _, exact = stacked(trap._dc_corners(layout, volts), solved.null_position)
     assert np.allclose(H, exact[0], rtol=0.0, atol=1e-6 * np.linalg.norm(exact[0]))
 
 
@@ -1310,7 +1368,7 @@ def test_saddle_search_stops_early_without_losing_digits(layout):
     # the saddle search stops once its step is below eps^(1/3) of the height
     # and reports the quadratic model's |E|^2 at the step's end; the same
     # starts run on to 1e-9, as the null search does, end on the same value
-    # to 1e-14 and never in fewer order-3 batches
+    # to 1e-14 and never in fewer order-3 evaluations
     sol = find_rf_null(layout)
     kernel = trap._derivatives
     runs = []
