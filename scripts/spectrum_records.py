@@ -32,7 +32,6 @@ writes no file for the designs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -73,7 +72,7 @@ def design_record(index: int, design) -> dict:
     except CryoionError as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
-    record.update((f.name, exact(getattr(sol, f.name))) for f in dataclasses.fields(sol))
+    record.update((name, exact(getattr(sol, name))) for name in sol._fields)
     return record
 
 

@@ -10,9 +10,8 @@ is scalar ``math``, so the coil commands answer without loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, SingularFieldError, real_number
+from .errors import DomainError, Record, SingularFieldError, real_number
 from .units import CONSTANTS
 
 #: relative gap between the arithmetic and geometric means below which cel's
@@ -110,8 +109,7 @@ def _finite_field(b: tuple[float, float, float]) -> tuple[float, float, float]:
     return b
 
 
-@dataclass(frozen=True)
-class CoilPair:
+class CoilPair(Record):
     """Two coaxial loops of equal radius on the z axis at z = +/- separation/2.
 
     Both carry ``turns * current`` in the same sense (fields add at the center).

@@ -125,7 +125,8 @@ def read_timeseries(path, time_column: str, value_column: str) -> TimeSeries:
     if t.size < 2:
         raise InsufficientDataError(f"{path}: need at least 2 samples")
     steps = np.diff(t)
-    dt = float(np.median(steps))
+    lo, hi = (steps.size - 1) // 2, steps.size // 2  # np.median's middle, without numpy.ma
+    dt = float(np.partition(steps, (lo, hi))[lo:hi + 1].mean())
     if dt <= 0:
         raise NonUniformTimeError(f"{path}: time column is not increasing")
     if np.max(np.abs(steps - dt)) > _REL_DT_TOL * dt:

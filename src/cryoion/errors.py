@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its one integer check, its one
-real-number check and its one float-range check.
+"""Exception types shared across the package, its one integer, real-number and
+float-range checks, and the base of its frozen records.
 
 Everything raised on purpose derives from CryoionError so the CLI can map
 library failures to a single exit code.
@@ -85,3 +85,47 @@ def in_float_range(value: float, what: str) -> float:
     if not 0.0 < value < math.inf:
         raise DomainError(f"{what} is beyond the float range")
     return value
+
+
+class Record:
+    """Base of the package's frozen records: the fields are the class annotations in
+    order, with the class attributes as defaults; the class keyword ``hidden`` names
+    fields that repr leaves out.  Each field is given once, by position or keyword,
+    then ``__post_init__`` runs.  Records compare and hash as their field tuples."""
+
+    def __init_subclass__(cls, hidden=()):
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__
+        values.update(self._defaults)
+        values.update(zip(fields, args))
+        values.update(kwargs)
+        if (values.keys() != self._field_set or len(args) > len(fields)
+                or args and kwargs and not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes each of the fields {fields} once")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; one is normalized by writing it into ``self.__dict__``."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

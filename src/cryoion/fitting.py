@@ -63,12 +63,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FitRankError, SingularModelError
+from .errors import DomainError, FitRankError, Record, SingularModelError
 
 DEFAULT_MAX_ITER = 200
 COST_TOL = 1e-10
@@ -91,8 +90,7 @@ EPS = sys.float_info.epsilon
 WIDTH_FLOOR = 0.25
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record, hidden=("covariance",)):
     """Outcome of an lm_fit call. ``params`` maps name -> value in theta order.
 
     ``reason`` names the rule that stopped the fit (one of the ``REASON_*``
@@ -103,7 +101,7 @@ class FitResult:
     """
 
     params: dict
-    covariance: np.ndarray = field(repr=False)
+    covariance: np.ndarray
     residual_rms: float
     converged: bool
     iterations: int

@@ -11,12 +11,11 @@ Four measurement pipelines share this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ClippingError, DomainError, InsufficientDataError, integer_at_least,
-                     real_number)
+from .errors import (ClippingError, DomainError, InsufficientDataError, Record,
+                     integer_at_least, real_number)
 from .fitting import FitResult, gaussian_model, lm_fit, lorentzian_model, scan_arrays
 from .series import TimeSeries
 
@@ -33,8 +32,7 @@ AXIS_COLUMN = "column"
 MAX_CLIPPED_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
-class FrequencyRecord:
+class FrequencyRecord(Record):
     """A clock comparison record: either fractional frequency y(t) or phase x(t) in s."""
 
     kind: str
@@ -82,8 +80,7 @@ def allan_deviation(record: FrequencyRecord, taus) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinewidthFit:
+class LinewidthFit(Record):
     center_hz: float
     fwhm_hz: float
     fit: FitResult
@@ -120,8 +117,7 @@ def lorentzian_linewidth_fit(freq_hz, power, weights=None) -> LinewidthFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterferometerCal:
+class InterferometerCal(Record):
     """Quadrature-point calibration of a Michelson fringe signal."""
 
     wavelength: float
@@ -138,10 +134,9 @@ class InterferometerCal:
             raise DomainError(f"quadrature_offset must be finite, got {self.quadrature_offset!r}")
 
 
-@dataclass(frozen=True)
-class FringeInversion:
+class FringeInversion(Record, hidden=("clipped",)):
     displacement: TimeSeries
-    clipped: np.ndarray = field(repr=False)
+    clipped: np.ndarray
     clipped_fraction: float
 
 
@@ -225,8 +220,7 @@ def peak_find(freqs, psd, count: int, min_separation: float = 0.0) -> np.ndarray
     return np.array(kept)
 
 
-@dataclass(frozen=True)
-class ExcursionStats:
+class ExcursionStats(Record):
     """Short-window and whole-record displacement excursions."""
 
     max_abs: float
@@ -292,11 +286,10 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImageProfile:
+class ImageProfile(Record, hidden=("pixel_counts",)):
     """Camera counts along one axis, or a 2-d frame to be summed on demand."""
 
-    pixel_counts: np.ndarray = field(repr=False)
+    pixel_counts: np.ndarray
     pixel_pitch: float = 16e-6
     magnification: float = 15.0
 
@@ -311,7 +304,7 @@ class ImageProfile:
         if not (self.pixel_pitch > 0 and self.magnification > 0):
             raise DomainError("pixel pitch and magnification must be positive")
         arr.flags.writeable = False
-        object.__setattr__(self, "pixel_counts", arr)
+        self.__dict__["pixel_counts"] = arr
 
     def axis_profile(self, axis: str) -> np.ndarray:
         """Row profile (summed across columns) or column profile; 1-d input as
@@ -327,8 +320,7 @@ class ImageProfile:
         return self.pixel_pitch / self.magnification
 
 
-@dataclass(frozen=True)
-class ImageFit:
+class ImageFit(Record):
     center_m: float
     width_m: float
     amplitude: float

@@ -15,10 +15,9 @@ build arrays, so a command that needs only scalars starts without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DomainError, InsufficientDataError, real_number
+from .errors import DomainError, InsufficientDataError, Record, real_number
 
 RABI_LINEAR = "linear"      # Omega_n = Omega * (1 - eta^2 * n)
 RABI_LAGUERRE = "laguerre"  # Omega_n = Omega * exp(-eta^2/2) * L_n(eta^2)
@@ -45,8 +44,7 @@ def _default_n_max(nbar: float) -> int:
     return max(floor, tail)
 
 
-@dataclass(frozen=True)
-class PhononState:
+class PhononState(Record):
     """Thermal motional state with mean occupation ``nbar``."""
 
     nbar: float
@@ -105,8 +103,7 @@ def thermal_distribution(state: PhononState) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass(frozen=True)
-class DriveParams:
+class DriveParams(Record):
     """Resonant laser drive: carrier Rabi frequency (rad/s) and Lamb-Dicke parameter."""
 
     rabi_frequency: float
@@ -127,10 +124,9 @@ class DriveParams:
         return self.lamb_dicke < 0.5
 
 
-@dataclass(frozen=True)
-class RabiSignal:
-    times: np.ndarray = field(repr=False)
-    excitation: np.ndarray = field(repr=False)
+class RabiSignal(Record, hidden=("times", "excitation")):
+    times: np.ndarray
+    excitation: np.ndarray
     lamb_dicke_valid: bool = True
 
 
@@ -225,8 +221,7 @@ def heating_rate_fit(wait_s, nbars, weights=None) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RamseyFit:
+class RamseyFit(Record):
     t_1e: float
     contrast0: float
     shape: str
@@ -285,8 +280,7 @@ def ramsey_contrast_fit(wait_s, contrasts, weights=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeamProfile:
+class BeamProfile(Record):
     """Gaussian beam at the ion: 1/e^2 intensity radius, center, peak Rabi rate."""
 
     waist: float
@@ -298,8 +292,7 @@ class BeamProfile:
             raise DomainError(f"waist must be positive, got {self.waist!r}")
 
 
-@dataclass(frozen=True)
-class WaistFit:
+class WaistFit(Record):
     profile: BeamProfile
     fit: FitResult
     unconstrained: bool

@@ -1,20 +1,17 @@
 """Uniformly sampled time series."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Record, hidden=("samples",)):
     """Uniform samples: t_k = t0 + k*dt. Samples are finite and read-only."""
 
     t0: float
     dt: float
-    samples: np.ndarray = field(repr=False)
+    samples: np.ndarray
 
     def __post_init__(self):
         dt = float(self.dt)
@@ -26,9 +23,7 @@ class TimeSeries:
         if not np.all(np.isfinite(arr)):
             raise DomainError("samples must all be finite")
         arr.flags.writeable = False
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "samples", arr)
+        self.__dict__.update(t0=float(self.t0), dt=dt, samples=arr)
 
     def __len__(self) -> int:
         return self.samples.size

@@ -12,10 +12,9 @@ build arrays, so a command that needs only scalars starts without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, InsufficientDataError, real_number
+from .errors import DomainError, InsufficientDataError, Record, real_number
 from .units import CONSTANTS
 
 DB_PER_SKIN_DEPTH = 20.0 / math.log(10.0)  # 8.6859 dB of attenuation per t=delta
@@ -26,8 +25,7 @@ SATURATION_TEMPERATURE_K = 20.0
 DEFAULT_LN2_RATIO = 8.0  # typical OFHC conductivity gain at 77 K, used for every conductor
 
 
-@dataclass(frozen=True)
-class ConductorSpec:
+class ConductorSpec(Record):
     """Bulk conductor: room-temperature conductivity, residual ratio, permeability."""
 
     sigma_293k: float
@@ -49,8 +47,7 @@ class ConductorSpec:
 COPPER = ConductorSpec(sigma_293k=5.96e7)
 
 
-@dataclass(frozen=True)
-class ShieldLayer:
+class ShieldLayer(Record):
     """One conductive wall. Zero thickness is allowed (degenerate: no attenuation)."""
 
     thickness: float
@@ -66,8 +63,7 @@ class ShieldLayer:
             raise DomainError("temperature must be positive")
 
 
-@dataclass(frozen=True)
-class AttenuationCurve:
+class AttenuationCurve(Record):
     """Measured attenuation points (dB <= 0) on a strictly increasing frequency grid."""
 
     freqs_hz: tuple
@@ -87,9 +83,7 @@ class AttenuationCurve:
             raise DomainError("attenuations must be <= 0 dB and finite")
         if not (math.isfinite(self.floor_db) and self.floor_db <= 0):
             raise DomainError("floor_db must be <= 0")
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "atten_db", a)
-        object.__setattr__(self, "floor_db", float(self.floor_db))
+        self.__dict__.update(freqs_hz=f, atten_db=a, floor_db=float(self.floor_db))
 
 
 def conductivity_at(conductor: ConductorSpec, temperature: float) -> float:
@@ -149,8 +143,7 @@ def attenuation_series(layers: Sequence[ShieldLayer], frequency: float) -> float
     return sum(attenuation_skin(layer, frequency) for layer in layers)
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
+class NoiseBudget(Record):
     b_max_t: float
     relative_stability: float
 
@@ -194,8 +187,7 @@ def _contact_model(f, theta):
     return theta[0] - 20.0 * theta[1] * decades, jac.T
 
 
-@dataclass(frozen=True)
-class RegimeFit:
+class RegimeFit(Record):
     """Competing-model fit of an attenuation curve.
 
     ``regime`` is the lower-residual model; ``ambiguous`` is set when the two

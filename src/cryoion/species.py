@@ -9,14 +9,12 @@ are these objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, in_float_range
+from .errors import DomainError, Record, in_float_range
 from .units import CONSTANTS
 
 
-@dataclass(frozen=True)
-class IonSpecies:
+class IonSpecies(Record):
     mass_kg: float
     charge_c: float
     label: str

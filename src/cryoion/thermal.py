@@ -13,9 +13,8 @@ without numpy; numpy is imported only for a k table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, in_float_range, real_number
+from .errors import DomainError, Record, in_float_range, real_number
 
 # NIST cryogenic material properties fit for 316 stainless:
 # log10(k / (W/m/K)) = sum_i a_i * (log10 T)^i, 4 K <= T <= 300 K.
@@ -35,8 +34,7 @@ def ss316_conductivity(temperature_k: float) -> float:
     return 10.0**acc
 
 
-@dataclass(frozen=True)
-class SupportSpec:
+class SupportSpec(Record):
     """A conduction path of constant cross section between two heat baths.
 
     ``k_table`` is the material's conductivity, a pair (T ascending, k > 0)
@@ -65,7 +63,7 @@ class SupportSpec:
             if not (T.ndim == k.ndim == 1 and T.size == k.size >= 2
                     and np.all(np.diff(T) > 0) and np.all(k > 0)):
                 raise DomainError("k_table must be two rows, T ascending and k positive")
-            object.__setattr__(self, "k_table", (T, k))
+            self.__dict__["k_table"] = (T, k)
 
     @classmethod
     def thin_cylinder(cls, diameter_m: float, wall_m: float, length_m: float,
@@ -119,8 +117,7 @@ def conduction_load(support: SupportSpec) -> float:
     return in_float_range(area_per_length * integral, "conduction load")
 
 
-@dataclass(frozen=True)
-class CoolantSpec:
+class CoolantSpec(Record):
     """Liquid cryogen: density in kg/l and latent heat of vaporization in J/g."""
 
     name: str

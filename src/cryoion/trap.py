@@ -33,13 +33,12 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoTrapError, UnitError, integer_at_least
+from .errors import ConfigError, DomainError, NoTrapError, Record, UnitError, integer_at_least
 from .species import (CA40, SPECIES, SR88, IonSpecies, resonance_frequency,
                       resonator_capacitance, two_ion_spacing)
 from .units import CONSTANTS, HERTZ, METER, VOLT, parse_si
@@ -59,8 +58,7 @@ _NULL_TOL = 1e-9
 _SADDLE_TOL = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class Strip:
+class Strip(Record):
     """Axis-aligned rectangular electrode [x_min,x_max] x [y_min,y_max] at z=0.
 
     Only DC strips take a ``dc_index``, an integer >= 0, stored as an int."""
@@ -84,11 +82,10 @@ class Strip:
         if self.role != ROLE_DC and self.dc_index is not None:
             raise DomainError(f"only dc strips take a dc_index, not {self.role}")
         if self.dc_index is not None:
-            object.__setattr__(self, "dc_index", integer_at_least(self.dc_index, 0, "dc_index"))
+            self.__dict__["dc_index"] = integer_at_least(self.dc_index, 0, "dc_index")
 
 
-@dataclass(frozen=True)
-class ElectrodeLayout:
+class ElectrodeLayout(Record):
     strips: tuple
     rf_voltage: float  # drive amplitude in V
     rf_omega: float    # drive angular frequency in rad/s
@@ -106,7 +103,7 @@ class ElectrodeLayout:
                 if (min(a.x_max, b.x_max) - max(a.x_min, b.x_min) > 0
                         and min(a.y_max, b.y_max) - max(a.y_min, b.y_min) > 0):
                     raise DomainError("strips overlap with positive area")
-        object.__setattr__(self, "strips", strips)
+        self.__dict__["strips"] = strips
 
     @cached_property
     def rf_strips(self) -> tuple:
@@ -519,14 +516,13 @@ def find_rf_null(layout: ElectrodeLayout) -> "TrapSolution":
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrapSolution:
+class TrapSolution(Record, hidden=("null_position", "axes")):
     """RF null location plus (when solved) the secular motion around it."""
 
-    null_position: np.ndarray = field(repr=False)
+    null_position: np.ndarray
     height: float
     secular_freqs_hz: tuple | None = None
-    axes: np.ndarray | None = field(default=None, repr=False)
+    axes: np.ndarray | None = None
     q_params: tuple | None = None
     trap_depth_ev: float | None = None
     unstable_axes: tuple = ()
@@ -657,8 +653,7 @@ def secular_spectrum(layout: ElectrodeLayout, species: IonSpecies = CA40,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiveWireGeometry:
+class FiveWireGeometry(Record):
     """Physical cross-section parameters of the symmetric five-wire builder."""
 
     center_half_width: float

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .errors import DomainError, UnitError
+from .errors import DomainError, Record, UnitError
 
 Dims = tuple  # 5-tuple of int exponents over (m, kg, s, A, K)
 
@@ -41,8 +40,7 @@ LITER_PER_HOUR: Dims = (3, 0, -1, 0, 0)
 VOLUME: Dims = (3, 0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A finite scalar with a dimension signature, value stored in SI."""
 
     value: float
@@ -52,7 +50,7 @@ class Quantity:
         v = float(self.value)
         if not math.isfinite(v):
             raise DomainError(f"Quantity value must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        self.__dict__["value"] = v
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,7 @@ def format_si(value: float, symbol: str, sig: int = 3) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(Record):
     """CODATA-2018 constants and fixed ion/laser data used across the package.
 
     Six-significant-digit values for reference: mu0 = 1.25664e-6 H/m,

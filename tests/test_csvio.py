@@ -1,10 +1,13 @@
 """CSV ingest: read_table dialect, error messages and the render round trip."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cryoion.csvio import read_table, render_table
+from cryoion import csvio
+from cryoion.csvio import read_table, read_timeseries, render_table
 from cryoion.errors import CsvFormatError, InsufficientDataError
 
 
@@ -119,3 +122,28 @@ def test_render_read_round_trip(tmp_path_factory, rows):
     table = read_table(path, ["a", "b"])
     assert table["a"].tolist() == [float("%.12g" % v) for v in a]
     assert table["b"].tolist() == [float("%.12g" % v) for v in b]
+
+
+#: time steps from a small alphabet, so that the middle steps often tie, and
+#: any positive float; 0.1 and 1 + 2**-52 make the times round
+_steps = st.one_of(st.sampled_from([1e-3, 0.1, 0.25, 1.0, 1.0 + 2**-52, 3.0]),
+                   st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_steps, min_size=1, max_size=41), st.floats(-1e3, 1e3))
+@example([0.1, 0.25], 0.0)  # even: the mean of two different middle steps
+@example([0.25, 0.1, 0.1, 0.25], 0.0)  # even, tied
+@example([0.1, 3.0, 0.1], 1.0)  # odd
+def test_time_step_has_the_bits_of_numpy_median(tmp_path_factory, steps, t0):
+    # with the uniformity tolerance lifted, any increasing time column reaches
+    # the median step, which must be np.median's float for odd and even counts
+    times = [t0]
+    for step in steps:
+        times.append(times[-1] + step)
+    path = tmp_path_factory.mktemp("ts") / "t.csv"
+    path.write_text("t,v\n" + "".join(f"{t!r},1\n" for t in times), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvio, "_REL_DT_TOL", math.inf)
+        dt = read_timeseries(path, "t", "v").dt
+    assert dt.hex() == float(np.median(np.diff(times))).hex()

@@ -121,6 +121,42 @@ def test_scalar_command_loads_no_numpy(command):
     assert ARRAY_MODULES.isdisjoint(modules)
 
 
+#: ``dataclasses`` and the ``inspect`` it imports cost about 6 ms of a cold
+#: call; numpy imports ``inspect`` too, so only calls without numpy are free
+#: of both
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", SCALAR_COMMANDS)
+def test_scalar_command_loads_no_dataclasses(command):
+    stdout, modules = _call_modules(command.split(), isolated=True)
+    assert stdout == SCALAR_COMMANDS[command]
+    assert RECORD_MACHINERY.isdisjoint(modules)
+
+
+def test_import_cli_loads_no_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "import cryoion.cli"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    modules = imported_modules(proc.stderr)
+    assert "cryoion.units" in modules
+    assert RECORD_MACHINERY.isdisjoint(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["met", "allan", "--in", "beat_fractional.csv"],
+    ["met", "vib", "--in", "vibration_fringe.csv", "--volts-per-fringe", "2V", "--window", "2s"],
+], ids=["allan", "vib"])
+def test_time_series_commands_load_no_masked_arrays(argv):
+    # read_timeseries takes the median step from a partition: np.median
+    # imports numpy.ma on its first call
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    argv = [str(demo / arg) if arg.endswith(".csv") else arg for arg in argv]
+    stdout, modules = _call_modules(argv)
+    assert stdout and "numpy" in modules
+    assert not [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
 def test_fit_command_still_loads_numpy():
     # the positive control for the absence checks above
     demo = Path(__file__).resolve().parent.parent / "demo"

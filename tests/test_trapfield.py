@@ -1245,6 +1245,36 @@ def test_escape_rays_without_a_saddle_raise(monkeypatch, five_wire):
         secular_spectrum(layout, CA40)
 
 
+def closed_form_rf_field(layout, points):
+    """Peak RF field -V grad(phi_rf) (V/m) at (N, 3) ``points``, vectorised over
+    points and RF strip corners and apart from the kernel: at a corner (u, v) =
+    (x_c - x, y_c - y) of a strip, with r = |(u, v, z)|, atan(uv / (z r)) has
+    the u, v and z derivatives vz / ((u^2 + z^2) r), uz / ((v^2 + z^2) r) and
+    -uv (r^2 + z^2) / ((u^2 + z^2)(v^2 + z^2) r)."""
+    xc, yc, sign = np.array([(x, y, sx * sy) for s in layout.rf_strips
+                             for x, sx in ((s.x_max, 1.0), (s.x_min, -1.0))
+                             for y, sy in ((s.y_max, 1.0), (s.y_min, -1.0))]).T
+    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T[:, :, None]
+    u, v = xc - x, yc - y
+    uz, vz = u * u + z * z, v * v + z * z
+    r = np.sqrt(uz + v * v)
+    grad = np.column_stack([-(v * z / (uz * r)) @ sign, -(u * z / (vz * r)) @ sign,
+                            -(u * v * (r * r + z * z) / (uz * vz * r)) @ sign])
+    return -layout.rf_voltage * grad / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("length", [7e-3, 100e-6])
+def test_closed_form_field_matches_the_kernel(length):
+    # the ray-march oracle's field, checked once against trap.rf_field
+    layout = rails_of_length(length)
+    sol = find_rf_null(layout)
+    offsets = ([0.0, 0.0, 20e-6], [15e-6, 3e-6, -10e-6], [-40e-6, -20e-6, 60e-6], [0.0] * 3)
+    points = [sol.null_position + offset for offset in offsets]
+    kernel = np.array([trap.rf_field(layout, point) for point in points])
+    np.testing.assert_allclose(closed_form_rf_field(layout, points), kernel, rtol=0.0,
+                               atol=1e-12 * np.abs(kernel).max())
+
+
 def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000,
                     polish_angle=False):
     """Lowest escape-ray barrier of psi above the null, in eV, by a dense march.
@@ -1258,14 +1288,13 @@ def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000,
     neighbours is also minimized over the angle between them, by golden
     section, so that a saddle between two rays is met too.
     """
-    rf, volts = layout.rf_strips, -layout.rf_voltage
     s = np.geomspace(1e-2 * height, 30.0 * height, n_samples)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
 
     def e2(theta, dist):
         pts = np.column_stack([null[0] + np.cos(theta) * dist, np.full(dist.size, null[1]),
                                null[2] + np.sin(theta) * dist])
-        (e,) = strip_derivatives(rf, volts, pts, order=1)
+        e = closed_form_rf_field(layout, pts)
         return np.einsum("ij,ij->i", e, e)
 
     def barriers(thetas):
@@ -1301,8 +1330,9 @@ def ray_march_depth(layout, species, null, height, n_rays=64, n_samples=2000,
             left = f[:a.size] < f[a.size:]
             hi, lo = np.where(left, b, hi), np.where(left, lo, a)
         top = min(top, float(barriers(0.5 * (lo + hi)).min()))
+    top -= float(e2(np.zeros(1), np.zeros(1))[0])  # |E|^2 at the null itself
     psi = species.charge_c**2 * top / (4.0 * species.mass_kg * layout.rf_omega**2)
-    return (psi - pseudopotential(layout, species, null)) / CONSTANTS.elementary_charge
+    return psi / CONSTANTS.elementary_charge
 
 
 @settings(max_examples=12, deadline=None)
