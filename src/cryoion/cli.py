@@ -430,27 +430,12 @@ def cmd_qubit_optics(args):
 # ---------------------------------------------------------------------------
 
 
-def _default_taus(dt: float, n_phase: int) -> np.ndarray:
-    import numpy as np
-
-    taus = []
-    m = 1
-    while 2 * m + 1 <= n_phase:
-        taus.append(m * dt)
-        m *= 2
-    return np.array(taus)
-
-
 def cmd_met_allan(args):
-    import numpy as np
-
     from . import metrology
 
-    series = read_timeseries(args.infile, "t_s", "y")
-    record = metrology.FrequencyRecord(kind=args.kind, series=series)
-    taus = (_default_taus(series.dt, record.phase_seconds().size) if args.taus is None
-            else np.array(args.taus))
-    taus, sigmas = metrology.allan_deviation(record, taus)
+    record = metrology.FrequencyRecord(kind=args.kind,
+                                       series=read_timeseries(args.infile, "t_s", "y"))
+    taus, sigmas = metrology.allan_deviation(record, args.taus)
     comments = provenance_lines(__version__, [args.infile]) + [
         f"overlapping allan deviation, kind={args.kind}"]
     columns = {"tau_s": taus, "sigma_y": sigmas}
@@ -478,11 +463,11 @@ def cmd_met_vib(args):
                                       quadrature_offset=args.offset)
     inv = metrology.fringe_to_displacement(series, cal)
     stats = metrology.excursion_stats(inv.displacement, args.window)
-    freqs, psd = metrology.power_spectrum(inv.displacement, window=args.window_fn)
+    freqs, psd = metrology.power_spectrum(inv.displacement)
     peaks = metrology.peak_find(freqs, psd, count=args.peaks,
                                 min_separation=args.min_separation)
     comments = provenance_lines(__version__, [args.infile]) + [
-        f"displacement spectrum, window={args.window_fn}"]
+        "displacement spectrum, window=hann"]
     return ({"max_abs_m": stats.max_abs, "peak_to_peak_m": stats.peak_to_peak,
              "drift_m": stats.drift, "peaks_hz": peaks, "window_s": stats.window_s,
              "clipped_fraction": inv.clipped_fraction},
@@ -696,8 +681,6 @@ def _build_met(ops) -> None:
     add_quantity_flag(p, "--volts-per-fringe", VOLT, "V", "fringe amplitude", default=1.0)
     add_quantity_flag(p, "--offset", VOLT, "V", "quadrature offset", default=0.0)
     add_quantity_flag(p, "--window", SECOND, "s", "excursion window", default=2.0)
-    p.add_argument("--window-fn", choices=(metrology.WINDOW_HANN, metrology.WINDOW_RECT),
-                   default=metrology.WINDOW_HANN, help="spectral window (default hann)")
     p.add_argument("--peaks", type=int, default=3, help="number of peaks to report")
     add_quantity_flag(p, "--min-separation", HERTZ, "Hz", "peak separation", default=5.0)
     p.add_argument("--out", default=None, help="write freq_hz,psd CSV here")

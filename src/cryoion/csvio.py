@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import os
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import CsvFormatError, InsufficientDataError, NonUniformTimeError
 

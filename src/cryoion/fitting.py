@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 

@@ -5,7 +5,7 @@ Four measurement pipelines share this module:
 * overlapping Allan deviation of a frequency record (phase or fractional),
 * Lorentzian linewidth fits of a beat-note spectrum,
 * Michelson quadrature inversion of fringe voltage to displacement, with
-  windowed periodograms, peak finding and excursion statistics downstream,
+  Hann-windowed periodograms, peak finding and excursion statistics downstream,
 * Gaussian fits of ion-image row/column profiles in object-plane units.
 """
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .series import TimeSeries
 
 KIND_FRACTIONAL = "fractional_frequency"
 KIND_PHASE = "phase_seconds"
-
-WINDOW_RECT = "rect"
-WINDOW_HANN = "hann"
 
 AXIS_ROW = "row"
 AXIS_COLUMN = "column"
@@ -51,27 +48,54 @@ class FrequencyRecord(Record):
         return np.concatenate(([0.0], np.cumsum(y - y.mean()) * self.series.dt))
 
 
-def allan_deviation(record: FrequencyRecord, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Overlapping Allan deviation at the requested averaging times.
+def _whole_samples(duration, dt: float, minimum: int, what: str) -> int:
+    """``duration`` in samples of ``dt``: duration / dt within 1e-9 relative
+    of an integer of at least ``minimum``.  A duration that is not one
+    number, is not a positive finite number of samples, spans fewer than
+    ``minimum`` or falls between two whole numbers of samples is a
+    DomainError naming ``what``."""
+    duration = real_number(duration, what)
+    m_real = duration / dt
+    if not 0.0 < m_real < math.inf:
+        raise DomainError(f"{what} must be a positive finite number of samples, "
+                          f"got {duration!r} s at dt = {dt:g} s")
+    m = round(m_real)
+    if m < minimum:
+        raise DomainError(f"{what} of {duration:g} s spans {m} sample(s) at dt = {dt:g} s; "
+                          f"it needs at least {minimum} sample{'s' * (minimum > 1)}")
+    if abs(m_real - m) > 1e-9 * m:
+        raise DomainError(f"{what} of {duration:g} s is {m_real:g} samples at dt = {dt:g} s; "
+                          "it must be a whole number of samples")
+    return m
+
+
+def allan_deviation(record: FrequencyRecord, taus=None) -> tuple[np.ndarray, np.ndarray]:
+    """Overlapping Allan deviation at the averaging times ``taus``.
 
     sigma_y^2(tau) = sum_i (x[i+2m] - 2 x[i+m] + x[i])^2 / (2 (N-2m) tau^2)
-    on phase data x with tau = m*dt.  Returns (taus, sigma_y) arrays.
+    on N phase samples x with tau = m*dt, m >= 1 whole, and 2m + 1 <= N.
+    The default is tau = 2^k dt while 2m + 1 <= N, so fewer than 3 phase
+    samples are an InsufficientDataError either way.  The sum is exact
+    (``math.fsum``), the same bits on any host.  Returns (taus, sigma_y).
     """
     x = record.phase_seconds()
     dt = record.series.dt
     n = x.size
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if taus is None:
+        # every power of two m <= (N - 1) // 2, or m = 1 alone, to fail below
+        taus = [dt * 2 ** k for k in range(max(1, ((n - 1) // 2).bit_length()))]
+    try:
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    except (TypeError, ValueError):
+        raise DomainError(f"taus must be numbers, got {taus!r}") from None
     sigmas = np.empty(taus.size)
     for k, tau in enumerate(taus):
-        m_real = tau / dt
-        m = int(round(m_real))
-        if m < 1 or abs(m_real - m) > 1e-9 * max(m, 1):
-            raise DomainError(f"tau={tau} is not a positive integer multiple of dt={dt}")
+        m = _whole_samples(tau, dt, 1, "tau")
         if n < 2 * m + 1:
             raise InsufficientDataError(
                 f"need at least {2 * m + 1} phase samples for tau={tau}, have {n}")
         d = x[2 * m:] - 2.0 * x[m:-m] + x[:-2 * m]
-        sigmas[k] = math.sqrt(float(d @ d) / (2.0 * (n - 2 * m) * tau * tau))
+        sigmas[k] = math.sqrt(math.fsum((d * d).tolist()) / (2.0 * (n - 2 * m) * tau * tau))
     return taus, sigmas
 
 
@@ -166,21 +190,15 @@ def fringe_to_displacement(signal: TimeSeries, cal: InterferometerCal) -> Fringe
 # ---------------------------------------------------------------------------
 
 
-def power_spectrum(series: TimeSeries, window: str = WINDOW_HANN):
-    """One-sided windowed periodogram of a mean-removed record.
-
-    Normalized so that sum(psd) * df equals the time-domain variance
-    (window-power corrected); exact for the rect window.  Returns (freq, psd).
+def power_spectrum(series: TimeSeries):
+    """One-sided Hann-windowed periodogram of a mean-removed record x,
+    normalized by the power of the window w: sum(psd) * df = sum((w x)^2) /
+    sum(w^2), close to the variance for broadband input.  Returns (freq, psd).
     """
     n = len(series)
     if n < 16:
         raise InsufficientDataError("power spectrum needs at least 16 samples")
-    if window == WINDOW_RECT:
-        w = np.ones(n)
-    elif window == WINDOW_HANN:
-        w = np.hanning(n)
-    else:
-        raise DomainError(f"unknown window {window!r}")
+    w = np.hanning(n)
     x = series.samples - series.samples.mean()
     coeffs = np.fft.rfft(w * x)
     fs = series.sample_rate
@@ -261,17 +279,9 @@ def excursion_stats(displacement: TimeSeries, window_s: float) -> ExcursionStats
     x = displacement.samples
     if x.size < 2:
         raise DomainError("excursion statistics need at least 2 samples")
-    # a window that is not positive and finite counts as longer than any record
-    m_real = window_s / displacement.dt
-    m = int(round(m_real)) if 0 < window_s < math.inf else x.size + 1
+    m = _whole_samples(window_s, displacement.dt, 2, "excursion window")
     if m > x.size:
-        raise DomainError("window must be positive and no longer than the record")
-    if m < 2:
-        raise DomainError(f"excursion window of {window_s:g} s spans {m} sample(s) "
-                          f"at dt = {displacement.dt:g} s; it needs at least 2 samples")
-    if abs(m_real - m) > 1e-9 * m:
-        raise DomainError(f"excursion window of {window_s:g} s is {m_real:g} samples at "
-                          f"dt = {displacement.dt:g} s; it must be a whole number of samples")
+        raise DomainError(f"excursion window of {window_s:g} s is longer than the record")
     # max - min is max + max(-x), exactly; + 0.0 makes a zero +0.0 whatever
     # sign the tied zeros of a constant record leave
     half_p2p = 0.5 * (_window_max(x, m) + _window_max(-x, m))

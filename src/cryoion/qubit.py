@@ -15,7 +15,6 @@ build arrays, so a command that needs only scalars starts without it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError, Record, real_number
 

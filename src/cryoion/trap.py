@@ -33,8 +33,8 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -2,6 +2,7 @@
 import argparse
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -624,10 +625,53 @@ def test_met_image_fit_has_no_axis_flag(capsys):
     assert "unrecognized arguments: --axis row" in err
 
 
+def test_met_vib_has_no_window_fn_flag(capsys):
+    # the spectrum is always Hann-windowed
+    code, out, err = run(capsys, *VIB, "--window-fn", "hann")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --window-fn hann" in err
+
+
 def test_met_allan_demo_record(capsys):
     code, out, _ = run(capsys, "met", "allan", "--in", str(DEMO / "beat_fractional.csv"))
     assert code == 0
     assert out.splitlines()[0] == "tau 0.01 s: sigma_y = 1.15489899996e-14"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_met_allan_record_too_short_for_any_tau_is_data_error(tmp_path, capsys, json_flag):
+    # two phase samples printed an empty table with exit 0
+    short = tmp_path / "phase.csv"
+    short.write_text("t_s,y\n0,0\n0.01,1e-15\n")
+    code, out, err = run(capsys, "met", "allan", "--in", str(short), "--kind", "phase_seconds",
+                         *json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: need at least 3 phase samples for tau=0.01, have 2")
+
+
+def test_met_allan_bits_do_not_depend_on_the_host_blas(tmp_path):
+    """The Allan deviation's sums of squares are exact (``math.fsum``), so its
+    --json and --out bytes are the same whichever BLAS core numpy runs on.
+    Each output is made in subprocesses with and without
+    OPENBLAS_CORETYPE=Prescott, OpenBLAS's oldest x86-64 kernels; where
+    numpy's BLAS ignores the variable the test passes trivially."""
+    def outputs(prescott):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if prescott:
+            env["OPENBLAS_CORETYPE"] = "Prescott"
+        out = []
+        for kind in ("fractional_frequency", "phase_seconds"):
+            csv = tmp_path / "adev.csv"
+            proc = subprocess.run([sys.executable, "-m", "cryoion", "met", "allan", "--in",
+                                   str(DEMO / "beat_fractional.csv"), "--kind", kind, "--json",
+                                   "--out", str(csv)], cwd=DEMO.parent, env=env,
+                                  capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr.decode()
+            out += [proc.stdout, csv.read_bytes()]
+        return out
+
+    assert outputs(False) == outputs(True)
 
 
 def test_met_image_fit_demo_profile(capsys):

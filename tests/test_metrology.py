@@ -18,7 +18,6 @@ from cryoion.metrology import (
     InterferometerCal,
     KIND_FRACTIONAL,
     KIND_PHASE,
-    WINDOW_RECT,
     allan_deviation,
     excursion_stats,
     fringe_to_displacement,
@@ -122,6 +121,86 @@ def test_allan_tau_validation():
         allan_deviation(rec, [0.6])  # needs 2m+1 = 121 phase samples, have 101
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 17, 100, 6002])
+def test_allan_default_taus_are_the_octave_ladder(n):
+    # tau = m dt for m = 1, 2, 4, ... while 2m + 1 <= N phase samples, the
+    # same bits as the ladder passed explicitly
+    dt = 0.01
+    x = 1e-15 * seeded_rng(n).standard_normal(n)
+    rec = FrequencyRecord(KIND_PHASE, TimeSeries(0.0, dt, x))
+    ladder, m = [], 1
+    while 2 * m + 1 <= n:
+        ladder.append(m * dt)
+        m *= 2
+    taus, sigma = allan_deviation(rec)
+    assert taus.tolist() == ladder
+    explicit = allan_deviation(rec, ladder)
+    assert sigma.tolist() == explicit[1].tolist()
+
+
+@pytest.mark.parametrize("kind, samples", [(KIND_PHASE, [0.0, 1e-15]), (KIND_PHASE, [0.0]),
+                                           (KIND_FRACTIONAL, [1e-15])])
+def test_allan_record_too_short_for_any_tau_is_insufficient_data(kind, samples):
+    # tau = dt needs 3 phase samples; the default ladder was empty instead
+    rec = FrequencyRecord(kind, TimeSeries(0.0, 0.5, samples))
+    with pytest.raises(InsufficientDataError, match="need at least 3 phase samples for tau=0.5"):
+        allan_deviation(rec)
+
+
+def test_allan_tau_and_excursion_window_follow_one_sample_rule(monkeypatch):
+    import cryoion.metrology as metrology
+
+    seen = []
+    rule = metrology._whole_samples
+    monkeypatch.setattr(metrology, "_whole_samples",
+                        lambda *args: seen.append(args[2:]) or rule(*args))
+    ts = TimeSeries(0.0, 0.5, np.arange(10.0))
+    allan_deviation(FrequencyRecord(KIND_PHASE, ts), [0.5, 1.0])
+    excursion_stats(ts, 1.0)
+    assert seen == [(1, "tau"), (1, "tau"), (2, "excursion window")]
+
+
+def test_allan_tau_messages_name_the_rule():
+    rec = FrequencyRecord(KIND_FRACTIONAL, TimeSeries(0.0, 0.01, np.zeros(100) + 1e-15))
+    with pytest.raises(DomainError, match=re.escape(
+            "tau of 0.015 s is 1.5 samples at dt = 0.01 s; it must be a whole number")):
+        allan_deviation(rec, [0.015])
+    with pytest.raises(DomainError, match=re.escape(
+            "tau of 0.004 s spans 0 sample(s) at dt = 0.01 s; it needs at least 1 sample")):
+        allan_deviation(rec, [0.004])
+    with pytest.raises(DomainError, match=re.escape(
+            "tau must be a positive finite number of samples, got -0.01 s at dt = 0.01 s")):
+        allan_deviation(rec, [-0.01])
+    # a count beyond the float range, not an OverflowError
+    with pytest.raises(DomainError, match="tau must be a positive finite number of samples"):
+        allan_deviation(FrequencyRecord(KIND_PHASE, TimeSeries(0.0, 1e-300, [0.0] * 5)), [1e10])
+
+
+NUMBERS = np.arange(20.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TimeSeries(0.0, "abc", NUMBERS),
+    lambda: TimeSeries(None, 0.1, NUMBERS),
+    lambda: TimeSeries(0.0, "0.5", NUMBERS),
+    lambda: TimeSeries("0", 0.1, NUMBERS),
+    lambda: TimeSeries(0.0, 0.1, ["a", "b", "c"]),
+    lambda: TimeSeries(0.0, 0.1, ["1.5", "2.5"]),
+    lambda: TimeSeries(0.0, 0.1, [1.0, None]),
+    lambda: allan_deviation(FrequencyRecord(KIND_PHASE, TimeSeries(0.0, 0.1, NUMBERS)), ["x"]),
+    lambda: allan_deviation(FrequencyRecord(KIND_PHASE, TimeSeries(0.0, 0.1, NUMBERS)), [None]),
+    lambda: excursion_stats(TimeSeries(0.0, 0.1, NUMBERS), "x"),
+    lambda: excursion_stats(TimeSeries(0.0, 0.1, NUMBERS), "0.2"),
+    lambda: excursion_stats(TimeSeries(0.0, 0.1, NUMBERS), None),
+], ids=["dt_text", "t0_none", "dt_numeric_text", "t0_numeric_text", "samples_text",
+        "samples_numeric_text", "samples_none", "tau_text", "tau_none", "window_text",
+        "window_numeric_text", "window_none"])
+def test_series_and_sample_rule_reject_what_is_not_a_number(call):
+    # each raised a raw ValueError or TypeError, or was silently parsed
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_frequency_record_validation():
     ts = TimeSeries(0.0, 1.0, np.zeros(10) + 1e-15)
     with pytest.raises(DomainError):
@@ -205,12 +284,16 @@ def test_interferometer_cal_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_power_spectrum_parseval_rect():
+def test_power_spectrum_is_normalized_by_the_hann_window_power():
+    # sum(psd) * df = sum((w x)^2) / sum(w^2) for the Hann window w and the
+    # mean-removed record x, by Parseval's theorem
     x = seeded_rng(3).standard_normal(1024)
     ts = TimeSeries(0.0, 1 / 500.0, x)
-    freqs, psd = power_spectrum(ts, window=WINDOW_RECT)
+    freqs, psd = power_spectrum(ts)
+    w = np.hanning(x.size)
     df = freqs[1] - freqs[0]
-    assert psd.sum() * df == pytest.approx(x.var(), rel=1e-12)
+    assert psd.sum() * df == pytest.approx(np.sum((w * (x - x.mean())) ** 2) / np.sum(w * w),
+                                           rel=1e-12)
     assert freqs[0] == 0.0
     assert freqs[-1] == pytest.approx(250.0)
 
@@ -226,20 +309,19 @@ def test_power_spectrum_hann_preserves_variance_approximately():
 
 
 def test_power_spectrum_sine_lands_in_its_bin():
+    # the Hann main lobe of a bin-centred tone spans bins k-1..k+1
     n, fs, k = 2048, 2000.0, 120
     f0 = k * fs / n
     t = np.arange(n) / fs
     ts = TimeSeries(0.0, 1 / fs, 5e-9 * np.sin(2 * np.pi * f0 * t + 0.7))
-    freqs, psd = power_spectrum(ts, window=WINDOW_RECT)
-    assert psd[k] / psd.sum() > 0.99
+    freqs, psd = power_spectrum(ts)
+    assert psd[k - 1:k + 2].sum() / psd.sum() >= 0.99
     assert freqs[np.argmax(psd)] == pytest.approx(f0, rel=1e-12)
 
 
 def test_power_spectrum_guards():
     with pytest.raises(InsufficientDataError):
         power_spectrum(TimeSeries(0.0, 1.0, np.zeros(8)))
-    with pytest.raises(DomainError):
-        power_spectrum(TimeSeries(0.0, 1.0, np.zeros(32)), window="kaiser")
 
 
 def test_peak_find_three_tones():
